@@ -13,7 +13,6 @@ from .scalars import (
     ScalarError,
     SignUndecidableError,
     UnsupportedScalarOperation,
-    float_eval,
     is_rational_direction,
     parse_scalar,
 )
@@ -42,7 +41,6 @@ from .models import (
     leaf_stabilizer_algebra,
     local_cone,
     moment_image,
-    null_ideal,
     slices_at,
     stabilizer_algebra,
     standard_module,

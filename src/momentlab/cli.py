@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice, linalg, models, morse, polyhedra, reporting, sampler
-from ._util import parallel_map
 from .models import AffineSlice, ModelPoint, WeightedModule
 from .reporting import fmt_float, fmt_polyhedron, fmt_subspace, fmt_vector, yesno
 from .scalars import ConstantBasis, ScalarError
@@ -25,6 +24,9 @@ from .scalars import ConstantBasis, ScalarError
 ANALYSES = ("slice-report", "morse", "quasifold", "contact-cone", "sample", "deform")
 
 _SQRT_NAME = re.compile(r"^sqrt(\d+)$")
+# desk-scale cap on float samples per analysis
+MAX_SAMPLES = 1_000_000
+_INF = float("inf")
 
 
 class ScenarioError(ValueError):
@@ -44,6 +46,9 @@ class Scenario:
     slice_: AffineSlice | None = None
     module: WeightedModule | None = None
     points: list[ModelPoint] = field(default_factory=list)
+    xi: linalg.Vector | None = None
+    curve: sampler.CurveSpec | None = None
+    family: list[sampler.CurveSpec] | None = None
 
 
 def _build_basis(raw: dict) -> ConstantBasis:
@@ -57,8 +62,10 @@ def _build_basis(raw: dict) -> ConstantBasis:
         if isinstance(value, dict):
             square = value.get("square")
             value = value.get("value")
-        if not isinstance(value, (int, float)):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioError("constants", f"{name} needs a numeric value")
+        if square is not None and not _is_positive_number(square):
+            raise ScenarioError("constants", f"{name}: square must be a positive number")
         m = _SQRT_NAME.match(name)
         if square is None and m:
             square = int(m.group(1))
@@ -87,10 +94,17 @@ def load_scenario(path: Path) -> Scenario:
     if not isinstance(d, int) or d < 1:
         raise ScenarioError("torus_rank", "must be a positive integer")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("seed", "must be an integer")
+    if not _is_int(seed) or seed < 0:
+        raise ScenarioError("seed", "must be a non-negative integer")
+    if "samples" in raw and not (_is_int(raw["samples"]) and 1 <= raw["samples"] <= MAX_SAMPLES):
+        raise ScenarioError("samples", f"must be an integer from 1 to {MAX_SAMPLES}")
+    if "t_max" in raw and not _is_positive_number(raw["t_max"]):
+        raise ScenarioError("t_max", "must be a positive finite number")
+    name = raw.get("name", Path(path).stem)
+    if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
+        raise ScenarioError("name", "must be a non-empty string usable in file names")
     scenario = Scenario(
-        name=str(raw.get("name", Path(path).stem)),
+        name=name,
         basis=basis,
         analyses=list(analyses),
         seed=seed,
@@ -98,7 +112,31 @@ def load_scenario(path: Path) -> Scenario:
         raw=raw,
     )
     _load_model(scenario)
+    _load_analysis_inputs(scenario)
     return scenario
+
+
+def _load_analysis_inputs(sc: Scenario) -> None:
+    """Parse xi, curve and family when given or needed by an analysis, so
+    that validation rejects them before anything runs."""
+    raw = sc.raw
+    if "xi" in raw or "morse" in sc.analyses:
+        sc.xi = _parse_vector(sc.basis, raw.get("xi"), "xi", sc.torus_rank)
+    if "curve" in raw or "sample" in sc.analyses:
+        sc.curve = _parse_curve(raw.get("curve"), "curve")
+    if "family" in raw or "deform" in sc.analyses:
+        family = raw.get("family")
+        if not isinstance(family, list) or len(family) < 2:
+            raise ScenarioError("family", "must be a list of at least two curves")
+        sc.family = [_parse_curve(c, f"family[{i}]") for i, c in enumerate(family)]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < _INF
 
 
 def _parse_vector(basis, entries, field_name, length=None):
@@ -137,6 +175,9 @@ def _load_model(sc: Scenario) -> None:
         normals = raw.get("direction_normals")
         if vectors is None and normals is None:
             raise ScenarioError("direction", "give direction or direction_normals")
+        for name, value in (("direction", vectors), ("direction_normals", normals)):
+            if value is not None and not isinstance(value, list):
+                raise ScenarioError(name, "must be a list of vectors")
         try:
             sc.slice_ = models.build_affine_slice(
                 basis,
@@ -151,9 +192,21 @@ def _load_model(sc: Scenario) -> None:
             )
         except ScalarError as exc:
             raise ScenarioError("direction", str(exc))
-    for i, entry in enumerate(raw.get("points", [])):
-        if not isinstance(entry, list):
-            raise ScenarioError("points", f"point {i} must be a list of coordinates")
+    points = raw.get("points", [])
+    if not isinstance(points, list):
+        raise ScenarioError("points", "must be a list of points")
+    model = sc.slice_.module if sc.slice_ is not None else sc.module
+    for i, entry in enumerate(points):
+        if not isinstance(entry, list) or any(
+            isinstance(z, list) and len(z) != 2 for z in entry
+        ):
+            raise ScenarioError(
+                "points", f"point {i} must be a list of coordinates or (re, im) pairs"
+            )
+        if model is not None and len(entry) != model.n_coords:
+            raise ScenarioError(
+                "points", f"point {i} needs {model.n_coords} coordinates, got {len(entry)}"
+            )
         try:
             sc.points.append(
                 ModelPoint.from_coordinates(
@@ -237,9 +290,7 @@ def _slice_report(sc: Scenario, lines: list[str]) -> None:
 
     if sc.slice_ is not None:
         strata = models.support_strata(sc.slice_)
-        reports = parallel_map(
-            lambda s: models.cleanness_at(sc.slice_, s.representative), strata
-        )
+        reports = [models.cleanness_at(sc.slice_, s.representative) for s in strata]
         _section(lines, "cleanness",
                  "cleanness criterion: leaf stabilizer = stabilizer + null ideal")
         for s, rep in zip(strata, reports):
@@ -325,7 +376,7 @@ def _quasifold_section(sc: Scenario, lines: list[str]) -> None:
 def _morse_section(sc: Scenario, lines: list[str]) -> None:
     if sc.slice_ is None:
         raise ScenarioError("analyses", "morse analysis needs an affine slice")
-    xi = _parse_vector(sc.basis, sc.raw.get("xi"), "xi", sc.torus_rank)
+    xi = sc.xi
     strata = morse.critical_set(sc.slice_, xi)
     _section(lines, "morse",
              "critical strata of a moment component with exact even indices")
@@ -370,7 +421,7 @@ def _contact_section(sc: Scenario, lines: list[str], out: Path) -> None:
     lines.append(f"slice at level 1 equals moment polytope: "
                  f"{yesno(polyhedra.poly_equal(back, P))}")
     if polyhedra.is_bounded(P):
-        n = int(sc.raw.get("samples", 10000))
+        n = sc.raw.get("samples", 10000)
         t_max = float(sc.raw.get("t_max", 2.0))
         residual = _cone_sample_residual(sc, P, cone, n, t_max)
         lines.append(f"max H-rep residual over {n} scaled samples: "
@@ -403,8 +454,8 @@ def _cone_sample_residual(
 
 
 def _sample_section(sc: Scenario, lines: list[str], out: Path) -> None:
-    curve = _parse_curve(sc.raw.get("curve"), "curve")
-    n = int(sc.raw.get("samples", 10000))
+    curve = sc.curve
+    n = sc.raw.get("samples", 10000)
     cloud = sampler.sample_image(curve, n, sc.seed)
     defect = sampler.convexity_defect(cloud, sampler.distance_to_image(curve))
     lifted = sampler.lift_cloud(cloud, sc.seed + 17)
@@ -427,12 +478,8 @@ def _sample_section(sc: Scenario, lines: list[str], out: Path) -> None:
 
 
 def _deform_section(sc: Scenario, lines: list[str]) -> None:
-    raw_family = sc.raw.get("family")
-    if not isinstance(raw_family, list) or len(raw_family) < 2:
-        raise ScenarioError("family", "must be a list of at least two curves")
-    family = [_parse_curve(c, f"family[{i}]") for i, c in enumerate(raw_family)]
-    n = int(sc.raw.get("samples", 2000))
-    report = sampler.deformation_scan(family, n, sc.seed)
+    n = sc.raw.get("samples", 2000)
+    report = sampler.deformation_scan(sc.family, n, sc.seed)
     _section(lines, "deformation",
              "translate equivalence of the orthant images along the family; "
              "a failing pair certifies a nontrivial deformation")
@@ -455,6 +502,8 @@ def run_scenario(path, out_dir=None, seed=None) -> int:
     try:
         sc = load_scenario(Path(path))
         if seed is not None:
+            if seed < 0:
+                raise ScenarioError("seed", "must be a non-negative integer")
             sc.seed = int(seed)
         out = Path(out_dir) if out_dir else Path("momentlab-out")
         out.mkdir(parents=True, exist_ok=True)

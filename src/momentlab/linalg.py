@@ -12,7 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import ConstantBasis, ExtScalar, RationalLike, ScalarError
+from .scalars import (
+    ConstantBasis,
+    ExtScalar,
+    RationalLike,
+    ScalarError,
+    UnsupportedScalarOperation,
+    _clear_denominators,
+    _eliminate,
+    _rat_rref,
+)
 
 Vector = tuple[ExtScalar, ...]
 Matrix = list[Vector]
@@ -36,7 +45,10 @@ def as_vector(basis: ConstantBasis, entries: Sequence) -> Vector:
         elif isinstance(e, str):
             out.append(parse_scalar(e, basis))
         else:
-            out.append(basis.from_rational(Fraction(e)))
+            try:
+                out.append(basis.from_rational(Fraction(e)))
+            except (TypeError, ValueError, OverflowError):
+                raise ScalarError(f"cannot read {e!r} as a scalar") from None
     return tuple(out)
 
 
@@ -82,31 +94,69 @@ def format_matrix(rows: Iterable[Vector]) -> str:
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form with pivots normalized to 1.
 
-    Returns the nonzero rows and their pivot columns.
+    Returns the nonzero rows and their pivot columns.  All-rational matrices
+    are eliminated over Z and matrices over a quadratic surd over Z[sqrt q],
+    both fraction-free; any other basis runs the same loop on the scalars.
     """
-    work = [list(r) for r in rows]
-    if not work:
+    if not rows or not rows[0]:
         return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if not work[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pivot = work[r][c]
-        work[r] = [e / pivot for e in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [e - f * p for e, p in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = [tuple(work[i]) for i in range(r)]
-    return out, pivots
+    basis = rows[0][0].basis
+    size = basis.size
+    if all(not any(e.coeffs[1:]) for row in rows for e in row):
+        reduced, pivots = _rat_rref([[e.coeffs[0] for e in row] for row in rows])
+        tail = (Fraction(0),) * (size - 1)
+        return [
+            tuple(ExtScalar(basis, (x,) + tail) for x in row) for row in reduced
+        ], pivots
+    q = basis.surd_square()
+    if q is not None:
+        return _surd_rref(basis, q, rows)
+    reduced, pivots, last = _eliminate(
+        [list(row) for row in rows],
+        lambda e: not e.is_zero(),
+        lambda row, prow, p, f, prev: [(p * a - f * b) / prev for a, b in zip(row, prow)],
+        basis.one(),
+    )
+    return [tuple(e / last for e in row) for row in reduced], pivots
+
+
+def _surd_rref(basis: ConstantBasis, q: Fraction, rows: Sequence[Vector]):
+    """rref over Q(c), c*c = q = n/m, eliminated in Z[s] with s = m*c and
+    s*s = n*m, each entry a pair (a, b) meaning a + b*s."""
+    m = q.denominator
+    s2 = q.numerator * m
+    work = []
+    for row in rows:
+        flat = _clear_denominators([x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)])
+        work.append(list(zip(flat[::2], flat[1::2])))
+
+    def combine(row, prow, p, f, prev):
+        (p0, p1), (f0, f1), (c0, c1) = p, f, prev
+        # multiply by the conjugate of prev, then divide by its norm
+        norm = c0 * c0 - c1 * c1 * s2
+        if norm == 0:
+            raise UnsupportedScalarOperation(
+                f"declared square {q} of {basis.names[1]} is a rational square"
+            )
+        out = []
+        for (a0, a1), (b0, b1) in zip(row, prow):
+            x0 = p0 * a0 - f0 * b0 + (p1 * a1 - f1 * b1) * s2
+            x1 = p0 * a1 + p1 * a0 - f0 * b1 - f1 * b0
+            out.append(((x0 * c0 - x1 * c1 * s2) // norm, (x1 * c0 - x0 * c1) // norm))
+        return out
+
+    reduced, pivots, (d0, d1) = _eliminate(
+        work, lambda e: e[0] or e[1], combine, (1, 0)
+    )
+    norm = d0 * d0 - d1 * d1 * s2
+    return [
+        tuple(
+            ExtScalar(basis, (Fraction(a0 * d0 - a1 * d1 * s2, norm),
+                              Fraction((a1 * d0 - a0 * d1) * m, norm)))
+            for a0, a1 in row
+        )
+        for row in reduced
+    ], pivots
 
 
 def rank(rows: Sequence[Vector]) -> int:
@@ -149,28 +199,7 @@ def solve(columns: Sequence[Vector], target: Vector, basis: ConstantBasis):
 
 
 def rat_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [e / pv for e in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [e - f * p for e, p in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    return _rat_rref(rows)
 
 
 def rat_rank(rows: Sequence[Sequence[Fraction]]) -> int:

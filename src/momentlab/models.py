@@ -495,10 +495,6 @@ def _coordinate_positive_somewhere(P: Polyhedron, j: int) -> bool:
     return False
 
 
-def null_ideal(model) -> Subspace:
-    return model.null_ideal()
-
-
 def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
     phi = moment_quadratic(slice_.module, point)
     for a in slice_.ideal.rows:

@@ -122,7 +122,7 @@ class PresympForm:
         if len(self.matrix) != self.dim or any(len(r) != self.dim for r in self.matrix):
             raise DimensionMismatchError("form matrix has wrong shape")
         for i in range(self.dim):
-            for j in range(self.dim):
+            for j in range(i, self.dim):
                 if not (self.matrix[i][j] + self.matrix[j][i]).is_zero():
                     raise ScalarError("form matrix is not skew-symmetric")
 
@@ -158,12 +158,20 @@ class PresympForm:
         return linalg.rank(list(self.matrix))
 
     def restrict(self, basis_rows: Sequence[Vector]) -> "PresympForm":
-        """Gram matrix of the form on the given vectors."""
+        """Gram matrix B M B^T of the form on the given vectors.
+
+        M b_j is computed once per vector; only the upper triangle is paired,
+        the lower one is its negative and the diagonal is zero.
+        """
         n = len(basis_rows)
-        rows = [
-            [self.pairing(basis_rows[i], basis_rows[j]) for j in range(n)]
-            for i in range(n)
-        ]
+        images = [linalg.mat_vec(self.matrix, b) for b in basis_rows]
+        zero = self.scalar_basis.zero()
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                g = linalg.dot(basis_rows[i], images[j])
+                rows[i][j] = g
+                rows[j][i] = -g
         return PresympForm.from_rows(self.scalar_basis, rows)
 
 

@@ -93,15 +93,3 @@ def emit_svg(points: np.ndarray, path: Path, size: int = 480) -> None:
         "</svg>",
     ]
     path.write_text("\n".join(parts) + "\n")
-
-
-def polytope_outline(P: Polyhedron) -> np.ndarray:
-    """Float vertex cycle of a 2-D polytope, ordered around the centroid."""
-    vs = np.array(
-        [[e.to_float() for e in v] for v in P.vrep.vertices], dtype=float
-    )
-    if len(vs) > 2:
-        center = vs.mean(axis=0)
-        angles = np.arctan2(vs[:, 1] - center[1], vs[:, 0] - center[0])
-        vs = vs[np.argsort(angles, kind="stable")]
-    return np.vstack([vs, vs[:1]]) if len(vs) > 1 else vs

@@ -93,6 +93,15 @@ class ConstantBasis:
     def product(self, i: int, j: int) -> tuple[Fraction, ...] | None:
         return self._products.get((i, j))
 
+    def surd_square(self) -> Fraction | None:
+        """q when the basis is {1, c} with a declared rational square c*c = q."""
+        if self.size != 2:
+            return None
+        sq = self._products.get((1, 1))
+        if sq is None or sq[1] != 0:
+            return None
+        return sq[0]
+
     def with_constant(
         self, name: str, float_value: float, square: RationalLike | None = None
     ) -> "ConstantBasis":
@@ -379,55 +388,104 @@ def _sign_quadratic(a: Fraction, b: Fraction, q: Fraction, cval: float) -> int:
 
 
 def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
-    """Solve x*den = num over the rational span, if the products allow it."""
+    """Solve x*den = num over the rational span, if the products allow it.
+
+    Over a quadratic surd c with c*c = q this is the conjugate formula
+    (a + b*c) / (e + f*c) = (a + b*c)(e - f*c) / (e^2 - f^2*q); any other
+    basis solves the rational system whose columns are constant[t] * den.
+    """
     basis = num.basis
     size = basis.size
-    # column t of M = coefficients of constant[t] * den
+    q = basis.surd_square()
+    if q is not None:
+        (a, b), (e, f) = num.coeffs, den.coeffs
+        norm = e * e - f * f * q
+        if norm == 0:
+            raise UnsupportedScalarOperation(
+                f"cannot divide {num} by {den}: declared square is a rational square"
+            )
+        return ExtScalar(basis, ((a * e - b * f * q) / norm, (b * e - a * f) / norm))
     columns = []
     for t in range(size):
         unit = [Fraction(0)] * size
         unit[t] = Fraction(1)
-        col = ExtScalar(basis, tuple(unit)) * den
-        columns.append(col.coeffs)
-    x = _solve_rational([[columns[t][r] for t in range(size)] for r in range(size)],
-                        list(num.coeffs))
-    if x is None:
+        columns.append((ExtScalar(basis, tuple(unit)) * den).coeffs)
+    reduced, pivots = _rat_rref(
+        [[col[r] for col in columns] + [num.coeffs[r]] for r in range(size)]
+    )
+    if pivots and pivots[-1] == size:
         raise UnsupportedScalarOperation(
             f"cannot divide {num} by {den} within the declared span"
         )
+    x = [Fraction(0)] * size
+    for row, c in zip(reduced, pivots):
+        x[c] = row[size]
     return ExtScalar(basis, tuple(x))
 
 
-def _solve_rational(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    n = len(matrix)
-    m = len(matrix[0]) if matrix else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots = []
+# -- the elimination kernel ------------------------------------------------------
+
+
+def _eliminate(rows: list[list], nonzero, combine, one):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over an
+    integral domain; the one elimination loop of the package.
+
+    Each step with pivot p replaces every other row by
+    (p*row - f*pivot_row) / prev, where f is that row's entry in the pivot
+    column and prev the previous pivot (initially `one`).  The division is
+    exact because every entry stays a minor of the input.  Earlier pivot rows
+    then carry p in their pivot columns, so on return every nonzero row
+    carries the last pivot in its pivot column; dividing by it gives the
+    reduced row-echelon form.  `combine(row, pivot_row, p, f, prev)` does one
+    row update in the caller's domain.  `rows` is consumed.
+
+    Returns the nonzero rows, their pivot columns and the last pivot.
+    """
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    prev = one
     r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
+    for c in range(ncols):
+        pr = next((i for i in range(r, n) if nonzero(rows[i][c])), None)
         if pr is None:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
         for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+            if i != r:
+                rows[i] = combine(rows[i], prow, p, rows[i][c], prev)
+        prev = p
         pivots.append(c)
         r += 1
         if r == n:
             break
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][m]
-    return x
+    return rows[:r], pivots, prev
+
+
+def _int_combine(row: list[int], prow: list[int], p: int, f: int, prev: int) -> list[int]:
+    if f == 0:
+        return [p * a // prev for a in row]
+    return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+
+
+def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
+    """The values times the least common multiple of their denominators."""
+    lcm = 1
+    for x in values:
+        d = x.denominator
+        if lcm % d:
+            lcm *= Fraction(lcm, d).denominator  # lcm(lcm, d)
+    return [x.numerator * (lcm // x.denominator) for x in values]
+
+
+def _rat_rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form of a rational matrix, eliminated over the
+    integers after clearing each row's denominators."""
+    work = [_clear_denominators([Fraction(x) for x in row]) for row in rows]
+    reduced, pivots, last = _eliminate(work, bool, _int_combine, 1)
+    return [[Fraction(a, last) for a in row] for row in reduced], pivots
 
 
 # -- whole-vector utilities ----------------------------------------------------
@@ -452,10 +510,6 @@ def is_rational_direction(v: Sequence[ExtScalar]) -> bool:
                     return False
     # remaining rows are automatically proportional to the first
     return True
-
-
-def float_eval(x: ExtScalar) -> float:
-    return x.to_float()
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -485,7 +539,10 @@ def parse_scalar(text: str | int | float, basis: ConstantBasis) -> ExtScalar:
         m = _TERM.match(term)
         if not m or (m.group("coef") is None and m.group("name") is None):
             raise ScalarError(f"cannot parse scalar term {term!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ScalarError(f"zero denominator in scalar {text!r}") from None
         if negative:
             coef = -coef
         idx = basis.index_of(m.group("name")) if m.group("name") else 0
@@ -496,7 +553,10 @@ def parse_scalar(text: str | int | float, basis: ConstantBasis) -> ExtScalar:
 def _from_number(value, basis: ConstantBasis) -> ExtScalar:
     if isinstance(value, int):
         return basis.from_rational(value)
-    frac = Fraction(value)
+    try:
+        frac = Fraction(value)
+    except (ValueError, OverflowError):
+        raise ScalarError(f"float {value!r} is not a finite number") from None
     if frac.denominator > 10**6:
         raise ScalarError(
             f"float {value!r} is not an exact small rational; write it as 'p/q'"

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from momentlab.cli import main, run_scenario, validate_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -168,16 +170,6 @@ def test_product_model_scenario(tmp_path):
     assert "point 1 (support [0]): clean=yes" in report
 
 
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    path = write(tmp_path, segment_raw())
-    out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-    monkeypatch.delenv("MOMENTLAB_THREADS", raising=False)
-    assert run_scenario(path, out_dir=out1) == 0
-    monkeypatch.setenv("MOMENTLAB_THREADS", "4")
-    assert run_scenario(path, out_dir=out2) == 0
-    assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
-
-
 def test_repo_scenarios_are_valid():
     for name in (
         "segment.json",
@@ -187,3 +179,46 @@ def test_repo_scenarios_are_valid():
         "deformation.json",
     ):
         assert validate_scenario(SCENARIOS / name) == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", -5), ("t_max", -1), ("lambda", ["1/0", "0"])],
+)
+def test_bad_segment_field_exits_2(tmp_path, capsys, field, value):
+    raw = json.loads((SCENARIOS / "segment.json").read_text())
+    raw[field] = value
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"field {field!r}" in err and "internal error" not in err
+
+
+FUZZ_FIELDS = ("name", "constants", "torus_rank", "lambda", "direction_normals",
+               "direction", "analyses", "xi", "seed", "samples", "t_max", "weights",
+               "masked", "points", "curve", "family")
+# fields that change the loaded model even when the scenario does not set them
+MODEL_FIELDS = ("constants", "lambda", "direction_normals", "direction", "weights", "points")
+FUZZ_VALUES = (None, True, -5, 0, -1.5, 1e308, float("nan"), "x", "1/0", "", [], {},
+               ["1/0", "0"], [[]], [["1/0"]], [1, 2], {"kind": "circle"})
+
+
+@pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_field_fuzz_never_exits_3(tmp_path, capsys, scenario):
+    """Replace one top-level field at a time; malformed input must exit 2.
+
+    Accepted inputs are run too, unless the field is one the scenario neither
+    sets nor needs for its model (such runs repeat the unmodified scenario).
+    """
+    base = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    if "samples" in base:
+        base["samples"] = 100
+    for field in FUZZ_FIELDS:
+        for value in FUZZ_VALUES:
+            path = write(tmp_path, dict(base, **{field: value}))
+            code = validate_scenario(path)
+            assert code in (0, 2), (field, value)
+            if code == 0 and (field in base or field in MODEL_FIELDS):
+                assert run_scenario(path, out_dir=tmp_path / "out") in (0, 2), (field, value)
+    assert "internal error" not in capsys.readouterr().err

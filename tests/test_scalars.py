@@ -9,7 +9,6 @@ from momentlab.scalars import (
     ConstantBasis,
     SignUndecidableError,
     UnsupportedScalarOperation,
-    float_eval,
     is_rational_direction,
     parse_scalar,
 )
@@ -73,9 +72,9 @@ def test_division_undeclared_raises():
 
 
 def test_float_eval_examples(sqrt2_basis):
-    assert abs(float_eval(pair(sqrt2_basis, 1, 1)) - 2.414213562373095) < 1e-12
-    assert float_eval(sqrt2_basis.zero()) == 0.0
-    assert float_eval(pair(sqrt2_basis, Fraction(-3, 2), 0)) == -1.5
+    assert abs(pair(sqrt2_basis, 1, 1).to_float() - 2.414213562373095) < 1e-12
+    assert sqrt2_basis.zero().to_float() == 0.0
+    assert pair(sqrt2_basis, Fraction(-3, 2), 0).to_float() == -1.5
 
 
 def test_sign_rational(sqrt2_basis):
@@ -135,11 +134,11 @@ def test_add_associative_commutative(a, b, c, d, e, f):
 def test_float_eval_is_additive_and_homogeneous(a, b, c, d, q):
     basis = ConstantBasis.with_sqrt("sqrt2", 2)
     x, y = basis.scalar([a, b]), basis.scalar([c, d])
-    lhs = float_eval(x + y)
-    rhs = float_eval(x) + float_eval(y)
+    lhs = (x + y).to_float()
+    rhs = x.to_float() + y.to_float()
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
-    lhs = float_eval(x.scale(q))
-    rhs = float(q) * float_eval(x)
+    lhs = x.scale(q).to_float()
+    rhs = float(q) * x.to_float()
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
