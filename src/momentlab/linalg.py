@@ -17,8 +17,7 @@ from .scalars import (
     ExtScalar,
     RationalLike,
     ScalarError,
-    UnsupportedScalarOperation,
-    _clear_denominators,
+    _SurdRing,
     _eliminate,
     _rat_rref,
 )
@@ -121,23 +120,15 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, list[int]]:
 
 
 def _surd_rref(basis: ConstantBasis, q: Fraction, rows: Sequence[Vector]):
-    """rref over Q(c), c*c = q = n/m, eliminated in Z[s] with s = m*c and
-    s*s = n*m, each entry a pair (a, b) meaning a + b*s."""
-    m = q.denominator
-    s2 = q.numerator * m
-    work = []
-    for row in rows:
-        flat = _clear_denominators([x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)])
-        work.append(list(zip(flat[::2], flat[1::2])))
+    """rref over Q(c), c*c = q, eliminated on integer pairs in Z[s]
+    (scalars._SurdRing)."""
+    ring = _SurdRing(basis, q)
+    s2 = ring.s2
 
     def combine(row, prow, p, f, prev):
         (p0, p1), (f0, f1), (c0, c1) = p, f, prev
         # multiply by the conjugate of prev, then divide by its norm
-        norm = c0 * c0 - c1 * c1 * s2
-        if norm == 0:
-            raise UnsupportedScalarOperation(
-                f"declared square {q} of {basis.names[1]} is a rational square"
-            )
+        norm = ring.norm(prev)
         out = []
         for (a0, a1), (b0, b1) in zip(row, prow):
             x0 = p0 * a0 - f0 * b0 + (p1 * a1 - f1 * b1) * s2
@@ -145,18 +136,10 @@ def _surd_rref(basis: ConstantBasis, q: Fraction, rows: Sequence[Vector]):
             out.append(((x0 * c0 - x1 * c1 * s2) // norm, (x1 * c0 - x0 * c1) // norm))
         return out
 
-    reduced, pivots, (d0, d1) = _eliminate(
-        work, lambda e: e[0] or e[1], combine, (1, 0)
+    reduced, pivots, last = _eliminate(
+        ring.clear(rows), lambda e: e[0] or e[1], combine, (1, 0)
     )
-    norm = d0 * d0 - d1 * d1 * s2
-    return [
-        tuple(
-            ExtScalar(basis, (Fraction(a0 * d0 - a1 * d1 * s2, norm),
-                              Fraction((a1 * d0 - a0 * d1) * m, norm)))
-            for a0, a1 in row
-        )
-        for row in reduced
-    ], pivots
+    return [ring.quotients(row, last) for row in reduced], pivots
 
 
 def rank(rows: Sequence[Vector]) -> int:

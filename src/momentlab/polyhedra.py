@@ -1,21 +1,33 @@
 """Exact convex polyhedra over the extended scalars.
 
 H-representations are canonicalized through a double-description round trip:
-constraints -> generators -> irredundant facets.  Everything is exact; sign
-decisions reduce to ExtScalar.sign().  Sizes are capped at desk scale, where
-the double description method is entirely adequate.
+constraints -> generators -> irredundant facets.  Everything is exact.  The
+double description loop runs fraction-free on integer rows: over Z for
+rational data and over Z[s] for a declared quadratic surd with a positive
+constant, where signs follow the integer quadratic rule; any other basis runs
+the same loop on ExtScalars, whose signs come from ExtScalar.sign().  Sizes
+are capped at desk scale, where the double description method is entirely
+adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Callable, NamedTuple, Sequence
 
 from . import lattice, linalg
 from .linalg import Vector
 from .presymlin import Subspace
-from .scalars import ConstantBasis, ExtScalar, ScalarError, parse_scalar
+from .scalars import (
+    ConstantBasis,
+    ExtScalar,
+    ScalarError,
+    _clear_denominators,
+    _SurdRing,
+    parse_scalar,
+)
 
 MAX_DIM = 7
 MAX_CONSTRAINTS = 96
@@ -134,71 +146,179 @@ def _sort_key(v: Vector):
     return tuple(e.coeffs for e in v)
 
 
+class _Arithmetic(NamedTuple):
+    """One number domain for the double description loop."""
+
+    rows: list  # the constraint rows in this domain
+    lines: list  # the unit vectors
+    dot: Callable
+    sign: Callable
+    comb: Callable  # comb(x, u, y, v): a positive multiple of x*u - y*v
+    canon: Callable  # the representative of a ray up to positive scaling
+    neg: Callable  # vector negation
+    # out(v, ray): v as scalars, divided by its first nonzero entry, or for a
+    # ray by that entry's absolute value
+    out: Callable
+
+
+def _int_dot(a: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, v))
+
+
+def _int_sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _int_comb(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> tuple[int, ...]:
+    w = [x * a - y * b for a, b in zip(u, v)]
+    g = gcd(*w)
+    return tuple(c // g for c in w) if g > 1 else tuple(w)
+
+
+def _int_neg(v: Sequence) -> tuple:
+    return tuple(-x for x in v)
+
+
+def _arithmetic(basis: ConstantBasis, dim: int, rows: Sequence[Vector]) -> _Arithmetic:
+    """The domain of one double description run, chosen as in linalg.rref.
+
+    All-rational rows run over Z after clearing each row's denominators (a
+    positive row scaling keeps the half-space), where primitive vectors are
+    canonical.  Rows over a declared surd with a positive constant run on
+    pairs in Z[s] (scalars._SurdRing): a ray is multiplied by the absolute
+    value of the conjugate of its first nonzero entry, which makes that entry
+    rational, and then made primitive.  Any other basis runs on the scalars.
+    """
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    if all(not any(e.coeffs[1:]) for row in rows for e in row):
+        tail = (Fraction(0),) * (basis.size - 1)
+
+        def out(v, ray):
+            f = next((x for x in v if x), 1)
+            f = abs(f) if ray else f
+            return tuple(ExtScalar(basis, (Fraction(x, f),) + tail) for x in v)
+
+        return _Arithmetic(
+            [_clear_denominators([e.coeffs[0] for e in row]) for row in rows],
+            units, _int_dot, _int_sign, _int_comb, lambda v: v, _int_neg, out,
+        )
+    q = basis.surd_square()
+    if q is not None and basis.float_values[1] > 0:
+        ring = _SurdRing(basis, q)
+        s2 = ring.s2
+
+        def dot(a, v):
+            x0 = x1 = y = 0
+            for (a0, a1), (b0, b1) in zip(a, v):
+                x0 += a0 * b0
+                y += a1 * b1
+                x1 += a0 * b1 + a1 * b0
+            return (x0 + y * s2, x1)
+
+        def comb(x, u, y, v):
+            (x0, x1), (y0, y1) = x, y
+            w = [
+                (x0 * a0 - y0 * b0 + (x1 * a1 - y1 * b1) * s2,
+                 x0 * a1 + x1 * a0 - y0 * b1 - y1 * b0)
+                for (a0, a1), (b0, b1) in zip(u, v)
+            ]
+            g = gcd(*(c for e in w for c in e))
+            return tuple((c0 // g, c1 // g) for c0, c1 in w) if g > 1 else tuple(w)
+
+        def canon(v):
+            e0, e1 = next(e for e in v if e[0] or e[1])
+            if not e1:
+                return v
+            ring.norm((e0, e1))  # raises if the declared square is a rational square
+            conj = (e0, -e1) if ring.sign((e0, -e1)) > 0 else (-e0, e1)
+            return comb(conj, v, (0, 0), v)
+
+        def out(v, ray):
+            d = next((e for e in v if e[0] or e[1]), (1, 0))
+            # a canonical ray's first nonzero entry is rational
+            return ring.quotients(v, (abs(d[0]), 0) if ray else d)
+
+        return _Arithmetic(
+            [tuple(r) for r in ring.clear(rows)],
+            [tuple((x, 0) for x in u) for u in units],
+            dot, ring.sign, comb, canon,
+            lambda v: tuple((-a, -b) for a, b in v), out,
+        )
+    return _Arithmetic(
+        list(rows),
+        [linalg.unit(basis, dim, i) for i in range(dim)],
+        linalg.dot,
+        lambda x: x.sign(),
+        lambda x, u, y, v: tuple(x * a - y * b for a, b in zip(u, v)),
+        _normalize_ray,
+        linalg.vec_neg,
+        lambda v, ray: _normalize_ray(v) if ray else _normalize_line(v),
+    )
+
+
 def cone_double_description(
     basis: ConstantBasis, dim: int, rows: Sequence[Vector]
 ) -> tuple[list[Vector], list[Vector]]:
-    """Generators (lines, rays) of the cone {x : <row, x> >= 0 for all rows}."""
-    lines: list[Vector] = [linalg.unit(basis, dim, i) for i in range(dim)]
-    rays: list[Vector] = []
-    zsets: list[frozenset[int]] = []
-    for idx, a in enumerate(rows):
-        vals = [linalg.dot(a, l) for l in lines]
-        signs = [v.sign() for v in vals]
-        pivot = next((j for j, s in enumerate(signs) if s != 0), None)
+    """Generators (lines, rays) of the cone {x : <row, x> >= 0 for all rows}.
+
+    Lines come divided by their first nonzero entry, rays by its absolute
+    value.  The loop is fraction-free in the domain `_arithmetic` picks, and
+    the generators are converted back to scalars once, at the end.  Zero sets
+    are bit masks over the rows.
+    """
+    ar = _arithmetic(basis, dim, rows)
+    dot, sign, comb, canon = ar.dot, ar.sign, ar.comb, ar.canon
+    lines = ar.lines
+    rays: list = []
+    zsets: list[int] = []
+    for idx, a in enumerate(ar.rows):
+        bit = 1 << idx
+        vals = [dot(a, l) for l in lines]
+        pivot = next((j for j, v in enumerate(vals) if sign(v)), None)
         if pivot is not None:
-            l0, v0 = lines[pivot], vals[pivot]
-            new_lines = []
-            for j, l in enumerate(lines):
-                if j == pivot:
-                    continue
-                new_lines.append(
-                    linalg.vec_sub(l, linalg.vec_scale(l0, vals[j] / v0))
-                )
+            # the lineality shrinks: every other generator is moved onto the
+            # hyperplane of `a` along the promoted line, oriented into a >= 0
+            r0 = lines.pop(pivot)
+            if sign(vals.pop(pivot)) < 0:
+                r0 = ar.neg(r0)
+            v0 = dot(a, r0)
+            lines = [l if not sign(v) else comb(v0, l, v, r0) for l, v in zip(lines, vals)]
             new_rays = []
-            new_zsets = []
-            for r, z in zip(rays, zsets):
-                t = linalg.dot(a, r)
-                new_rays.append(linalg.vec_sub(r, linalg.vec_scale(l0, t / v0)))
-                new_zsets.append(z | {idx})
-            r0 = l0 if signs[pivot] > 0 else linalg.vec_neg(l0)
-            lines = new_lines
-            rays = new_rays + [_normalize_ray(r0)]
+            for r in rays:
+                t = dot(a, r)
+                new_rays.append(r if not sign(t) else canon(comb(v0, r, t, r0)))
+            rays = new_rays + [canon(r0)]
             # the promoted lineality vector vanishes on every earlier row
-            zsets = new_zsets + [frozenset(range(idx))]
+            zsets = [z | bit for z in zsets] + [bit - 1]
             continue
         # the constraint vanishes on the lineality; split the rays
         plus, zero, minus = [], [], []
         for k, r in enumerate(rays):
-            s = linalg.dot(a, r).sign()
-            (plus if s > 0 else zero if s == 0 else minus).append(k)
-        new_rays = [rays[k] for k in plus] + [rays[k] for k in zero]
-        new_zsets = [zsets[k] for k in plus] + [zsets[k] | {idx} for k in zero]
-        for kp in plus:
-            for km in minus:
+            t = dot(a, r)
+            s = sign(t)
+            (plus if s > 0 else zero if s == 0 else minus).append((k, t))
+        new_rays = [rays[k] for k, _ in plus] + [rays[k] for k, _ in zero]
+        new_zsets = [zsets[k] for k, _ in plus] + [zsets[k] | bit for k, _ in zero]
+        for kp, sp in plus:
+            for km, sm in minus:
                 common = zsets[kp] & zsets[km]
                 adjacent = not any(
-                    ko not in (kp, km) and common <= zsets[ko]
-                    for ko in range(len(rays))
+                    common & z == common and ko != kp and ko != km
+                    for ko, z in enumerate(zsets)
                 )
                 if not adjacent:
                     continue
-                sp = linalg.dot(a, rays[kp])
-                sm = linalg.dot(a, rays[km])
-                w = linalg.vec_sub(
-                    linalg.vec_scale(rays[km], sp), linalg.vec_scale(rays[kp], sm)
-                )
-                new_rays.append(_normalize_ray(w))
-                new_zsets.append(common | {idx})
-        # deduplicate normalized rays
-        seen: dict = {}
+                new_rays.append(canon(comb(sp, rays[km], sm, rays[kp])))
+                new_zsets.append(common | bit)
+        # deduplicate canonical rays
+        seen: set = set()
         rays, zsets = [], []
         for r, z in zip(new_rays, new_zsets):
-            key = _sort_key(r)
-            if key not in seen:
-                seen[key] = True
+            if r not in seen:
+                seen.add(r)
                 rays.append(r)
                 zsets.append(z)
-    return [_normalize_line(l) for l in lines], rays
+    return [ar.out(l, False) for l in lines], [ar.out(r, True) for r in rays]
 
 
 def _check_scale(dim: int, n_constraints: int) -> None:
@@ -389,8 +509,17 @@ def homogenize(P: Polyhedron) -> Polyhedron:
     return intersect_halfspaces(basis, P.dim + 1, hs, eqs)
 
 
+def _check_coordinates(P: Polyhedron, coords: Sequence[int]) -> None:
+    for c in coords:
+        if not 0 <= c < P.dim:
+            raise PolyhedronError(
+                f"coordinate {c} is out of range for a polyhedron of dimension {P.dim}"
+            )
+
+
 def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
     """Intersect with {x_coord = level} and drop that coordinate."""
+    _check_coordinates(P, [coord])
     basis = P.scalar_basis
     extra = [(linalg.unit(basis, P.dim, coord), _as_scalar(basis, level))]
     sliced = intersect_halfspaces(
@@ -410,6 +539,7 @@ def project(P: Polyhedron, keep: Sequence[int]) -> Polyhedron:
     keep = list(keep)
     if sorted(set(keep)) != sorted(keep):
         raise PolyhedronError("keep must be a list of distinct coordinates")
+    _check_coordinates(P, keep)
     basis = P.scalar_basis
     if P.is_empty:
         return Polyhedron(basis, len(keep), (), (), VRep((), (), ()))

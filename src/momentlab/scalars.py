@@ -311,9 +311,9 @@ class ExtScalar:
             i = nonzero[1]
             sq = self.basis.product(i, i)
             if sq is not None and all(c == 0 for c in sq[1:]):
-                return _sign_quadratic(
-                    self.coeffs[0], self.coeffs[i], sq[0], self.basis.float_values[i]
-                )
+                if self.basis.float_values[i] <= 0:
+                    raise SignUndecidableError("declared square with non-positive constant")
+                return _surd_sign(self.coeffs[0], self.coeffs[i], sq[0])
         return self._sign_interval()
 
     def _sign_interval(self) -> int:
@@ -370,21 +370,17 @@ class ExtScalar:
         return f"ExtScalar({self})"
 
 
-def _sign_quadratic(a: Fraction, b: Fraction, q: Fraction, cval: float) -> int:
-    # sign of a + b*c with c = sqrt(q) > 0, decided from a^2 vs b^2 q
-    if cval <= 0:
-        raise SignUndecidableError("declared square with non-positive constant")
+def _surd_sign(a, b, q) -> int:
+    """Sign of a + b*sqrt(q) for rationals a, b and q > 0, decided from a^2
+    against b^2*q; exact on integers too."""
     if a >= 0 and b >= 0:
-        return 1
+        return 1 if a or b else 0
     if a <= 0 and b <= 0:
         return -1
     lhs, rhs = a * a, b * b * q
     if lhs == rhs:
         return 0
-    bigger_is_a = lhs > rhs
-    if a > 0:
-        return 1 if bigger_is_a else -1
-    return -1 if bigger_is_a else 1
+    return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
 
 
 def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
@@ -486,6 +482,55 @@ def _rat_rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fractio
     work = [_clear_denominators([Fraction(x) for x in row]) for row in rows]
     reduced, pivots, last = _eliminate(work, bool, _int_combine, 1)
     return [[Fraction(a, last) for a in row] for row in reduced], pivots
+
+
+class _SurdRing:
+    """Z[s] for a basis {1, c} with a declared square c*c = q = n/m, where
+    s = m*c and s*s = n*m.  An element is a pair (a, b) of integers meaning
+    a + b*s; the elimination kernel and double description run on these."""
+
+    __slots__ = ("basis", "q", "m", "s2")
+
+    def __init__(self, basis: ConstantBasis, q: Fraction):
+        self.basis, self.q = basis, q
+        self.m = q.denominator
+        self.s2 = q.numerator * q.denominator
+
+    def clear(self, rows: Sequence[Sequence[ExtScalar]]) -> list[list[tuple[int, int]]]:
+        """Rows of scalars as rows of pairs, each scaled by the positive
+        integer that clears its denominators."""
+        m = self.m
+        out = []
+        for row in rows:
+            flat = _clear_denominators([x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)])
+            out.append(list(zip(flat[::2], flat[1::2])))
+        return out
+
+    def sign(self, x: tuple[int, int]) -> int:
+        """Exact sign, for a constant c > 0."""
+        return _surd_sign(x[0], x[1], self.s2)
+
+    def norm(self, d: tuple[int, int]) -> int:
+        """d times its conjugate.  That is nonzero for nonzero d unless the
+        declared square is a rational square, which raises."""
+        d0, d1 = d
+        norm = d0 * d0 - d1 * d1 * self.s2
+        if norm == 0:
+            raise UnsupportedScalarOperation(
+                f"declared square {self.q} of {self.basis.names[1]} is a rational square"
+            )
+        return norm
+
+    def quotients(self, v: Sequence[tuple[int, int]], d: tuple[int, int]) -> tuple[ExtScalar, ...]:
+        """The entries of v divided by d, as scalars: multiply by the
+        conjugate of d, then divide by its norm."""
+        d0, d1 = d
+        norm, s2, m, basis = self.norm(d), self.s2, self.m, self.basis
+        return tuple(
+            ExtScalar(basis, (Fraction(a0 * d0 - a1 * d1 * s2, norm),
+                              Fraction((a1 * d0 - a0 * d1) * m, norm)))
+            for a0, a1 in v
+        )
 
 
 # -- whole-vector utilities ----------------------------------------------------

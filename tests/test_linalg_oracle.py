@@ -2,18 +2,19 @@
 
 rref, rank and kernel over Q, Q(sqrt2) and Q(sqrt(3/2)) (a declared square
 that is not an integer), the rat_* helpers, and conjugate division are
-compared with sympy's exact linear algebra.  Bases without declared products
-must keep raising UnsupportedScalarOperation.
+compared with sympy's exact linear algebra, and exact signs with sympy's.
+Bases without declared products must keep raising UnsupportedScalarOperation.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from momentlab import linalg
-from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation
+from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation, _SurdRing
 
 SQUARES = (2, Fraction(3, 2))
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -161,3 +162,28 @@ def test_division_by_multiple_constants_solves_rational_system():
     partial = ConstantBasis.with_sqrt("sqrt2", 2).with_constant("tau", 6.2831853)
     with pytest.raises(UnsupportedScalarOperation):
         partial.one() / partial.constant("sqrt2")
+
+
+@st.composite
+def near_ties(draw):
+    """a + b*c with c*c = q and a*a close to b*b*q, up to huge magnitudes."""
+    square = draw(st.sampled_from(SQUARES))
+    b = draw(st.integers(1, 10**30)) * Fraction(square).denominator
+    a = isqrt(int(b * b * square)) + draw(st.integers(-1, 2))
+    signs = draw(st.sampled_from([(1, -1), (-1, 1), (1, 1), (-1, -1)]))
+    den = draw(st.integers(1, 7))
+    return square, Fraction(signs[0] * a, den), Fraction(signs[1] * b, den)
+
+
+@given(st.one_of(st.tuples(st.sampled_from(SQUARES), small, small), near_ties()))
+@settings(deadline=None, max_examples=120)
+def test_sign_matches_sympy(data):
+    square, a, b = data
+    basis = basis_for(square)
+    x = basis.scalar([a, b])
+    expected = int(sympy.sign(rational(a) + rational(b) * sympy.sqrt(rational(square))))
+    assert x.sign() == expected
+    # the integer rule on Z[s], after clearing denominators
+    ring = _SurdRing(basis, Fraction(square))
+    ((pair,),) = ring.clear([(x,)])
+    assert ring.sign(pair) == expected

@@ -7,6 +7,7 @@ from momentlab import linalg, polyhedra
 from momentlab.polyhedra import (
     DeskScaleError,
     EmptyPolyhedronError,
+    PolyhedronError,
     affine_span,
     enumerate_vertices,
     from_generators,
@@ -193,6 +194,21 @@ def test_project_examples(sqrt2_basis):
     assert sorted(v[0].coeffs[0] for v in vs) == [0, 1]
     empty = intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([-1, 0], 0)])
     assert project(empty, [1]).is_empty
+
+
+@pytest.mark.parametrize("coord, level", [(2, 0), (-1, 0), (2, 1)])
+def test_slice_at_level_rejects_out_of_range_coordinate(sqrt2_basis, coord, level):
+    with pytest.raises(PolyhedronError, match=f"coordinate {coord} "):
+        slice_at_level(segment(sqrt2_basis), coord, level)
+
+
+@pytest.mark.parametrize("keep", [[5], [0, 2], [-1]])
+def test_project_rejects_out_of_range_coordinate(sqrt2_basis, keep):
+    bad = next(c for c in keep if not 0 <= c < 2)
+    for P in (segment(sqrt2_basis),
+              intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([-1, 0], 0)])):
+        with pytest.raises(PolyhedronError, match=f"coordinate {bad} "):
+            project(P, keep)
 
 
 def test_project_keeps_coordinate_order(sqrt2_basis):
