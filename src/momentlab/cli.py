@@ -227,8 +227,7 @@ def _parse_curve(raw: dict, field_name: str) -> sampler.CurveSpec:
     try:
         if kind == "affine":
             return sampler.affine_spec(
-                raw["basepoint"], raw["direction"],
-                tuple(raw["param_range"]) if raw.get("param_range") else None,
+                raw["basepoint"], raw["direction"], raw.get("param_range")
             )
         if kind == "circle":
             return sampler.circle_spec(raw["center"], raw["radius"])
@@ -238,7 +237,7 @@ def _parse_curve(raw: dict, field_name: str) -> sampler.CurveSpec:
             )
         if kind == "trig-graph":
             return sampler.trig_graph_spec(
-                tuple(raw["x_range"]), raw["offset"], raw["amplitude"],
+                raw["x_range"], raw["offset"], raw["amplitude"],
                 raw.get("frequency", 1.0), raw.get("phase", 0.0),
             )
     except KeyError as exc:

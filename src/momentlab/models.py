@@ -135,9 +135,6 @@ class ModelPoint:
         support = tuple(j for j, m in enumerate(mu) if not m.is_zero())
         return ModelPoint(support, tuple(mu), None)
 
-    def moment_values(self) -> tuple[ExtScalar, ...]:
-        return self.mu
-
 
 # -- moment map and derivatives ---------------------------------------------------
 

@@ -349,7 +349,6 @@ def intersect_halfspaces(
         if len(n) != dim:
             raise PolyhedronError("constraint normal has wrong dimension")
     _check_scale(dim + 1, 2 * len(eqs) + len(hs) + 1)
-    zero = basis.zero()
     rows: list[Vector] = [linalg.unit(basis, dim + 1, dim)]  # t >= 0 first
     for n, b in eqs:
         row = tuple(n) + (-b,)
@@ -368,7 +367,7 @@ def intersect_halfspaces(
         if s > 0:
             vertices.append(tuple(e / t for e in r[:dim]))
         else:
-            recession.append(_normalize_ray(r[:dim]))
+            recession.append(r[:dim])  # DD rays come normalized, with t = 0
     vrep = VRep(
         vertices=tuple(sorted(vertices, key=_sort_key)),
         rays=tuple(sorted(recession, key=_sort_key)),
@@ -402,8 +401,7 @@ def _from_vrep_with_cache(basis: ConstantBasis, dim: int, vrep: VRep) -> Polyhed
     dual_lines, dual_rays = cone_double_description(basis, dim + 1, rows)
     eq_space, _ = linalg.rref(dual_lines)
     equalities = []
-    for l in eq_space:
-        l = _normalize_line(tuple(l))
+    for l in eq_space:  # rref rows: the pivot is already 1
         normal, c = l[:dim], l[dim]
         if linalg.vec_is_zero(normal):
             raise PolyhedronError("internal error: trivial equality produced")
@@ -533,9 +531,9 @@ def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
 
 
 def project(P: Polyhedron, keep: Sequence[int]) -> Polyhedron:
-    """Exact orthogonal projection onto the kept coordinates, by
-    Fourier-Motzkin elimination of the others (equalities are substituted
-    first whenever they involve an eliminated coordinate)."""
+    """Exact orthogonal projection onto the kept coordinates, in the order of
+    `keep`: the hull of P's cached generators restricted to them.  Projection
+    adds no generators, so the result is no larger than P's own V-rep."""
     keep = list(keep)
     if sorted(set(keep)) != sorted(keep):
         raise PolyhedronError("keep must be a list of distinct coordinates")
@@ -543,58 +541,9 @@ def project(P: Polyhedron, keep: Sequence[int]) -> Polyhedron:
     basis = P.scalar_basis
     if P.is_empty:
         return Polyhedron(basis, len(keep), (), (), VRep((), (), ()))
-    drop = [i for i in range(P.dim) if i not in keep]
-    hs = [(list(h.normal), h.offset) for h in P.halfspaces]
-    eqs = [(list(h.normal), h.offset) for h in P.equalities]
-    live = list(range(P.dim))
-    for col in drop:
-        j = live.index(col)
-        pivot_eq = next((k for k, (n, _) in enumerate(eqs) if not n[j].is_zero()), None)
-        if pivot_eq is not None:
-            n0, b0 = eqs.pop(pivot_eq)
-            p = n0[j]
-            for group in (hs, eqs):
-                for k, (n, b) in enumerate(group):
-                    if n[j].is_zero():
-                        continue
-                    f = n[j] / p
-                    group[k] = (
-                        [a - f * c for a, c in zip(n, n0)],
-                        b - f * b0,
-                    )
-        else:
-            plus = [(n, b) for n, b in hs if n[j].sign() > 0]
-            minus = [(n, b) for n, b in hs if n[j].sign() < 0]
-            stay = [(n, b) for n, b in hs if n[j].is_zero()]
-            combined = []
-            for np_, bp in plus:
-                for nm, bm in minus:
-                    # eliminate x_j between <np,x> >= bp and <nm,x> >= bm
-                    fp, fm = np_[j], -nm[j]
-                    n = [fm * a + fp * c for a, c in zip(np_, nm)]
-                    combined.append((n, fm * bp + fp * bm))
-            hs = stay + combined
-        for group in (hs, eqs):
-            for k, (n, b) in enumerate(group):
-                del n[j]
-        live.pop(j)
-        if len(hs) + 2 * len(eqs) + 1 > MAX_CONSTRAINTS:
-            interim = intersect_halfspaces(
-                basis, len(live), [(tuple(n), b) for n, b in hs],
-                [(tuple(n), b) for n, b in eqs],
-            )
-            hs = [(list(h.normal), h.offset) for h in interim.halfspaces]
-            eqs = [(list(h.normal), h.offset) for h in interim.equalities]
-            if interim.is_empty:
-                return Polyhedron(basis, len(keep), (), (), VRep((), (), ()))
-    # reorder the surviving coordinates to match `keep`
-    perm = [live.index(c) for c in keep]
-    reorder = lambda n: tuple(n[i] for i in perm)
-    return intersect_halfspaces(
-        basis,
-        len(keep),
-        [(reorder(n), b) for n, b in hs],
-        [(reorder(n), b) for n, b in eqs],
+    pick = lambda vs: [tuple(v[i] for i in keep) for v in vs]
+    return from_generators(
+        basis, len(keep), pick(P.vrep.vertices), pick(P.vrep.rays), pick(P.vrep.lines)
     )
 
 
@@ -633,19 +582,6 @@ def intersect(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
         + [(h.normal, h.offset) for h in Q.halfspaces],
         [(h.normal, h.offset) for h in P.equalities]
         + [(h.normal, h.offset) for h in Q.equalities],
-    )
-
-
-def translate(P: Polyhedron, shift: Sequence) -> Polyhedron:
-    v = linalg.as_vector(P.scalar_basis, shift)
-    if P.is_empty:
-        return P
-    move = lambda h: (h.normal, h.offset + linalg.dot(h.normal, v))
-    return intersect_halfspaces(
-        P.scalar_basis,
-        P.dim,
-        [move(h) for h in P.halfspaces],
-        [move(h) for h in P.equalities],
     )
 
 

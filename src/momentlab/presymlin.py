@@ -70,9 +70,6 @@ class Subspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return all(a.is_zero() for a in v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace.from_vectors(

@@ -10,6 +10,8 @@ independent of any chunking.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,39 +37,61 @@ class CurveSpec:
             raise SamplerError(f"unknown curve kind {self.kind!r}")
 
 
+def _finite(name: str, value) -> float:
+    """value as a float; SamplerError naming the parameter unless it is a
+    finite real number."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
+        raise SamplerError(f"{name} must be a finite number")
+    return float(value)
+
+
+def _finite_vector(name: str, value, length: int | None = None) -> tuple[float, ...]:
+    """value as a tuple of floats; SamplerError naming the parameter unless it
+    is a nonempty list of finite numbers (of the given length)."""
+    n = len(value) if isinstance(value, (list, tuple, np.ndarray)) else 0
+    if n == 0 or (length is not None and n != length):
+        size = f"length-{length}" if length is not None else "nonempty"
+        raise SamplerError(f"{name} must be a {size} vector of finite numbers")
+    return tuple(_finite(f"{name}[{i}]", x) for i, x in enumerate(value))
+
+
 def affine_spec(
     basepoint: Sequence[float],
     direction: Sequence[float],
     param_range: tuple[float, float] | None = None,
 ) -> CurveSpec:
-    b = np.asarray(basepoint, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    if b.shape != u.shape or b.ndim != 1:
+    b = _finite_vector("basepoint", basepoint)
+    u = _finite_vector("direction", direction)
+    if len(b) != len(u):
         raise SamplerError("basepoint and direction must be equal-length vectors")
     return CurveSpec(
         "affine",
         len(b),
-        {"basepoint": tuple(b), "direction": tuple(u),
-         "param_range": tuple(param_range) if param_range else None},
+        {"basepoint": b, "direction": u,
+         "param_range": _finite_vector("param_range", param_range, 2) if param_range else None},
     )
 
 
 def circle_spec(center: Sequence[float], radius: float) -> CurveSpec:
+    center, radius = _finite_vector("center", center, 2), _finite("radius", radius)
     if radius <= 0:
         raise SamplerError("radius must be positive")
-    return CurveSpec("circle", 2, {"center": tuple(center), "radius": float(radius)})
+    return CurveSpec("circle", 2, {"center": center, "radius": radius})
 
 
 def ellipse_spec(
     center: Sequence[float], semi_x: float, semi_y: float, angle: float = 0.0
 ) -> CurveSpec:
+    center = _finite_vector("center", center, 2)
+    semi_x, semi_y = _finite("semi_x", semi_x), _finite("semi_y", semi_y)
     if semi_x <= 0 or semi_y <= 0:
         raise SamplerError("semi-axes must be positive")
     return CurveSpec(
         "ellipse",
         2,
-        {"center": tuple(center), "semi_x": float(semi_x), "semi_y": float(semi_y),
-         "angle": float(angle)},
+        {"center": center, "semi_x": semi_x, "semi_y": semi_y,
+         "angle": _finite("angle", angle)},
     )
 
 
@@ -81,9 +105,9 @@ def trig_graph_spec(
     return CurveSpec(
         "trig-graph",
         2,
-        {"x_range": (float(x_range[0]), float(x_range[1])), "offset": float(offset),
-         "amplitude": float(amplitude), "frequency": float(frequency),
-         "phase": float(phase)},
+        {"x_range": _finite_vector("x_range", x_range, 2),
+         "offset": _finite("offset", offset), "amplitude": _finite("amplitude", amplitude),
+         "frequency": _finite("frequency", frequency), "phase": _finite("phase", phase)},
     )
 
 

@@ -311,9 +311,12 @@ class ExtScalar:
             i = nonzero[1]
             sq = self.basis.product(i, i)
             if sq is not None and all(c == 0 for c in sq[1:]):
-                if self.basis.float_values[i] <= 0:
-                    raise SignUndecidableError("declared square with non-positive constant")
-                return _surd_sign(self.coeffs[0], self.coeffs[i], sq[0])
+                # the constant is +sqrt(q) or -sqrt(q), by its declared value
+                value = self.basis.float_values[i]
+                if value == 0:
+                    raise SignUndecidableError("declared square with a zero constant")
+                b = self.coeffs[i] if value > 0 else -self.coeffs[i]
+                return _surd_sign(self.coeffs[0], b, sq[0])
         return self._sign_interval()
 
     def _sign_interval(self) -> int:

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +8,8 @@ import pytest
 from momentlab.cli import main, run_scenario, validate_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# SHA-256 of every scenario output, recorded by the benchmark (read only here)
+EXPECTED = SCENARIOS.parent / "bench" / "expected.json"
 
 
 def write(tmp_path, data, name="scenario.json"):
@@ -222,3 +226,75 @@ def test_field_fuzz_never_exits_3(tmp_path, capsys, scenario):
             if code == 0 and (field in base or field in MODEL_FIELDS):
                 assert run_scenario(path, out_dir=tmp_path / "out") in (0, 2), (field, value)
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        {"kind": "circle", "center": [1.0, 1.0], "radius": float("inf")},
+        {"kind": "circle", "center": "xy", "radius": 1.2},
+        {"kind": "circle", "center": [1.0], "radius": 1.2},
+        {"kind": "ellipse", "center": [1.0, 1.0], "semi_x": 1.2, "semi_y": 0.9,
+         "angle": float("nan")},
+    ],
+)
+def test_bad_curve_parameter_exits_2(tmp_path, capsys, curve):
+    raw = json.loads((SCENARIOS / "circle_nonconvex.json").read_text())
+    raw["curve"] = curve
+    raw["samples"] = 100
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "field 'curve'" in err and "internal error" not in err
+
+
+def nested_paths(raw):
+    """Key paths of every entry inside constants, curve and family."""
+    for field in ("constants", "curve"):
+        for key in raw.get(field, {}):
+            yield (field, key)
+    for i, curve in enumerate(raw.get("family", [])):
+        yield ("family", i)
+        for key in curve:
+            yield ("family", i, key)
+
+
+def replaced(raw, path, value):
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+NESTED_SCENARIOS = sorted(
+    p.stem for p in SCENARIOS.glob("*.json") if any(nested_paths(json.loads(p.read_text())))
+)
+NESTED_VALUES = FUZZ_VALUES + (float("inf"), [1.0], [1.0, "x"], [1.0, float("inf")])
+
+
+@pytest.mark.parametrize("scenario", NESTED_SCENARIOS)
+def test_nested_field_fuzz_never_exits_3(tmp_path, capsys, scenario):
+    """Replace one entry at a time inside constants, curve and family; every
+    accepted input is run, since the scenario reads each of those entries."""
+    base = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    base["samples"] = 100
+    for path in nested_paths(base):
+        for value in NESTED_VALUES:
+            scenario_path = write(tmp_path, replaced(base, path, value))
+            code = validate_scenario(scenario_path)
+            assert code in (0, 2), (path, value)
+            if code == 0:
+                assert run_scenario(scenario_path, out_dir=tmp_path / "out") in (0, 2), (path, value)
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["quasifold", "product_counterexample"])
+def test_exact_report_matches_recorded_digest(tmp_path, scenario):
+    """The exact scenarios' reports hold no sampled floats, so their bytes
+    must match the digests recorded for the benchmark."""
+    want = json.loads(EXPECTED.read_text())["scenario_files"][scenario]["report.txt"]
+    assert run_scenario(SCENARIOS / f"{scenario}.json", out_dir=tmp_path) == 0
+    assert hashlib.sha256((tmp_path / "report.txt").read_bytes()).hexdigest() == want

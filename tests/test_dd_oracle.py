@@ -178,6 +178,17 @@ def test_negative_declared_square_keeps_its_vrep():
     assert P.vrep.lines == ()
 
 
+def test_negative_declared_square_decides_mixed_signs():
+    # (c + 1) x >= 1 with c = -sqrt2 needs the sign of 1 - sqrt2
+    basis = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
+    c = basis.constant("c")
+    P = intersect_halfspaces(basis, 1, [([c + 1], 1)])
+    (vertex,), rays = P.vrep.vertices, P.vrep.rays
+    value = vertex[0].coeffs[0] - vertex[0].coeffs[1] * SQRT2
+    assert sympy.simplify(value - 1 / (1 - SQRT2)) == 0
+    assert [[str(e) for e in r] for r in rays] == [["-1"]]
+
+
 @given(systems(RATIONALS))
 @settings(deadline=None, max_examples=40)
 def test_rational_data_on_a_surd_basis_gives_the_rational_vrep(data):

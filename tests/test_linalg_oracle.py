@@ -187,3 +187,14 @@ def test_sign_matches_sympy(data):
     ring = _SurdRing(basis, Fraction(square))
     ((pair,),) = ring.clear([(x,)])
     assert ring.sign(pair) == expected
+
+
+@given(st.one_of(st.tuples(st.sampled_from(SQUARES), small, small), near_ties()))
+@settings(deadline=None, max_examples=60)
+def test_sign_on_a_negative_declared_root_matches_sympy(data):
+    # c is declared as the negative root of c*c = q
+    square, a, b = data
+    basis = ConstantBasis.rationals().with_constant("c", -float(square) ** 0.5, square=square)
+    x = basis.scalar([a, b])
+    root = sympy.sqrt(rational(square))
+    assert x.sign() == int(sympy.sign(rational(a) - rational(b) * root))

@@ -264,7 +264,7 @@ def test_poly_equal_examples(sqrt2_basis):
     P = segment(sqrt2_basis)
     rebuilt = from_generators(sqrt2_basis, 2, [list(v) for v in P.vrep.vertices])
     assert poly_equal(P, rebuilt)
-    shifted = polyhedra.translate(orthant(sqrt2_basis), [1, 0])
+    shifted = intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([0, 1], 0)])
     assert not poly_equal(orthant(sqrt2_basis), shifted)
     empty = intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([-1, 0], 0)])
     assert poly_equal(empty, empty)

@@ -28,6 +28,41 @@ def crossing_circle():
     return circle_spec([1.0, 1.0], 1.2)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+BAD_CURVES = {
+    # id: (constructor, arguments, the parameter the error must name)
+    "center-short": (circle_spec, ([1.0], 1.2), "center"),
+    "center-long": (circle_spec, ([1.0, 1.0, 1.0], 1.2), "center"),
+    "center-text": (circle_spec, ("xy", 1.2), "center"),
+    "center-number": (circle_spec, (5, 1.2), "center"),
+    "center-text-entry": (circle_spec, ([1.0, "x"], 1.2), r"center\[1\]"),
+    "center-nan": (circle_spec, ([NAN, 1.0], 1.2), r"center\[0\]"),
+    "radius-inf": (circle_spec, ([1.0, 1.0], INF), "radius"),
+    "radius-nan": (circle_spec, ([1.0, 1.0], NAN), "radius"),
+    "radius-text": (circle_spec, ([1.0, 1.0], "1"), "radius"),
+    "ellipse-center-nested": (ellipse_spec, ([[1.0], [1.0]], 1.2, 0.9), r"center\[0\]"),
+    "semi_x-inf": (ellipse_spec, ([1.0, 1.0], INF, 0.9), "semi_x"),
+    "semi_y-nan": (ellipse_spec, ([1.0, 1.0], 1.2, NAN), "semi_y"),
+    "angle-inf": (ellipse_spec, ([1.0, 1.0], 1.2, 0.9, INF), "angle"),
+    "basepoint-inf": (affine_spec, ([1.0, INF], [-1.0, 1.0]), r"basepoint\[1\]"),
+    "direction-bool": (affine_spec, ([1.0, 0.0], [True, 1.0]), r"direction\[0\]"),
+    "basepoint-empty": (affine_spec, ([], []), "basepoint"),
+    "param_range-inf": (affine_spec, ([1.0, 0.0], [-1.0, 1.0], (0.0, INF)), "param_range"),
+    "x_range-nan": (trig_graph_spec, ((0.0, NAN), 1.5, 1.0), "x_range"),
+    "offset-inf": (trig_graph_spec, ((0.0, 6.0), INF, 1.0), "offset"),
+    "phase-nan": (trig_graph_spec, ((0.0, 6.0), 1.5, 1.0, 1.0, NAN), "phase"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CURVES.values(), ids=BAD_CURVES.keys())
+def test_curve_parameters_must_be_finite(case):
+    make, args, name = case
+    with pytest.raises(SamplerError, match=f"^{name}"):
+        make(*args)
+
+
 def test_sampling_is_deterministic():
     spec = crossing_circle()
     a = sample_image(spec, 500, seed=42)
