@@ -452,6 +452,16 @@ def _cone_sample_residual(
     return worst
 
 
+def _require_finite(value: float, what: str, field_name: str) -> None:
+    """Huge curve parameters overflow double precision in the sampler; such a
+    run fails naming the curve instead of reporting inf or nan."""
+    if not np.isfinite(value):
+        raise sampler.SamplerError(
+            f"field {field_name!r}: {what} is {value}; the curve parameters "
+            "overflow double precision"
+        )
+
+
 def _sample_section(sc: Scenario, lines: list[str], out: Path) -> None:
     curve = sc.curve
     n = sc.raw.get("samples", 10000)
@@ -461,6 +471,8 @@ def _sample_section(sc: Scenario, lines: list[str], out: Path) -> None:
     residual = float(
         np.abs(sampler.moment_of_lift(lifted) - cloud.points).max()
     )
+    _require_finite(defect, "convexity defect", "curve")
+    _require_finite(residual, "lift round-trip residual", "curve")
     csv_path = out / f"{sc.name}_cloud.csv"
     reporting.emit_csv(cloud.points, csv_path)
     _section(lines, "samples",
@@ -483,6 +495,8 @@ def _deform_section(sc: Scenario, lines: list[str]) -> None:
              "translate equivalence of the orthant images along the family; "
              "a failing pair certifies a nontrivial deformation")
     for p in report.pairs:
+        _require_finite(p.hausdorff_after_shift, f"hausdorff distance to family[{p.second}]",
+                        f"family[{p.first}]")
         lines.append(
             f"  pair ({p.first}, {p.second}): translate equivalent "
             f"{yesno(p.translate_equivalent)} "

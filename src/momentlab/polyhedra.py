@@ -5,9 +5,13 @@ constraints -> generators -> irredundant facets.  Everything is exact.  The
 double description loop runs fraction-free on integer rows: over Z for
 rational data and over Z[s] for a declared quadratic surd with a positive
 constant, where signs follow the integer quadratic rule; any other basis runs
-the same loop on ExtScalars, whose signs come from ExtScalar.sign().  Sizes
-are capped at desk scale, where the double description method is entirely
-adequate.
+the same loop on ExtScalars, whose signs come from ExtScalar.sign().  The
+signs around the loop are decided on the same integer rows: vertices are
+divided out of the homogenized rays, facets are reduced modulo the equalities
+and deduplicated as canonical integer rays, and containment (contains,
+poly_equal) evaluates every constraint row at every homogenized generator.
+Sizes are capped at desk scale, where the double description method is
+entirely adequate.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from . import lattice, linalg
 from .linalg import Vector
 from .presymlin import Subspace
 from .scalars import (
+    BasisMismatchError,
     ConstantBasis,
     ExtScalar,
     ScalarError,
@@ -84,13 +89,11 @@ class Polyhedron:
         v = linalg.as_vector(self.scalar_basis, point)
         if self.is_empty:
             return False
-        for hs in self.equalities:
-            if not (linalg.dot(hs.normal, v) - hs.offset).is_zero():
-                return False
-        for hs in self.halfspaces:
-            if (linalg.dot(hs.normal, v) - hs.offset).sign() < 0:
-                return False
-        return True
+        if len(v) != self.dim:
+            raise PolyhedronError("point has wrong dimension")
+        if any(e.basis != self.scalar_basis for e in v):
+            raise BasisMismatchError("point uses a different constant basis")
+        return _generators_inside(self, [v])
 
     def to_json_dict(self) -> dict:
         def enc(hs: HalfSpace) -> dict:
@@ -134,31 +137,22 @@ def _normalize_ray(r: Vector) -> Vector:
     return r
 
 
-def _normalize_line(l: Vector) -> Vector:
-    for e in l:
-        s = e.sign()
-        if s != 0:
-            return tuple(x / e for x in l)
-    return l
-
-
 def _sort_key(v: Vector):
     return tuple(e.coeffs for e in v)
 
 
 class _Arithmetic(NamedTuple):
-    """One number domain for the double description loop."""
+    """One number domain for double description and the signs decided
+    around it."""
 
-    rows: list  # the constraint rows in this domain
+    conv: Callable  # a row of scalars in this domain, times a positive number
     lines: list  # the unit vectors
     dot: Callable
     sign: Callable
     comb: Callable  # comb(x, u, y, v): a positive multiple of x*u - y*v
     canon: Callable  # the representative of a ray up to positive scaling
     neg: Callable  # vector negation
-    # out(v, ray): v as scalars, divided by its first nonzero entry, or for a
-    # ray by that entry's absolute value
-    out: Callable
+    div: Callable  # div(v, d): the entries of v divided by d, as scalars
 
 
 def _int_dot(a: Sequence[int], v: Sequence[int]) -> int:
@@ -180,27 +174,26 @@ def _int_neg(v: Sequence) -> tuple:
 
 
 def _arithmetic(basis: ConstantBasis, dim: int, rows: Sequence[Vector]) -> _Arithmetic:
-    """The domain of one double description run, chosen as in linalg.rref.
+    """The domain for vectors like `rows`, chosen as in linalg.rref.
 
     All-rational rows run over Z after clearing each row's denominators (a
-    positive row scaling keeps the half-space), where primitive vectors are
+    positive row scaling keeps every sign), where primitive vectors are
     canonical.  Rows over a declared surd with a positive constant run on
     pairs in Z[s] (scalars._SurdRing): a ray is multiplied by the absolute
     value of the conjugate of its first nonzero entry, which makes that entry
     rational, and then made primitive.  Any other basis runs on the scalars.
+    Converting a normalized ray with `conv` gives its canonical form.
     """
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     if all(not any(e.coeffs[1:]) for row in rows for e in row):
         tail = (Fraction(0),) * (basis.size - 1)
 
-        def out(v, ray):
-            f = next((x for x in v if x), 1)
-            f = abs(f) if ray else f
-            return tuple(ExtScalar(basis, (Fraction(x, f),) + tail) for x in v)
+        def div(v, d):
+            return tuple(ExtScalar(basis, (Fraction(x, d),) + tail) for x in v)
 
         return _Arithmetic(
-            [_clear_denominators([e.coeffs[0] for e in row]) for row in rows],
-            units, _int_dot, _int_sign, _int_comb, lambda v: v, _int_neg, out,
+            lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])),
+            units, _int_dot, _int_sign, _int_comb, lambda v: v, _int_neg, div,
         )
     q = basis.surd_square()
     if q is not None and basis.float_values[1] > 0:
@@ -233,27 +226,32 @@ def _arithmetic(basis: ConstantBasis, dim: int, rows: Sequence[Vector]) -> _Arit
             conj = (e0, -e1) if ring.sign((e0, -e1)) > 0 else (-e0, e1)
             return comb(conj, v, (0, 0), v)
 
-        def out(v, ray):
-            d = next((e for e in v if e[0] or e[1]), (1, 0))
-            # a canonical ray's first nonzero entry is rational
-            return ring.quotients(v, (abs(d[0]), 0) if ray else d)
-
         return _Arithmetic(
-            [tuple(r) for r in ring.clear(rows)],
+            lambda row: tuple(ring.clear((row,))[0]),
             [tuple((x, 0) for x in u) for u in units],
             dot, ring.sign, comb, canon,
-            lambda v: tuple((-a, -b) for a, b in v), out,
+            lambda v: tuple((-a, -b) for a, b in v), ring.quotients,
         )
     return _Arithmetic(
-        list(rows),
+        tuple,
         [linalg.unit(basis, dim, i) for i in range(dim)],
         linalg.dot,
         lambda x: x.sign(),
         lambda x, u, y, v: tuple(x * a - y * b for a, b in zip(u, v)),
         _normalize_ray,
         linalg.vec_neg,
-        lambda v, ray: _normalize_ray(v) if ray else _normalize_line(v),
+        lambda v, d: tuple(x / d for x in v),
     )
+
+
+def _to_scalars(ar: _Arithmetic, v, ray: bool) -> Vector:
+    """v as scalars, divided by its first nonzero entry, or for a ray by that
+    entry's absolute value."""
+    for e in v:
+        s = ar.sign(e)
+        if s:
+            return ar.div(v, ar.neg((e,))[0] if ray and s < 0 else e)
+    raise PolyhedronError("internal error: zero generator")
 
 
 def cone_double_description(
@@ -271,7 +269,7 @@ def cone_double_description(
     lines = ar.lines
     rays: list = []
     zsets: list[int] = []
-    for idx, a in enumerate(ar.rows):
+    for idx, a in enumerate(map(ar.conv, rows)):
         bit = 1 << idx
         vals = [dot(a, l) for l in lines]
         pivot = next((j for j, v in enumerate(vals) if sign(v)), None)
@@ -318,7 +316,7 @@ def cone_double_description(
                 seen.add(r)
                 rays.append(r)
                 zsets.append(z)
-    return [ar.out(l, False) for l in lines], [ar.out(r, True) for r in rays]
+    return [_to_scalars(ar, l, False) for l in lines], [_to_scalars(ar, r, True) for r in rays]
 
 
 def _check_scale(dim: int, n_constraints: int) -> None:
@@ -357,17 +355,17 @@ def intersect_halfspaces(
     for n, b in hs:
         rows.append(tuple(n) + (-b,))
     lines, rays = cone_double_description(basis, dim + 1, rows)
+    ar = _arithmetic(basis, dim + 1, rows)
     vertices, recession = [], []
     for l in lines:
         if not l[dim].is_zero():
             raise PolyhedronError("internal error: lineality escaped t >= 0")
     for r in rays:
-        t = r[dim]
-        s = t.sign()
-        if s > 0:
-            vertices.append(tuple(e / t for e in r[:dim]))
-        else:
-            recession.append(r[:dim])  # DD rays come normalized, with t = 0
+        if r[dim].is_zero():
+            recession.append(r[:dim])  # DD rays come normalized
+        else:  # t > 0, the first row
+            g = ar.conv(r)
+            vertices.append(ar.div(g[:dim], g[dim]))
     vrep = VRep(
         vertices=tuple(sorted(vertices, key=_sort_key)),
         rays=tuple(sorted(recession, key=_sort_key)),
@@ -399,29 +397,31 @@ def _from_vrep_with_cache(basis: ConstantBasis, dim: int, vrep: VRep) -> Polyhed
         rows.append(linalg.vec_neg(row))
     _check_scale(dim + 1, len(rows))
     dual_lines, dual_rays = cone_double_description(basis, dim + 1, rows)
-    eq_space, _ = linalg.rref(dual_lines)
+    eq_space, pivots = linalg.rref(dual_lines)
     equalities = []
     for l in eq_space:  # rref rows: the pivot is already 1
         normal, c = l[:dim], l[dim]
         if linalg.vec_is_zero(normal):
             raise PolyhedronError("internal error: trivial equality produced")
         equalities.append(HalfSpace(normal, -c))
+    # reduce each facet modulo the equalities in the domain of the run; the
+    # pivots of the converted rref rows are positive
+    ar = _arithmetic(basis, dim + 1, rows)
+    sign, comb = ar.sign, ar.comb
+    eq_rows = [(p, ar.conv(l)) for p, l in zip(pivots, eq_space)]
     halfspaces = []
     seen = set()
     for r in dual_rays:
-        reduced = list(r)
-        for row in eq_space:
-            p = next(i for i, e in enumerate(row) if not e.is_zero())
-            if not reduced[p].is_zero():
-                f = reduced[p]
-                reduced = [e - f * w for e, w in zip(reduced, row)]
-        normal, c = tuple(reduced[:dim]), reduced[dim]
-        if linalg.vec_is_zero(normal):
+        v = ar.conv(r)
+        for p, row in eq_rows:
+            if sign(v[p]):
+                v = comb(row[p], v, v[p], row)
+        if not any(sign(e) for e in v[:dim]):
             continue  # the trivial t >= 0 direction
-        nr = _normalize_ray(tuple(normal) + (c,))
-        key = _sort_key(nr)
-        if key not in seen:
-            seen.add(key)
+        v = ar.canon(v)
+        if v not in seen:
+            seen.add(v)
+            nr = _to_scalars(ar, v, True)
             halfspaces.append(HalfSpace(nr[:dim], -nr[dim]))
     halfspaces.sort(key=lambda h: _sort_key(h.normal + (h.offset,)))
     equalities.sort(key=lambda h: _sort_key(h.normal + (h.offset,)))
@@ -551,22 +551,43 @@ def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
     """Exact set equality via mutual containment of generators."""
     if P.dim != Q.dim:
         raise PolyhedronError("polyhedra live in different dimensions")
+    if P.scalar_basis != Q.scalar_basis:
+        raise BasisMismatchError("polyhedra use different constant bases")
     if P.is_empty or Q.is_empty:
         return P.is_empty and Q.is_empty
-    return _generators_inside(P, Q) and _generators_inside(Q, P)
+    return (_generators_inside(Q, P.vrep.vertices, P.vrep.rays, P.vrep.lines)
+            and _generators_inside(P, Q.vrep.vertices, Q.vrep.rays, Q.vrep.lines))
 
 
-def _generators_inside(P: Polyhedron, Q: Polyhedron) -> bool:
-    for v in P.vrep.vertices:
-        if not Q.contains(v):
+def _generators_inside(
+    Q: Polyhedron,
+    vertices: Sequence[Vector],
+    rays: Sequence[Vector] = (),
+    lines: Sequence[Vector] = (),
+) -> bool:
+    """Whether conv(vertices) + cone(rays) + span(lines) lies in Q.
+
+    Q's rows (normal, -offset) and the homogenized generators (v, 1), (r, 0)
+    and (l, 0) go into one domain, chosen from all of them, where every sign
+    is exact: each row vanishes on a line, an equality row on every
+    generator, and a half-space row is nonnegative on vertices and rays.
+    Q must be nonempty: an empty polyhedron keeps no constraints.
+    """
+    basis = Q.scalar_basis
+    one, zero = basis.one(), basis.zero()
+    eqs = [tuple(h.normal) + (-h.offset,) for h in Q.equalities]
+    hss = [tuple(h.normal) + (-h.offset,) for h in Q.halfspaces]
+    points = [tuple(v) + (one,) for v in vertices] + [tuple(r) + (zero,) for r in rays]
+    flats = [tuple(l) + (zero,) for l in lines]
+    ar = _arithmetic(basis, Q.dim + 1, eqs + hss + points + flats)
+    conv, dot, sign = ar.conv, ar.dot, ar.sign
+    eqs, hss = [conv(a) for a in eqs], [conv(a) for a in hss]
+    for g in map(conv, points):
+        if any(sign(dot(a, g)) for a in eqs) or any(sign(dot(a, g)) < 0 for a in hss):
             return False
-    for r in P.vrep.rays_with_lines:
-        for hs in Q.equalities:
-            if not linalg.dot(hs.normal, r).is_zero():
-                return False
-        for hs in Q.halfspaces:
-            if linalg.dot(hs.normal, r).sign() < 0:
-                return False
+    for g in map(conv, flats):
+        if any(sign(dot(a, g)) for a in eqs + hss):
+            return False
     return True
 
 

@@ -363,8 +363,9 @@ class DeformationReport:
 
 
 def _hausdorff(A: np.ndarray, B: np.ndarray) -> float:
+    # np.maximum keeps a nan from either side, which the builtin max can drop
     return float(
-        max(_min_dist_chunked(A, B).max(), _min_dist_chunked(B, A).max())
+        np.maximum(_min_dist_chunked(A, B).max(), _min_dist_chunked(B, A).max())
     )
 
 

@@ -249,6 +249,39 @@ def test_bad_curve_parameter_exits_2(tmp_path, capsys, curve):
     assert "field 'curve'" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [
+        {"kind": "circle", "center": [1.0, 1.0], "radius": 1e308},
+        {"kind": "circle", "center": [1e308, 1.0], "radius": 1.2},
+    ],
+)
+def test_overflowing_curve_exits_2(tmp_path, capsys, curve):
+    # finite parameters whose samples overflow: no inf or nan in the report
+    raw = json.loads((SCENARIOS / "circle_nonconvex.json").read_text())
+    raw["curve"] = curve
+    raw["samples"] = 100
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 0
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "field 'curve'" in err and "internal error" not in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_overflowing_family_member_exits_2(tmp_path, capsys, member):
+    raw = json.loads((SCENARIOS / "deformation.json").read_text())
+    raw["family"][member] = {"kind": "circle", "center": [1e308, 1.0], "radius": 1.2}
+    raw["samples"] = 100
+    path = write(tmp_path, raw)
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "field 'family[0]'" in err and "family[1]" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def nested_paths(raw):
     """Key paths of every entry inside constants, curve and family."""
     for field in ("constants", "curve"):

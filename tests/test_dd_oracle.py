@@ -13,14 +13,15 @@ complement of the lines, which is pointed.
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from momentlab import linalg
-from momentlab.polyhedra import intersect_halfspaces
-from momentlab.scalars import ConstantBasis
+from momentlab.polyhedra import _generators_inside, intersect_halfspaces, poly_equal
+from momentlab.scalars import ConstantBasis, parse_scalar
 
 SQRT2, SQRT3 = sympy.sqrt(2), sympy.sqrt(3)
 RATIONALS = ConstantBasis.rationals()
@@ -45,10 +46,13 @@ def field(*radicals):
 
 
 THREE_SURDS = three_surds()
+# c is the negative root of c*c = 2: no integer arithmetic, DD runs on the scalars
+NEGATIVE_ROOT = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
 FIELDS = {
     RATIONALS: field(),
     SQRT2_BASIS: field(SQRT2),
     THREE_SURDS: field(SQRT2, SQRT3, SQRT2 * SQRT3),
+    NEGATIVE_ROOT: field(-SQRT2),
 }
 
 
@@ -126,22 +130,24 @@ def check_against_brute_force(basis, dim, halfspaces, equalities):
         assert all(dot(n, r, K) == K.zero for n, _ in eqs)
 
 
+def draw_scalar(draw, basis):
+    coeffs = [draw(small)]
+    for _ in range(1, basis.size):
+        coeffs.append(draw(small) if draw(st.integers(0, 2)) == 0 else Fraction(0))
+    return basis.scalar(coeffs)
+
+
+def draw_constraint(draw, basis, dim):
+    return tuple(draw_scalar(draw, basis) for _ in range(dim)), draw_scalar(draw, basis)
+
+
 @st.composite
 def systems(draw, basis, max_dim=4, max_constraints=8):
     dim = draw(st.integers(1, max_dim))
     n_eq = draw(st.integers(0, min(2, dim)))
     n_hs = draw(st.integers(0, max_constraints - n_eq))
-
-    def scalar():
-        coeffs = [draw(small)]
-        for _ in range(1, basis.size):
-            coeffs.append(draw(small) if draw(st.integers(0, 2)) == 0 else Fraction(0))
-        return basis.scalar(coeffs)
-
-    def constraint():
-        return tuple(scalar() for _ in range(dim)), scalar()
-
-    return basis, dim, [constraint() for _ in range(n_hs)], [constraint() for _ in range(n_eq)]
+    return (basis, dim, [draw_constraint(draw, basis, dim) for _ in range(n_hs)],
+            [draw_constraint(draw, basis, dim) for _ in range(n_eq)])
 
 
 def rational_system(basis, dim, halfspaces, equalities=()):
@@ -202,3 +208,128 @@ def test_rational_data_on_a_surd_basis_gives_the_rational_vrep(data):
     assert coeffs(Q.vrep.vertices) == lifted(P.vrep.vertices)
     assert coeffs(Q.vrep.rays) == lifted(P.vrep.rays)
     assert coeffs(Q.vrep.lines) == lifted(P.vrep.lines)
+
+
+# -- containment ------------------------------------------------------------------
+#
+# P lies in {x : <n, x> >= b, <m, x> = c} exactly when every vertex satisfies
+# the constraints, every ray r has <n, r> >= 0 and <m, r> = 0, and every line
+# is orthogonal to all normals.  sympy evaluates the constraints as drawn, not
+# the engine's canonical H-representation.
+
+
+def satisfies(system, x, basis):
+    """Whether the point x meets every drawn constraint, in sympy."""
+    K = FIELDS[basis][0]
+    halfspaces, equalities = system
+    x = [to_field(e, basis) for e in x]
+    value = lambda n, b: dot([to_field(e, basis) for e in n], x, K) - to_field(b, basis)
+    return (all(sign(value(n, b), K) >= 0 for n, b in halfspaces)
+            and all(value(n, b) == K.zero for n, b in equalities))
+
+
+def inside_by_sympy(P, system, basis):
+    """Whether P lies in the set of the drawn constraints, from P's generators."""
+    K = FIELDS[basis][0]
+    halfspaces, equalities = system
+    normal = lambda n: [to_field(e, basis) for e in n]
+    at = lambda n, g: dot(normal(n), [to_field(e, basis) for e in g], K)
+    if not all(satisfies(system, v, basis) for v in P.vrep.vertices):
+        return False
+    for r in P.vrep.rays:
+        if any(sign(at(n, r), K) < 0 for n, _ in halfspaces):
+            return False
+        if any(at(n, r) != K.zero for n, _ in equalities):
+            return False
+    return all(at(n, l) == K.zero for l in P.vrep.lines for n, _ in halfspaces + equalities)
+
+
+@st.composite
+def pairs(draw, basis, max_dim=3, max_constraints=5):
+    """Two systems in one dimension, plus test points.  The second keeps some
+    constraints of the first, each times a positive rational, and either adds
+    new ones or sums of two kept ones (implied, so the sets are often equal)."""
+    _, dim, halfspaces, equalities = draw(systems(basis, max_dim, max_constraints))
+    factor = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+    def scaled(c):
+        k = draw(factor)
+        return tuple(e.scale(k) for e in c[0]), c[1].scale(k)
+
+    if draw(st.booleans()):
+        kept = [scaled(c) for c in halfspaces if draw(st.booleans())]
+        extra = [draw_constraint(draw, basis, dim) for _ in range(draw(st.integers(0, 2)))]
+    else:
+        kept = [scaled(c) for c in halfspaces]
+        extra = [(tuple(a + b for a, b in zip(u[0], v[0])), u[1] + v[1])
+                 for u, v in zip(kept, kept[1:])]
+    other_eqs = [scaled(c) for c in equalities if draw(st.booleans())]
+    points = [tuple(draw_scalar(draw, basis) for _ in range(dim))
+              for _ in range(draw(st.integers(0, 3)))]
+    return basis, dim, (halfspaces, equalities), (kept + extra, other_eqs), points
+
+
+def near_tie(basis, bound, rational):
+    """{x <= bound} against {x <= rational} in one dimension, with the
+    rational as a test point."""
+    bound = parse_scalar(bound, basis)
+    r = basis.from_rational(Fraction(rational))
+    return (basis, 1, ([((-basis.one(),), -bound)], []), ([((-basis.one(),), -r)], []),
+            [(r,), (bound,)])
+
+
+def lines_and_rays(basis):
+    """{x >= 0} (a line along y) against {x >= 0, y >= -1} (rays only)."""
+    one, zero = basis.one(), basis.zero()
+    return (basis, 2, ([((one, zero), zero)], []),
+            ([((one, zero), zero), ((zero, one), -one)], []),
+            [(zero, basis.from_rational(-2))])
+
+
+def check_containment(basis, dim, system_p, system_q, points):
+    as_scalars = lambda cons: [(linalg.as_vector(basis, n), linalg.as_vector(basis, [b])[0])
+                               for n, b in cons]
+    system_p = tuple(as_scalars(c) for c in system_p)
+    system_q = tuple(as_scalars(c) for c in system_q)
+    points = [linalg.as_vector(basis, x) for x in points]
+    P = intersect_halfspaces(basis, dim, *system_p)
+    Q = intersect_halfspaces(basis, dim, *system_q)
+    p_in_q = P.is_empty or inside_by_sympy(P, system_q, basis)
+    q_in_p = Q.is_empty or inside_by_sympy(Q, system_p, basis)
+    assert poly_equal(P, Q) == poly_equal(Q, P) == (p_in_q and q_in_p)
+    if not (P.is_empty or Q.is_empty):  # an empty polyhedron keeps no constraints
+        assert _generators_inside(Q, P.vrep.vertices, P.vrep.rays, P.vrep.lines) == p_in_q
+        assert _generators_inside(P, Q.vrep.vertices, Q.vrep.rays, Q.vrep.lines) == q_in_p
+    for x in list(P.vrep.vertices) + list(Q.vrep.vertices) + points:
+        assert P.contains(x) == (not P.is_empty and satisfies(system_p, x, basis))
+        assert Q.contains(x) == (not Q.is_empty and satisfies(system_q, x, basis))
+
+
+BASIS_IDS = {RATIONALS: "q", SQRT2_BASIS: "sqrt2", THREE_SURDS: "three_surds",
+             NEGATIVE_ROOT: "minus_sqrt2"}
+
+
+@pytest.mark.parametrize("basis", list(FIELDS), ids=BASIS_IDS.get)
+@given(data=st.data())
+@settings(deadline=None, max_examples=25)
+def test_containment_matches_sympy(basis, data):
+    check_containment(*data.draw(pairs(basis)))
+
+
+@pytest.mark.parametrize("case", [
+    # near ties that only exact signs decide: 1393/985 < sqrt2 < 99/70 and
+    # 1979/629 < sqrt2 + sqrt3 < 1054/335
+    near_tie(SQRT2_BASIS, "sqrt2", "99/70"),
+    near_tie(SQRT2_BASIS, "sqrt2", "1393/985"),
+    near_tie(NEGATIVE_ROOT, "-c", "99/70"),
+    near_tie(NEGATIVE_ROOT, "-c", "1393/985"),
+    near_tie(THREE_SURDS, "sqrt2 + sqrt3", "1054/335"),
+    near_tie(THREE_SURDS, "sqrt2 + sqrt3", "1979/629"),
+    lines_and_rays(RATIONALS),
+    lines_and_rays(SQRT2_BASIS),
+    # an empty set against a point given by two equalities
+    (RATIONALS, 2, ([((1, 0), 1), ((-1, 0), 0)], []), ([], [((1, 1), 0), ((1, -1), 0)]),
+     [(0, 0)]),
+])
+def test_containment_examples(case):
+    check_containment(*case)

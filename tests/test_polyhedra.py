@@ -19,7 +19,7 @@ from momentlab.polyhedra import (
     slice_at_level,
 )
 from momentlab.presymlin import Subspace
-from momentlab.scalars import is_rational_direction
+from momentlab.scalars import ConstantBasis, is_rational_direction
 
 from conftest import random_fraction
 
@@ -278,3 +278,122 @@ def test_json_round_trip(sqrt2_basis):
     data = P.to_json_dict()
     Q = polyhedra.Polyhedron.from_json_dict(data, sqrt2_basis)
     assert poly_equal(P, Q)
+
+
+def recorded_polyhedra():
+    """Polyhedra whose canonical H-representation is pinned below."""
+    Q = ConstantBasis.rationals()
+    S = ConstantBasis.with_sqrt("sqrt2", 2)
+    N = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
+    T = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
+         .with_constant("sqrt6", 6 ** 0.5, square=6))
+    T.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
+    T.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
+    T.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
+    c = N.constant("c")
+    return {
+        "rational_hull": from_generators(
+            Q, 3, [[0, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 1], ["1/2", "1/2", "1/4"], [1, 1, 1]]),
+        "rational_flat_line": from_generators(
+            Q, 3, [[0, 0, 1], [2, 0, -1], ["1/2", "1/3", "1/6"], [0, 1, 0]], lines=[[1, -1, 0]]),
+        "sqrt2_equality": intersect_halfspaces(
+            S, 3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([1, "sqrt2", 0], "1/2")],
+            [([1, 1, 1], 1)]),
+        "sqrt2_line": intersect_halfspaces(
+            S, 3, [([1, "sqrt2", 0], 1), ([-1, 1, 0], "-sqrt2"), ([2, "-1/3", 0], "-3")]),
+        "sqrt2_cone": homogenize(intersect_halfspaces(
+            S, 2, [([1, 0], 0), ([0, 1], 0), ([-1, "-sqrt2"], "-1-sqrt2")])),
+        "negative_root": intersect_halfspaces(
+            N, 2, [([c + 1, 0], 1), ([0, 1], 0), ([-1, -1], c - 3)]),
+        "three_surds": intersect_halfspaces(
+            T, 3,
+            [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([-1, "-sqrt3", 0], "-sqrt6"),
+             ([1, -1, "sqrt2"], "-1")],
+            [([1, 1, 1], "sqrt3")]),
+    }
+
+
+# to_json_dict() of each, as recorded before facet extraction moved onto
+# integer rows: the facet normalization (the first nonzero entry of
+# (normal, -offset) scaled to +-1, facets reduced modulo the equalities) and
+# the facet order must not drift
+RECORDED_HREP = {
+    "rational_hull": {
+        "dim": 3,
+        "halfspaces": [
+            {"normal": ["-1", "-2/3", "-1/3"], "offset": "-2"},
+            {"normal": ["-1", "1", "-2"], "offset": "-2"},
+            {"normal": ["0", "0", "1"], "offset": "0"},
+            {"normal": ["0", "1", "0"], "offset": "0"},
+            {"normal": ["1", "-1", "-3"], "offset": "-3"},
+            {"normal": ["1", "0", "0"], "offset": "0"},
+        ],
+        "equalities": [],
+    },
+    "rational_flat_line": {
+        "dim": 3,
+        "halfspaces": [
+            {"normal": ["0", "0", "-1"], "offset": "-1"},
+            {"normal": ["0", "0", "1"], "offset": "-1"},
+        ],
+        "equalities": [
+            {"normal": ["1", "1", "1"], "offset": "1"},
+        ],
+    },
+    "sqrt2_equality": {
+        "dim": 3,
+        "halfspaces": [
+            {"normal": ["0", "-1", "-1"], "offset": "-1"},
+            {"normal": ["0", "0", "1"], "offset": "0"},
+            {"normal": ["0", "1", "-1 - sqrt2"], "offset": "-1/2 - 1/2*sqrt2"},
+            {"normal": ["0", "1", "0"], "offset": "0"},
+        ],
+        "equalities": [
+            {"normal": ["1", "1", "1"], "offset": "1"},
+        ],
+    },
+    "sqrt2_line": {
+        "dim": 3,
+        "halfspaces": [
+            {"normal": ["-1", "1", "0"], "offset": "-sqrt2"},
+            {"normal": ["1", "-1/6", "0"], "offset": "-3/2"},
+            {"normal": ["1", "sqrt2", "0"], "offset": "1"},
+        ],
+        "equalities": [],
+    },
+    "sqrt2_cone": {
+        "dim": 3,
+        "halfspaces": [
+            {"normal": ["-1", "-sqrt2", "1 + sqrt2"], "offset": "0"},
+            {"normal": ["0", "1", "0"], "offset": "0"},
+            {"normal": ["1", "0", "0"], "offset": "0"},
+        ],
+        "equalities": [],
+    },
+    "negative_root": {
+        "dim": 2,
+        "halfspaces": [
+            {"normal": ["-1", "-1"], "offset": "-3 + c"},
+            {"normal": ["-1", "0"], "offset": "1 - c"},
+            {"normal": ["0", "1"], "offset": "0"},
+        ],
+        "equalities": [],
+    },
+    "three_surds": {
+        "dim": 3,
+        "halfspaces": [
+            {"normal": ["0", "-1", "-1"], "offset": "-sqrt3"},
+            {"normal": ["0", "-1", "1/2 + 1/2*sqrt3"], "offset": "3/2 - 3/2*sqrt2 + 1/2*sqrt3 - 1/2*sqrt6"},
+            {"normal": ["0", "0", "1"], "offset": "0"},
+            {"normal": ["0", "1", "0"], "offset": "0"},
+        ],
+        "equalities": [
+            {"normal": ["1", "1", "1"], "offset": "sqrt3"},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_HREP))
+def test_canonical_hrep_matches_record(name):
+    assert recorded_polyhedra()[name].to_json_dict() == RECORDED_HREP[name]
