@@ -1,10 +1,11 @@
 """Exact vector and matrix helpers over the extended scalar domain.
 
-Row reduction divides by pivots, so matrices with irrational entries are
-reducible exactly when the constant basis declares the needed products
-(quadratic surds such as sqrt2 do).  Purely rational questions about
-coefficient expansions live in the rat_* helpers, which never multiply
-constants at all.
+Row reduction runs fraction-free in the one number domain that
+scalars._domain picks for the rows: Z, Z[sqrt q] or the scalars themselves.
+On the scalars it divides by pivots, so matrices with irrational entries are
+reducible exactly when the constant basis declares the needed products.
+Purely rational questions about coefficient expansions live in the rat_*
+helpers, which never multiply constants at all.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .scalars import (
     ExtScalar,
     RationalLike,
     ScalarError,
-    _SurdRing,
+    _domain,
     _eliminate,
     _rat_rref,
 )
@@ -93,53 +94,15 @@ def format_matrix(rows: Iterable[Vector]) -> str:
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form with pivots normalized to 1.
 
-    Returns the nonzero rows and their pivot columns.  All-rational matrices
-    are eliminated over Z and matrices over a quadratic surd over Z[sqrt q],
-    both fraction-free; any other basis runs the same loop on the scalars.
+    Returns the nonzero rows and their pivot columns.  The rows are
+    eliminated fraction-free in the number domain scalars._domain picks for
+    them, and divided by the last pivot once, at the end.
     """
     if not rows or not rows[0]:
         return [], []
-    basis = rows[0][0].basis
-    size = basis.size
-    if all(not any(e.coeffs[1:]) for row in rows for e in row):
-        reduced, pivots = _rat_rref([[e.coeffs[0] for e in row] for row in rows])
-        tail = (Fraction(0),) * (size - 1)
-        return [
-            tuple(ExtScalar(basis, (x,) + tail) for x in row) for row in reduced
-        ], pivots
-    q = basis.surd_square()
-    if q is not None:
-        return _surd_rref(basis, q, rows)
-    reduced, pivots, last = _eliminate(
-        [list(row) for row in rows],
-        lambda e: not e.is_zero(),
-        lambda row, prow, p, f, prev: [(p * a - f * b) / prev for a, b in zip(row, prow)],
-        basis.one(),
-    )
-    return [tuple(e / last for e in row) for row in reduced], pivots
-
-
-def _surd_rref(basis: ConstantBasis, q: Fraction, rows: Sequence[Vector]):
-    """rref over Q(c), c*c = q, eliminated on integer pairs in Z[s]
-    (scalars._SurdRing)."""
-    ring = _SurdRing(basis, q)
-    s2 = ring.s2
-
-    def combine(row, prow, p, f, prev):
-        (p0, p1), (f0, f1), (c0, c1) = p, f, prev
-        # multiply by the conjugate of prev, then divide by its norm
-        norm = ring.norm(prev)
-        out = []
-        for (a0, a1), (b0, b1) in zip(row, prow):
-            x0 = p0 * a0 - f0 * b0 + (p1 * a1 - f1 * b1) * s2
-            x1 = p0 * a1 + p1 * a0 - f0 * b1 - f1 * b0
-            out.append(((x0 * c0 - x1 * c1 * s2) // norm, (x1 * c0 - x0 * c1) // norm))
-        return out
-
-    reduced, pivots, last = _eliminate(
-        ring.clear(rows), lambda e: e[0] or e[1], combine, (1, 0)
-    )
-    return [ring.quotients(row, last) for row in reduced], pivots
+    D = _domain(rows[0][0].basis, rows)
+    reduced, pivots, last = _eliminate(list(map(D.conv, rows)), D.nonzero, D.step, D.one)
+    return [D.div(row, last) for row in reduced], pivots
 
 
 def rank(rows: Sequence[Vector]) -> int:

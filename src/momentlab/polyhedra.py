@@ -2,24 +2,23 @@
 
 H-representations are canonicalized through a double-description round trip:
 constraints -> generators -> irredundant facets.  Everything is exact.  The
-double description loop runs fraction-free on integer rows: over Z for
-rational data and over Z[s] for a declared quadratic surd with a positive
-constant, where signs follow the integer quadratic rule; any other basis runs
-the same loop on ExtScalars, whose signs come from ExtScalar.sign().  The
-signs around the loop are decided on the same integer rows: vertices are
-divided out of the homogenized rays, facets are reduced modulo the equalities
-and deduplicated as canonical integer rays, and containment (contains,
-poly_equal) evaluates every constraint row at every homogenized generator.
-Sizes are capped at desk scale, where the double description method is
-entirely adequate.
+double description loop runs fraction-free in the number domain that
+scalars._domain picks for its rows: Z for rational data, Z[s] for a declared
+quadratic surd, where signs follow the integer quadratic rule, and the
+ExtScalars otherwise, whose signs come from ExtScalar.sign().  The signs
+around the loop are decided in the same domain: vertices are divided out of
+the homogenized rays, facets are reduced modulo the equalities and
+deduplicated as canonical rays, and containment (contains, poly_equal)
+evaluates every constraint row at every homogenized generator.  Sizes are
+capped at desk scale, where the double description method is entirely
+adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from . import lattice, linalg
 from .linalg import Vector
@@ -29,8 +28,8 @@ from .scalars import (
     ConstantBasis,
     ExtScalar,
     ScalarError,
-    _clear_denominators,
-    _SurdRing,
+    _Domain,
+    _domain,
     parse_scalar,
 )
 
@@ -87,13 +86,11 @@ class Polyhedron:
 
     def contains(self, point: Sequence) -> bool:
         v = linalg.as_vector(self.scalar_basis, point)
-        if self.is_empty:
-            return False
         if len(v) != self.dim:
             raise PolyhedronError("point has wrong dimension")
         if any(e.basis != self.scalar_basis for e in v):
             raise BasisMismatchError("point uses a different constant basis")
-        return _generators_inside(self, [v])
+        return not self.is_empty and _generators_inside(self, [v])
 
     def to_json_dict(self) -> dict:
         def enc(hs: HalfSpace) -> dict:
@@ -128,129 +125,17 @@ class Polyhedron:
 # -- double description ---------------------------------------------------------
 
 
-def _normalize_ray(r: Vector) -> Vector:
-    for e in r:
-        s = e.sign()
-        if s != 0:
-            scale = e if s > 0 else -e
-            return tuple(x / scale for x in r)
-    return r
-
-
 def _sort_key(v: Vector):
     return tuple(e.coeffs for e in v)
 
 
-class _Arithmetic(NamedTuple):
-    """One number domain for double description and the signs decided
-    around it."""
-
-    conv: Callable  # a row of scalars in this domain, times a positive number
-    lines: list  # the unit vectors
-    dot: Callable
-    sign: Callable
-    comb: Callable  # comb(x, u, y, v): a positive multiple of x*u - y*v
-    canon: Callable  # the representative of a ray up to positive scaling
-    neg: Callable  # vector negation
-    div: Callable  # div(v, d): the entries of v divided by d, as scalars
-
-
-def _int_dot(a: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, v))
-
-
-def _int_sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _int_comb(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> tuple[int, ...]:
-    w = [x * a - y * b for a, b in zip(u, v)]
-    g = gcd(*w)
-    return tuple(c // g for c in w) if g > 1 else tuple(w)
-
-
-def _int_neg(v: Sequence) -> tuple:
-    return tuple(-x for x in v)
-
-
-def _arithmetic(basis: ConstantBasis, dim: int, rows: Sequence[Vector]) -> _Arithmetic:
-    """The domain for vectors like `rows`, chosen as in linalg.rref.
-
-    All-rational rows run over Z after clearing each row's denominators (a
-    positive row scaling keeps every sign), where primitive vectors are
-    canonical.  Rows over a declared surd with a positive constant run on
-    pairs in Z[s] (scalars._SurdRing): a ray is multiplied by the absolute
-    value of the conjugate of its first nonzero entry, which makes that entry
-    rational, and then made primitive.  Any other basis runs on the scalars.
-    Converting a normalized ray with `conv` gives its canonical form.
-    """
-    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    if all(not any(e.coeffs[1:]) for row in rows for e in row):
-        tail = (Fraction(0),) * (basis.size - 1)
-
-        def div(v, d):
-            return tuple(ExtScalar(basis, (Fraction(x, d),) + tail) for x in v)
-
-        return _Arithmetic(
-            lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])),
-            units, _int_dot, _int_sign, _int_comb, lambda v: v, _int_neg, div,
-        )
-    q = basis.surd_square()
-    if q is not None and basis.float_values[1] > 0:
-        ring = _SurdRing(basis, q)
-        s2 = ring.s2
-
-        def dot(a, v):
-            x0 = x1 = y = 0
-            for (a0, a1), (b0, b1) in zip(a, v):
-                x0 += a0 * b0
-                y += a1 * b1
-                x1 += a0 * b1 + a1 * b0
-            return (x0 + y * s2, x1)
-
-        def comb(x, u, y, v):
-            (x0, x1), (y0, y1) = x, y
-            w = [
-                (x0 * a0 - y0 * b0 + (x1 * a1 - y1 * b1) * s2,
-                 x0 * a1 + x1 * a0 - y0 * b1 - y1 * b0)
-                for (a0, a1), (b0, b1) in zip(u, v)
-            ]
-            g = gcd(*(c for e in w for c in e))
-            return tuple((c0 // g, c1 // g) for c0, c1 in w) if g > 1 else tuple(w)
-
-        def canon(v):
-            e0, e1 = next(e for e in v if e[0] or e[1])
-            if not e1:
-                return v
-            ring.norm((e0, e1))  # raises if the declared square is a rational square
-            conj = (e0, -e1) if ring.sign((e0, -e1)) > 0 else (-e0, e1)
-            return comb(conj, v, (0, 0), v)
-
-        return _Arithmetic(
-            lambda row: tuple(ring.clear((row,))[0]),
-            [tuple((x, 0) for x in u) for u in units],
-            dot, ring.sign, comb, canon,
-            lambda v: tuple((-a, -b) for a, b in v), ring.quotients,
-        )
-    return _Arithmetic(
-        tuple,
-        [linalg.unit(basis, dim, i) for i in range(dim)],
-        linalg.dot,
-        lambda x: x.sign(),
-        lambda x, u, y, v: tuple(x * a - y * b for a, b in zip(u, v)),
-        _normalize_ray,
-        linalg.vec_neg,
-        lambda v, d: tuple(x / d for x in v),
-    )
-
-
-def _to_scalars(ar: _Arithmetic, v, ray: bool) -> Vector:
+def _to_scalars(D: _Domain, v, ray: bool) -> Vector:
     """v as scalars, divided by its first nonzero entry, or for a ray by that
     entry's absolute value."""
     for e in v:
-        s = ar.sign(e)
+        s = D.sign(e)
         if s:
-            return ar.div(v, ar.neg((e,))[0] if ray and s < 0 else e)
+            return D.div(v, D.neg((e,))[0] if ray and s < 0 else e)
     raise PolyhedronError("internal error: zero generator")
 
 
@@ -260,16 +145,16 @@ def cone_double_description(
     """Generators (lines, rays) of the cone {x : <row, x> >= 0 for all rows}.
 
     Lines come divided by their first nonzero entry, rays by its absolute
-    value.  The loop is fraction-free in the domain `_arithmetic` picks, and
-    the generators are converted back to scalars once, at the end.  Zero sets
-    are bit masks over the rows.
+    value.  The loop is fraction-free in the number domain scalars._domain
+    picks, and the generators are converted back to scalars once, at the
+    end.  Zero sets are bit masks over the rows.
     """
-    ar = _arithmetic(basis, dim, rows)
-    dot, sign, comb, canon = ar.dot, ar.sign, ar.comb, ar.canon
-    lines = ar.lines
+    D = _domain(basis, rows)
+    dot, sign, comb, canon = D.dot, D.sign, D.comb, D.canon
+    lines = [D.unit(dim, i) for i in range(dim)]
     rays: list = []
     zsets: list[int] = []
-    for idx, a in enumerate(map(ar.conv, rows)):
+    for idx, a in enumerate(map(D.conv, rows)):
         bit = 1 << idx
         vals = [dot(a, l) for l in lines]
         pivot = next((j for j, v in enumerate(vals) if sign(v)), None)
@@ -278,7 +163,7 @@ def cone_double_description(
             # hyperplane of `a` along the promoted line, oriented into a >= 0
             r0 = lines.pop(pivot)
             if sign(vals.pop(pivot)) < 0:
-                r0 = ar.neg(r0)
+                r0 = D.neg(r0)
             v0 = dot(a, r0)
             lines = [l if not sign(v) else comb(v0, l, v, r0) for l, v in zip(lines, vals)]
             new_rays = []
@@ -316,7 +201,7 @@ def cone_double_description(
                 seen.add(r)
                 rays.append(r)
                 zsets.append(z)
-    return [_to_scalars(ar, l, False) for l in lines], [_to_scalars(ar, r, True) for r in rays]
+    return [_to_scalars(D, l, False) for l in lines], [_to_scalars(D, r, True) for r in rays]
 
 
 def _check_scale(dim: int, n_constraints: int) -> None:
@@ -355,7 +240,7 @@ def intersect_halfspaces(
     for n, b in hs:
         rows.append(tuple(n) + (-b,))
     lines, rays = cone_double_description(basis, dim + 1, rows)
-    ar = _arithmetic(basis, dim + 1, rows)
+    D = _domain(basis, rows)
     vertices, recession = [], []
     for l in lines:
         if not l[dim].is_zero():
@@ -364,8 +249,8 @@ def intersect_halfspaces(
         if r[dim].is_zero():
             recession.append(r[:dim])  # DD rays come normalized
         else:  # t > 0, the first row
-            g = ar.conv(r)
-            vertices.append(ar.div(g[:dim], g[dim]))
+            g = D.conv(r)
+            vertices.append(D.div(g[:dim], g[dim]))
     vrep = VRep(
         vertices=tuple(sorted(vertices, key=_sort_key)),
         rays=tuple(sorted(recession, key=_sort_key)),
@@ -406,22 +291,22 @@ def _from_vrep_with_cache(basis: ConstantBasis, dim: int, vrep: VRep) -> Polyhed
         equalities.append(HalfSpace(normal, -c))
     # reduce each facet modulo the equalities in the domain of the run; the
     # pivots of the converted rref rows are positive
-    ar = _arithmetic(basis, dim + 1, rows)
-    sign, comb = ar.sign, ar.comb
-    eq_rows = [(p, ar.conv(l)) for p, l in zip(pivots, eq_space)]
+    D = _domain(basis, rows)
+    sign, comb = D.sign, D.comb
+    eq_rows = [(p, D.conv(l)) for p, l in zip(pivots, eq_space)]
     halfspaces = []
     seen = set()
     for r in dual_rays:
-        v = ar.conv(r)
+        v = D.conv(r)
         for p, row in eq_rows:
             if sign(v[p]):
                 v = comb(row[p], v, v[p], row)
         if not any(sign(e) for e in v[:dim]):
             continue  # the trivial t >= 0 direction
-        v = ar.canon(v)
+        v = D.canon(v)
         if v not in seen:
             seen.add(v)
-            nr = _to_scalars(ar, v, True)
+            nr = _to_scalars(D, v, True)
             halfspaces.append(HalfSpace(nr[:dim], -nr[dim]))
     halfspaces.sort(key=lambda h: _sort_key(h.normal + (h.offset,)))
     equalities.sort(key=lambda h: _sort_key(h.normal + (h.offset,)))
@@ -579,8 +464,8 @@ def _generators_inside(
     hss = [tuple(h.normal) + (-h.offset,) for h in Q.halfspaces]
     points = [tuple(v) + (one,) for v in vertices] + [tuple(r) + (zero,) for r in rays]
     flats = [tuple(l) + (zero,) for l in lines]
-    ar = _arithmetic(basis, Q.dim + 1, eqs + hss + points + flats)
-    conv, dot, sign = ar.conv, ar.dot, ar.sign
+    D = _domain(basis, eqs + hss + points + flats)
+    conv, dot, sign = D.conv, D.dot, D.sign
     eqs, hss = [conv(a) for a in eqs], [conv(a) for a in hss]
     for g in map(conv, points):
         if any(sign(dot(a, g)) for a in eqs) or any(sign(dot(a, g)) < 0 for a in hss):

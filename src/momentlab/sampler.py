@@ -19,6 +19,11 @@ import numpy as np
 
 RADIAL_TOL = 1e-6
 
+# Finite curve parameters can still overflow double precision.  The functions
+# below return inf or nan then, without a numpy warning; callers check the
+# results for finiteness (the cli exits 2 naming the curve).
+_overflow_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 class SamplerError(ValueError):
     pass
@@ -222,6 +227,7 @@ def sample_image(spec: CurveSpec, n: int, seed: int) -> PointCloud:
     return PointCloud(pts[order], t[order], seed)
 
 
+@_overflow_quiet
 def lift_to_slice(spec: CurveSpec, y: Sequence[float], angles: int) -> np.ndarray:
     """A point upstairs with |x_j|^2 / 2 = y_j and seeded phases."""
     y = np.asarray(y, dtype=float)
@@ -232,6 +238,7 @@ def lift_to_slice(spec: CurveSpec, y: Sequence[float], angles: int) -> np.ndarra
     return np.sqrt(2.0 * y) * np.exp(1j * theta)
 
 
+@_overflow_quiet
 def lift_cloud(cloud: PointCloud, angles: int) -> np.ndarray:
     y = cloud.points
     if np.any(y < -1e-12):
@@ -248,6 +255,7 @@ def moment_of_lift(x: np.ndarray) -> np.ndarray:
 # -- distance oracles ---------------------------------------------------------
 
 
+@_overflow_quiet
 def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
     """Distance function to (curve intersect orthant): exact projection for
     affine pieces and circles (with a dense fallback near the arc ends),
@@ -258,6 +266,7 @@ def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
         u = np.asarray(spec.params["direction"])
         uu = float(u @ u)
 
+        @_overflow_quiet
         def dist_affine(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(pts)
             t = ((pts - b) @ u) / uu
@@ -289,6 +298,7 @@ def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
                         ends.append(q)
         endpoints = np.array(ends) if ends else dense[:1]
 
+        @_overflow_quiet
         def dist_circle(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(pts)
             delta = pts - c
@@ -307,12 +317,14 @@ def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
 
         return dist_circle
 
+    @_overflow_quiet
     def dist_dense(pts: np.ndarray) -> np.ndarray:
         return _min_dist_chunked(np.atleast_2d(pts), dense)
 
     return dist_dense
 
 
+@_overflow_quiet
 def _min_dist_chunked(pts: np.ndarray, ref: np.ndarray, chunk: int = 512) -> np.ndarray:
     out = np.empty(len(pts))
     for i in range(0, len(pts), chunk):
@@ -322,6 +334,7 @@ def _min_dist_chunked(pts: np.ndarray, ref: np.ndarray, chunk: int = 512) -> np.
     return out
 
 
+@_overflow_quiet
 def convexity_defect(
     cloud: PointCloud,
     membership: Callable,
@@ -362,6 +375,7 @@ class DeformationReport:
         return any(not p.translate_equivalent for p in self.pairs)
 
 
+@_overflow_quiet
 def _hausdorff(A: np.ndarray, B: np.ndarray) -> float:
     # np.maximum keeps a nan from either side, which the builtin max can drop
     return float(
@@ -369,6 +383,7 @@ def _hausdorff(A: np.ndarray, B: np.ndarray) -> float:
     )
 
 
+@_overflow_quiet
 def deformation_scan(
     family: Sequence[CurveSpec],
     n: int,

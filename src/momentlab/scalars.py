@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 RationalLike = int | Fraction
 
@@ -463,10 +464,17 @@ def _eliminate(rows: list[list], nonzero, combine, one):
     return rows[:r], pivots, prev
 
 
-def _int_combine(row: list[int], prow: list[int], p: int, f: int, prev: int) -> list[int]:
+def _z_step(row: list[int], prow: list[int], p: int, f: int, prev: int) -> list[int]:
+    """The Bareiss row update over Z."""
     if f == 0:
         return [p * a // prev for a in row]
     return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+
+
+def _z_comb(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> tuple[int, ...]:
+    w = [x * a - y * b for a, b in zip(u, v)]
+    g = gcd(*w)
+    return tuple(c // g for c in w) if g > 1 else tuple(w)
 
 
 def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
@@ -483,21 +491,22 @@ def _rat_rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fractio
     """Reduced row-echelon form of a rational matrix, eliminated over the
     integers after clearing each row's denominators."""
     work = [_clear_denominators([Fraction(x) for x in row]) for row in rows]
-    reduced, pivots, last = _eliminate(work, bool, _int_combine, 1)
+    reduced, pivots, last = _eliminate(work, bool, _z_step, 1)
     return [[Fraction(a, last) for a in row] for row in reduced], pivots
 
 
 class _SurdRing:
     """Z[s] for a basis {1, c} with a declared square c*c = q = n/m, where
     s = m*c and s*s = n*m.  An element is a pair (a, b) of integers meaning
-    a + b*s; the elimination kernel and double description run on these."""
+    a + b*s; elimination and double description run on these."""
 
-    __slots__ = ("basis", "q", "m", "s2")
+    __slots__ = ("basis", "q", "m", "s2", "positive")
 
     def __init__(self, basis: ConstantBasis, q: Fraction):
         self.basis, self.q = basis, q
         self.m = q.denominator
         self.s2 = q.numerator * q.denominator
+        self.positive = basis.float_values[1] > 0
 
     def clear(self, rows: Sequence[Sequence[ExtScalar]]) -> list[list[tuple[int, int]]]:
         """Rows of scalars as rows of pairs, each scaled by the positive
@@ -510,8 +519,9 @@ class _SurdRing:
         return out
 
     def sign(self, x: tuple[int, int]) -> int:
-        """Exact sign, for a constant c > 0."""
-        return _surd_sign(x[0], x[1], self.s2)
+        """Exact sign, with c the positive or the negative root as its
+        declared value says."""
+        return _surd_sign(x[0], x[1] if self.positive else -x[1], self.s2)
 
     def norm(self, d: tuple[int, int]) -> int:
         """d times its conjugate.  That is nonzero for nonzero d unless the
@@ -524,6 +534,49 @@ class _SurdRing:
             )
         return norm
 
+    def dot(self, a: Sequence[tuple[int, int]], v: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        x0 = x1 = y = 0
+        for (a0, a1), (b0, b1) in zip(a, v):
+            x0 += a0 * b0
+            y += a1 * b1
+            x1 += a0 * b1 + a1 * b0
+        return (x0 + y * self.s2, x1)
+
+    def _msub(self, x, u, y, v) -> list[tuple[int, int]]:
+        """x*u - y*v for x, y in Z[s] and vectors u, v."""
+        (x0, x1), (y0, y1), s2 = x, y, self.s2
+        return [
+            (x0 * a0 - y0 * b0 + (x1 * a1 - y1 * b1) * s2,
+             x0 * a1 + x1 * a0 - y0 * b1 - y1 * b0)
+            for (a0, a1), (b0, b1) in zip(u, v)
+        ]
+
+    def comb(self, x, u, y, v) -> tuple[tuple[int, int], ...]:
+        """x*u - y*v divided by the gcd of its integers."""
+        w = self._msub(x, u, y, v)
+        g = gcd(*(c for e in w for c in e))
+        return tuple((c0 // g, c1 // g) for c0, c1 in w) if g > 1 else tuple(w)
+
+    def step(self, row, prow, p, f, prev) -> list[tuple[int, int]]:
+        """The Bareiss update (p*row - f*prow) / prev: multiply by the
+        conjugate of prev, then divide by its norm."""
+        c0, c1 = prev
+        norm, s2 = self.norm(prev), self.s2
+        return [
+            ((x0 * c0 - x1 * c1 * s2) // norm, (x1 * c0 - x0 * c1) // norm)
+            for x0, x1 in self._msub(p, row, f, prow)
+        ]
+
+    def canon(self, v: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+        """v times the absolute value of the conjugate of its first nonzero
+        entry, which makes that entry rational, then made primitive."""
+        e0, e1 = next(e for e in v if e[0] or e[1])
+        if not e1:
+            return v
+        self.norm((e0, e1))  # raises if the declared square is a rational square
+        conj = (e0, -e1) if self.sign((e0, -e1)) > 0 else (-e0, e1)
+        return self.comb(conj, v, (0, 0), v)
+
     def quotients(self, v: Sequence[tuple[int, int]], d: tuple[int, int]) -> tuple[ExtScalar, ...]:
         """The entries of v divided by d, as scalars: multiply by the
         conjugate of d, then divide by its norm."""
@@ -534,6 +587,90 @@ class _SurdRing:
                               Fraction((a1 * d0 - a0 * d1) * m, norm)))
             for a0, a1 in v
         )
+
+
+# -- the number domain -----------------------------------------------------------
+
+
+class _Domain(NamedTuple):
+    """One number domain for exact elimination, double description and the
+    signs decided around them; `_domain` picks it."""
+
+    conv: Callable  # a row of scalars in this domain, times a positive number
+    one: object  # the unit of the domain, the first Bareiss divisor
+    unit: Callable  # unit(n, i): the i-th unit vector of length n
+    nonzero: Callable
+    step: Callable  # the Bareiss row update of _eliminate
+    dot: Callable
+    sign: Callable
+    comb: Callable  # comb(x, u, y, v): a positive multiple of x*u - y*v
+    canon: Callable  # the representative of a ray up to positive scaling
+    neg: Callable  # vector negation
+    div: Callable  # div(v, d): the entries of v divided by d, as scalars
+
+
+def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domain:
+    """The number domain for vectors like `rows`: the package's one choice
+    between Z, Z[s] and the scalars.
+
+    All-rational rows run over Z after clearing each row's denominators (a
+    positive row scaling keeps every sign), where primitive vectors are
+    canonical.  Rows over a declared surd with a nonzero constant run on
+    pairs in Z[s] (_SurdRing), whose signs follow the sign of the constant.
+    Any other basis runs on the scalars, where a ray is divided by the
+    absolute value of its first nonzero entry and signs come from
+    ExtScalar.sign().  Converting a normalized ray with `conv` gives its
+    canonical form.
+    """
+    if all(not any(e.coeffs[1:]) for row in rows for e in row):
+        tail = (Fraction(0),) * (basis.size - 1)
+        return _Domain(
+            conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])),
+            one=1, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
+            nonzero=bool, step=_z_step,
+            dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
+            sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
+            neg=lambda v: tuple(-x for x in v),
+            div=lambda v, d: tuple(ExtScalar(basis, (Fraction(x, d),) + tail) for x in v),
+        )
+    q = basis.surd_square()
+    if q is not None and basis.float_values[1]:
+        ring = _SurdRing(basis, q)
+        return _Domain(
+            conv=lambda row: tuple(ring.clear((row,))[0]),
+            one=(1, 0), unit=lambda n, i: tuple((int(j == i), 0) for j in range(n)),
+            nonzero=lambda e: e[0] or e[1], step=ring.step, dot=ring.dot,
+            sign=ring.sign, comb=ring.comb, canon=ring.canon,
+            neg=lambda v: tuple((-a, -b) for a, b in v), div=ring.quotients,
+        )
+    one, zero = basis.one(), basis.zero()
+
+    def msub(x, u, y, v):
+        return [x * a - y * b for a, b in zip(u, v)]
+
+    def dot(a, v):
+        acc = zero
+        for x, y in zip(a, v):
+            acc = acc + x * y
+        return acc
+
+    def canon(v):
+        for e in v:
+            s = e.sign()
+            if s:
+                scale = e if s > 0 else -e
+                return tuple(x / scale for x in v)
+        return v
+
+    return _Domain(
+        conv=tuple, one=one,
+        unit=lambda n, i: tuple(one if j == i else zero for j in range(n)),
+        nonzero=lambda e: not e.is_zero(),
+        step=lambda row, prow, p, f, prev: [e / prev for e in msub(p, row, f, prow)],
+        dot=dot, sign=lambda x: x.sign(), comb=lambda x, u, y, v: tuple(msub(x, u, y, v)),
+        canon=canon, neg=lambda v: tuple(-x for x in v),
+        div=lambda v, d: tuple(x / d for x in v),
+    )
 
 
 # -- whole-vector utilities ----------------------------------------------------

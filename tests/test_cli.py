@@ -256,8 +256,10 @@ def test_bad_curve_parameter_exits_2(tmp_path, capsys, curve):
         {"kind": "circle", "center": [1e308, 1.0], "radius": 1.2},
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_curve_exits_2(tmp_path, capsys, curve):
-    # finite parameters whose samples overflow: no inf or nan in the report
+    # finite parameters whose samples overflow: no inf or nan in the report,
+    # and no numpy warning ahead of the one error line
     raw = json.loads((SCENARIOS / "circle_nonconvex.json").read_text())
     raw["curve"] = curve
     raw["samples"] = 100
@@ -270,6 +272,7 @@ def test_overflowing_curve_exits_2(tmp_path, capsys, curve):
 
 
 @pytest.mark.parametrize("member", [0, 1])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_family_member_exits_2(tmp_path, capsys, member):
     raw = json.loads((SCENARIOS / "deformation.json").read_text())
     raw["family"][member] = {"kind": "circle", "center": [1e308, 1.0], "radius": 1.2}

@@ -197,4 +197,9 @@ def test_sign_on_a_negative_declared_root_matches_sympy(data):
     basis = ConstantBasis.rationals().with_constant("c", -float(square) ** 0.5, square=square)
     x = basis.scalar([a, b])
     root = sympy.sqrt(rational(square))
-    assert x.sign() == int(sympy.sign(rational(a) - rational(b) * root))
+    expected = int(sympy.sign(rational(a) - rational(b) * root))
+    assert x.sign() == expected
+    # the integer rule on Z[s] follows the sign of the declared root
+    ring = _SurdRing(basis, Fraction(square))
+    ((pair,),) = ring.clear([(x,)])
+    assert ring.sign(pair) == expected

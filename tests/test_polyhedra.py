@@ -19,7 +19,7 @@ from momentlab.polyhedra import (
     slice_at_level,
 )
 from momentlab.presymlin import Subspace
-from momentlab.scalars import ConstantBasis, is_rational_direction
+from momentlab.scalars import BasisMismatchError, ConstantBasis, is_rational_direction
 
 from conftest import random_fraction
 
@@ -269,6 +269,22 @@ def test_poly_equal_examples(sqrt2_basis):
     empty = intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([-1, 0], 0)])
     assert poly_equal(empty, empty)
     assert not poly_equal(empty, P)
+
+
+@pytest.mark.parametrize("empty", [True, False])
+def test_contains_validates_the_point_first(sqrt2_basis, empty):
+    # an empty polyhedron rejects a malformed point as a nonempty one does
+    if empty:
+        P = intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([-1, 0], 0)])
+    else:
+        P = segment(sqrt2_basis)
+    assert P.is_empty == empty
+    assert not P.contains([2, 2])
+    with pytest.raises(PolyhedronError):
+        P.contains([0, 0, 0, 0, 0])
+    other = ConstantBasis.rationals().with_constant("c", 3 ** 0.5, square=3)
+    with pytest.raises(BasisMismatchError):
+        P.contains([other.constant("c"), 0])
 
 
 def test_json_round_trip(sqrt2_basis):
