@@ -91,7 +91,7 @@ def load_scenario(path: Path) -> Scenario:
     if not isinstance(analyses, list) or any(a not in ANALYSES for a in analyses):
         raise ScenarioError("analyses", f"must be a list drawn from {ANALYSES}")
     d = raw.get("torus_rank")
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ScenarioError("torus_rank", "must be a positive integer")
     seed = raw.get("seed", 0)
     if not _is_int(seed) or seed < 0:
@@ -157,10 +157,10 @@ def _load_model(sc: Scenario) -> None:
     masked = raw.get("masked", [])
     if weights is not None:
         if not isinstance(weights, list) or not all(
-            isinstance(w, list) and all(isinstance(a, int) for a in w) for w in weights
+            isinstance(w, list) and all(_is_int(a) for a in w) for w in weights
         ):
             raise ScenarioError("weights", "must be a list of integer vectors")
-        if not isinstance(masked, list) or not all(isinstance(j, int) for j in masked):
+        if not isinstance(masked, list) or not all(_is_int(j) for j in masked):
             raise ScenarioError("masked", "must be a list of coordinate indices")
         try:
             sc.module = WeightedModule(

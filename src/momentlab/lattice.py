@@ -4,18 +4,19 @@ and quasilattice ranks on quotient spaces.
 A subspace is rational when it admits an all-rational basis.  The test used
 here never multiplies constants: it compares the dimension of the subspace
 with the rational dimension of the span of all per-constant coefficient
-rows of its basis (the smallest rational subspace containing it).
+rows of its basis (the smallest rational subspace containing it).  Those
+coefficient rows are reduced as scalars over the rationals, which linalg
+eliminates over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .linalg import Vector
 from .presymlin import Subspace
-from .scalars import UnsupportedScalarOperation
+from .scalars import ConstantBasis, ExtScalar, UnsupportedScalarOperation
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,13 @@ class QuasiLattice:
 def is_rational_subspace(n: Subspace) -> bool:
     if n.dim == 0:
         return True
-    rows: list[list[Fraction]] = []
-    for b in n.rows:
-        rows.extend(linalg.flatten_coeffs(b))
-    return linalg.rat_rank(rows) == n.dim
+    q = ConstantBasis.rationals()
+    rows = [
+        tuple(ExtScalar(q, (e.coeffs[t],)) for e in b)
+        for b in n.rows
+        for t in range(n.scalar_basis.size)
+    ]
+    return linalg.rank(rows) == n.dim
 
 
 def quasilattice(n: Subspace) -> QuasiLattice:
@@ -47,11 +51,16 @@ def quasilattice(n: Subspace) -> QuasiLattice:
     generators = tuple(
         tuple(row[j] for row in functionals.rows) for j in range(d)
     )
+    q = ConstantBasis.rationals()
     coeff_rows = [
-        [g[i].coeffs[t] for i in range(m) for t in range(n.scalar_basis.size)]
+        tuple(
+            ExtScalar(q, (g[i].coeffs[t],))
+            for i in range(m)
+            for t in range(n.scalar_basis.size)
+        )
         for g in generators
     ]
-    rank = linalg.rat_rank(coeff_rows) if m else 0
+    rank = linalg.rank(coeff_rows) if m else 0
     if rank < m:
         raise AssertionError("quasilattice rank below quotient dimension")
     return QuasiLattice(quotient_dim=m, generators=generators, rank=rank)
@@ -86,11 +95,12 @@ def ray_meets_rational_span(vec: Vector, generators: tuple[Vector, ...]) -> bool
             continue
     n_s = len(scaled)
     n_t = len(generators)
-    rows: list[list[Fraction]] = []
-    for i in range(m):
-        for t in range(size):
-            row = [w[i].coeffs[t] for _, w in scaled]
-            row += [-g[i].coeffs[t] for g in generators]
-            rows.append(row)
-    null = linalg.rat_kernel(rows, n_s + n_t)
-    return any(any(x != 0 for x in sol[:n_s]) for sol in null)
+    q = ConstantBasis.rationals()
+    rows = [
+        tuple(ExtScalar(q, (w[i].coeffs[t],)) for _, w in scaled)
+        + tuple(ExtScalar(q, (-g[i].coeffs[t],)) for g in generators)
+        for i in range(m)
+        for t in range(size)
+    ]
+    null = linalg.kernel(rows, q, n_s + n_t)
+    return any(not linalg.vec_is_zero(sol[:n_s]) for sol in null)

@@ -4,8 +4,7 @@ Row reduction runs fraction-free in the one number domain that
 scalars._domain picks for the rows: Z, Z[sqrt q] or the scalars themselves.
 On the scalars it divides by pivots, so matrices with irrational entries are
 reducible exactly when the constant basis declares the needed products.
-Purely rational questions about coefficient expansions live in the rat_*
-helpers, which never multiply constants at all.
+Kernels, solves and basis extensions are each one reduction.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .scalars import (
     ScalarError,
     _domain,
     _eliminate,
-    _rat_rref,
 )
 
 Vector = tuple[ExtScalar, ...]
@@ -123,56 +121,38 @@ def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> Matrix:
     return out
 
 
-def solve(columns: Sequence[Vector], target: Vector, basis: ConstantBasis):
-    """Coefficients x with sum(x_i * columns_i) = target, or None."""
-    if not columns:
-        return [] if vec_is_zero(target) else None
-    n = len(target)
-    rows_t = list(zip(*columns))
-    # aug rows: [col_1[i], ..., col_k[i], target[i]]
-    aug = [tuple(rows_t[i]) + (target[i],) for i in range(n)]
-    reduced, pivots = rref(aug)
+def solve(columns: Sequence[Vector], targets: Sequence[Vector], basis: ConstantBasis):
+    """For each target t, coefficients x with sum(x_i * columns_i) = t, or
+    None when t is outside the span of the columns.
+
+    One reduction of [columns | targets] (as columns): a target is in the
+    span iff its column vanishes in every row whose pivot is a target column,
+    and then the rows with column pivots give x, free coefficients zero.
+    """
+    if not columns or not targets:
+        return [[] if vec_is_zero(t) else None for t in targets]
     k = len(columns)
-    if k in pivots:
-        return None
-    x = [basis.zero()] * k
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][k]
-    return x
-
-
-# -- purely rational helpers on coefficient expansions -------------------------
-
-
-def rat_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    return _rat_rref(rows)
-
-
-def rat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rat_rref(rows)[0])
-
-
-def rat_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    reduced, pivots = rat_rref(rows)
+    reduced, pivots = rref(list(zip(*columns, *targets)))
+    r = sum(p < k for p in pivots)
     out = []
-    for f in range(ncols):
-        if f in pivots:
+    for j in range(k, k + len(targets)):
+        if any(not row[j].is_zero() for row in reduced[r:]):
+            out.append(None)
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        out.append(v)
+        x = [basis.zero()] * k
+        for row, p in zip(reduced, pivots[:r]):
+            x[p] = row[j]
+        out.append(x)
     return out
 
 
-def flatten_coeffs(v: Vector) -> list[list[Fraction]]:
-    """Per-constant rational coefficient rows of a vector of scalars.
+def extend_basis(rows: Sequence[Vector], candidates: Sequence[Vector]) -> list[Vector]:
+    """The candidates that a greedy pass adds to the span of `rows`: each one
+    not in the span of the rows and the candidates before it.
 
-    Row t is the rational vector of coefficients of constant t across the
-    entries of v.
+    Those are the candidates whose columns are pivots, at or after column
+    len(rows), when [rows | candidates] (as columns) is reduced.
     """
-    if not v:
-        return []
-    size = v[0].basis.size
-    return [[e.coeffs[t] for e in v] for t in range(size)]
+    k = len(rows)
+    _, pivots = rref(list(zip(*rows, *candidates)))
+    return [candidates[p - k] for p in pivots if p >= k]

@@ -387,7 +387,6 @@ class AffineSlice:
     lam: Vector
     direction: Subspace
     ideal: Subspace
-    checked_faces: tuple[tuple[int, ...], ...]
     _polytope_cache: "Polyhedron | None" = None
     _strata_cache: "tuple | None" = None
 
@@ -445,7 +444,7 @@ def build_affine_slice(
     else:
         W = Subspace.from_vectors(basis, d, direction_vectors)
     ideal = W.annihilator()
-    slice_ = AffineSlice(module, lam_v, W, ideal, ())
+    slice_ = AffineSlice(module, lam_v, W, ideal)
     P = slice_.moment_polytope()
     if P.is_empty:
         raise SliceValidationError("slice misses moment image")
@@ -455,7 +454,6 @@ def build_affine_slice(
             raise SliceValidationError("slice misses moment image")
     # every nonempty orthant face of the pointed polytope contains one of
     # its vertices, so face emptiness is read off the vertex zero patterns
-    checked = []
     for T in _subsets(range(d)):
         if not T:
             continue
@@ -468,8 +466,7 @@ def build_affine_slice(
             raise SliceValidationError(
                 f"slice is not transverse to the orthant face with zeros {sorted(T)}"
             )
-        checked.append(tuple(sorted(T)))
-    return AffineSlice(module, lam_v, W, ideal, tuple(checked), P)
+    return AffineSlice(module, lam_v, W, ideal, P)
 
 
 def _subsets(items) -> list[tuple]:
@@ -712,21 +709,18 @@ def _identify_line_weights(
     ]
     if 2 * len(candidates) != expected_dim:
         return None
-    images = []
-    weights = []
-    for j in candidates:
-        for slot in (2 * j, 2 * j + 1):
-            amb = linalg.unit(basis, 2 * module.n_coords, slot)
-            if not T.contains(amb):
-                return None
-            coords = presymlin.coordinates_in_basis([amb], list(T.rows), basis)[0]
-            if not reduced.domain.contains(coords):
-                return None
-            images.append(linalg.mat_vec(reduced.projection, coords))
-        weights.append(tuple(module.weights[j]))
+    slots = [
+        linalg.unit(basis, 2 * module.n_coords, slot)
+        for j in candidates
+        for slot in (2 * j, 2 * j + 1)
+    ]
+    coords = linalg.solve(T.rows, slots, basis)
+    if None in coords or not all(reduced.domain.contains(c) for c in coords):
+        return None
+    images = [linalg.mat_vec(reduced.projection, c) for c in coords]
     if linalg.rank(images) != expected_dim:
         return None
-    return tuple(weights)
+    return tuple(tuple(module.weights[j]) for j in candidates)
 
 
 def symplectization_slice_dim(model, point: ModelPoint) -> int:
@@ -808,14 +802,9 @@ def build_local_model(
                 )
     # complement of the stabilizer, filled from the ideal first so that the
     # lift of (ideal + stabilizer)/stabilizer lands inside the ideal
-    complement: list[Vector] = []
-    span = stabilizer
-    for v in list(ideal.rows) + [linalg.unit(basis, d, i) for i in range(d)]:
-        if span.dim == d:
-            break
-        if not span.contains(v):
-            complement.append(v)
-            span = span.add(Subspace.from_vectors(basis, d, [v]))
+    complement = linalg.extend_basis(
+        stabilizer.rows, list(ideal.rows) + [linalg.unit(basis, d, i) for i in range(d)]
+    )
     p_dim = ideal.add(stabilizer).dim - stabilizer.dim
     q_dim = (d - stabilizer.dim) - p_dim
     return LocalModelData(

@@ -67,7 +67,7 @@ def _decompose(slice_: AffineSlice, xi: Vector, support: Sequence[int]):
     target = tuple(xi[j] for j in support)
     columns = _projected_ideal_columns(slice_, support)
     if support:
-        coeffs = linalg.solve(columns, target, basis)
+        coeffs = linalg.solve(columns, [target], basis)[0]
         if coeffs is None:
             return None
     else:
@@ -78,7 +78,7 @@ def _decompose(slice_: AffineSlice, xi: Vector, support: Sequence[int]):
     eta = linalg.vec_sub(xi, zeta)
     for j in support:
         if not eta[j].is_zero():
-            raise MorseError("internal error: decomposition left the stabilizer")
+            raise AssertionError("decomposition left the stabilizer")
     return eta, zeta
 
 
@@ -135,7 +135,7 @@ def _check_unique(slice_: AffineSlice, support: Sequence[int]) -> None:
 
     meet = Subspace.from_vectors(basis, d, stab).intersect(slice_.ideal)
     if meet.dim != 0:
-        raise MorseError("internal error: ambiguous critical decomposition")
+        raise AssertionError("ambiguous critical decomposition")
 
 
 def morse_index(slice_: AffineSlice, xi: Sequence, support: Sequence[int]) -> int:
@@ -208,7 +208,7 @@ def full_critical_set(
         if k and linalg.rank(cols) != k:
             continue
         if len(stratum.face_vertices) != 1 or stratum.face_rays:
-            raise MorseError("internal error: fixed-leaf stratum image not a point")
+            raise AssertionError("fixed-leaf stratum image not a point")
         out.append(
             GCriticalStratum(
                 support=stratum.support,

@@ -136,7 +136,7 @@ def _to_scalars(D: _Domain, v, ray: bool) -> Vector:
         s = D.sign(e)
         if s:
             return D.div(v, D.neg((e,))[0] if ray and s < 0 else e)
-    raise PolyhedronError("internal error: zero generator")
+    raise AssertionError("zero generator")
 
 
 def cone_double_description(
@@ -244,7 +244,7 @@ def intersect_halfspaces(
     vertices, recession = [], []
     for l in lines:
         if not l[dim].is_zero():
-            raise PolyhedronError("internal error: lineality escaped t >= 0")
+            raise AssertionError("lineality escaped t >= 0")
     for r in rays:
         if r[dim].is_zero():
             recession.append(r[:dim])  # DD rays come normalized
@@ -287,7 +287,7 @@ def _from_vrep_with_cache(basis: ConstantBasis, dim: int, vrep: VRep) -> Polyhed
     for l in eq_space:  # rref rows: the pivot is already 1
         normal, c = l[:dim], l[dim]
         if linalg.vec_is_zero(normal):
-            raise PolyhedronError("internal error: trivial equality produced")
+            raise AssertionError("trivial equality produced")
         equalities.append(HalfSpace(normal, -c))
     # reduce each facet modulo the equalities in the domain of the run; the
     # pivots of the converted rref rows are positive

@@ -77,20 +77,20 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: reduce the rows [u | u] and [v | 0].  The reduced rows
+        with pivots at or after column n are [0 | w], and those w are already
+        the canonical basis of the meet."""
         self._check_ambient(other)
-        # w in both spans: w = sum a_i u_i = sum b_j v_j; solve for (a, -b)
-        cols = [list(r) for r in self.rows] + [list(r) for r in other.rows]
-        if not cols:
-            return Subspace.zero(self.scalar_basis, self.ambient_dim)
-        stacked = [tuple(col[i] for col in cols) for i in range(self.ambient_dim)]
-        null = linalg.kernel(stacked, self.scalar_basis, len(cols))
-        vectors = []
-        for coeffs in null:
-            w = linalg.zeros(self.scalar_basis, self.ambient_dim)
-            for c, u in zip(coeffs[: self.dim], self.rows):
-                w = linalg.vec_add(w, linalg.vec_scale(u, c))
-            vectors.append(w)
-        return Subspace.from_vectors(self.scalar_basis, self.ambient_dim, vectors)
+        n = self.ambient_dim
+        zero = linalg.zeros(self.scalar_basis, n)
+        reduced, pivots = linalg.rref(
+            [u + u for u in self.rows] + [v + zero for v in other.rows]
+        )
+        r = sum(p < n for p in pivots)
+        return Subspace(
+            self.scalar_basis, n, tuple(row[n:] for row in reduced[r:]),
+            tuple(p - n for p in pivots[r:]),
+        )
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (same coordinate size)."""
@@ -193,55 +193,24 @@ def sigma_orthogonal(sigma: PresympForm, F: Subspace) -> Subspace:
     return Subspace.from_vectors(sigma.scalar_basis, sigma.dim, null)
 
 
-def _complement_in(domain: Subspace, sub: Subspace) -> list[Vector]:
-    """Vectors of `domain` extending a basis of `sub` to one of `domain`."""
-    chosen: list[Vector] = []
-    current = sub
-    for v in domain.rows:
-        if not current.contains(v):
-            chosen.append(v)
-            current = current.add(
-                Subspace.from_vectors(domain.scalar_basis, domain.ambient_dim, [v])
-            )
-    return chosen
-
-
 def _projection_matrix(
     scalar_basis: ConstantBasis, ambient: int, kernel_rows: Sequence[Vector],
     rep_rows: Sequence[Vector],
 ) -> tuple[Vector, ...]:
     """Rows extracting the representative coordinates of a vector.
 
-    Valid on the span of kernel + representatives; extended by zero on a
-    completion of the basis.
+    Valid on the span of kernel + representatives; extended by zero on the
+    standard units completing them to a basis.
     """
     full: list[Vector] = list(kernel_rows) + list(rep_rows)
-    # complete to a basis of the ambient space with standard units
-    span = Subspace.from_vectors(scalar_basis, ambient, full)
-    for i in range(ambient):
-        if span.dim == ambient:
-            break
-        e = linalg.unit(scalar_basis, ambient, i)
-        if not span.contains(e):
-            full.append(e)
-            span = span.add(Subspace.from_vectors(scalar_basis, ambient, [e]))
-    # solve M a = v for each unit v; rows of the inverse give coordinates
-    columns = full
-    n = ambient
-    aug_rows = [
-        tuple(columns[c][i] for c in range(n))
-        + tuple(
-            scalar_basis.one() if i == k else scalar_basis.zero() for k in range(n)
-        )
-        for i in range(n)
-    ]
-    reduced, pivots = linalg.rref(aug_rows)
-    if list(pivots) != list(range(n)):
-        raise ScalarError("basis completion failed to invert")
-    inverse = [row[n:] for row in reduced]
+    units = [linalg.unit(scalar_basis, ambient, i) for i in range(ambient)]
+    full += linalg.extend_basis(full, units)
+    if len(full) != ambient:
+        raise AssertionError("basis completion failed to invert")
+    # the coordinates of the units are the columns of the inverse
+    columns = linalg.solve(full, units, scalar_basis)
     k = len(kernel_rows)
-    r = len(rep_rows)
-    return tuple(tuple(inverse[k + i]) for i in range(r))
+    return tuple(tuple(x[k + i] for x in columns) for i in range(len(rep_rows)))
 
 
 def natural_quotient(
@@ -261,10 +230,10 @@ def natural_quotient(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     degenerate = domain.intersect(sigma_orthogonal(sigma, domain))
-    reps = _complement_in(domain, degenerate)
+    reps = linalg.extend_basis(degenerate.rows, domain.rows)
     induced = sigma.restrict(reps)
     if induced.rank() != len(reps):
-        raise ScalarError("induced form is degenerate; reduction is inconsistent")
+        raise AssertionError("induced form is degenerate; reduction is inconsistent")
     projection = _projection_matrix(basis, sigma.dim, degenerate.rows, reps)
     return ReducedSpace(
         quotient_dim=len(reps),
@@ -310,10 +279,7 @@ def coordinates_in_basis(
     vectors: Sequence[Vector], basis_rows: Sequence[Vector], basis: ConstantBasis
 ) -> list[Vector]:
     """Coordinates of each vector with respect to the given basis rows."""
-    out = []
-    for v in vectors:
-        x = linalg.solve(list(basis_rows), v, basis)
-        if x is None:
-            raise ScalarError("vector does not lie in the span of the basis")
-        out.append(tuple(x))
-    return out
+    out = linalg.solve(basis_rows, vectors, basis)
+    if None in out:
+        raise ScalarError("vector does not lie in the span of the basis")
+    return [tuple(x) for x in out]

@@ -199,6 +199,35 @@ def test_bad_segment_field_exits_2(tmp_path, capsys, field, value):
     assert f"field {field!r}" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"torus_rank": True, "lambda": ["1"], "direction": [["1"]]}, "torus_rank"),
+        ({"torus_rank": 1, "weights": [[True], [1]]}, "weights"),
+        ({"torus_rank": 1, "weights": [[1], [1]], "masked": [True]}, "masked"),
+    ],
+)
+def test_boolean_integer_field_exits_2(tmp_path, capsys, raw, field):
+    """JSON booleans are not integers, although Python's bool is an int."""
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"field {field!r}" in err and "internal error" not in err
+
+
+def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    """An internal fault exits 3, not 2 like malformed input: here the form
+    induced on the reduction's representatives reports one rank too many."""
+    from momentlab import linalg, presymlin
+
+    monkeypatch.setattr(
+        presymlin.PresympForm, "rank", lambda self: linalg.rank(list(self.matrix)) + 1
+    )
+    assert run_scenario(SCENARIOS / "segment.json", out_dir=tmp_path / "out") == 3
+    assert "internal error: AssertionError: induced form is degenerate" in capsys.readouterr().err
+
+
 FUZZ_FIELDS = ("name", "constants", "torus_rank", "lambda", "direction_normals",
                "direction", "analyses", "xi", "seed", "samples", "t_max", "weights",
                "masked", "points", "curve", "family")

@@ -1,9 +1,10 @@
 """Differential tests of the elimination kernel against sympy.
 
-rref, rank and kernel over Q, Q(sqrt2) and Q(sqrt(3/2)) (a declared square
-that is not an integer), the rat_* helpers, and conjugate division are
-compared with sympy's exact linear algebra, and exact signs with sympy's.
-Bases without declared products must keep raising UnsupportedScalarOperation.
+rref, rank, kernel, solve over several targets, basis extension and the
+Zassenhaus meet of subspaces over Q, Q(sqrt2) and Q(sqrt(3/2)) (a declared
+square that is not an integer), and conjugate division are compared with
+sympy's exact linear algebra, and exact signs with sympy's.  Bases without
+declared products must keep raising UnsupportedScalarOperation.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from momentlab import linalg
+from momentlab.presymlin import Subspace
 from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation, _SurdRing
 
 SQUARES = (2, Fraction(3, 2))
@@ -51,20 +53,26 @@ def same(A, B):
     return A.shape == B.shape and all(sympy.expand(a - b) == 0 for a, b in zip(A, B))
 
 
+def sympy_rank(rows, square):
+    return len(sympy_rref(sympy_matrix(rows, square))[1]) if rows else 0
+
+
+def draw_vector(draw, basis, square, m):
+    """m entries a, or a + b*c over a declared surd c, with small rationals."""
+    return tuple(
+        basis.scalar([draw(entry)] if square is None else
+                     [draw(entry), draw(entry) if draw(st.booleans()) else Fraction(0)])
+        for _ in range(m)
+    )
+
+
 @st.composite
 def matrices(draw, irrational):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 5))
     square = draw(st.sampled_from(SQUARES)) if irrational else None
     basis = basis_for(square)
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(m):
-            a = draw(entry)
-            b = draw(entry) if irrational and draw(st.booleans()) else Fraction(0)
-            row.append(basis.scalar([a, b] if irrational else [a]))
-        rows.append(tuple(row))
+    rows = [draw_vector(draw, basis, square, m) for _ in range(n)]
     # a repeated combination makes rank deficiency common
     if n > 1 and draw(st.booleans()):
         rows[-1] = linalg.vec_add(rows[0], linalg.vec_scale(rows[1], draw(small)))
@@ -99,21 +107,95 @@ def test_rref_rank_kernel_over_surd_match_sympy(data):
     check_against_sympy(*data)
 
 
-@given(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=1, max_size=4))
-@settings(deadline=None, max_examples=40)
-def test_rat_helpers_match_sympy(rows):
-    M = sympy.Matrix([[rational(x) for x in r] for r in rows])
-    expected, expected_pivots = M.rref()
-    reduced, pivots = linalg.rat_rref(rows)
-    assert pivots == list(expected_pivots)
-    assert [[rational(x) for x in r] for r in reduced] == [
-        list(expected.row(i)) for i in range(len(pivots))
-    ]
-    assert linalg.rat_rank(rows) == M.rank()
-    null = linalg.rat_kernel(rows, 4)
-    assert len(null) == 4 - M.rank()
-    for v in null:
-        assert all(x == 0 for x in M * sympy.Matrix(v))
+@st.composite
+def vector_lists(draw, count):
+    """`count` lists of 0..3 vectors in one space of dimension 1..5 over Q,
+    Q(sqrt2) or Q(sqrt(3/2)).  Vectors often combine earlier ones, so meets
+    and dependencies are common."""
+    square = draw(st.sampled_from((None,) + SQUARES))
+    basis = basis_for(square)
+    m = draw(st.integers(1, 5))
+    pool, lists = [], []
+    for _ in range(count):
+        vectors = []
+        for _ in range(draw(st.integers(0, 3))):
+            if pool and draw(st.booleans()):
+                u, v = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+                vectors.append(linalg.vec_add(u, linalg.vec_scale(v, draw(small))))
+            else:
+                vectors.append(draw_vector(draw, basis, square, m))
+        pool += vectors
+        lists.append(vectors)
+    return basis, square, m, lists
+
+
+@given(vector_lists(2))
+@settings(deadline=None, max_examples=60)
+def test_intersect_matches_sympy(data):
+    basis, square, m, (us, vs) = data
+    U, V = Subspace.from_vectors(basis, m, us), Subspace.from_vectors(basis, m, vs)
+    meet = U.intersect(V)
+    assert meet.dim == sympy_rank(us, square) + sympy_rank(vs, square) - sympy_rank(us + vs, square)
+    for w in meet.rows:
+        assert sympy_rank(us + [w], square) == sympy_rank(us, square)
+        assert sympy_rank(vs + [w], square) == sympy_rank(vs, square)
+    # the meet from sympy's null space of [U^T | -V^T], in canonical form
+    expected_rows, expected_pivots = sympy.zeros(0, m), []
+    if us and vs:
+        A, B = sympy_matrix(us, square), sympy_matrix(vs, square)
+        null = A.T.row_join(-B.T).to_DM(extension=True).to_field().nullspace().to_Matrix()
+        if null.rows:
+            reduced, expected_pivots = sympy_rref(null[:, : len(us)] * A)
+            expected_rows = reduced[: len(expected_pivots), :]
+    assert list(meet.pivots) == expected_pivots
+    assert same(sympy_matrix(meet.rows, square) if meet.rows else sympy.zeros(0, m),
+                expected_rows)
+
+
+def greedy_extension(basis, m, rows, candidates):
+    """The reference: keep each candidate not yet in the span."""
+    span = Subspace.from_vectors(basis, m, rows)
+    chosen = []
+    for v in candidates:
+        if not span.contains(v):
+            chosen.append(v)
+            span = span.add(Subspace.from_vectors(basis, m, [v]))
+    return chosen
+
+
+@given(vector_lists(2))
+@settings(deadline=None, max_examples=60)
+def test_extend_basis_matches_greedy_choice(data):
+    basis, square, m, (rows, vectors) = data
+    candidates = vectors + [linalg.unit(basis, m, i) for i in range(m)]
+    chosen = linalg.extend_basis(rows, candidates)
+    assert chosen == greedy_extension(basis, m, rows, candidates)
+    assert sympy_rank(rows + chosen, square) == m
+
+
+@given(vector_lists(2))
+@settings(deadline=None, max_examples=60)
+def test_solve_several_targets_matches_sympy(data):
+    basis, square, m, (columns, vectors) = data
+    # the units lie outside the span whenever the columns do not span
+    targets = vectors + [linalg.unit(basis, m, i) for i in range(m)] + [linalg.zeros(basis, m)]
+    solutions = linalg.solve(columns, targets, basis)
+    assert len(solutions) == len(targets)
+    k = len(columns)
+    for t, x in zip(targets, solutions):
+        if not columns:
+            assert x == ([] if linalg.vec_is_zero(t) else None)
+            continue
+        A = sympy_matrix(columns, square).T
+        reduced, pivots = sympy_rref(A.row_join(sympy_matrix([t], square).T))
+        if k in pivots:
+            assert x is None
+            continue
+        expected = [0] * k
+        for i, p in enumerate(pivots):
+            expected[p] = reduced[i, k]
+        assert same(sympy.Matrix([to_sympy(e, square) for e in x]), sympy.Matrix(expected))
+        assert same(A * sympy.Matrix([to_sympy(e, square) for e in x]), sympy_matrix([t], square).T)
 
 
 @given(st.sampled_from(SQUARES), small, small, small, small)
