@@ -1,10 +1,13 @@
 """Exact vector and matrix helpers over the extended scalar domain.
 
-Row reduction runs fraction-free in the one number domain that
-scalars._domain picks for the rows: Z, Z[sqrt q] or the scalars themselves.
-On the scalars it divides by pivots, so matrices with irrational entries are
-reducible exactly when the constant basis declares the needed products.
-Kernels, solves and basis extensions are each one reduction.
+Row reduction and matrix-vector products run in the one number domain that
+scalars._domain picks for their operands: Z, Z[sqrt q] or the scalars
+themselves.  Reduction is fraction-free; products clear denominators with one
+multiplier for the matrix and one per vector, and divide each image back
+once.  On the scalars, reduction divides by pivots, so matrices with
+irrational entries are reducible exactly when the constant basis declares
+the needed products.  Kernels, solves and basis extensions are each one
+reduction.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .scalars import (
     ScalarError,
     _domain,
     _eliminate,
+    parse_scalar,
 )
 
 Vector = tuple[ExtScalar, ...]
@@ -34,19 +38,19 @@ def unit(basis: ConstantBasis, n: int, i: int) -> Vector:
 
 
 def as_vector(basis: ConstantBasis, entries: Sequence) -> Vector:
-    from .scalars import parse_scalar
-
+    """Scalars, strings like "1 + 1/2*sqrt2", integers and fractions read
+    exactly; a float only when it is a small exact rational.  Booleans are
+    rejected."""
     out = []
     for e in entries:
         if isinstance(e, ExtScalar):
             out.append(e)
-        elif isinstance(e, str):
+        elif isinstance(e, (str, float)):
             out.append(parse_scalar(e, basis))
+        elif isinstance(e, (int, Fraction)) and not isinstance(e, bool):
+            out.append(basis.from_rational(e))
         else:
-            try:
-                out.append(basis.from_rational(Fraction(e)))
-            except (TypeError, ValueError, OverflowError):
-                raise ScalarError(f"cannot read {e!r} as a scalar") from None
+            raise ScalarError(f"cannot read {e!r} as a scalar")
     return tuple(out)
 
 
@@ -81,8 +85,29 @@ def dot(u: Vector, v: Vector) -> ExtScalar:
     return acc
 
 
-def mat_vec(m: Sequence[Vector], v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
+def mat_vecs(m: Sequence[Vector], vectors: Sequence[Vector], basis: ConstantBasis) -> Matrix:
+    """The products m v for each of the vectors.
+
+    They run in the number domain scalars._domain picks for the matrix and
+    the vectors together.  The matrix is converted once with one multiplier
+    common to all its entries (one per row would rescale the entries of m v
+    against each other), each vector with its own, and each image is divided
+    back by the product of the two.
+    """
+    if not vectors:
+        return []
+    ncols = len(vectors[0])
+    if any(len(x) != ncols for x in (*m, *vectors)):
+        raise ScalarError("dimension mismatch in matrix-vector product")
+    D = _domain(basis, [*m, *vectors])
+    flat, mm = D.scaled([e for row in m for e in row])
+    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(len(m))]
+    out = []
+    for v in vectors:
+        w, mv = D.scaled(v)
+        # dot of 1-vectors: the product of the two multipliers in the domain
+        out.append(D.div([D.dot(row, w) for row in rows], D.dot((mm,), (mv,))))
+    return out
 
 
 def format_matrix(rows: Iterable[Vector]) -> str:

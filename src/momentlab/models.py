@@ -301,14 +301,8 @@ def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
     module = slice_.module
     basis = module.scalar_basis
     n = 2 * module.n_coords
-    dphi = _dphi_rows(module, point)
-    rows = []
-    for a in slice_.ideal.rows:
-        row = linalg.zeros(basis, n)
-        for k in range(module.torus_rank):
-            if not a[k].is_zero():
-                row = linalg.vec_add(row, linalg.vec_scale(dphi[k], a[k]))
-        rows.append(row)
+    # D phi^T a for each row a of the ideal
+    rows = linalg.mat_vecs(list(zip(*_dphi_rows(module, point))), slice_.ideal.rows, basis)
     return Subspace.from_vectors(
         basis, n, linalg.kernel(rows, basis, n)
     )
@@ -717,7 +711,7 @@ def _identify_line_weights(
     coords = linalg.solve(T.rows, slots, basis)
     if None in coords or not all(reduced.domain.contains(c) for c in coords):
         return None
-    images = [linalg.mat_vec(reduced.projection, c) for c in coords]
+    images = linalg.mat_vecs(reduced.projection, coords, basis)
     if linalg.rank(images) != expected_dim:
         return None
     return tuple(tuple(module.weights[j]) for j in candidates)

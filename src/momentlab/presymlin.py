@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import linalg
 from .linalg import Vector
-from .scalars import ConstantBasis, ExtScalar, ScalarError
+from .scalars import ConstantBasis, ScalarError
 
 
 class DimensionMismatchError(ScalarError):
@@ -144,9 +144,6 @@ class PresympForm:
             rows[y][x] = one
         return PresympForm.from_rows(scalar_basis, rows)
 
-    def pairing(self, u: Vector, v: Vector) -> ExtScalar:
-        return linalg.dot(u, linalg.mat_vec(self.matrix, v))
-
     def kernel(self) -> Subspace:
         null = linalg.kernel(list(self.matrix), self.scalar_basis, self.dim)
         return Subspace.from_vectors(self.scalar_basis, self.dim, null)
@@ -155,21 +152,12 @@ class PresympForm:
         return linalg.rank(list(self.matrix))
 
     def restrict(self, basis_rows: Sequence[Vector]) -> "PresympForm":
-        """Gram matrix B M B^T of the form on the given vectors.
-
-        M b_j is computed once per vector; only the upper triangle is paired,
-        the lower one is its negative and the diagonal is zero.
+        """Gram matrix B M B^T of the form on the given vectors: the images
+        M b_j, then B times each image, which is column j of the Gram matrix.
         """
-        n = len(basis_rows)
-        images = [linalg.mat_vec(self.matrix, b) for b in basis_rows]
-        zero = self.scalar_basis.zero()
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                g = linalg.dot(basis_rows[i], images[j])
-                rows[i][j] = g
-                rows[j][i] = -g
-        return PresympForm.from_rows(self.scalar_basis, rows)
+        basis, rows = self.scalar_basis, list(basis_rows)
+        columns = linalg.mat_vecs(rows, linalg.mat_vecs(self.matrix, rows, basis), basis)
+        return PresympForm.from_rows(basis, list(zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -188,7 +176,7 @@ def sigma_orthogonal(sigma: PresympForm, F: Subspace) -> Subspace:
     """All u with sigma(u, v) = 0 for every v in F."""
     if F.ambient_dim != sigma.dim:
         raise DimensionMismatchError("subspace does not live in the form's space")
-    constraints = [linalg.mat_vec(sigma.matrix, f) for f in F.rows]
+    constraints = linalg.mat_vecs(sigma.matrix, F.rows, sigma.scalar_basis)
     null = linalg.kernel(constraints, sigma.scalar_basis, sigma.dim)
     return Subspace.from_vectors(sigma.scalar_basis, sigma.dim, null)
 

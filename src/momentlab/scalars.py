@@ -477,20 +477,28 @@ def _z_comb(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> tuple[int, ..
     return tuple(c // g for c in w) if g > 1 else tuple(w)
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
-    """The values times the least common multiple of their denominators."""
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the least common multiple of their denominators, and
+    that multiple."""
     lcm = 1
     for x in values:
         d = x.denominator
         if lcm % d:
             lcm *= Fraction(lcm, d).denominator  # lcm(lcm, d)
-    return [x.numerator * (lcm // x.denominator) for x in values]
+    return [x.numerator * (lcm // x.denominator) for x in values], lcm
+
+
+def _z_clear(row: Sequence[ExtScalar]) -> tuple[tuple[int, ...], int]:
+    """A row of rational scalars as integers, scaled by the positive integer
+    that clears its denominators, and that integer."""
+    ints, lcm = _clear_denominators([e.coeffs[0] for e in row])
+    return tuple(ints), lcm
 
 
 def _rat_rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row-echelon form of a rational matrix, eliminated over the
     integers after clearing each row's denominators."""
-    work = [_clear_denominators([Fraction(x) for x in row]) for row in rows]
+    work = [_clear_denominators([Fraction(x) for x in row])[0] for row in rows]
     reduced, pivots, last = _eliminate(work, bool, _z_step, 1)
     return [[Fraction(a, last) for a in row] for row in reduced], pivots
 
@@ -508,15 +516,12 @@ class _SurdRing:
         self.s2 = q.numerator * q.denominator
         self.positive = basis.float_values[1] > 0
 
-    def clear(self, rows: Sequence[Sequence[ExtScalar]]) -> list[list[tuple[int, int]]]:
-        """Rows of scalars as rows of pairs, each scaled by the positive
-        integer that clears its denominators."""
+    def clear(self, row: Sequence[ExtScalar]) -> tuple[tuple, tuple[int, int]]:
+        """A row of scalars as pairs, scaled by the positive integer that
+        clears its denominators, and that integer as an element of Z[s]."""
         m = self.m
-        out = []
-        for row in rows:
-            flat = _clear_denominators([x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)])
-            out.append(list(zip(flat[::2], flat[1::2])))
-        return out
+        flat, lcm = _clear_denominators([x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)])
+        return tuple(zip(flat[::2], flat[1::2])), (lcm, 0)
 
     def sign(self, x: tuple[int, int]) -> int:
         """Exact sign, with c the positive or the negative root as its
@@ -578,10 +583,14 @@ class _SurdRing:
         return self.comb(conj, v, (0, 0), v)
 
     def quotients(self, v: Sequence[tuple[int, int]], d: tuple[int, int]) -> tuple[ExtScalar, ...]:
-        """The entries of v divided by d, as scalars: multiply by the
-        conjugate of d, then divide by its norm."""
+        """The entries of v divided by d, as scalars: directly when d is an
+        integer, else multiply by the conjugate of d, then divide by its
+        norm."""
         d0, d1 = d
-        norm, s2, m, basis = self.norm(d), self.s2, self.m, self.basis
+        m, basis = self.m, self.basis
+        if not d1:
+            return tuple(ExtScalar(basis, (Fraction(a0, d0), Fraction(a1 * m, d0))) for a0, a1 in v)
+        norm, s2 = self.norm(d), self.s2
         return tuple(
             ExtScalar(basis, (Fraction(a0 * d0 - a1 * d1 * s2, norm),
                               Fraction((a1 * d0 - a0 * d1) * m, norm)))
@@ -593,10 +602,11 @@ class _SurdRing:
 
 
 class _Domain(NamedTuple):
-    """One number domain for exact elimination, double description and the
-    signs decided around them; `_domain` picks it."""
+    """One number domain for exact elimination, products, double description
+    and the signs decided around them; `_domain` picks it."""
 
     conv: Callable  # a row of scalars in this domain, times a positive number
+    scaled: Callable  # (conv(row), that positive number in this domain)
     one: object  # the unit of the domain, the first Bareiss divisor
     unit: Callable  # unit(n, i): the i-th unit vector of length n
     nonzero: Callable
@@ -625,7 +635,8 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
     if all(not any(e.coeffs[1:]) for row in rows for e in row):
         tail = (Fraction(0),) * (basis.size - 1)
         return _Domain(
-            conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])),
+            conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])[0]),
+            scaled=_z_clear,
             one=1, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
             nonzero=bool, step=_z_step,
             dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
@@ -637,7 +648,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
     if q is not None and basis.float_values[1]:
         ring = _SurdRing(basis, q)
         return _Domain(
-            conv=lambda row: tuple(ring.clear((row,))[0]),
+            conv=lambda row: ring.clear(row)[0], scaled=ring.clear,
             one=(1, 0), unit=lambda n, i: tuple((int(j == i), 0) for j in range(n)),
             nonzero=lambda e: e[0] or e[1], step=ring.step, dot=ring.dot,
             sign=ring.sign, comb=ring.comb, canon=ring.canon,
@@ -663,7 +674,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
         return v
 
     return _Domain(
-        conv=tuple, one=one,
+        conv=tuple, scaled=lambda row: (tuple(row), one), one=one,
         unit=lambda n, i: tuple(one if j == i else zero for j in range(n)),
         nonzero=lambda e: not e.is_zero(),
         step=lambda row, prow, p, f, prev: [e / prev for e in msub(p, row, f, prow)],
@@ -736,6 +747,8 @@ def parse_scalar(text: str | int | float, basis: ConstantBasis) -> ExtScalar:
 
 
 def _from_number(value, basis: ConstantBasis) -> ExtScalar:
+    if isinstance(value, bool):
+        raise ScalarError(f"{value!r} is not a number")
     if isinstance(value, int):
         return basis.from_rational(value)
     try:

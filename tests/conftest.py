@@ -25,3 +25,12 @@ def random_scalar(rng: random.Random, basis, irrational_chance: float = 0.3):
     if basis.size > 1 and rng.random() < irrational_chance:
         coeffs[1] = random_fraction(rng)
     return basis.scalar(coeffs)
+
+
+def form_pairing(form, u, v):
+    """sigma(u, v) = sum of u_i M_ij v_j, entry by entry in scalar arithmetic."""
+    acc = form.scalar_basis.zero()
+    for i, row in enumerate(form.matrix):
+        for j, m in enumerate(row):
+            acc = acc + u[i] * m * v[j]
+    return acc

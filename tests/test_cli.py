@@ -216,6 +216,40 @@ def test_boolean_integer_field_exits_2(tmp_path, capsys, raw, field):
     assert f"field {field!r}" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda", [True, False]),
+        ("direction", [[True, True]]),
+        ("direction_normals", [[True, True]]),
+        ("xi", [True, False]),
+        ("points", [[True, 0]]),
+        ("lambda", [0.1, 1]),
+    ],
+    ids=["lambda", "direction", "direction_normals", "xi", "points", "lambda-float"],
+)
+def test_unreadable_scalar_field_exits_2(tmp_path, capsys, field, value):
+    """JSON booleans are not scalars, and a float must be a small exact
+    rational, not read as its binary expansion."""
+    raw = segment_raw()
+    if field == "direction":
+        del raw["direction_normals"]
+    raw[field] = value
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"field {field!r}" in err and "internal error" not in err
+
+
+def test_exact_float_scalar_field_runs(tmp_path):
+    raw = segment_raw()
+    raw["lambda"] = [0.5, 0.5]
+    out = tmp_path / "out"
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    assert "lambda: (1/2, 1/2)" in (out / "report.txt").read_text()
+
+
 def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
     """An internal fault exits 3, not 2 like malformed input: here the form
     induced on the reduction's representatives reports one rank too many."""

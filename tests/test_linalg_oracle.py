@@ -4,9 +4,12 @@ rref, rank, kernel, solve over several targets, basis extension and the
 Zassenhaus meet of subspaces over Q, Q(sqrt2) and Q(sqrt(3/2)) (a declared
 square that is not an integer), and conjugate division are compared with
 sympy's exact linear algebra, and exact signs with sympy's.  Bases without
-declared products must keep raising UnsupportedScalarOperation.
+declared products must keep raising UnsupportedScalarOperation.  Matrix-vector
+products, sigma-orthogonals and Gram restrictions are compared with plain
+scalar arithmetic, also over a negative declared root and over three surds.
 """
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -15,7 +18,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from momentlab import linalg
-from momentlab.presymlin import Subspace
+from momentlab.presymlin import PresympForm, Subspace, sigma_orthogonal
 from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation, _SurdRing
 
 SQUARES = (2, Fraction(3, 2))
@@ -27,6 +30,17 @@ def basis_for(square):
     if square is None:
         return ConstantBasis.rationals()
     return ConstantBasis.with_sqrt("c", square)
+
+
+def three_surds():
+    """Q(sqrt2, sqrt3) on the basis {1, sqrt2, sqrt3, sqrt6}: not one surd, so
+    elimination and products run on the scalars."""
+    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
+             .with_constant("sqrt6", 6 ** 0.5, square=6))
+    basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
+    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
+    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
+    return basis
 
 
 def rational(q):
@@ -229,11 +243,7 @@ def test_undeclared_basis_still_raises():
 
 
 def test_division_by_multiple_constants_solves_rational_system():
-    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
-             .with_constant("sqrt6", 6 ** 0.5, square=6))
-    basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
-    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
-    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
+    basis = three_surds()
     x = basis.scalar([1, 2, -1, Fraction(1, 2)])
     y = basis.scalar([3, -1, 1, 1])
     assert (x / y) * y == x
@@ -267,7 +277,7 @@ def test_sign_matches_sympy(data):
     assert x.sign() == expected
     # the integer rule on Z[s], after clearing denominators
     ring = _SurdRing(basis, Fraction(square))
-    ((pair,),) = ring.clear([(x,)])
+    (pair,), _ = ring.clear((x,))
     assert ring.sign(pair) == expected
 
 
@@ -283,5 +293,97 @@ def test_sign_on_a_negative_declared_root_matches_sympy(data):
     assert x.sign() == expected
     # the integer rule on Z[s] follows the sign of the declared root
     ring = _SurdRing(basis, Fraction(square))
-    ((pair,),) = ring.clear([(x,)])
+    (pair,), _ = ring.clear((x,))
     assert ring.sign(pair) == expected
+
+
+# -- matrix-vector products against plain scalar arithmetic ------------------------
+
+
+PRODUCT_BASES = (
+    ConstantBasis.rationals(),
+    basis_for(2),
+    basis_for(Fraction(3, 2)),
+    ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2),  # c = -sqrt2
+    three_surds(),
+)
+
+
+def over_product_bases(coefficient_rows):
+    """The rows of coefficient lists as scalar rows in each product basis,
+    the matrix (first) and the vectors (second) each rational or not, so that
+    the domain must be picked from both."""
+    rows, vectors = coefficient_rows
+    for basis in PRODUCT_BASES:
+        def scalars(part, irrational):
+            rational_only = [0] * (basis.size - 1)
+            return [tuple(basis.scalar(c[:basis.size] if irrational else c[:1] + rational_only)
+                          for c in row) for row in part]
+
+        for irrational_rows, irrational_vectors in itertools.product((False, True), repeat=2):
+            yield basis, scalars(rows, irrational_rows), scalars(vectors, irrational_vectors)
+
+
+@st.composite
+def coefficients(draw, square=False):
+    """Coefficient lists for a matrix of 0..4 rows of length 1..5 (square:
+    a skew n x n matrix, n = 1..4) and 0..3 vectors, some zero; each entry has
+    a coefficient for 1 and for each of up to three constants."""
+    def scalar(zero=False):
+        return [Fraction(0)] * 4 if zero else [draw(entry)] + [draw(small) for _ in range(3)]
+
+    m = draw(st.integers(1, 4 if square else 5))
+    if square:
+        rows = [[scalar(zero=True) for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                rows[i][j] = scalar()
+                rows[j][i] = [-x for x in rows[i][j]]
+    else:
+        rows = [[scalar() for _ in range(m)] for _ in range(draw(st.integers(0, 4)))]
+    vectors = []
+    for _ in range(draw(st.integers(0, 3))):
+        zero = draw(st.booleans()) and draw(st.booleans())  # one vector in four
+        vectors.append([scalar(zero) for _ in range(m)])
+    return rows, vectors
+
+
+def reference_mat_vec(rows, v, basis):
+    """m v entry by entry in scalar arithmetic."""
+    out = []
+    for row in rows:
+        acc = basis.zero()
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        out.append(acc)
+    return tuple(out)
+
+
+@given(coefficients())
+@settings(deadline=None, max_examples=30)
+def test_mat_vecs_match_scalar_arithmetic(data):
+    for basis, rows, vectors in over_product_bases(data):
+        assert linalg.mat_vecs(rows, vectors, basis) == [
+            reference_mat_vec(rows, v, basis) for v in vectors
+        ]
+
+
+@given(coefficients(square=True))
+@settings(deadline=None, max_examples=15)
+def test_sigma_orthogonal_matches_scalar_arithmetic(data):
+    for basis, matrix, vectors in over_product_bases(data):
+        form = PresympForm.from_rows(basis, matrix)
+        F = Subspace.from_vectors(basis, form.dim, vectors)
+        constraints = [reference_mat_vec(form.matrix, f, basis) for f in F.rows]
+        null = linalg.kernel(constraints, basis, form.dim)
+        assert sigma_orthogonal(form, F) == Subspace.from_vectors(basis, form.dim, null)
+
+
+@given(coefficients(square=True))
+@settings(deadline=None, max_examples=15)
+def test_restrict_matches_scalar_arithmetic(data):
+    for basis, matrix, vectors in over_product_bases(data):
+        form = PresympForm.from_rows(basis, matrix)
+        gram = [[reference_mat_vec([u], reference_mat_vec(form.matrix, v, basis), basis)[0]
+                 for v in vectors] for u in vectors]
+        assert form.restrict(vectors) == PresympForm.from_rows(basis, gram)

@@ -27,7 +27,7 @@ from momentlab.models import (
 )
 from momentlab.presymlin import PresympForm, Subspace
 
-from conftest import random_fraction
+from conftest import form_pairing, random_fraction
 
 
 def segment_slice(basis):
@@ -189,8 +189,8 @@ def test_hessian_is_second_order_part(sqrt2_basis):
         for j, w in enumerate(mod.weights):
             pairing = mod.weight_pairing(j, xi)
             xie.extend([-pairing * Fraction(e[2 * j + 1]), pairing * Fraction(e[2 * j])])
-        cross = form.pairing(
-            linalg.as_vector(sqrt2_basis, xie), linalg.as_vector(sqrt2_basis, v)
+        cross = form_pairing(
+            form, linalg.as_vector(sqrt2_basis, xie), linalg.as_vector(sqrt2_basis, v)
         )
         lhs = (
             moment_component(mod, xi, pev)
@@ -220,8 +220,8 @@ def test_moment_component_is_half_form_pairing(sqrt2_basis):
             xie.extend(
                 [-pairing * Fraction(e[2 * j + 1]), pairing * Fraction(e[2 * j])]
             )
-        half_pairing = form.pairing(
-            linalg.as_vector(sqrt2_basis, xie), linalg.as_vector(sqrt2_basis, e)
+        half_pairing = form_pairing(
+            form, linalg.as_vector(sqrt2_basis, xie), linalg.as_vector(sqrt2_basis, e)
         ).scale(Fraction(1, 2))
         assert moment_component(mod, xi, point) == half_pairing
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from momentlab.scalars import (
     BasisMismatchError,
     ConstantBasis,
+    ScalarError,
     SignUndecidableError,
     UnsupportedScalarOperation,
     is_rational_direction,
@@ -118,6 +119,12 @@ def test_parse_rejects_garbage(sqrt2_basis):
     for text in ["", "1 +", "sqrt3", "1**2"]:
         with pytest.raises(Exception):
             parse_scalar(text, sqrt2_basis)
+
+
+def test_parse_rejects_booleans_and_inexact_floats(sqrt2_basis):
+    for value in [True, False, 0.1, float("nan")]:
+        with pytest.raises(ScalarError):
+            parse_scalar(value, sqrt2_basis)
 
 
 @given(a=fractions, b=fractions, c=fractions, d=fractions, e=fractions, f=fractions)
