@@ -19,6 +19,14 @@ def fmt_float(v: float) -> str:
     return "0" if out == "-0" else out
 
 
+def _format_rows(points: np.ndarray) -> list[str]:
+    """Each row of a 2-D array as its entries printed by fmt_float, comma
+    separated.  Adding 0.0 turns -0.0 into 0.0, the one value fmt_float
+    rewrites."""
+    template = ",".join(["%.12g"] * points.shape[1])
+    return [template % tuple(row) for row in (points + 0.0).tolist()]
+
+
 def fmt_vector(v: Vector) -> str:
     return "(" + ", ".join(str(e) for e in v) + ")"
 
@@ -58,10 +66,7 @@ def emit_csv(points: np.ndarray, path: Path) -> None:
     points = np.atleast_2d(points)
     names = ["x", "y", "z"] + [f"c{i}" for i in range(3, points.shape[1])]
     header = ",".join(names[: points.shape[1]])
-    rows = [header]
-    for p in points:
-        rows.append(",".join(fmt_float(v) for v in p))
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join([header] + _format_rows(points)) + "\n")
 
 
 def emit_svg(points: np.ndarray, path: Path, size: int = 480) -> None:
@@ -78,7 +83,7 @@ def emit_svg(points: np.ndarray, path: Path, size: int = 480) -> None:
     def sy(y):
         return size - margin - (y / span) * (size - 2 * margin)
 
-    poly = " ".join(f"{fmt_float(sx(x))},{fmt_float(sy(y))}" for x, y in points)
+    poly = " ".join(_format_rows(np.stack([sx(points[:, 0]), sy(points[:, 1])], axis=1)))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',

@@ -5,7 +5,13 @@ Everything here is floating point; the exact engine owns the polyhedral
 geometry.  Sampling is uniform in the curve parameter (not arclength), which
 is a documented bias that none of the defect metrics are sensitive to at the
 sample sizes used.  Clouds are reproducible from (spec, n, seed) and
-independent of any chunking.
+independent of any chunking: curve parameters are drawn in blocks that stop
+at n orthant hits, from one generator stream.
+
+Deformation scans compare clouds by an exact pruned Hausdorff distance: coarse
+upper bounds rule out the points that cannot attain it, and every distance
+that is computed is computed as the dense search would, so the result is the
+dense one bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +24,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 RADIAL_TOL = 1e-6
+# largest block of parameters sample_image draws and evaluates at once
+_MAX_BLOCK = 1 << 20
+# _hausdorff bounds each query's nearest distance by every _COARSE_STRIDE-th
+# reference point and takes its lower bound from the _TOP largest bounds
+_COARSE_STRIDE = 16
+_TOP = 32
 
 # Finite curve parameters can still overflow double precision.  The functions
 # below return inf or nan then, without a numpy warning; callers check the
@@ -203,7 +215,9 @@ def sample_image(spec: CurveSpec, n: int, seed: int) -> PointCloud:
 
     Affine pieces use an inclusive grid over the exact feasible interval so
     the endpoints are hit; periodic and graph curves draw up to 100 n
-    parameters and keep the first n orthant hits.
+    parameters and keep the first n orthant hits.  The draws come in blocks
+    of at most _MAX_BLOCK that stop at n hits; the generator yields the same
+    stream block by block as in one call, so the cloud is that of one call.
     """
     if n < 1:
         raise SamplerError("n must be at least 1")
@@ -217,10 +231,20 @@ def sample_image(spec: CurveSpec, n: int, seed: int) -> PointCloud:
             raise SamplerError("curve misses the orthant")
         return PointCloud(pts, t, seed)
     rng = np.random.default_rng(seed)
-    t = rng.uniform(lo, hi, 100 * n)
-    pts = evaluate(spec, t)
-    keep = np.all(pts >= 0.0, axis=1)
-    t, pts = t[keep][:n], pts[keep][:n]
+    budget, drawn, hits, size = 100 * n, 0, 0, n
+    kept_t, kept_pts = [], []
+    while hits < n and drawn < budget:
+        size = min(size, _MAX_BLOCK, budget - drawn)
+        t = rng.uniform(lo, hi, size)
+        pts = evaluate(spec, t)
+        keep = np.all(pts >= 0.0, axis=1)
+        kept_t.append(t[keep])
+        kept_pts.append(pts[keep])
+        hits += len(kept_t[-1])
+        drawn += size
+        # size the next block from the hit rate so far, with a quarter to spare
+        size = 2 * size if hits == 0 else 5 * (n - hits) * drawn // (4 * hits) + 1
+    t, pts = np.concatenate(kept_t)[:n], np.concatenate(kept_pts)[:n]
     if len(pts) == 0:
         raise SamplerError("curve misses the orthant")
     order = np.argsort(t, kind="stable")
@@ -325,13 +349,18 @@ def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
 
 
 @_overflow_quiet
-def _min_dist_chunked(pts: np.ndarray, ref: np.ndarray, chunk: int = 512) -> np.ndarray:
+def _min_sq_dist_chunked(pts: np.ndarray, ref: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """Squared distance from each point to its nearest reference point."""
     out = np.empty(len(pts))
     for i in range(0, len(pts), chunk):
         block = pts[i : i + chunk]
         d2 = ((block[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        out[i : i + chunk] = np.sqrt(d2.min(axis=1))
+        out[i : i + chunk] = d2.min(axis=1)
     return out
+
+
+def _min_dist_chunked(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    return np.sqrt(_min_sq_dist_chunked(pts, ref))
 
 
 @_overflow_quiet
@@ -375,12 +404,30 @@ class DeformationReport:
         return any(not p.translate_equivalent for p in self.pairs)
 
 
+def _directed_sq(A: np.ndarray, B: np.ndarray) -> float:
+    """max over a in A of the squared distance to the nearest b in B, for
+    finite clouds (Taha & Hanbury, IEEE TPAMI 2015).  The distance to every
+    _COARSE_STRIDE-th point of B bounds each a's minimum from above.  The
+    exact minima of the _TOP points with the largest bounds give a lower
+    bound on the answer that is attained; only the points whose upper bound
+    exceeds it can beat it, so only theirs are computed too."""
+    upper = _min_sq_dist_chunked(A, B[::_COARSE_STRIDE])
+    order = np.argsort(-upper)
+    top, rest = order[:_TOP], order[_TOP:]
+    best = float(_min_sq_dist_chunked(A[top], B).max())
+    rest = rest[upper[rest] > best]
+    return float(_min_sq_dist_chunked(A[rest], B).max(initial=best))
+
+
 @_overflow_quiet
 def _hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    # np.maximum keeps a nan from either side, which the builtin max can drop
-    return float(
-        np.maximum(_min_dist_chunked(A, B).max(), _min_dist_chunked(B, A).max())
-    )
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        # np.maximum keeps a nan from either side, which the builtin max can drop
+        return float(
+            np.maximum(_min_dist_chunked(A, B).max(), _min_dist_chunked(B, A).max())
+        )
+    # sqrt is monotone, so one root of the larger squared distance is exact
+    return float(np.sqrt(max(_directed_sq(A, B), _directed_sq(B, A))))
 
 
 @_overflow_quiet

@@ -520,7 +520,11 @@ class _SurdRing:
         """A row of scalars as pairs, scaled by the positive integer that
         clears its denominators, and that integer as an element of Z[s]."""
         m = self.m
-        flat, lcm = _clear_denominators([x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)])
+        if m == 1:  # an integer square, as for sqrt2: s is c itself
+            values = [x for e in row for x in e.coeffs]
+        else:
+            values = [x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)]
+        flat, lcm = _clear_denominators(values)
         return tuple(zip(flat[::2], flat[1::2])), (lcm, 0)
 
     def sign(self, x: tuple[int, int]) -> int:

@@ -222,3 +222,160 @@ def test_exact_engine_images_have_no_defect():
         cloud = sample_image(spec, 10000, seed=31)
         defect = convexity_defect(cloud, distance_to_image(spec))
         assert defect < 1e-6
+
+
+# -- block draws ---------------------------------------------------------------------
+
+
+def one_shot_sample(spec, n, seed):
+    """sample_image's periodic and graph path as one draw of all 100 n
+    parameters."""
+    lo, hi = sampler._param_domain(spec)
+    t = np.random.default_rng(seed).uniform(lo, hi, 100 * n)
+    pts = sampler.evaluate(spec, t)
+    keep = np.all(pts >= 0.0, axis=1)
+    t, pts = t[keep][:n], pts[keep][:n]
+    if len(pts) == 0:
+        raise SamplerError("curve misses the orthant")
+    order = np.argsort(t, kind="stable")
+    return pts[order], t[order]
+
+
+# a circle that enters the orthant only near the origin: a few draws in 10**5 hit
+BARELY = circle_spec([-1.0, -1.0], 1.4143)
+
+BLOCK_DRAWS = {
+    "circle": (crossing_circle(), 10000, 7),
+    "circle-n1": (crossing_circle(), 1, 7),
+    "ellipse": (ellipse_spec([1.0, 1.0], 1.2, 0.9), 2000, 6),
+    "ellipse-tilted": (ellipse_spec([0.2, 0.1], 1.0, 0.3, 0.7), 3000, 4),
+    "trig": (trig_graph_spec((0.0, 6.0), offset=1.5, amplitude=1.0), 2000, 10),
+    "trig-n1": (trig_graph_spec((0.0, 6.0), offset=0.2, amplitude=1.0), 1, 3),
+    "barely": (BARELY, 2000, 5),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_DRAWS.values(), ids=BLOCK_DRAWS.keys())
+def test_block_draws_match_one_shot(case):
+    spec, n, seed = case
+    points, params = one_shot_sample(spec, n, seed)
+    cloud = sample_image(spec, n, seed)
+    assert np.array_equal(cloud.points, points)
+    assert np.array_equal(cloud.params, params)
+
+
+def test_block_draws_stop_at_the_draw_cap():
+    points, _ = one_shot_sample(BARELY, 2000, 5)
+    assert 0 < len(points) < 2000
+    assert sample_image(BARELY, 2000, 5).count == len(points)
+    # 100 draws are too few to reach this arc at all
+    for sample in (one_shot_sample, sample_image):
+        with pytest.raises(SamplerError, match="misses the orthant"):
+            sample(BARELY, 1, 5)
+
+
+def test_sample_image_memory_does_not_grow_with_the_draw_cap():
+    import tracemalloc
+
+    sample_image(crossing_circle(), 10, seed=1)
+    tracemalloc.start()
+    try:
+        sample_image(crossing_circle(), 20000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2,000,000 parameters of a single draw alone take 16 MB
+    assert peak < 16e6
+
+
+# -- pruned Hausdorff distance -------------------------------------------------------
+
+
+def dense_hausdorff(A, B):
+    return np.maximum(
+        sampler._min_dist_chunked(A, B).max(), sampler._min_dist_chunked(B, A).max()
+    )
+
+
+def shifted_pair(first, second, sizes, seed):
+    A = sample_image(first, sizes[0], seed).points
+    B = sample_image(second, sizes[1], seed + 1).points
+    return A + (B.mean(axis=0) - A.mean(axis=0)), B
+
+
+def plane_family(rng):
+    return [
+        crossing_circle(),
+        ellipse_spec([1.0, 1.0], 1.2, rng.uniform(0.5, 1.5)),
+        ellipse_spec([1.0, 1.0], rng.uniform(0.8, 1.3), 0.9, rng.uniform(0.0, 3.0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2000, 2000), (2000, 2000), (300, 1700), (1500, 70), (20, 900), (64, 64)]
+)
+def test_pruned_hausdorff_equals_dense(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    for seed in range(2):
+        family = plane_family(rng)
+        i, j = rng.choice(len(family), 2, replace=False)
+        A, B = shifted_pair(family[i], family[j], sizes, seed)
+        assert sampler._hausdorff(A, B) == dense_hausdorff(A, B)
+
+
+def test_pruned_hausdorff_of_identical_clouds_is_zero():
+    A = sample_image(crossing_circle(), 2000, seed=6).points
+    assert sampler._hausdorff(A, A.copy()) == dense_hausdorff(A, A) == 0.0
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (5, 15), (15, 3), (1, 200), (200, 1)])
+def test_pruned_hausdorff_short_clouds(sizes):
+    A, B = shifted_pair(crossing_circle(), ellipse_spec([1.0, 1.0], 1.2, 0.9), sizes, 2)
+    assert sampler._hausdorff(A, B) == dense_hausdorff(A, B)
+
+
+def test_pruned_hausdorff_when_the_coarse_bounds_are_exact():
+    # every point of B repeated once per stride: the coarse points are all of
+    # B, so each bound is the exact minimum and none exceeds the lower bound
+    P = sample_image(ellipse_spec([1.0, 1.0], 1.2, 0.9), 300, seed=4).points
+    B = np.repeat(P, sampler._COARSE_STRIDE, axis=0)
+    A = sample_image(crossing_circle(), 500, seed=4).points
+    assert sampler._directed_sq(A, B) == sampler._min_sq_dist_chunked(A, B).max()
+    assert sampler._hausdorff(A, B) == dense_hausdorff(A, B)
+
+
+def test_pruned_hausdorff_when_the_largest_bounds_mislead():
+    # B is a grid on the x axis.  Many points of A lie between coarse points,
+    # at squared distance 8 from B but with bounds near 72; the farthest
+    # point, at squared distance 9 above a coarse point, has the exact bound 9
+    stride = sampler._COARSE_STRIDE
+    B = np.stack([np.arange(100.0 * stride), np.zeros(100 * stride)], axis=1)
+    between = np.stack([stride * np.arange(100.0) + stride / 2, np.full(100, 8**0.5)], axis=1)
+    A = np.concatenate([between, [[0.0, 3.0]]])
+    dense = sampler._min_sq_dist_chunked(A, B).max()
+    assert sampler._directed_sq(A, B) == dense == 9.0
+    assert sampler._hausdorff(A, B) == dense_hausdorff(A, B)
+
+
+def test_pruned_hausdorff_three_dimensional_affine_family():
+    base = affine_spec([1.0, 0.5, 0.2], [1.0, -0.25, 0.1], param_range=(0.0, 1.0))
+    family = [
+        base,
+        affine_spec([1.5, 0.75, 0.3], [1.0, -0.25, 0.1], param_range=(0.0, 1.0)),
+        affine_spec([1.0, 0.5, 0.2], [0.9, -0.3, 0.4], param_range=(0.0, 1.5)),
+    ]
+    for other, sizes in zip(family, [(2000, 2000), (1500, 400), (700, 2000)]):
+        A, B = shifted_pair(base, other, sizes, 9)
+        assert sampler._hausdorff(A, B) == dense_hausdorff(A, B)
+
+
+def test_pruned_hausdorff_keeps_non_finite_results():
+    A, B = shifted_pair(crossing_circle(), ellipse_spec([1.0, 1.0], 1.2, 0.9), (500, 500), 3)
+    with_nan = A.copy()
+    with_nan[17, 1] = NAN
+    assert np.isnan(sampler._hausdorff(with_nan, B))
+    assert np.isnan(sampler._hausdorff(B, with_nan))
+    with_inf, other_inf = A.copy(), B.copy()
+    with_inf[3, 0] = other_inf[40, 0] = INF
+    assert np.isnan(sampler._hausdorff(with_inf, other_inf))
+    assert sampler._hausdorff(with_inf, B) == dense_hausdorff(with_inf, B) == INF
