@@ -7,7 +7,8 @@ multiplier for the matrix and one per vector, and divide each image back
 once.  On the scalars, reduction divides by pivots, so matrices with
 irrational entries are reducible exactly when the constant basis declares
 the needed products.  Kernels, solves and basis extensions are each one
-reduction.
+reduction; ranks and basis extensions read only its pivot columns, so their
+rows are never divided back into scalars.
 """
 
 from __future__ import annotations
@@ -128,8 +129,17 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, list[int]]:
     return [D.div(row, last) for row in reduced], pivots
 
 
+def _pivots(rows: Sequence[Vector]) -> list[int]:
+    """The pivot columns of rref(rows), from the elimination alone: no row is
+    divided back into scalars."""
+    if not rows or not rows[0]:
+        return []
+    D = _domain(rows[0][0].basis, rows)
+    return _eliminate(list(map(D.conv, rows)), D.nonzero, D.step, D.one)[1]
+
+
 def rank(rows: Sequence[Vector]) -> int:
-    return len(rref(rows)[0])
+    return len(_pivots(rows))
 
 
 def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> Matrix:
@@ -179,5 +189,4 @@ def extend_basis(rows: Sequence[Vector], candidates: Sequence[Vector]) -> list[V
     len(rows), when [rows | candidates] (as columns) is reduced.
     """
     k = len(rows)
-    _, pivots = rref(list(zip(*rows, *candidates)))
-    return [candidates[p - k] for p in pivots if p >= k]
+    return [candidates[p - k] for p in _pivots(list(zip(*rows, *candidates))) if p >= k]

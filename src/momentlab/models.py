@@ -447,20 +447,28 @@ def build_affine_slice(
         if not _coordinate_positive_somewhere(P, j):
             raise SliceValidationError("slice misses moment image")
     # every nonempty orthant face of the pointed polytope contains one of
-    # its vertices, so face emptiness is read off the vertex zero patterns
-    for T in _subsets(range(d)):
-        if not T:
-            continue
-        if not any(
-            all(v[j].is_zero() for j in T) for v in P.vrep.vertices
-        ):
-            continue
-        tangent = [linalg.unit(basis, d, j) for j in range(d) if j not in T]
-        if linalg.rank(list(W.rows) + tangent) != d:
-            raise SliceValidationError(
-                f"slice is not transverse to the orthant face with zeros {sorted(T)}"
-            )
+    # its vertices, so the faces met are those with zeros T inside a vertex
+    # zero set.  W + span{e_j : j not in T} = R^d iff W's columns T have
+    # rank |T|, and columns of full rank keep it on every subset: one check
+    # per distinct vertex zero set covers every face met.
+    zero_sets = {
+        tuple(j for j in range(d) if v[j].is_zero()) for v in P.vrep.vertices
+    }
+    if not all(_transverse(W, Z) for Z in zero_sets):
+        # name the first failing face in subset order
+        for T in _subsets(range(d)):
+            if T and any(set(T) <= set(Z) for Z in zero_sets) and not _transverse(W, T):
+                raise SliceValidationError(
+                    f"slice is not transverse to the orthant face with zeros {sorted(T)}"
+                )
+        raise AssertionError("transversality failed on no face")
     return AffineSlice(module, lam_v, W, ideal, P)
+
+
+def _transverse(W: Subspace, T: Sequence[int]) -> bool:
+    """Whether W + span{e_j : j not in T} is everything: W's columns T have
+    rank |T|."""
+    return linalg.rank([tuple(w[j] for j in T) for w in W.rows]) == len(T)
 
 
 def _subsets(items) -> list[tuple]:
@@ -547,12 +555,14 @@ def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:
         )
         if not realized:
             continue
-        mu = linalg.zeros(basis, d)
-        for v in fv:
-            mu = linalg.vec_add(mu, v)
-        mu = linalg.vec_scale(mu, Fraction(1, len(fv)))
-        for r in fr:
-            mu = linalg.vec_add(mu, r)
+        # the barycenter of the face vertices plus the sum of its rays,
+        # summed on coefficient tuples: one scalar per coordinate
+        mu = []
+        for j in range(d):
+            coeffs = [Fraction(sum(c), len(fv)) for c in zip(*(v[j].coeffs for v in fv))]
+            for r in fr:
+                coeffs = [a + b for a, b in zip(coeffs, r[j].coeffs)]
+            mu.append(ExtScalar(basis, tuple(coeffs)))
         rep = ModelPoint(support=tuple(S), mu=tuple(mu), coordinates=None)
         out.append(
             SupportStratum(tuple(S), tuple(fv), tuple(fr), rep, basis, d)

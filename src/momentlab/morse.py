@@ -219,10 +219,7 @@ def full_critical_set(
     hull = polyhedra.from_generators(basis, P.dim, [s.image for s in out])
     counts = []
     for v in P.vrep.vertices:
-        n = sum(
-            1 for s in out if all((a - b).is_zero() for a, b in zip(s.image, v))
-        )
-        counts.append((v, n))
+        counts.append((v, sum(1 for s in out if s.image == v)))
     check = VertexCheck(
         hull_equals_polytope=polyhedra.poly_equal(hull, P),
         vertex_fibre_counts=tuple(counts),

@@ -9,9 +9,11 @@ ExtScalars otherwise, whose signs come from ExtScalar.sign().  The signs
 around the loop are decided in the same domain: vertices are divided out of
 the homogenized rays, facets are reduced modulo the equalities and
 deduplicated as canonical rays, and containment (contains, poly_equal)
-evaluates every constraint row at every homogenized generator.  Sizes are
-capped at desk scale, where the double description method is entirely
-adequate.
+evaluates every constraint row at every homogenized generator.
+from_generators keeps the input generators that are extreme by incidence
+against the facets of one dual pass, with ranks read off elimination pivots.
+Sizes are capped at desk scale, where the double description method is
+entirely adequate.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .scalars import (
     ScalarError,
     _Domain,
     _domain,
+    _eliminate,
     parse_scalar,
 )
 
@@ -320,7 +323,20 @@ def from_generators(
     rays: Sequence[Sequence] = (),
     lines: Sequence[Sequence] = (),
 ) -> Polyhedron:
-    """Polyhedron conv(vertices) + cone(rays) + span(lines)."""
+    """Polyhedron conv(vertices) + cone(rays) + span(lines).
+
+    One dual double description gives the H-representation.  The cached
+    generators are the extreme ones among the inputs, read off by incidence
+    against it (Fukuda-Prodon 1996): a vertex is extreme iff the facet normals
+    tight at it, together with the equality normals, have rank dim, and a ray
+    iff they have rank dim - 1.  Rays come divided by the absolute value of
+    their first nonzero entry, deduplicated and sorted, exactly as
+    intersect_halfspaces returns them.  When no vertex is extreme, the normals
+    do not span R^dim and P has lines (given, or from opposite rays).  Then P
+    has no extreme points, and its V-representation is the double
+    description's own set of representatives: only this case takes a second
+    pass, through intersect_halfspaces.
+    """
     if not vertices:
         return Polyhedron(basis, dim, (), (), VRep((), (), ()))
     vrep = VRep(
@@ -329,12 +345,60 @@ def from_generators(
         tuple(sorted((linalg.as_vector(basis, l) for l in lines), key=_sort_key)),
     )
     poly = _from_vrep_with_cache(basis, dim, vrep)
-    # re-enumerate so cached generators are irredundant (inputs may not be)
-    return intersect_halfspaces(
-        basis,
-        dim,
-        [(h.normal, h.offset) for h in poly.halfspaces],
-        [(h.normal, h.offset) for h in poly.equalities],
+    # the H-rep stays within the limits intersect_halfspaces accepts
+    _check_scale(dim + 1, 2 * len(poly.equalities) + len(poly.halfspaces) + 1)
+    extreme = _extreme_generators(poly)
+    if extreme is None:
+        return intersect_halfspaces(
+            basis,
+            dim,
+            [(h.normal, h.offset) for h in poly.halfspaces],
+            [(h.normal, h.offset) for h in poly.equalities],
+        )
+    return Polyhedron(basis, dim, poly.halfspaces, poly.equalities, extreme)
+
+
+def _extreme_generators(P: Polyhedron) -> VRep | None:
+    """The extreme vertices and rays among P's cached generators, or None when
+    none of the vertices is extreme, that is when P has lines.
+
+    P's rows (normal, -offset) and the homogenized generators (v, 1) and
+    (r, 0) go into one domain, chosen from all of them, as in
+    _generators_inside; a row is tight at a generator iff their dot product
+    vanishes there, and ranks are read off the pivots of one elimination of
+    the tight normals.  Equalities hold at every generator.
+    """
+    basis, dim = P.scalar_basis, P.dim
+    one, zero = basis.one(), basis.zero()
+    eqs = [tuple(h.normal) + (-h.offset,) for h in P.equalities]
+    hss = [tuple(h.normal) + (-h.offset,) for h in P.halfspaces]
+    points = [tuple(v) + (one,) for v in P.vrep.vertices]
+    rays = [tuple(r) + (zero,) for r in P.vrep.rays]
+    D = _domain(basis, eqs + hss + points + rays)
+    conv, dot, nonzero = D.conv, D.dot, D.nonzero
+    eq_normals = [conv(a)[:dim] for a in eqs]
+    hss = [conv(a) for a in hss]
+
+    def tight_rank(g) -> int:
+        normals = eq_normals + [a[:dim] for a in hss if not nonzero(dot(a, g))]
+        return len(_eliminate(normals, nonzero, D.step, D.one)[1])
+
+    vertices = {
+        _sort_key(v): v
+        for v, g in zip(P.vrep.vertices, map(conv, points))
+        if tight_rank(g) == dim
+    }
+    if not vertices:
+        return None
+    extreme_rays = {}
+    for g in map(conv, rays):
+        if tight_rank(g) == dim - 1:
+            r = _to_scalars(D, g[:dim], True)
+            extreme_rays[_sort_key(r)] = r
+    return VRep(
+        tuple(vertices[k] for k in sorted(vertices)),
+        tuple(extreme_rays[k] for k in sorted(extreme_rays)),
+        (),
     )
 
 

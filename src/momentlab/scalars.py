@@ -172,14 +172,15 @@ def _canon(coeffs: Iterable[RationalLike], size: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class ExtScalar:
-    """Immutable exact number sum(coeffs[i] * constant[i])."""
+    """Immutable exact number sum(coeffs[i] * constant[i]).
+
+    The constructor trusts `coeffs` to match the basis, as every scalar the
+    package builds does; ConstantBasis.scalar checks coefficients from
+    outside.
+    """
 
     basis: ConstantBasis
     coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.basis.size:
-            raise ScalarError("coefficient count does not match basis")
 
     # -- predicates --------------------------------------------------------
 

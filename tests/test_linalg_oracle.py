@@ -187,6 +187,42 @@ def test_extend_basis_matches_greedy_choice(data):
     assert sympy_rank(rows + chosen, square) == m
 
 
+def sympy_greedy_extension(rows, candidates, square):
+    """Each candidate that raises the sympy rank of the rows and the
+    candidates kept before it."""
+    chosen = []
+    for v in candidates:
+        if sympy_rank(rows + chosen + [v], square) > sympy_rank(rows + chosen, square):
+            chosen.append(v)
+    return chosen
+
+
+@given(vector_lists(2))
+@settings(deadline=None, max_examples=60)
+def test_pivot_only_rank_and_extension_match_sympy(data):
+    # either list may be empty
+    basis, square, m, (rows, candidates) = data
+    assert linalg.rank(rows) == sympy_rank(rows, square)
+    assert linalg.rank(rows + candidates) == sympy_rank(rows + candidates, square)
+    chosen = linalg.extend_basis(rows, candidates)
+    assert chosen == sympy_greedy_extension(rows, candidates, square)
+    assert chosen == greedy_extension(basis, m, rows, candidates)
+
+
+@pytest.mark.parametrize("square", (None,) + SQUARES)
+def test_pivot_only_paths_on_empty_inputs(square):
+    basis = basis_for(square)
+    v, zero = (basis.one(), basis.zero()), linalg.zeros(basis, 2)
+    assert linalg.rank([]) == 0
+    assert linalg.rank([(), ()]) == 0
+    assert linalg.rank([zero]) == 0
+    assert linalg.extend_basis([], []) == []
+    assert linalg.extend_basis([v], []) == []
+    assert linalg.extend_basis([], [v]) == [v]
+    assert linalg.extend_basis([], [zero, v, v]) == [v]
+    assert linalg.extend_basis([v], [v, zero]) == []
+
+
 @given(vector_lists(2))
 @settings(deadline=None, max_examples=60)
 def test_solve_several_targets_matches_sympy(data):

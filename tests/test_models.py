@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -73,6 +74,62 @@ def test_build_affine_slice_non_transverse(sqrt2_basis):
             sqrt2_basis, 3, [0, 1, 1],
             direction_vectors=[[1, 0, 0], [0, 1, 1]],
         )
+
+
+def test_transversality_failure_names_the_smallest_face(rat_basis):
+    # a segment from (0, 0, 0, 2) to (4/5, 2/5, 4/5, 0): the vertex zero set
+    # {0, 1, 2} fails, and so does its proper subset {0, 1}, which comes
+    # first in subset order
+    with pytest.raises(SliceValidationError) as err:
+        build_affine_slice(rat_basis, 4, [0, 0, 0, 2], direction_vectors=[[-2, -1, -2, 5]])
+    assert str(err.value) == "slice is not transverse to the orthant face with zeros [0, 1]"
+
+
+def brute_force_slice_verdict(basis, d, lam, vecs):
+    """None when the slice is valid, else the validator's message, from a
+    full-width rank test on every orthant face the polytope meets, in subset
+    order."""
+    W = Subspace.from_vectors(basis, d, vecs)
+    lam_v = linalg.as_vector(basis, lam)
+    P = models.AffineSlice(standard_module(basis, d), lam_v, W, W.annihilator()).moment_polytope()
+    if P.is_empty or not all(
+        any(v[j].sign() > 0 for v in P.vrep.vertices + P.vrep.rays_with_lines)
+        for j in range(d)
+    ):
+        return "slice misses moment image"
+    for r in range(1, d + 1):
+        for T in itertools.combinations(range(d), r):
+            if not any(all(v[j].is_zero() for j in T) for v in P.vrep.vertices):
+                continue
+            tangent = [linalg.unit(basis, d, j) for j in range(d) if j not in T]
+            if linalg.rank(list(W.rows) + tangent) != d:
+                return f"slice is not transverse to the orthant face with zeros {list(T)}"
+    return None
+
+
+def test_transversality_matches_brute_force_scan(sqrt2_basis):
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(150):
+        d = rng.randint(2, 5)
+        vecs = []
+        for _ in range(rng.randint(1, d - 1)):
+            row = [rng.randint(-2, 2) for _ in range(d)]
+            if rng.random() < 0.3:
+                row[rng.randrange(d)] = sqrt2_basis.constant("sqrt2")
+            vecs.append(row)
+        lam = [rng.choice([0, 0, 1, 2]) for _ in range(d)]
+        try:
+            build_affine_slice(sqrt2_basis, d, lam, direction_vectors=vecs)
+            got = None
+        except SliceValidationError as e:
+            got = str(e)
+        assert got == brute_force_slice_verdict(sqrt2_basis, d, lam, vecs)
+        outcomes.add(got if got is None else got.split(" with")[0])
+    # the draws reach every outcome
+    assert outcomes == {
+        None, "slice misses moment image", "slice is not transverse to the orthant face"
+    }
 
 
 # -- null ideals -------------------------------------------------------------------

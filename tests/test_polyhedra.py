@@ -153,6 +153,80 @@ def test_h_v_round_trip_random(sqrt2_basis):
         assert Q.halfspaces == P.halfspaces and Q.equalities == P.equalities
 
 
+ORACLE_BASES = {
+    "q": ConstantBasis.rationals(),
+    "sqrt2": ConstantBasis.with_sqrt("sqrt2", 2),
+    "negative_root": ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2),
+}
+
+
+def redundant_generators(rng, basis, dim, kind):
+    """Vertices with a duplicate and a midpoint; for kind 1..4 rays with an
+    unnormalized duplicate and a redundant sum, plus opposite rays (2), an
+    explicit line (3) or a zero ray (4)."""
+
+    def scalar():
+        if basis.size > 1 and rng.random() < 0.3:
+            return basis.scalar([random_fraction(rng, 3), random_fraction(rng, 2)])
+        return basis.from_rational(random_fraction(rng, 3))
+
+    def vec():
+        return [scalar() for _ in range(dim)]
+
+    V = [vec() for _ in range(rng.randint(1, dim + 3))]
+    V.append(list(rng.choice(V)))
+    a, b = rng.choice(V), rng.choice(V)
+    V.append([(x + y).scale(Fraction(1, 2)) for x, y in zip(a, b)])
+    R, L = [], []
+    if kind:
+        R = [vec() for _ in range(rng.randint(1, 2))]
+        R.append([e.scale(rng.randint(2, 3)) for e in R[0]])
+        R.append([x + y for x, y in zip(R[0], R[-1])])
+    if kind == 2:
+        R.append([-e for e in R[0]])
+    if kind == 3:
+        L = [vec()]
+    if kind == 4:
+        R.append([basis.zero()] * dim)
+    return V, R, L
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_from_generators_matches_reenumeration(name, dim):
+    """The generators kept by incidence are exactly those a second
+    double-description pass over the H-representation enumerates."""
+    basis = ORACLE_BASES[name]
+    rng = random.Random(1000 * dim + len(name))
+    for case in range(10):
+        V, R, L = redundant_generators(rng, basis, dim, case % 5)
+        P = from_generators(basis, dim, V, R, L)
+        Q = intersect_halfspaces(
+            basis,
+            dim,
+            [(h.normal, h.offset) for h in P.halfspaces],
+            [(h.normal, h.offset) for h in P.equalities],
+        )
+        assert P.halfspaces == Q.halfspaces and P.equalities == Q.equalities
+        assert P.vrep.vertices == Q.vrep.vertices
+        assert P.vrep.rays == Q.vrep.rays
+        assert P.vrep.lines == Q.vrep.lines
+
+
+def test_from_generators_drops_redundant_generators(rat_basis):
+    # a triangle given with a duplicate vertex, an edge midpoint and an
+    # interior point, plus a doubled ray and a redundant sum of rays
+    P = from_generators(
+        rat_basis, 2,
+        [[0, 0], [2, 0], [0, 2], [0, 0], [1, 0], ["1/2", "1/2"]],
+        [[2, 0], [1, 0], [0, 3], [1, 1]],
+    )
+    as_ints = lambda vs: [tuple(int(e.coeffs[0]) for e in v) for v in vs]
+    assert as_ints(P.vrep.vertices) == [(0, 0)]
+    assert as_ints(P.vrep.rays) == [(0, 1), (1, 0)]
+    assert P.vrep.lines == ()
+
+
 def test_homogenize_examples(sqrt2_basis):
     P = segment(sqrt2_basis)
     cone = homogenize(P)

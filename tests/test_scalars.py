@@ -127,6 +127,14 @@ def test_parse_rejects_booleans_and_inexact_floats(sqrt2_basis):
             parse_scalar(value, sqrt2_basis)
 
 
+def test_scalar_rejects_a_wrong_coefficient_count(sqrt2_basis, rat_basis):
+    for basis, coeffs in [(sqrt2_basis, [1]), (sqrt2_basis, [1, 2, 3]), (rat_basis, [1, 2]),
+                          (rat_basis, [])]:
+        with pytest.raises(ScalarError, match="coefficients"):
+            basis.scalar(coeffs)
+    assert sqrt2_basis.scalar([1, 2]).coeffs == (1, 2)
+
+
 @given(a=fractions, b=fractions, c=fractions, d=fractions, e=fractions, f=fractions)
 @settings(deadline=None, max_examples=100)
 def test_add_associative_commutative(a, b, c, d, e, f):
