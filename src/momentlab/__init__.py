@@ -46,14 +46,24 @@ from .models import (
     standard_module,
 )
 from .morse import critical_set, full_critical_set, morse_bott_check, morse_index
-from .sampler import (
-    CurveSpec,
-    PointCloud,
-    contact_cone_sample,
-    convexity_defect,
-    deformation_scan,
-    lift_to_slice,
-    sample_image,
-)
 
 __version__ = "0.1.0"
+
+# the float sampler needs numpy, so its names load it on first use only
+_SAMPLER_NAMES = frozenset({
+    "CurveSpec",
+    "PointCloud",
+    "contact_cone_sample",
+    "convexity_defect",
+    "deformation_scan",
+    "lift_to_slice",
+    "sample_image",
+})
+
+
+def __getattr__(name):
+    if name in _SAMPLER_NAMES:
+        from . import sampler
+
+        return getattr(sampler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,17 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import lattice, linalg, models, morse, polyhedra, reporting, sampler
+from . import lattice, linalg, models, morse, polyhedra, reporting
+from .errors import SamplerError
 from .models import AffineSlice, ModelPoint, WeightedModule
 from .reporting import fmt_float, fmt_polyhedron, fmt_subspace, fmt_vector, yesno
 from .scalars import ConstantBasis, ScalarError
+
+# numpy and the sampler load only with curve parsing and the float sections,
+# so a run of an exact scenario starts without them
+if TYPE_CHECKING:
+    from . import sampler
 
 ANALYSES = ("slice-report", "morse", "quasifold", "contact-cone", "sample", "deform")
 
@@ -221,6 +227,8 @@ def _load_model(sc: Scenario) -> None:
 
 
 def _parse_curve(raw: dict, field_name: str) -> sampler.CurveSpec:
+    from . import sampler
+
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ScenarioError(field_name, 'must be an object with a "kind"')
     kind = raw["kind"]
@@ -432,6 +440,8 @@ def _contact_section(sc: Scenario, lines: list[str], out: Path) -> None:
 def _cone_sample_residual(
     sc: Scenario, P, cone, n: int, t_max: float
 ) -> float:
+    import numpy as np
+
     rng = np.random.default_rng(sc.seed)
     verts = np.array(
         [[e.to_float() for e in v] for v in P.vrep.vertices], dtype=float
@@ -455,14 +465,18 @@ def _cone_sample_residual(
 def _require_finite(value: float, what: str, field_name: str) -> None:
     """Huge curve parameters overflow double precision in the sampler; such a
     run fails naming the curve instead of reporting inf or nan."""
-    if not np.isfinite(value):
-        raise sampler.SamplerError(
+    if not math.isfinite(value):
+        raise SamplerError(
             f"field {field_name!r}: {what} is {value}; the curve parameters "
             "overflow double precision"
         )
 
 
 def _sample_section(sc: Scenario, lines: list[str], out: Path) -> None:
+    import numpy as np
+
+    from . import sampler
+
     curve = sc.curve
     n = sc.raw.get("samples", 10000)
     cloud = sampler.sample_image(curve, n, sc.seed)
@@ -489,6 +503,8 @@ def _sample_section(sc: Scenario, lines: list[str], out: Path) -> None:
 
 
 def _deform_section(sc: Scenario, lines: list[str]) -> None:
+    from . import sampler
+
     n = sc.raw.get("samples", 2000)
     report = sampler.deformation_scan(sc.family, n, sc.seed)
     _section(lines, "deformation",
@@ -538,7 +554,7 @@ def run_scenario(path, out_dir=None, seed=None) -> int:
         reporting.emit_report(lines, out / "report.txt")
         print(f"report written to {out / 'report.txt'}")
         return 0
-    except (ScenarioError, ScalarError, sampler.SamplerError, OSError) as exc:
+    except (ScenarioError, ScalarError, SamplerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal assertion failures

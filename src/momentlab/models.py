@@ -729,7 +729,11 @@ def _identify_line_weights(
 
 def symplectization_slice_dim(model, point: ModelPoint) -> int:
     """Dimension of the symplectic slice of the linear symplectization at the
-    point, computed by enlarging the tangent model and reducing there."""
+    point, computed by enlarging the tangent model and reducing there.
+
+    The slice is D/(D ∩ D^σ) for D the σ-orthogonal of the enlarged orbit
+    tangent; D ∩ D^σ is the radical of σ on D, so its dimension is the rank
+    of σ restricted to D."""
     if isinstance(model, AffineSlice):
         module = model.module
         T = tangent_space(model, point)
@@ -744,8 +748,8 @@ def symplectization_slice_dim(model, point: ModelPoint) -> int:
     orbit_in_T = presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis)
     F = Subspace.from_vectors(basis, T.dim, orbit_in_T)
     big_form, big_F = presymlin.symplectization(restricted, F)
-    reduced = presymlin.natural_quotient(big_form, big_F, "orth")
-    return reduced.quotient_dim
+    D = presymlin.sigma_orthogonal(big_form, big_F)
+    return big_form.restrict(D.rows).rank()
 
 
 # -- local normal-form data --------------------------------------------------------

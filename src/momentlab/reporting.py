@@ -7,11 +7,14 @@ the p/q(+r/s*c) form, so identical results produce identical bytes.
 from __future__ import annotations
 
 from pathlib import Path
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .linalg import Vector
 from .polyhedra import Polyhedron
 from .presymlin import Subspace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def fmt_float(v: float) -> str:
@@ -21,10 +24,13 @@ def fmt_float(v: float) -> str:
 
 def _format_rows(points: np.ndarray) -> list[str]:
     """Each row of a 2-D array as its entries printed by fmt_float, comma
-    separated.  Adding 0.0 turns -0.0 into 0.0, the one value fmt_float
-    rewrites."""
-    template = ",".join(["%.12g"] * points.shape[1])
-    return [template % tuple(row) for row in (points + 0.0).tolist()]
+    separated, formatted by one % over the whole block.  Adding 0.0 turns
+    -0.0 into 0.0, the one value fmt_float rewrites."""
+    rows, cols = points.shape
+    if rows == 0:
+        return []
+    template = "\n".join([",".join(["%.12g"] * cols)] * rows)
+    return (template % tuple((points + 0.0).ravel().tolist())).split("\n")
 
 
 def fmt_vector(v: Vector) -> str:
@@ -63,6 +69,8 @@ def emit_report(lines, path: Path) -> None:
 
 def emit_csv(points: np.ndarray, path: Path) -> None:
     """Rows of coordinates, one point per line, 12 significant digits."""
+    import numpy as np
+
     points = np.atleast_2d(points)
     names = ["x", "y", "z"] + [f"c{i}" for i in range(3, points.shape[1])]
     header = ",".join(names[: points.shape[1]])
@@ -71,6 +79,8 @@ def emit_csv(points: np.ndarray, path: Path) -> None:
 
 def emit_svg(points: np.ndarray, path: Path, size: int = 480) -> None:
     """Polyline through the given 2-D points plus the two orthant axes."""
+    import numpy as np
+
     points = np.atleast_2d(points)
     if points.shape[1] != 2:
         raise ValueError("SVG output needs 2-D points")

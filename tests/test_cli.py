@@ -1,10 +1,14 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import momentlab
 from momentlab.cli import main, run_scenario, validate_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -397,3 +401,59 @@ def test_exact_report_matches_recorded_digest(tmp_path, scenario):
     want = json.loads(EXPECTED.read_text())["scenario_files"][scenario]["report.txt"]
     assert run_scenario(SCENARIOS / f"{scenario}.json", out_dir=tmp_path) == 0
     assert hashlib.sha256((tmp_path / "report.txt").read_bytes()).hexdigest() == want
+
+
+# -- fresh interpreters: exact runs leave numpy unloaded -----------------------------
+
+PACKAGE_ROOT = str(Path(momentlab.__file__).resolve().parent.parent)
+RUN_IN_FRESH_PROCESS = """
+import json, sys
+from momentlab.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps("numpy" in sys.modules))
+sys.exit(code)
+"""
+
+
+def run_fresh(args):
+    """momentlab.cli.main(args) in a new interpreter: (exit code, stderr,
+    whether numpy was imported by the end of the run)."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_IN_FRESH_PROCESS, json.dumps(args)],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc.returncode, proc.stderr, json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("scenario", ["quasifold", "product_counterexample"])
+def test_exact_scenarios_never_import_numpy(tmp_path, scenario):
+    path = str(SCENARIOS / f"{scenario}.json")
+    for args in (["validate", path], ["run", path, "--out", str(tmp_path)]):
+        assert run_fresh(args) == (0, "", False), args
+
+
+def test_float_scenario_imports_numpy(tmp_path):
+    raw = json.loads((SCENARIOS / "circle_nonconvex.json").read_text())
+    raw["samples"] = 100
+    assert run_fresh(["run", str(write(tmp_path, raw)), "--out", str(tmp_path / "out")]) == (
+        0, "", True)
+
+
+@pytest.mark.parametrize(
+    "curve, message",
+    [
+        ({"kind": "circle", "center": [1.0, 1.0], "radius": -1.0},
+         "field 'curve': radius must be positive"),
+        ({"kind": "ellipse", "center": [1.0], "semi_x": 1.2, "semi_y": 0.9},
+         "field 'curve': center must be a length-2 vector of finite numbers"),
+    ],
+)
+def test_bad_curve_exits_2_in_a_fresh_process(tmp_path, curve, message):
+    raw = json.loads((SCENARIOS / "circle_nonconvex.json").read_text())
+    raw["curve"] = curve
+    path = str(write(tmp_path, raw))
+    for args in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+        code, err, _ = run_fresh(args)
+        assert (code, err) == (2, f"error: {message}\n"), args
+

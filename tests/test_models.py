@@ -534,6 +534,51 @@ def test_slices_at_product_points_and_symplectization(sqrt2_basis):
         )
 
 
+def symplectization_quotient_dim(model, x):
+    """symplectization_slice_dim through natural_quotient's reduction: the
+    dimension of the symplectic quotient of the enlarged orbit tangent's
+    sigma-orthogonal, built with representatives and a projection."""
+    if isinstance(model, models.AffineSlice):
+        module, T = model.module, models.tangent_space(model, x)
+    else:
+        module, T = model, Subspace.full(model.scalar_basis, 2 * model.n_coords)
+    basis, t_rows = module.scalar_basis, list(T.rows)
+    restricted = models.adapted_form(module, x).restrict(t_rows)
+    orbit = models.orbit_tangent(module, x)
+    F = Subspace.from_vectors(
+        basis, T.dim, presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis))
+    return presymlin.natural_quotient(*presymlin.symplectization(restricted, F), "orth").quotient_dim
+
+
+PRODUCT_POINTS = {
+    "rational": [[(0, 0), (1, 0), (1, 0)], [(1, 0), (2, 0), (0, 0)], [(1, 0), (0, 0), (0, 0)],
+                 [(0, 0), (0, 0), (0, 0)], [(1, -1), (0, 3), (2, 1)]],
+    "sqrt2": [[("sqrt2", 0), (1, 0), (0, 0)], [(0, "sqrt2"), (0, 0), (1, 1)]],
+}
+
+
+@pytest.mark.parametrize("field", ["rational", "sqrt2"])
+def test_symplectization_slice_dim_matches_natural_quotient(field, rat_basis, sqrt2_basis):
+    basis = rat_basis if field == "rational" else sqrt2_basis
+    pm = product_model(basis)
+    points = PRODUCT_POINTS["rational"] + (PRODUCT_POINTS["sqrt2"] if field == "sqrt2" else [])
+    for coords in points:
+        x = ModelPoint.from_coordinates(basis, coords)
+        assert symplectization_slice_dim(pm, x) == symplectization_quotient_dim(pm, x)
+    rng = random.Random(1207 if field == "rational" else 1208)
+    strata = 0
+    for _ in range(12):
+        s = _random_bounded_slice(rng, basis, rng.randint(2, 4),
+                                  irrational=field == "sqrt2" and rng.random() < 0.5)
+        if s is None:
+            continue
+        for stratum in models.support_strata(s):
+            x = stratum.representative
+            assert symplectization_slice_dim(s, x) == symplectization_quotient_dim(s, x)
+            strata += 1
+    assert strata >= 20
+
+
 def test_slices_at_leafwise_transitive_has_no_null_slice(sqrt2_basis):
     rng = random.Random(99)
     for _ in range(20):

@@ -52,6 +52,10 @@ CLOUDS = {
     "one-dimensional": np.array([-0.0, 1e-20]),
     "three-columns": np.array(EDGE_VALUES[:12]).reshape(-1, 3),
     "four-columns": np.random.default_rng(2).normal(size=(50, 4)) * 1e-7,
+    "one-column": np.array(EDGE_VALUES).reshape(-1, 1),
+    "one-value": np.array([[-0.0]]),
+    "four-columns-non-finite": np.array(EDGE_VALUES + EDGE_VALUES[-2:]).reshape(-1, 4),
+    "one-row-non-finite": np.array([[np.nan, -np.inf, np.inf, -0.0, 7.0]]),
     "integers": np.array([[1, 2], [3, 4]]),
     "no-rows": np.empty((0, 2)),
 }

@@ -379,3 +379,100 @@ def test_pruned_hausdorff_keeps_non_finite_results():
     with_inf[3, 0] = other_inf[40, 0] = INF
     assert np.isnan(sampler._hausdorff(with_inf, other_inf))
     assert sampler._hausdorff(with_inf, B) == dense_hausdorff(with_inf, B) == INF
+
+
+# -- column kernels, bit for bit against the array expressions they replace ---------
+
+
+def reference_min_sq_dist(pts, ref, chunk=512):
+    """_min_sq_dist_chunked as one (block, len(ref), dim) temporary per block."""
+    out = np.empty(len(pts))
+    with np.errstate(all="ignore"):
+        for i in range(0, len(pts), chunk):
+            block = pts[i : i + chunk]
+            out[i : i + chunk] = ((block[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    return out
+
+
+SPECIAL_VALUES = [INF, -INF, NAN, -0.0, 0.0, 1e300, -1e300]
+
+
+def cloud_with_specials(rng, n, dim):
+    pts = rng.normal(size=(n, dim)) * rng.choice([1e-9, 1.0, 1e9], size=(n, dim))
+    k = min(n, len(SPECIAL_VALUES))
+    pts[rng.choice(n, k, replace=False), rng.integers(0, dim, k)] = SPECIAL_VALUES[:k]
+    return pts
+
+
+@pytest.mark.parametrize("queries", [1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_min_sq_dist_matches_three_dimensional_reference(dim, queries):
+    rng = np.random.default_rng(100 * dim + queries)
+    for refs in (1, 7, 2000):
+        for specials in (False, True):
+            make = cloud_with_specials if specials else (lambda g, n, d: g.normal(size=(n, d)))
+            pts, ref = make(rng, queries, dim), make(rng, refs, dim)
+            got = sampler._min_sq_dist_chunked(pts, ref)
+            assert got.tobytes() == reference_min_sq_dist(pts, ref).tobytes(), (refs, specials)
+
+
+def reference_dist_circle(spec, n_dense=20000):
+    """The circle branch of distance_to_image on whole (n, 2) arrays."""
+    dense = sampler.evaluate(spec, np.linspace(*sampler._param_domain(spec), n_dense))
+    dense = dense[np.all(dense >= 0.0, axis=1)]
+    c = np.asarray(spec.params["center"])
+    r = spec.params["radius"]
+    ends = []
+    for axis in (0, 1):
+        disc = r * r - c[axis] ** 2
+        if disc >= 0:
+            for sign in (1.0, -1.0):
+                q = np.zeros(2)
+                q[1 - axis] = c[1 - axis] + sign * np.sqrt(disc)
+                if np.all(q >= -1e-12):
+                    ends.append(q)
+    endpoints = np.array(ends) if ends else dense[:1]
+
+    def dist(pts):
+        with np.errstate(all="ignore"):
+            delta = pts - c
+            norms = np.linalg.norm(delta, axis=1)
+            safe = norms > 1e-15
+            proj = np.where(
+                safe[:, None], c + r * delta / np.where(safe, norms, 1.0)[:, None],
+                c + np.array([r, 0.0]),
+            )
+            radial = np.abs(norms - r)
+            inside = np.all(proj >= -1e-12, axis=1)
+            to_ends = np.linalg.norm(pts[:, None, :] - endpoints[None, :, :], axis=2).min(axis=1)
+            return np.where(inside, np.minimum(radial, to_ends), to_ends)
+
+    return dist, len(ends)
+
+
+CIRCLES = {
+    # id: (circle, number of axis crossings inside the orthant)
+    "four-crossings": (circle_spec([1.0, 1.0], 1.2), 4),
+    "two-crossings": (circle_spec([2.0, 0.5], 1.0), 2),
+    "inside-orthant": (circle_spec([3.0, 3.0], 1.0), 0),
+    "tangent-to-axis": (circle_spec([1.0, 2.0], 1.0), 2),
+}
+
+
+@pytest.mark.parametrize("case", CIRCLES.values(), ids=CIRCLES.keys())
+def test_dist_circle_matches_array_reference(case):
+    spec, crossings = case
+    reference, ends = reference_dist_circle(spec)
+    assert ends == crossings
+    c = np.array(spec.params["center"])
+    rng = np.random.default_rng(crossings)
+    pts = np.concatenate([
+        rng.uniform(-2.0, 6.0, (3000, 2)),
+        # the centre, points around it and points whose radial projection
+        # leaves the orthant
+        [c, c + 1e-16, c - [1e-300, 0.0], [-1.0, -1.0], [-5.0, 0.5], [0.5, -5.0], [0.0, 0.0]],
+        sample_image(spec, 500, seed=1).points,
+        cloud_with_specials(rng, 20, 2),
+    ])
+    got = distance_to_image(spec)(pts)
+    assert got.tobytes() == reference(pts).tobytes()
