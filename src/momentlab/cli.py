@@ -32,7 +32,8 @@ ANALYSES = ("slice-report", "morse", "quasifold", "contact-cone", "sample", "def
 _SQRT_NAME = re.compile(r"^sqrt(\d+)$")
 # desk-scale cap on float samples per analysis
 MAX_SAMPLES = 1_000_000
-_INF = float("inf")
+# the largest finite double; a larger JSON integer cannot be read as a float
+_MAX_FLOAT = sys.float_info.max
 
 
 class ScenarioError(ValueError):
@@ -70,6 +71,8 @@ def _build_basis(raw: dict) -> ConstantBasis:
             value = value.get("value")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioError("constants", f"{name} needs a numeric value")
+        if not _is_positive_number(abs(value)):
+            raise ScenarioError("constants", f"{name} needs a finite nonzero value")
         if square is not None and not _is_positive_number(square):
             raise ScenarioError("constants", f"{name}: square must be a positive number")
         m = _SQRT_NAME.match(name)
@@ -142,7 +145,7 @@ def _is_int(value) -> bool:
 
 
 def _is_positive_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < _INF
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= _MAX_FLOAT
 
 
 def _parse_vector(basis, entries, field_name, length=None):
@@ -384,18 +387,17 @@ def _morse_section(sc: Scenario, lines: list[str]) -> None:
     if sc.slice_ is None:
         raise ScenarioError("analyses", "morse analysis needs an affine slice")
     xi = sc.xi
-    strata = morse.critical_set(sc.slice_, xi)
+    report = morse.morse_bott_check(sc.slice_, xi)
     _section(lines, "morse",
              "critical strata of a moment component with exact even indices")
     lines.append(f"xi: {fmt_vector(xi)}")
-    for s in strata:
+    for s in report.strata:
         pair = ", ".join(f"{j}:{p}" for j, p in s.normal_weights)
         lines.append(
             f"  support {list(s.support)}: dim {s.dimension}, index {s.index}, "
             f"eta {fmt_vector(s.eta)}, normal pairings {{{pair}}}, "
             f"nondegenerate {yesno(s.bott_nondegenerate)}"
         )
-    report = morse.morse_bott_check(sc.slice_, xi)
     lines.append(f"morse-bott: {yesno(report.is_morse_bott)}")
     P = sc.slice_.moment_polytope()
     if polyhedra.is_bounded(P):

@@ -5,18 +5,16 @@ A subspace is rational when it admits an all-rational basis.  The test used
 here never multiplies constants: it compares the dimension of the subspace
 with the rational dimension of the span of all per-constant coefficient
 rows of its basis (the smallest rational subspace containing it).  Those
-coefficient rows are reduced as scalars over the rationals, which linalg
-eliminates over Z.
+coefficient rows are plain rationals, eliminated over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .linalg import Vector
 from .presymlin import Subspace
-from .scalars import ConstantBasis, ExtScalar, UnsupportedScalarOperation
+from .scalars import UnsupportedScalarOperation, _clear_denominators, _eliminate, _z_step
 
 
 @dataclass(frozen=True)
@@ -29,16 +27,21 @@ class QuasiLattice:
     rank: int
 
 
+def _rational_pivots(rows) -> list[int]:
+    """Pivot columns of a matrix of Fractions, eliminated over Z after
+    clearing each row's denominators."""
+    return _eliminate([_clear_denominators(row)[0] for row in rows], bool, _z_step, 1)[1]
+
+
 def is_rational_subspace(n: Subspace) -> bool:
     if n.dim == 0:
         return True
-    q = ConstantBasis.rationals()
     rows = [
-        tuple(ExtScalar(q, (e.coeffs[t],)) for e in b)
+        tuple(e.coeffs[t] for e in b)
         for b in n.rows
         for t in range(n.scalar_basis.size)
     ]
-    return linalg.rank(rows) == n.dim
+    return len(_rational_pivots(rows)) == n.dim
 
 
 def quasilattice(n: Subspace) -> QuasiLattice:
@@ -51,16 +54,11 @@ def quasilattice(n: Subspace) -> QuasiLattice:
     generators = tuple(
         tuple(row[j] for row in functionals.rows) for j in range(d)
     )
-    q = ConstantBasis.rationals()
     coeff_rows = [
-        tuple(
-            ExtScalar(q, (g[i].coeffs[t],))
-            for i in range(m)
-            for t in range(n.scalar_basis.size)
-        )
+        tuple(g[i].coeffs[t] for i in range(m) for t in range(n.scalar_basis.size))
         for g in generators
     ]
-    rank = linalg.rank(coeff_rows) if m else 0
+    rank = len(_rational_pivots(coeff_rows))
     if rank < m:
         raise AssertionError("quasilattice rank below quotient dimension")
     return QuasiLattice(quotient_dim=m, generators=generators, rank=rank)
@@ -77,30 +75,29 @@ def ray_meets_rational_span(vec: Vector, generators: tuple[Vector, ...]) -> bool
     """Whether some nonzero real multiple of vec is a rational combination of
     the generators.
 
-    Solved as a rational linear system in the coefficients of the multiplier
-    (over constants whose products with vec's constants are declared; the
-    rational multiplier is always available) and the combination coefficients.
+    The multipliers range over the rational span of the constants whose
+    products with vec's constants are declared (the rational multiplier is
+    always available).  In the rational columns [generators | scaled copies
+    of vec], such a multiple exists iff some scaled copy depends on the
+    generators and the copies before it: iff fewer than all the copies are
+    pivot columns.
     """
     m = len(vec)
     if m == 0:
         return False
     basis = vec[0].basis
     size = basis.size
-    scaled: list[tuple[int, list]] = []
+    scaled = []
     for u in range(size):
         try:
             cu = basis.constant(basis.names[u]) if u else basis.one()
-            scaled.append((u, [cu * vi for vi in vec]))
+            scaled.append([cu * vi for vi in vec])
         except UnsupportedScalarOperation:
             continue
-    n_s = len(scaled)
     n_t = len(generators)
-    q = ConstantBasis.rationals()
     rows = [
-        tuple(ExtScalar(q, (w[i].coeffs[t],)) for _, w in scaled)
-        + tuple(ExtScalar(q, (-g[i].coeffs[t],)) for g in generators)
+        tuple(g[i].coeffs[t] for g in generators) + tuple(w[i].coeffs[t] for w in scaled)
         for i in range(m)
         for t in range(size)
     ]
-    null = linalg.kernel(rows, q, n_s + n_t)
-    return any(not linalg.vec_is_zero(sol[:n_s]) for sol in null)
+    return sum(1 for c in _rational_pivots(rows) if c >= n_t) < len(scaled)

@@ -64,6 +64,14 @@ class WeightedModule:
     def n_coords(self) -> int:
         return len(self.weights)
 
+    @property
+    def module(self) -> "WeightedModule":
+        return self
+
+    def tangent(self, point: "ModelPoint") -> Subspace:
+        """The whole space: every point of a module is admissible."""
+        return Subspace.full(self.scalar_basis, 2 * self.n_coords)
+
     def sigma(self) -> PresympForm:
         return PresympForm.standard(self.scalar_basis, self.n_coords, sorted(self.masked))
 
@@ -97,15 +105,12 @@ def standard_module(basis: ConstantBasis, d: int) -> WeightedModule:
 @dataclass(frozen=True)
 class ModelPoint:
     """A point of a weighted module, known through its support and its exact
-    per-coordinate moment values mu_j = |z_j|^2 / 2.
-
-    Explicit coordinates are kept when given; every pointwise subspace
-    computation only needs (support, mu).
+    per-coordinate moment values mu_j = |z_j|^2 / 2, which is all every
+    pointwise subspace computation needs.
     """
 
     support: tuple[int, ...]
     mu: tuple[ExtScalar, ...]
-    coordinates: tuple[tuple[ExtScalar, ExtScalar], ...] | None = None
 
     @staticmethod
     def from_coordinates(basis: ConstantBasis, entries: Sequence) -> "ModelPoint":
@@ -124,16 +129,7 @@ class ModelPoint:
         mu = tuple(
             (re * re + im * im).scale(Fraction(1, 2)) for re, im in coords
         )
-        return ModelPoint(support, mu, tuple(coords))
-
-    @staticmethod
-    def from_moment_values(basis: ConstantBasis, values: Sequence) -> "ModelPoint":
-        mu = linalg.as_vector(basis, values)
-        for m in mu:
-            if m.sign() < 0:
-                raise ModelError("moment values must be nonnegative")
-        support = tuple(j for j, m in enumerate(mu) if not m.is_zero())
-        return ModelPoint(support, tuple(mu), None)
+        return ModelPoint(support, mu)
 
 
 # -- moment map and derivatives ---------------------------------------------------
@@ -257,13 +253,10 @@ def _dphi_rows(module: WeightedModule, point: ModelPoint) -> list[Vector]:
 def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
     """Exact kernel (in the adapted frame) and image (in the dual of the Lie
     algebra) of the moment differential at the point."""
-    if isinstance(model, AffineSlice):
-        module = model.module
+    on_slice = isinstance(model, AffineSlice)
+    if on_slice:
         _require_on_slice(model, point)
-    elif isinstance(model, WeightedModule):
-        module = model
-    else:
-        raise ModelError(f"unsupported model {type(model).__name__}")
+    module = model.module
     basis = module.scalar_basis
     n = 2 * module.n_coords
     rows = _dphi_rows(module, point)
@@ -279,14 +272,14 @@ def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
             if j not in module.masked
         ],
     )
-    if isinstance(model, AffineSlice):
+    if on_slice:
         # the slice restricts tangent vectors to those mapping into W
         image = image.intersect(model.direction)
     return kernel, image
 
 
 def stabilizer_algebra(model, point: ModelPoint) -> Subspace:
-    module = model.module if isinstance(model, AffineSlice) else model
+    module = model.module
     basis = module.scalar_basis
     rows = [
         linalg.as_vector(basis, module.weights[j]) for j in point.support
@@ -312,24 +305,15 @@ def leaf_tangent(model, point: ModelPoint) -> Subspace:
     """Tangent space of the null foliation at the point, computed from the
     form: the kernel of the restriction of the form to the model's tangent
     space."""
-    if isinstance(model, AffineSlice):
-        module = model.module
-        T = tangent_space(model, point)
-    else:
-        module = model
-        T = Subspace.full(module.scalar_basis, 2 * module.n_coords)
-    form = adapted_form(module, point)
+    T = model.tangent(point)
+    form = adapted_form(model.module, point)
     return T.intersect(presymlin.sigma_orthogonal(form, T))
 
 
 def leaf_stabilizer_algebra(model, point: ModelPoint) -> Subspace:
     """All xi whose induced tangent vector at the point is tangent to the
     null foliation, computed directly from the tangency condition."""
-    if isinstance(model, AffineSlice):
-        module = model.module
-        _require_on_slice(model, point)
-    else:
-        module = model
+    module = model.module
     basis = module.scalar_basis
     foliation = leaf_tangent(model, point)
     functionals = foliation.annihilator()
@@ -394,6 +378,11 @@ class AffineSlice:
 
     def null_ideal(self) -> Subspace:
         return self.ideal
+
+    def tangent(self, point: ModelPoint) -> Subspace:
+        """The slice's tangent space at a point checked to lie on it."""
+        _require_on_slice(self, point)
+        return tangent_space(self, point)
 
     def orthant(self) -> Polyhedron:
         basis = self.scalar_basis
@@ -534,7 +523,10 @@ def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:
 
     Faces of the (pointed) moment polytope are generated by the subsets of
     its vertices and rays vanishing on the complementary coordinates, so no
-    new conversions are needed here.
+    new conversions are needed here.  The polytope lies in the orthant, so a
+    generator is positive exactly on its support, kept as a bitmask: S is
+    realized iff the face over S has a vertex and its generators' supports
+    together cover S.
     """
     if slice_._strata_cache is not None:
         return slice_._strata_cache
@@ -542,18 +534,20 @@ def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:
     basis = slice_.scalar_basis
     P = slice_.moment_polytope()
     verts, rays = P.vrep.vertices, P.vrep.rays_with_lines
+    vmasks = [_support_mask(v) for v in verts]
+    rmasks = [_support_mask(r) for r in rays]
     out = []
     for S in sorted(_subsets(range(d)), key=lambda s: (len(s), s)):
-        comp = [j for j in range(d) if j not in S]
-        fv = [v for v in verts if all(v[j].is_zero() for j in comp)]
+        inside = sum(1 << j for j in S)
+        fv = [v for v, m in zip(verts, vmasks) if m | inside == inside]
         if not fv:
             continue
-        fr = [r for r in rays if all(r[j].is_zero() for j in comp)]
-        realized = all(
-            any(v[j].sign() > 0 for v in fv) or any(r[j].sign() > 0 for r in fr)
-            for j in S
-        )
-        if not realized:
+        fr = [r for r, m in zip(rays, rmasks) if m | inside == inside]
+        covered = 0
+        for m in itertools.chain(vmasks, rmasks):
+            if m | inside == inside:
+                covered |= m
+        if covered != inside:
             continue
         # the barycenter of the face vertices plus the sum of its rays,
         # summed on coefficient tuples: one scalar per coordinate
@@ -563,12 +557,16 @@ def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:
             for r in fr:
                 coeffs = [a + b for a, b in zip(coeffs, r[j].coeffs)]
             mu.append(ExtScalar(basis, tuple(coeffs)))
-        rep = ModelPoint(support=tuple(S), mu=tuple(mu), coordinates=None)
+        rep = ModelPoint(support=tuple(S), mu=tuple(mu))
         out.append(
             SupportStratum(tuple(S), tuple(fv), tuple(fr), rep, basis, d)
         )
     object.__setattr__(slice_, "_strata_cache", tuple(out))
     return slice_._strata_cache
+
+
+def _support_mask(v: Vector) -> int:
+    return sum(1 << j for j, e in enumerate(v) if not e.is_zero())
 
 
 # -- moment image --------------------------------------------------------------------
@@ -581,7 +579,6 @@ class MomentImageReport:
     symplectization_identity: bool
     rational_polyhedral: bool
     null_subgroup_closed: bool
-    quasilattice: lattice.QuasiLattice
 
     @property
     def rationality_consistent(self) -> bool:
@@ -617,7 +614,6 @@ def moment_image(slice_: AffineSlice) -> MomentImageReport:
         symplectization_identity=sympl_ok,
         rational_polyhedral=rational,
         null_subgroup_closed=closed,
-        quasilattice=lattice.quasilattice(slice_.ideal),
     )
 
 
@@ -660,39 +656,35 @@ class SliceData:
     symplectic_dim: int
     symplectic_weights: tuple[tuple[int, ...], ...] | None
     null_dim: int
-    null_weights: tuple[tuple[int, ...], ...] | None
+
+
+def _tangent_model(model, point: ModelPoint) -> tuple[Subspace, PresympForm, Subspace]:
+    """The model's tangent space T at the point, the form restricted to T,
+    and the orbit tangent in T's coordinates."""
+    module = model.module
+    basis = module.scalar_basis
+    T = model.tangent(point)
+    t_rows = list(T.rows)
+    restricted = adapted_form(module, point).restrict(t_rows)
+    orbit = orbit_tangent(module, point)
+    orbit_in_T = presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis)
+    return T, restricted, Subspace.from_vectors(basis, T.dim, orbit_in_T)
 
 
 def slices_at(model, point: ModelPoint) -> SliceData:
     """Dimensions and weight labels of the symplectic slice (the reduction of
     the orbit's form-orthogonal) and of the null slice (leaf directions
     transverse to the orbit)."""
-    if isinstance(model, AffineSlice):
-        module = model.module
-        _require_on_slice(model, point)
-        T = tangent_space(model, point)
-    else:
-        module = model
-        T = Subspace.full(module.scalar_basis, 2 * module.n_coords)
-    basis = module.scalar_basis
-    form = adapted_form(module, point)
-    t_rows = list(T.rows)
-    restricted = form.restrict(t_rows)
-    orbit = orbit_tangent(module, point)
-    orbit_in_T = presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis)
-    F = Subspace.from_vectors(basis, T.dim, orbit_in_T)
+    T, restricted, F = _tangent_model(model, point)
     reduced = presymlin.natural_quotient(restricted, F, "orth")
-    foliation = restricted.kernel()
-    null_dim = F.add(foliation).dim - F.dim
+    null_dim = F.add(restricted.kernel()).dim - F.dim
     sym_weights = _identify_line_weights(
-        module, point, T, reduced, expected_dim=reduced.quotient_dim
+        model.module, point, T, reduced, expected_dim=reduced.quotient_dim
     )
-    null_weights = () if null_dim == 0 else None
     return SliceData(
         symplectic_dim=reduced.quotient_dim,
         symplectic_weights=sym_weights,
         null_dim=null_dim,
-        null_weights=null_weights,
     )
 
 
@@ -734,19 +726,7 @@ def symplectization_slice_dim(model, point: ModelPoint) -> int:
     The slice is D/(D ∩ D^σ) for D the σ-orthogonal of the enlarged orbit
     tangent; D ∩ D^σ is the radical of σ on D, so its dimension is the rank
     of σ restricted to D."""
-    if isinstance(model, AffineSlice):
-        module = model.module
-        T = tangent_space(model, point)
-    else:
-        module = model
-        T = Subspace.full(module.scalar_basis, 2 * module.n_coords)
-    basis = module.scalar_basis
-    form = adapted_form(module, point)
-    t_rows = list(T.rows)
-    restricted = form.restrict(t_rows)
-    orbit = orbit_tangent(module, point)
-    orbit_in_T = presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis)
-    F = Subspace.from_vectors(basis, T.dim, orbit_in_T)
+    _, restricted, F = _tangent_model(model, point)
     big_form, big_F = presymlin.symplectization(restricted, F)
     D = presymlin.sigma_orthogonal(big_form, big_F)
     return big_form.restrict(D.rows).rank()
@@ -832,8 +812,7 @@ def matches_point_data(
     """Discrete-invariant comparison of the local model with the situation at
     an actual model point: moment value, stabilizer, null ideal, slice
     dimensions and stabilizer-restricted slice weights must all agree."""
-    module = model.module if isinstance(model, AffineSlice) else model
-    phi = moment_quadratic(module, point)
+    phi = moment_quadratic(model.module, point)
     if any(not (a - b).is_zero() for a, b in zip(phi, data.lam)):
         return False
     if stabilizer_algebra(model, point) != data.stabilizer:

@@ -16,7 +16,6 @@ from typing import Sequence
 from . import linalg, models, polyhedra
 from .linalg import Vector
 from .models import AffineSlice, NotApplicableError, SupportStratum
-from .polyhedra import Polyhedron
 from .scalars import ExtScalar, ScalarError
 
 
@@ -28,7 +27,6 @@ class MorseError(ScalarError):
 class CriticalStratum:
     support: tuple[int, ...]
     dimension: int
-    moment_face: Polyhedron
     eta: Vector
     normal_weights: tuple[tuple[int, ExtScalar], ...]
     index: int
@@ -114,7 +112,6 @@ def critical_set(slice_: AffineSlice, xi: Sequence) -> tuple[CriticalStratum, ..
             CriticalStratum(
                 support=stratum.support,
                 dimension=_stratum_dimension(stratum),
-                moment_face=stratum.face_polyhedron(),
                 eta=eta,
                 normal_weights=pairings,
                 index=index,
@@ -140,21 +137,14 @@ def _check_unique(slice_: AffineSlice, support: Sequence[int]) -> None:
 
 def morse_index(slice_: AffineSlice, xi: Sequence, support: Sequence[int]) -> int:
     """Index of the moment component of xi along the stratum with the given
-    support: twice the number of negative normal pairings."""
-    xi_v = _as_xi(slice_, xi)
-    strata = {s.support: s for s in models.support_strata(slice_)}
+    support, as critical_set gives it."""
+    indices = {s.support: s.index for s in critical_set(slice_, xi)}
     key = tuple(sorted(support))
-    if key not in strata:
+    if key in indices:
+        return indices[key]
+    if all(s.support != key for s in models.support_strata(slice_)):
         raise MorseError(f"no stratum with support {key} on the slice")
-    dec = _decompose(slice_, xi_v, key)
-    if dec is None:
-        raise MorseError(f"stratum {key} is not critical for xi")
-    eta, _ = dec
-    return 2 * sum(
-        1
-        for j in range(slice_.torus_rank)
-        if j not in key and eta[j].sign() < 0
-    )
+    raise MorseError(f"stratum {key} is not critical for xi")
 
 
 @dataclass(frozen=True)

@@ -108,22 +108,6 @@ class Polyhedron:
             "equalities": [enc(h) for h in self.equalities],
         }
 
-    @staticmethod
-    def from_json_dict(data: dict, basis: ConstantBasis) -> "Polyhedron":
-        def dec(items):
-            return [
-                ([parse_scalar(e, basis) for e in h["normal"]],
-                 parse_scalar(h.get("offset", 0), basis))
-                for h in items
-            ]
-
-        return intersect_halfspaces(
-            basis,
-            data["dim"],
-            dec(data.get("halfspaces", [])),
-            dec(data.get("equalities", [])),
-        )
-
 
 # -- double description ---------------------------------------------------------
 

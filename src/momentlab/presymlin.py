@@ -168,7 +168,6 @@ class ReducedSpace:
     induced_form: PresympForm
     projection: tuple[Vector, ...]
     representatives: tuple[Vector, ...]
-    quotiented: Subspace
     domain: Subspace
 
 
@@ -228,7 +227,6 @@ def natural_quotient(
         induced_form=induced,
         projection=projection,
         representatives=tuple(reps),
-        quotiented=degenerate,
         domain=domain,
     )
 

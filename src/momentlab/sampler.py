@@ -414,7 +414,6 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class DeformationReport:
-    clouds: tuple[PointCloud, ...]
     pairs: tuple[PairVerdict, ...]
 
     @property
@@ -466,7 +465,7 @@ def deformation_scan(
             shift = B.mean(axis=0) - A.mean(axis=0)
             h = _hausdorff(A + shift, B)
             pairs.append(PairVerdict(a, b, h <= tolerance, h))
-    return DeformationReport(clouds, tuple(pairs))
+    return DeformationReport(tuple(pairs))
 
 
 # -- contact cones -----------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 RationalLike = int | Fraction
@@ -67,6 +67,10 @@ class ConstantBasis:
             raise ScalarError('first constant must be "one" with value 1.0')
         if len(set(names)) != len(names):
             raise ScalarError("constant names must be distinct")
+        for name, value in zip(names[1:], float_values[1:]):
+            # a zero constant depends on 1, and no sign rule applies to nan
+            if not isfinite(value) or value == 0:
+                raise ScalarError(f"constant {name!r} needs a finite nonzero value")
         self.names = names
         self.float_values = float_values
         self._index = {n: i for i, n in enumerate(names)}
@@ -630,8 +634,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
 
     All-rational rows run over Z after clearing each row's denominators (a
     positive row scaling keeps every sign), where primitive vectors are
-    canonical.  Rows over a declared surd with a nonzero constant run on
-    pairs in Z[s] (_SurdRing), whose signs follow the sign of the constant.
+    canonical.  Rows over a declared surd run on pairs in Z[s] (_SurdRing), whose signs follow the sign of the constant.
     Any other basis runs on the scalars, where a ray is divided by the
     absolute value of its first nonzero entry and signs come from
     ExtScalar.sign().  Converting a normalized ray with `conv` gives its
@@ -650,7 +653,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
             div=lambda v, d: tuple(ExtScalar(basis, (Fraction(x, d),) + tail) for x in v),
         )
     q = basis.surd_square()
-    if q is not None and basis.float_values[1]:
+    if q is not None:
         ring = _SurdRing(basis, q)
         return _Domain(
             conv=lambda row: ring.clear(row)[0], scaled=ring.clear,

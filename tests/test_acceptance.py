@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentlab import linalg, models, morse, polyhedra, presymlin, sampler
+from momentlab import lattice, linalg, models, morse, polyhedra, presymlin, sampler
 from momentlab.cli import main as cli_main
 from momentlab.models import ModelPoint, WeightedModule, build_affine_slice
 from momentlab.presymlin import Subspace
@@ -74,8 +74,9 @@ def test_criterion_02_quasifold_irrational_slice():
         ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))),
         ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2))),
     }
-    assert rep.quasilattice.quotient_dim == 1
-    assert rep.quasilattice.rank == 2
+    ql = lattice.quasilattice(s.ideal)
+    assert ql.quotient_dim == 1
+    assert ql.rank == 2
     assert rep.null_subgroup_closed is False
     assert rep.rational_polyhedral is False
     # the rational control instantiates the converse direction

@@ -352,6 +352,40 @@ def test_overflowing_family_member_exits_2(tmp_path, capsys, member):
     assert not (tmp_path / "out" / "report.txt").exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0, 0.0, 10**400],
+                         ids=["nan", "inf", "-inf", "0", "0.0", "huge"])
+@pytest.mark.parametrize("name", ["sqrt2", "c"])
+def test_nonfinite_or_zero_constant_exits_2(tmp_path, capsys, name, value):
+    """A nan sqrt2 used to pass the sqrt check (a comparison with nan is
+    false) and ran with the sign of the constant read as negative."""
+    raw = json.loads((SCENARIOS / "quasifold.json").read_text())
+    raw["constants"] = {name: value}
+    if name == "c":
+        raw["direction_normals"] = [["1", "c"]]
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "field 'constants'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("field", ["t_max", "constants"])
+def test_integer_beyond_double_range_exits_2(tmp_path, capsys, field):
+    """JSON integers are unbounded; one past the double range used to reach
+    float() and exit 3."""
+    raw = json.loads((SCENARIOS / "quasifold.json").read_text())
+    if field == "t_max":
+        raw["analyses"] = ["contact-cone"]
+        raw["t_max"] = 10**400
+    else:
+        raw["constants"] = {"sqrt2": {"value": 1.4142135623730951, "square": 10**400}}
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"field {field!r}" in err and "internal error" not in err
+
+
 def nested_paths(raw):
     """Key paths of every entry inside constants, curve and family."""
     for field in ("constants", "curve"):

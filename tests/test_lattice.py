@@ -8,6 +8,7 @@ from momentlab.lattice import (
     ray_meets_rational_span,
 )
 from momentlab.presymlin import Subspace
+from momentlab.scalars import ConstantBasis, ExtScalar, UnsupportedScalarOperation
 
 from conftest import random_fraction, random_scalar
 
@@ -134,3 +135,44 @@ def test_ray_meets_rational_span(sqrt2_basis):
     assert not ray_meets_rational_span((s2, one.scale(2)), rational_gens)
     # an irrational generator set can absorb a mixed class
     assert ray_meets_rational_span((one, s2), ((one, zero), (zero, s2)))
+
+
+def ray_meets_by_kernel(vec, generators) -> bool:
+    """Reference: the formulation as a kernel, solving for the multiplier
+    coefficients s and the combination coefficients t of
+    sum_u s_u c_u vec - sum_g t_g g = 0 and asking for a solution with s != 0."""
+    basis = vec[0].basis
+    size = basis.size
+    scaled = []
+    for u in range(size):
+        try:
+            cu = basis.constant(basis.names[u]) if u else basis.one()
+            scaled.append([cu * vi for vi in vec])
+        except UnsupportedScalarOperation:
+            continue
+    q = ConstantBasis.rationals()
+    rows = [
+        tuple(ExtScalar(q, (w[i].coeffs[t],)) for w in scaled)
+        + tuple(ExtScalar(q, (-g[i].coeffs[t],)) for g in generators)
+        for i in range(len(vec))
+        for t in range(size)
+    ]
+    null = linalg.kernel(rows, q, len(scaled) + len(generators))
+    return any(not linalg.vec_is_zero(sol[:len(scaled)]) for sol in null)
+
+
+def test_ray_meets_rational_span_matches_kernel_reference(sqrt2_basis):
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        chance = rng.choice((0.0, 0.3, 0.7))
+        vec = tuple(random_scalar(rng, sqrt2_basis, chance) for _ in range(m))
+        gens = tuple(
+            tuple(random_scalar(rng, sqrt2_basis, chance) for _ in range(m))
+            for _ in range(rng.randint(0, m))
+        )
+        got = ray_meets_rational_span(vec, gens)
+        assert got == ray_meets_by_kernel(vec, gens), (vec, gens)
+        seen.add(got)
+    assert seen == {True, False}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from momentlab import linalg, models, polyhedra, presymlin
+from momentlab import lattice, linalg, models, polyhedra, presymlin
 from momentlab.models import (
     ModelPoint,
     ModelError,
@@ -381,6 +381,59 @@ def _random_bounded_slice(rng, basis, d, irrational=False):
     return None
 
 
+def support_strata_by_scan(slice_):
+    """Reference: each support S in canonical order tested coordinate by
+    coordinate; realized when some vertex vanishes off S and every j in S is
+    positive on a vertex or ray vanishing off S."""
+    d = slice_.torus_rank
+    P = slice_.moment_polytope()
+    verts, rays = P.vrep.vertices, P.vrep.rays_with_lines
+    out = []
+    for r in range(d + 1):
+        for S in itertools.combinations(range(d), r):
+            comp = [j for j in range(d) if j not in S]
+            fv = [v for v in verts if all(v[j].is_zero() for j in comp)]
+            if not fv:
+                continue
+            fr = [w for w in rays if all(w[j].is_zero() for j in comp)]
+            if all(
+                any(v[j].sign() > 0 for v in fv) or any(w[j].sign() > 0 for w in fr)
+                for j in S
+            ):
+                out.append((S, tuple(fv), tuple(fr)))
+    return out
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2"])
+def test_support_strata_match_subset_scan(field, rat_basis, sqrt2_basis):
+    basis = sqrt2_basis if field == "sqrt2" else rat_basis
+    rng = random.Random(1618)
+    checked = unbounded = 0
+    for _ in range(80):
+        d = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            s = _random_bounded_slice(rng, basis, d, irrational=field == "sqrt2")
+        else:
+            vecs = []
+            for _ in range(rng.randint(1, d - 1)):
+                row = [rng.randint(-2, 2) for _ in range(d)]
+                if field == "sqrt2" and rng.random() < 0.3:
+                    row[rng.randrange(d)] = basis.constant("sqrt2")
+                vecs.append(row)
+            lam = [rng.choice([0, 1, 2]) for _ in range(d)]
+            try:
+                s = build_affine_slice(basis, d, lam, direction_vectors=vecs)
+            except SliceValidationError:
+                s = None
+        if s is None:
+            continue
+        got = [(st.support, st.face_vertices, st.face_rays) for st in models.support_strata(s)]
+        assert got == support_strata_by_scan(s)
+        checked += 1
+        unbounded += not polyhedra.is_bounded(s.moment_polytope())
+    assert checked >= 40 and unbounded >= 5
+
+
 # -- moment images ------------------------------------------------------------------
 
 
@@ -404,7 +457,8 @@ def test_moment_image_quasifold(sqrt2_basis):
     }
     assert not rep.rational_polyhedral
     assert not rep.null_subgroup_closed
-    assert rep.quasilattice.rank == 2 > rep.quasilattice.quotient_dim
+    ql = lattice.quasilattice(quasifold_slice(sqrt2_basis).ideal)
+    assert ql.rank == 2 > ql.quotient_dim
     assert rep.affine_span_matches and rep.symplectization_identity
 
 
@@ -427,9 +481,7 @@ def test_local_cone_examples(sqrt2_basis):
     assert [tuple(e.coeffs[0] for e in v) for v in vs] == [(1, 0)]
     assert len(rays) == 1
     # full support: no constraints beyond the affine plane
-    mid = ModelPoint.from_moment_values(
-        sqrt2_basis, [Fraction(1, 2), Fraction(1, 2)]
-    )
+    mid = ModelPoint.from_coordinates(sqrt2_basis, [1, 1])
     free = local_cone(s, mid)
     base, direction = polyhedra.affine_span(free)
     assert direction == s.direction

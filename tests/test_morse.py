@@ -28,8 +28,9 @@ def test_segment_critical_set(sqrt2_basis):
     assert [e.coeffs[0] for e in by_support[(1,)].eta] == [1, 0]
     # both strata are circles over endpoint images
     assert all(st.dimension == 1 for st in strata)
+    faces = {st.support: st.face_polyhedron() for st in models.support_strata(s)}
     for st in strata:
-        vs, _ = polyhedra.enumerate_vertices(st.moment_face)
+        vs, _ = polyhedra.enumerate_vertices(faces[st.support])
         assert len(vs) == 1
 
 

@@ -361,15 +361,6 @@ def test_contains_validates_the_point_first(sqrt2_basis, empty):
         P.contains([other.constant("c"), 0])
 
 
-def test_json_round_trip(sqrt2_basis):
-    P = intersect_halfspaces(
-        sqrt2_basis, 2, [([1, 0], 0), ([0, 1], 0)], [([1, "sqrt2"], 1)]
-    )
-    data = P.to_json_dict()
-    Q = polyhedra.Polyhedron.from_json_dict(data, sqrt2_basis)
-    assert poly_equal(P, Q)
-
-
 def recorded_polyhedra():
     """Polyhedra whose canonical H-representation is pinned below."""
     Q = ConstantBasis.rationals()

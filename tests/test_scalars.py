@@ -107,6 +107,15 @@ def test_sign_interval_and_undecidable():
         exact.sign()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+@pytest.mark.parametrize("square", [None, 2])
+def test_constant_needs_a_finite_nonzero_value(value, square):
+    """nan compares false with everything, so a sign rule would read it as
+    either sign; a zero constant depends on 1."""
+    with pytest.raises(ScalarError, match="finite nonzero"):
+        ConstantBasis.rationals().with_constant("c", value, square=square)
+
+
 def test_parse_and_format_round_trip(sqrt2_basis):
     for text in ["0", "1", "-3/2", "sqrt2", "1 + 1/2*sqrt2", "2 - sqrt2"]:
         x = parse_scalar(text, sqrt2_basis)
