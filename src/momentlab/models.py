@@ -21,7 +21,7 @@ from . import lattice, linalg, polyhedra, presymlin
 from .linalg import Vector
 from .polyhedra import Polyhedron
 from .presymlin import PresympForm, Subspace
-from .scalars import ConstantBasis, ExtScalar, ScalarError
+from .scalars import ConstantBasis, ExtScalar, ScalarError, _clear_denominators
 
 
 class ModelError(ScalarError):
@@ -549,13 +549,17 @@ def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:
                 covered |= m
         if covered != inside:
             continue
-        # the barycenter of the face vertices plus the sum of its rays,
-        # summed on coefficient tuples: one scalar per coordinate
+        # the barycenter of the k face vertices plus the sum of its rays, one
+        # Fraction per coefficient: (sum of the vertices' + k * the rays')
+        # over k, with the denominators cleared together
+        k = len(fv)
         mu = []
         for j in range(d):
-            coeffs = [Fraction(sum(c), len(fv)) for c in zip(*(v[j].coeffs for v in fv))]
-            for r in fr:
-                coeffs = [a + b for a, b in zip(coeffs, r[j].coeffs)]
+            coeffs = []
+            for t in range(basis.size):
+                ints, den = _clear_denominators(
+                    [v[j].coeffs[t] for v in fv] + [k * r[j].coeffs[t] for r in fr])
+                coeffs.append(Fraction(sum(ints), den * k))
             mu.append(ExtScalar(basis, tuple(coeffs)))
         rep = ModelPoint(support=tuple(S), mu=tuple(mu))
         out.append(

@@ -1,13 +1,15 @@
 """Exact convex polyhedra over the extended scalars.
 
 H-representations are canonicalized through a double-description round trip:
-constraints -> generators -> irredundant facets.  Everything is exact.  The
-double description loop runs fraction-free in the number domain that
-scalars._domain picks for its rows: Z for rational data, Z[s] for a declared
-quadratic surd, where signs follow the integer quadratic rule, and the
-ExtScalars otherwise, whose signs come from ExtScalar.sign().  The signs
-around the loop are decided in the same domain: vertices are divided out of
-the homogenized rays, facets are reduced modulo the equalities and
+constraints -> generators -> irredundant facets.  Everything is exact.  Each
+public operation picks one number domain with scalars._domain: Z for
+rational data, Z[s] for a declared quadratic surd, where signs follow the
+integer quadratic rule, and the ExtScalars otherwise, whose signs come from
+ExtScalar.sign().  Its input rows are converted into that domain once, and
+both double description passes, primal and dual, run fraction-free on
+domain rows; ExtScalars are built only for the Polyhedron's public fields.
+Vertices are divided out of the homogenized rays, equalities are one
+elimination of the dual lines, facets are reduced modulo them and
 deduplicated as canonical rays, and containment (contains, poly_equal)
 evaluates every constraint row at every homogenized generator.
 from_generators keeps the input generators that are extreme by incidence
@@ -126,22 +128,18 @@ def _to_scalars(D: _Domain, v, ray: bool) -> Vector:
     raise AssertionError("zero generator")
 
 
-def cone_double_description(
-    basis: ConstantBasis, dim: int, rows: Sequence[Vector]
-) -> tuple[list[Vector], list[Vector]]:
+def cone_double_description(D: _Domain, dim: int, rows: Sequence) -> tuple[list, list]:
     """Generators (lines, rays) of the cone {x : <row, x> >= 0 for all rows}.
 
-    Lines come divided by their first nonzero entry, rays by its absolute
-    value.  The loop is fraction-free in the number domain scalars._domain
-    picks, and the generators are converted back to scalars once, at the
-    end.  Zero sets are bit masks over the rows.
+    Rows and generators are vectors of the number domain D, and the loop is
+    fraction-free in it.  Rays come canonical (D.canon), lines up to a
+    nonzero multiple.  Zero sets are bit masks over the rows.
     """
-    D = _domain(basis, rows)
     dot, sign, comb, canon = D.dot, D.sign, D.comb, D.canon
     lines = [D.unit(dim, i) for i in range(dim)]
     rays: list = []
     zsets: list[int] = []
-    for idx, a in enumerate(map(D.conv, rows)):
+    for idx, a in enumerate(rows):
         bit = 1 << idx
         vals = [dot(a, l) for l in lines]
         pivot = next((j for j, v in enumerate(vals) if sign(v)), None)
@@ -188,7 +186,7 @@ def cone_double_description(
                 seen.add(r)
                 rays.append(r)
                 zsets.append(z)
-    return [_to_scalars(D, l, False) for l in lines], [_to_scalars(D, r, True) for r in rays]
+    return lines, rays
 
 
 def _check_scale(dim: int, n_constraints: int) -> None:
@@ -200,6 +198,71 @@ def _check_scale(dim: int, n_constraints: int) -> None:
         raise DeskScaleError(
             f"{n_constraints} constraints exceed the supported limit {MAX_CONSTRAINTS}"
         )
+
+
+def _primal(D: _Domain, dim: int, eq_rows: list, hs_rows: list) -> tuple[VRep, list]:
+    """The sorted V-representation of {x : <a, (x, 1)> = 0 for a in eq_rows,
+    >= 0 for a in hs_rows}, from one pass over t >= 0, then each equality row
+    and its negation, then the half-space rows, all in D; and the homogenized
+    generators in D (rays, then each line and its negation), which are the
+    dual pass's rows.  A ray with t > 0 is a vertex times t."""
+    rows = [D.unit(dim + 1, dim)]
+    for a in eq_rows:
+        rows += [a, D.neg(a)]
+    lines, rays = cone_double_description(D, dim + 1, rows + hs_rows)
+    if any(D.nonzero(l[dim]) for l in lines):
+        raise AssertionError("lineality escaped t >= 0")
+    vertices, recession = [], []
+    for g in rays:
+        if D.nonzero(g[dim]):  # t > 0, the first row
+            vertices.append(D.div(g[:dim], g[dim]))
+        else:
+            recession.append(_to_scalars(D, g[:dim], True))
+    vrep = VRep(
+        tuple(sorted(vertices, key=_sort_key)),
+        tuple(sorted(recession, key=_sort_key)),
+        tuple(sorted((_to_scalars(D, l[:dim], False) for l in lines), key=_sort_key)),
+    )
+    return vrep, rays + [g for l in lines for g in (l, D.neg(l))]
+
+
+def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
+    """The H-representation of the polyhedron whose homogenized generators
+    (g, 1) for a vertex g and (g, 0) for a ray are `gens`, in D: the sorted
+    half-spaces and equalities, and in the same order their rows
+    (normal, -offset) in D, positive multiples of the scalar ones.
+
+    The dual cone's lines span the equalities: one elimination, normalized to
+    a positive last pivot, gives their reduced rows.  Its rays, reduced modulo
+    those rows and made canonical, are the facets.
+    """
+    _check_scale(dim + 1, len(gens))
+    lines, rays = cone_double_description(D, dim + 1, gens)
+    eq_rows, pivots, last = _eliminate(lines, D.nonzero, D.step, D.one)
+    if D.sign(last) < 0:
+        eq_rows, last = [D.neg(r) for r in eq_rows], D.neg((last,))[0]
+    equalities = []
+    for row in eq_rows:
+        e = D.div(row, last)  # the reduced row: its pivot is 1
+        if linalg.vec_is_zero(e[:dim]):
+            raise AssertionError("trivial equality produced")
+        equalities.append((HalfSpace(e[:dim], -e[dim]), row))
+    facets: dict = {}
+    for v in rays:
+        for p, row in zip(pivots, eq_rows):  # row[p] is last > 0
+            if D.nonzero(v[p]):
+                v = D.comb(last, v, v[p], row)
+        if not any(map(D.nonzero, v[:dim])):
+            continue  # the trivial t >= 0 direction
+        v = D.canon(v)
+        if v not in facets:
+            nr = _to_scalars(D, v, True)
+            facets[v] = HalfSpace(nr[:dim], -nr[dim])
+    key = lambda pair: _sort_key(pair[0].normal + (pair[0].offset,))
+    hs = sorted(((h, v) for v, h in facets.items()), key=key)
+    eqs = sorted(equalities, key=key)
+    return (tuple(h for h, _ in hs), tuple(h for h, _ in eqs),
+            [v for _, v in hs], [r for _, r in eqs])
 
 
 def intersect_halfspaces(
@@ -219,33 +282,14 @@ def intersect_halfspaces(
         if len(n) != dim:
             raise PolyhedronError("constraint normal has wrong dimension")
     _check_scale(dim + 1, 2 * len(eqs) + len(hs) + 1)
-    rows: list[Vector] = [linalg.unit(basis, dim + 1, dim)]  # t >= 0 first
-    for n, b in eqs:
-        row = tuple(n) + (-b,)
-        rows.append(row)
-        rows.append(linalg.vec_neg(row))
-    for n, b in hs:
-        rows.append(tuple(n) + (-b,))
-    lines, rays = cone_double_description(basis, dim + 1, rows)
-    D = _domain(basis, rows)
-    vertices, recession = [], []
-    for l in lines:
-        if not l[dim].is_zero():
-            raise AssertionError("lineality escaped t >= 0")
-    for r in rays:
-        if r[dim].is_zero():
-            recession.append(r[:dim])  # DD rays come normalized
-        else:  # t > 0, the first row
-            g = D.conv(r)
-            vertices.append(D.div(g[:dim], g[dim]))
-    vrep = VRep(
-        vertices=tuple(sorted(vertices, key=_sort_key)),
-        rays=tuple(sorted(recession, key=_sort_key)),
-        lines=tuple(sorted((l[:dim] for l in lines), key=_sort_key)),
-    )
-    if not vertices:
+    eq_rows = [n + (-b,) for n, b in eqs]
+    hs_rows = [n + (-b,) for n, b in hs]
+    D = _domain(basis, eq_rows + hs_rows)
+    vrep, gens = _primal(D, dim, list(map(D.conv, eq_rows)), list(map(D.conv, hs_rows)))
+    if not vrep.vertices:
         return Polyhedron(basis, dim, (), (), VRep((), (), ()))
-    return _from_vrep_with_cache(basis, dim, vrep)
+    halfspaces, equalities, _, _ = _dual(D, dim, gens)
+    return Polyhedron(basis, dim, halfspaces, equalities, vrep)
 
 
 def _as_scalar(basis: ConstantBasis, value) -> ExtScalar:
@@ -254,50 +298,6 @@ def _as_scalar(basis: ConstantBasis, value) -> ExtScalar:
     if isinstance(value, str):
         return parse_scalar(value, basis)
     return basis.from_rational(Fraction(value))
-
-
-def _from_vrep_with_cache(basis: ConstantBasis, dim: int, vrep: VRep) -> Polyhedron:
-    # dual double description: generators become constraints on (normal, c)
-    rows: list[Vector] = []
-    for v in vrep.vertices:
-        rows.append(tuple(v) + (basis.one(),))
-    for r in vrep.rays:
-        rows.append(tuple(r) + (basis.zero(),))
-    for l in vrep.lines:
-        row = tuple(l) + (basis.zero(),)
-        rows.append(row)
-        rows.append(linalg.vec_neg(row))
-    _check_scale(dim + 1, len(rows))
-    dual_lines, dual_rays = cone_double_description(basis, dim + 1, rows)
-    eq_space, pivots = linalg.rref(dual_lines)
-    equalities = []
-    for l in eq_space:  # rref rows: the pivot is already 1
-        normal, c = l[:dim], l[dim]
-        if linalg.vec_is_zero(normal):
-            raise AssertionError("trivial equality produced")
-        equalities.append(HalfSpace(normal, -c))
-    # reduce each facet modulo the equalities in the domain of the run; the
-    # pivots of the converted rref rows are positive
-    D = _domain(basis, rows)
-    sign, comb = D.sign, D.comb
-    eq_rows = [(p, D.conv(l)) for p, l in zip(pivots, eq_space)]
-    halfspaces = []
-    seen = set()
-    for r in dual_rays:
-        v = D.conv(r)
-        for p, row in eq_rows:
-            if sign(v[p]):
-                v = comb(row[p], v, v[p], row)
-        if not any(sign(e) for e in v[:dim]):
-            continue  # the trivial t >= 0 direction
-        v = D.canon(v)
-        if v not in seen:
-            seen.add(v)
-            nr = _to_scalars(D, v, True)
-            halfspaces.append(HalfSpace(nr[:dim], -nr[dim]))
-    halfspaces.sort(key=lambda h: _sort_key(h.normal + (h.offset,)))
-    equalities.sort(key=lambda h: _sort_key(h.normal + (h.offset,)))
-    return Polyhedron(basis, dim, tuple(halfspaces), tuple(equalities), vrep)
 
 
 def from_generators(
@@ -313,77 +313,49 @@ def from_generators(
     generators are the extreme ones among the inputs, read off by incidence
     against it (Fukuda-Prodon 1996): a vertex is extreme iff the facet normals
     tight at it, together with the equality normals, have rank dim, and a ray
-    iff they have rank dim - 1.  Rays come divided by the absolute value of
-    their first nonzero entry, deduplicated and sorted, exactly as
-    intersect_halfspaces returns them.  When no vertex is extreme, the normals
-    do not span R^dim and P has lines (given, or from opposite rays).  Then P
-    has no extreme points, and its V-representation is the double
-    description's own set of representatives: only this case takes a second
-    pass, through intersect_halfspaces.
+    iff they have rank dim - 1.  Ranks are the pivot counts of one
+    elimination, on the dual pass's own rows.  Rays come divided by the
+    absolute value of their first nonzero entry, deduplicated and sorted,
+    exactly as intersect_halfspaces returns them.  When no vertex is extreme,
+    the normals do not span R^dim and P has lines (given, or from opposite
+    rays).  Then P has no extreme points, and its V-representation is the
+    one a primal pass over its own facet rows gives, as intersect_halfspaces
+    would.
     """
     if not vertices:
         return Polyhedron(basis, dim, (), (), VRep((), (), ()))
-    vrep = VRep(
-        tuple(sorted((linalg.as_vector(basis, v) for v in vertices), key=_sort_key)),
-        tuple(sorted((linalg.as_vector(basis, r) for r in rays), key=_sort_key)),
-        tuple(sorted((linalg.as_vector(basis, l) for l in lines), key=_sort_key)),
-    )
-    poly = _from_vrep_with_cache(basis, dim, vrep)
-    # the H-rep stays within the limits intersect_halfspaces accepts
-    _check_scale(dim + 1, 2 * len(poly.equalities) + len(poly.halfspaces) + 1)
-    extreme = _extreme_generators(poly)
-    if extreme is None:
-        return intersect_halfspaces(
-            basis,
-            dim,
-            [(h.normal, h.offset) for h in poly.halfspaces],
-            [(h.normal, h.offset) for h in poly.equalities],
-        )
-    return Polyhedron(basis, dim, poly.halfspaces, poly.equalities, extreme)
-
-
-def _extreme_generators(P: Polyhedron) -> VRep | None:
-    """The extreme vertices and rays among P's cached generators, or None when
-    none of the vertices is extreme, that is when P has lines.
-
-    P's rows (normal, -offset) and the homogenized generators (v, 1) and
-    (r, 0) go into one domain, chosen from all of them, as in
-    _generators_inside; a row is tight at a generator iff their dot product
-    vanishes there, and ranks are read off the pivots of one elimination of
-    the tight normals.  Equalities hold at every generator.
-    """
-    basis, dim = P.scalar_basis, P.dim
     one, zero = basis.one(), basis.zero()
-    eqs = [tuple(h.normal) + (-h.offset,) for h in P.equalities]
-    hss = [tuple(h.normal) + (-h.offset,) for h in P.halfspaces]
-    points = [tuple(v) + (one,) for v in P.vrep.vertices]
-    rays = [tuple(r) + (zero,) for r in P.vrep.rays]
-    D = _domain(basis, eqs + hss + points + rays)
-    conv, dot, nonzero = D.conv, D.dot, D.nonzero
-    eq_normals = [conv(a)[:dim] for a in eqs]
-    hss = [conv(a) for a in hss]
+    vs = [linalg.as_vector(basis, v) for v in vertices]
+    points = [v + (one,) for v in vs]
+    directions = [linalg.as_vector(basis, r) + (zero,) for r in rays]
+    flats = [linalg.as_vector(basis, l) + (zero,) for l in lines]
+    D = _domain(basis, points + directions + flats)
+    points, directions, flats = ([D.conv(g) for g in gs] for gs in (points, directions, flats))
+    gens = points + directions + [g for l in flats for g in (l, D.neg(l))]
+    halfspaces, equalities, hs_rows, eq_rows = _dual(D, dim, gens)
+    # the H-rep stays within the limits intersect_halfspaces accepts
+    _check_scale(dim + 1, 2 * len(equalities) + len(halfspaces) + 1)
+    eq_normals = [a[:dim] for a in eq_rows]
 
     def tight_rank(g) -> int:
-        normals = eq_normals + [a[:dim] for a in hss if not nonzero(dot(a, g))]
-        return len(_eliminate(normals, nonzero, D.step, D.one)[1])
+        normals = eq_normals + [a[:dim] for a in hs_rows if not D.nonzero(D.dot(a, g))]
+        return len(_eliminate(normals, D.nonzero, D.step, D.one)[1])
 
-    vertices = {
-        _sort_key(v): v
-        for v, g in zip(P.vrep.vertices, map(conv, points))
-        if tight_rank(g) == dim
-    }
-    if not vertices:
-        return None
+    extreme = {_sort_key(v): v for v, g in zip(vs, points) if tight_rank(g) == dim}
+    if not extreme:
+        vrep = _primal(D, dim, eq_rows, hs_rows)[0]
+        return Polyhedron(basis, dim, halfspaces, equalities, vrep)
     extreme_rays = {}
-    for g in map(conv, rays):
+    for g in directions:
         if tight_rank(g) == dim - 1:
             r = _to_scalars(D, g[:dim], True)
             extreme_rays[_sort_key(r)] = r
-    return VRep(
-        tuple(vertices[k] for k in sorted(vertices)),
+    vrep = VRep(
+        tuple(extreme[k] for k in sorted(extreme)),
         tuple(extreme_rays[k] for k in sorted(extreme_rays)),
         (),
     )
+    return Polyhedron(basis, dim, halfspaces, equalities, vrep)
 
 
 # -- public operations -----------------------------------------------------------
@@ -419,8 +391,9 @@ def is_rational_polyhedral(P: Polyhedron) -> bool:
     if direction.dim == 0:
         return True
     gens = lattice.quasilattice(cutting)
-    for hs in P.halfspaces:
-        coords = tuple(linalg.dot(hs.normal, d) for d in direction.rows)
+    # column i of the pairings holds facet i against each direction row
+    pairings = linalg.mat_vecs([h.normal for h in P.halfspaces], direction.rows, P.scalar_basis)
+    for coords in zip(*pairings):
         if all(e.is_zero() for e in coords):
             continue
         if not lattice.ray_meets_rational_span(coords, gens.generators):

@@ -404,27 +404,33 @@ def support_strata_by_scan(slice_):
     return out
 
 
+def _random_slice(rng, basis, field):
+    """A bounded slice from _random_bounded_slice or, half the time, a slice
+    with small integer (and sometimes sqrt2) directions that may be
+    unbounded; None when the draw is rejected."""
+    d = rng.randint(2, 5)
+    if rng.random() < 0.5:
+        return _random_bounded_slice(rng, basis, d, irrational=field == "sqrt2")
+    vecs = []
+    for _ in range(rng.randint(1, d - 1)):
+        row = [rng.randint(-2, 2) for _ in range(d)]
+        if field == "sqrt2" and rng.random() < 0.3:
+            row[rng.randrange(d)] = basis.constant("sqrt2")
+        vecs.append(row)
+    lam = [rng.choice([0, 1, 2]) for _ in range(d)]
+    try:
+        return build_affine_slice(basis, d, lam, direction_vectors=vecs)
+    except SliceValidationError:
+        return None
+
+
 @pytest.mark.parametrize("field", ["q", "sqrt2"])
 def test_support_strata_match_subset_scan(field, rat_basis, sqrt2_basis):
     basis = sqrt2_basis if field == "sqrt2" else rat_basis
     rng = random.Random(1618)
     checked = unbounded = 0
     for _ in range(80):
-        d = rng.randint(2, 5)
-        if rng.random() < 0.5:
-            s = _random_bounded_slice(rng, basis, d, irrational=field == "sqrt2")
-        else:
-            vecs = []
-            for _ in range(rng.randint(1, d - 1)):
-                row = [rng.randint(-2, 2) for _ in range(d)]
-                if field == "sqrt2" and rng.random() < 0.3:
-                    row[rng.randrange(d)] = basis.constant("sqrt2")
-                vecs.append(row)
-            lam = [rng.choice([0, 1, 2]) for _ in range(d)]
-            try:
-                s = build_affine_slice(basis, d, lam, direction_vectors=vecs)
-            except SliceValidationError:
-                s = None
+        s = _random_slice(rng, basis, field)
         if s is None:
             continue
         got = [(st.support, st.face_vertices, st.face_rays) for st in models.support_strata(s)]
@@ -432,6 +438,35 @@ def test_support_strata_match_subset_scan(field, rat_basis, sqrt2_basis):
         checked += 1
         unbounded += not polyhedra.is_bounded(s.moment_polytope())
     assert checked >= 40 and unbounded >= 5
+
+
+def barycenter_by_fraction_sums(stratum):
+    """Reference: per coordinate, the Fraction sum of the face vertices'
+    coefficients over their count, plus each face ray's coefficients."""
+    basis, fv = stratum.scalar_basis, stratum.face_vertices
+    mu = []
+    for j in range(stratum.ambient_dim):
+        coeffs = [Fraction(sum(c), len(fv)) for c in zip(*(v[j].coeffs for v in fv))]
+        for r in stratum.face_rays:
+            coeffs = [a + b for a, b in zip(coeffs, r[j].coeffs)]
+        mu.append(basis.scalar(coeffs))
+    return tuple(mu)
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2"])
+def test_support_strata_barycenters_match_fraction_sums(field, rat_basis, sqrt2_basis):
+    basis = sqrt2_basis if field == "sqrt2" else rat_basis
+    rng = random.Random(2718)
+    strata = with_rays = 0
+    for _ in range(60):
+        s = _random_slice(rng, basis, field)
+        if s is None:
+            continue
+        for st in models.support_strata(s):
+            assert st.representative.mu == barycenter_by_fraction_sums(st)
+            strata += 1
+            with_rays += bool(st.face_rays)
+    assert strata >= 100 and with_rays >= 10
 
 
 # -- moment images ------------------------------------------------------------------

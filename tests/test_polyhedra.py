@@ -478,3 +478,39 @@ RECORDED_HREP = {
 @pytest.mark.parametrize("name", sorted(RECORDED_HREP))
 def test_canonical_hrep_matches_record(name):
     assert recorded_polyhedra()[name].to_json_dict() == RECORDED_HREP[name]
+
+
+@pytest.mark.parametrize("lines, passes", [((), 1), ([[0, 1]], 2)])
+def test_from_generators_double_description_passes(monkeypatch, rat_basis, lines, passes):
+    """One dual pass; with lines, one primal pass over its own facet rows
+    more, and no third pass."""
+    calls = []
+    dd = polyhedra.cone_double_description
+
+    def counted(*args):
+        calls.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(polyhedra, "cone_double_description", counted)
+    P = from_generators(rat_basis, 2, [[0, 0], [1, 0]], [[0, 1]], lines)
+    assert len(calls) == passes
+    monkeypatch.undo()
+    if lines:
+        strip = intersect_halfspaces(rat_basis, 2, [([1, 0], 0), ([-1, 0], -1)])
+    else:
+        strip = intersect_halfspaces(
+            rat_basis, 2, [([1, 0], 0), ([-1, 0], -1), ([0, 1], 0)])
+    assert P.to_json_dict() == strip.to_json_dict()
+    assert P.vrep == strip.vrep
+
+
+def test_redundant_irrational_halfspace_keeps_the_box(sqrt2_basis):
+    """The dual pass runs in the constraints' domain, Z[sqrt2] here, although
+    every vertex is rational; the redundant rows leave the box unchanged."""
+    s2 = sqrt2_basis.constant("sqrt2")
+    box = [([1, 0], 0), ([0, 1], 0), ([-1, 0], -1), ([0, -1], -1)]
+    P = intersect_halfspaces(sqrt2_basis, 2, box)
+    for extra in [([1, 1], -s2), ([s2, 1], -s2), ([-1, s2], -1)]:
+        Q = intersect_halfspaces(sqrt2_basis, 2, box + [extra])
+        assert Q.to_json_dict() == P.to_json_dict()
+        assert Q.vrep == P.vrep
