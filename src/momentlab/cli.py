@@ -171,6 +171,8 @@ def _load_model(sc: Scenario) -> None:
             raise ScenarioError("weights", "must be a list of integer vectors")
         if not isinstance(masked, list) or not all(_is_int(j) for j in masked):
             raise ScenarioError("masked", "must be a list of coordinate indices")
+        if any(j < 0 or j >= len(weights) for j in masked):
+            raise ScenarioError("masked", "masked index out of range")
         try:
             sc.module = WeightedModule(
                 basis, d, tuple(tuple(w) for w in weights), frozenset(masked)
@@ -200,7 +202,8 @@ def _load_model(sc: Scenario) -> None:
                 else [_parse_vector(basis, v, "direction_normals", d) for v in normals],
             )
         except ScalarError as exc:
-            raise ScenarioError("direction", str(exc))
+            # the slice is built from the normals whenever they are given
+            raise ScenarioError("direction" if normals is None else "direction_normals", str(exc))
     points = raw.get("points", [])
     if not isinstance(points, list):
         raise ScenarioError("points", "must be a list of points")

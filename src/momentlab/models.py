@@ -677,17 +677,20 @@ def _tangent_model(model, point: ModelPoint) -> tuple[Subspace, PresympForm, Sub
 
 def slices_at(model, point: ModelPoint) -> SliceData:
     """Dimensions and weight labels of the symplectic slice (the reduction of
-    the orbit's form-orthogonal) and of the null slice (leaf directions
-    transverse to the orbit)."""
+    the orbit's form-orthogonal D) and of the null slice (leaf directions
+    transverse to the orbit).
+
+    The symplectic slice is D/(D ∩ D^σ); D ∩ D^σ is the radical of σ on D,
+    so its dimension is the rank of σ restricted to D."""
     T, restricted, F = _tangent_model(model, point)
-    reduced = presymlin.natural_quotient(restricted, F, "orth")
-    null_dim = F.add(restricted.kernel()).dim - F.dim
-    sym_weights = _identify_line_weights(
-        model.module, point, T, reduced, expected_dim=reduced.quotient_dim
-    )
+    D = presymlin.sigma_orthogonal(restricted, F)
+    symplectic_dim = restricted.restrict(D.rows).rank()
+    null_dim = linalg.rank([*F.rows, *restricted.kernel().rows]) - F.dim
     return SliceData(
-        symplectic_dim=reduced.quotient_dim,
-        symplectic_weights=sym_weights,
+        symplectic_dim=symplectic_dim,
+        symplectic_weights=_identify_line_weights(
+            model.module, point, T, restricted, D, symplectic_dim
+        ),
         null_dim=null_dim,
     )
 
@@ -696,11 +699,17 @@ def _identify_line_weights(
     module: WeightedModule,
     point: ModelPoint,
     T: Subspace,
-    reduced: presymlin.ReducedSpace,
+    restricted: PresympForm,
+    D: Subspace,
     expected_dim: int,
 ):
     """Match the symplectic slice with whole unsupported unmasked coordinate
-    lines; returns their weights or None when the match fails."""
+    lines; returns their weights or None when the match fails.
+
+    The lines match when their slots lie in D and map onto D/(D ∩ D^σ).
+    There are as many slots as the quotient has dimensions and the induced
+    form is nondegenerate, so a slot combination in the radical is exactly
+    a kernel vector of the slots' Gram matrix: full Gram rank is the test."""
     basis = module.scalar_basis
     candidates = [
         j
@@ -715,10 +724,9 @@ def _identify_line_weights(
         for slot in (2 * j, 2 * j + 1)
     ]
     coords = linalg.solve(T.rows, slots, basis)
-    if None in coords or not all(reduced.domain.contains(c) for c in coords):
+    if None in coords or not all(D.contains(c) for c in coords):
         return None
-    images = linalg.mat_vecs(reduced.projection, coords, basis)
-    if linalg.rank(images) != expected_dim:
+    if restricted.restrict(coords).rank() != expected_dim:
         return None
     return tuple(tuple(module.weights[j]) for j in candidates)
 

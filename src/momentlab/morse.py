@@ -124,14 +124,9 @@ def critical_set(slice_: AffineSlice, xi: Sequence) -> tuple[CriticalStratum, ..
 
 def _check_unique(slice_: AffineSlice, support: Sequence[int]) -> None:
     # transversality makes the stabilizer meet the ideal trivially on
-    # realized strata, so eta is well defined
-    basis = slice_.scalar_basis
-    d = slice_.torus_rank
-    stab = [linalg.unit(basis, d, j) for j in range(d) if j not in support]
-    from .presymlin import Subspace
-
-    meet = Subspace.from_vectors(basis, d, stab).intersect(slice_.ideal)
-    if meet.dim != 0:
+    # realized strata, so eta is well defined; the meet has dimension
+    # ideal.dim minus the rank of the ideal's rows on the support
+    if linalg.rank(_projected_ideal_columns(slice_, support)) != slice_.ideal.dim:
         raise AssertionError("ambiguous critical decomposition")
 
 

@@ -166,9 +166,6 @@ class ReducedSpace:
 
     quotient_dim: int
     induced_form: PresympForm
-    projection: tuple[Vector, ...]
-    representatives: tuple[Vector, ...]
-    domain: Subspace
 
 
 def sigma_orthogonal(sigma: PresympForm, F: Subspace) -> Subspace:
@@ -178,26 +175,6 @@ def sigma_orthogonal(sigma: PresympForm, F: Subspace) -> Subspace:
     constraints = linalg.mat_vecs(sigma.matrix, F.rows, sigma.scalar_basis)
     null = linalg.kernel(constraints, sigma.scalar_basis, sigma.dim)
     return Subspace.from_vectors(sigma.scalar_basis, sigma.dim, null)
-
-
-def _projection_matrix(
-    scalar_basis: ConstantBasis, ambient: int, kernel_rows: Sequence[Vector],
-    rep_rows: Sequence[Vector],
-) -> tuple[Vector, ...]:
-    """Rows extracting the representative coordinates of a vector.
-
-    Valid on the span of kernel + representatives; extended by zero on the
-    standard units completing them to a basis.
-    """
-    full: list[Vector] = list(kernel_rows) + list(rep_rows)
-    units = [linalg.unit(scalar_basis, ambient, i) for i in range(ambient)]
-    full += linalg.extend_basis(full, units)
-    if len(full) != ambient:
-        raise AssertionError("basis completion failed to invert")
-    # the coordinates of the units are the columns of the inverse
-    columns = linalg.solve(full, units, scalar_basis)
-    k = len(kernel_rows)
-    return tuple(tuple(x[k + i] for x in columns) for i in range(len(rep_rows)))
 
 
 def natural_quotient(
@@ -221,14 +198,7 @@ def natural_quotient(
     induced = sigma.restrict(reps)
     if induced.rank() != len(reps):
         raise AssertionError("induced form is degenerate; reduction is inconsistent")
-    projection = _projection_matrix(basis, sigma.dim, degenerate.rows, reps)
-    return ReducedSpace(
-        quotient_dim=len(reps),
-        induced_form=induced,
-        projection=projection,
-        representatives=tuple(reps),
-        domain=domain,
-    )
+    return ReducedSpace(quotient_dim=len(reps), induced_form=induced)
 
 
 def symplectization(
@@ -240,20 +210,17 @@ def symplectization(
     ker = sigma.kernel()
     k = ker.dim
     n = sigma.dim
-    # coordinates of the ker-component of a vector, via a completed basis
-    ker_coords = _projection_matrix(basis, n, [], list(ker.rows))
     big = n + k
-    zero = basis.zero()
-    rows = [[zero for _ in range(big)] for _ in range(big)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = sigma.matrix[i][j]
-    # pairing between ker coordinates and the new dual coordinates
-    for a in range(k):
-        for i in range(n):
-            c = ker_coords[a][i]
-            rows[i][n + a] = rows[i][n + a] + c
-            rows[n + a][i] = rows[n + a][i] - c
+    zero, one = basis.zero(), basis.one()
+    rows = [list(r) + [zero] * k for r in sigma.matrix] + [[zero] * big for _ in range(k)]
+    # pair the new dual coordinates with the ker coordinates: canonical rows
+    # carry 1 at their own pivot and 0 at the others, so the unit covectors
+    # at the pivots restrict to the identity on ker.  The slice does not
+    # depend on this choice: on F + 0 the enlarged form restricts to sigma,
+    # so its radical on F's orthogonal is F meet F^sigma for any complement.
+    for a, p in enumerate(ker.pivots):
+        rows[p][n + a] = one
+        rows[n + a][p] = -one
     big_form = PresympForm.from_rows(basis, rows)
     embedded = Subspace.from_vectors(
         basis, big, [tuple(r) + tuple(zero for _ in range(k)) for r in F.rows]

@@ -90,6 +90,16 @@ def test_invalid_slice_exits_2(tmp_path, capsys):
     assert "misses" in capsys.readouterr().err
 
 
+def test_invalid_slice_by_normals_names_direction_normals(tmp_path, capsys):
+    raw = segment_raw()
+    raw["direction_normals"] = [["1", "1"], ["1", "-1"], ["0", "1"]]
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "field 'direction_normals': slice misses moment image" in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run_scenario(tmp_path / "nope.json", out_dir=tmp_path / "out") == 2
     assert "not found" in capsys.readouterr().err
@@ -209,10 +219,12 @@ def test_bad_segment_field_exits_2(tmp_path, capsys, field, value):
         ({"torus_rank": True, "lambda": ["1"], "direction": [["1"]]}, "torus_rank"),
         ({"torus_rank": 1, "weights": [[True], [1]]}, "weights"),
         ({"torus_rank": 1, "weights": [[1], [1]], "masked": [True]}, "masked"),
+        ({"torus_rank": 2, "weights": [[1, 0], [0, 1]], "masked": [5]}, "masked"),
     ],
 )
 def test_boolean_integer_field_exits_2(tmp_path, capsys, raw, field):
-    """JSON booleans are not integers, although Python's bool is an int."""
+    """JSON booleans are not integers, although Python's bool is an int; an
+    integer out of range is named by its own field too."""
     path = write(tmp_path, raw)
     assert validate_scenario(path) == 2
     assert run_scenario(path, out_dir=tmp_path / "out") == 2
@@ -255,15 +267,15 @@ def test_exact_float_scalar_field_runs(tmp_path):
 
 
 def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
-    """An internal fault exits 3, not 2 like malformed input: here the form
-    induced on the reduction's representatives reports one rank too many."""
-    from momentlab import linalg, presymlin
+    """An internal fault exits 3, not 2 like malformed input: here the
+    quasifold section's lattice finds no rational pivots, so its rank falls
+    below the quotient dimension."""
+    from momentlab import lattice
 
-    monkeypatch.setattr(
-        presymlin.PresympForm, "rank", lambda self: linalg.rank(list(self.matrix)) + 1
-    )
+    monkeypatch.setattr(lattice, "_rational_pivots", lambda rows: [])
     assert run_scenario(SCENARIOS / "segment.json", out_dir=tmp_path / "out") == 3
-    assert "internal error: AssertionError: induced form is degenerate" in capsys.readouterr().err
+    assert ("internal error: AssertionError: quasilattice rank below quotient dimension"
+            in capsys.readouterr().err)
 
 
 FUZZ_FIELDS = ("name", "constants", "torus_rank", "lambda", "direction_normals",

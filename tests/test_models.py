@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from momentlab.models import (
 from momentlab.presymlin import PresympForm, Subspace
 
 from conftest import form_pairing, random_fraction
+from test_presymlin import random_skew_form, random_subspace
 
 
 def segment_slice(basis):
@@ -664,6 +666,112 @@ def test_symplectization_slice_dim_matches_natural_quotient(field, rat_basis, sq
             assert symplectization_slice_dim(s, x) == symplectization_quotient_dim(s, x)
             strata += 1
     assert strata >= 20
+
+
+def slice_reference(module, x, T, restricted, F):
+    """Symplectic slice dimension and line weights through the reduction's
+    projection: representatives of D/(D ∩ D^σ) from extend_basis, a
+    projection onto their coordinates from a completed basis and solve, and
+    the rank of the slots' projected images."""
+    basis, n = restricted.scalar_basis, restricted.dim
+    D = presymlin.sigma_orthogonal(restricted, F)
+    radical = D.intersect(presymlin.sigma_orthogonal(restricted, D))
+    reps = linalg.extend_basis(radical.rows, D.rows)
+    units = [linalg.unit(basis, n, i) for i in range(n)]
+    full = list(radical.rows) + reps
+    full += linalg.extend_basis(full, units)
+    # the coordinates of the units are the columns of the inverse
+    inverse_columns = linalg.solve(full, units, basis)
+    projection = [tuple(c[radical.dim + i] for c in inverse_columns) for i in range(len(reps))]
+    candidates = [j for j in range(module.n_coords)
+                  if j not in x.support and j not in module.masked]
+    if 2 * len(candidates) != len(reps):
+        return len(reps), None
+    slots = [linalg.unit(basis, 2 * module.n_coords, slot)
+             for j in candidates for slot in (2 * j, 2 * j + 1)]
+    coords = linalg.solve(T.rows, slots, basis)
+    if None in coords or not all(D.contains(c) for c in coords):
+        return len(reps), None
+    if linalg.rank(linalg.mat_vecs(projection, coords, basis)) != len(reps):
+        return len(reps), None
+    return len(reps), tuple(tuple(module.weights[j]) for j in candidates)
+
+
+@pytest.mark.parametrize("field", ["rational", "sqrt2"])
+def test_slices_at_matches_projection_reference(field, rat_basis, sqrt2_basis):
+    basis = rat_basis if field == "rational" else sqrt2_basis
+
+    def check(model, x):
+        sd = slices_at(model, x)
+        want = slice_reference(model.module, x, *models._tangent_model(model, x))
+        assert (sd.symplectic_dim, sd.symplectic_weights) == want
+
+    for weights, masked in ((((1, 0), (0, 1), (1, 1)), ()), (((1, 0), (1, 1), (1, -1)), (1, 2)),
+                            (((2, -1), (0, 3)), (0,))):
+        module = WeightedModule(basis, 2, weights, frozenset(masked))
+        check(module, ModelPoint.from_coordinates(basis, [0] * len(weights)))
+    pm = product_model(basis)
+    points = PRODUCT_POINTS["rational"] + (PRODUCT_POINTS["sqrt2"] if field == "sqrt2" else [])
+    for coords in points:
+        check(pm, ModelPoint.from_coordinates(basis, coords))
+    rng = random.Random(1501 if field == "rational" else 1502)
+    strata = 0
+    for _ in range(12):
+        s = _random_bounded_slice(rng, basis, rng.randint(2, 4),
+                                  irrational=field == "sqrt2" and rng.random() < 0.5)
+        if s is None:
+            continue
+        for stratum in models.support_strata(s):
+            check(s, stratum.representative)
+            strata += 1
+    assert strata >= 20
+
+
+@pytest.mark.parametrize("field", ["rational", "sqrt2"])
+def test_line_weights_match_projection_reference_on_random_forms(field, rat_basis, sqrt2_basis):
+    """The line match on random skew forms and orbit tangents F, where the
+    slots can leave D or pair degenerately, against the projection route.
+    Half the time the form vanishes on the slots S, and half the time F is
+    drawn inside S's orthogonal (so S lies in D), with a vector of S ∩ S^σ
+    that puts slots into D's radical."""
+    basis = rat_basis if field == "rational" else sqrt2_basis
+    rng = random.Random(1503 if field == "rational" else 1504)
+    module = WeightedModule(basis, 2, ((1, 0), (0, 1), (1, 1)))
+    T = Subspace.full(basis, 6)
+
+    def combination(rows):
+        return functools.reduce(linalg.vec_add, (
+            linalg.vec_scale(r, random_fraction(rng)) for r in rows), linalg.zeros(basis, 6))
+
+    outcomes = {"count": 0, "outside D": 0, "degenerate": 0, "match": 0}
+    for _ in range(150):
+        x = ModelPoint.from_coordinates(basis, [rng.choice([0, 1]) for _ in range(3)])
+        slot_ids = [s for j in range(3) if j not in x.support for s in (2 * j, 2 * j + 1)]
+        rows = [list(r) for r in random_skew_form(rng, basis, 6, irrational_chance=0.3).matrix]
+        if rng.random() < 0.5:
+            for a, b in itertools.product(slot_ids, repeat=2):
+                rows[a][b] = basis.zero()
+        form = PresympForm.from_rows(basis, rows)
+        F = random_subspace(rng, basis, 6)
+        if rng.random() < 0.5:
+            S = Subspace.from_vectors(basis, 6, [linalg.unit(basis, 6, s) for s in slot_ids])
+            orth = presymlin.sigma_orthogonal(form, S)
+            vectors = [combination(orth.rows) for _ in range(rng.randint(0, orth.dim))]
+            radical = S.intersect(orth)
+            if radical.dim:
+                vectors.append(combination(radical.rows))
+            F = Subspace.from_vectors(basis, 6, vectors)
+        D = presymlin.sigma_orthogonal(form, F)
+        dim, want = slice_reference(module, x, T, form, F)
+        assert form.restrict(D.rows).rank() == dim
+        assert models._identify_line_weights(module, x, T, form, D, dim) == want
+        if len(slot_ids) != dim:
+            outcomes["count"] += 1
+        elif not all(D.contains(linalg.unit(basis, 6, s)) for s in slot_ids):
+            outcomes["outside D"] += 1
+        else:
+            outcomes["degenerate" if want is None else "match"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_slices_at_leafwise_transitive_has_no_null_slice(sqrt2_basis):

@@ -151,16 +151,6 @@ def test_ambient_reduction_nondegenerate(sqrt2_basis):
         assert red.induced_form.rank() == red.quotient_dim
 
 
-def test_projection_matrix_recovers_coordinates(sqrt2_basis):
-    form = PresympForm.standard(sqrt2_basis, 2)
-    F = Subspace.full(sqrt2_basis, 4)
-    red = natural_quotient(form, F, "sub")
-    for i, rep in enumerate(red.representatives):
-        (coords,) = linalg.mat_vecs(red.projection, [rep], sqrt2_basis)
-        for j, c in enumerate(coords):
-            assert c.is_zero() if j != i else (c - sqrt2_basis.one()).is_zero()
-
-
 def test_symplectization_is_symplectic_and_preserves_orbit(sqrt2_basis):
     rng = random.Random(31)
     for _ in range(40):
@@ -171,3 +161,43 @@ def test_symplectization_is_symplectic_and_preserves_orbit(sqrt2_basis):
         assert big_form.dim == dim + form.kernel().dim
         assert big_form.rank() == big_form.dim
         assert big_F.dim == F.dim
+
+
+def completed_basis_symplectization(form, F):
+    """symplectization with the ker coordinates read through a completed
+    basis: ker's rows extended by standard units to a basis, whose inverse
+    gives the coordinates of each unit."""
+    basis, n = form.scalar_basis, form.dim
+    ker = form.kernel()
+    k = ker.dim
+    units = [linalg.unit(basis, n, i) for i in range(n)]
+    full = list(ker.rows) + linalg.extend_basis(ker.rows, units)
+    unit_coords = linalg.solve(full, units, basis)
+    zero = basis.zero()
+    rows = [list(r) + [zero] * k for r in form.matrix] + [[zero] * (n + k) for _ in range(k)]
+    for a in range(k):
+        for i in range(n):
+            rows[i][n + a] = unit_coords[i][a]
+            rows[n + a][i] = -unit_coords[i][a]
+    embedded = Subspace.from_vectors(basis, n + k, [tuple(r) + (zero,) * k for r in F.rows])
+    return PresympForm.from_rows(basis, rows), embedded
+
+
+def test_symplectization_slice_independent_of_ker_complement(sqrt2_basis):
+    """The pivot covectors and a completed basis give different enlarged
+    forms but the same slice dimension: the rank of the form on the
+    orthogonal of F + 0."""
+    rng = random.Random(37)
+    differ = 0
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        form = random_skew_form(rng, sqrt2_basis, dim, irrational_chance=0.3)
+        F = random_subspace(rng, sqrt2_basis, dim, irrational_rows=1)
+        pivot, completed = symplectization(form, F), completed_basis_symplectization(form, F)
+        slice_dims = []
+        for big_form, big_F in (pivot, completed):
+            assert big_form.rank() == big_form.dim
+            slice_dims.append(big_form.restrict(sigma_orthogonal(big_form, big_F).rows).rank())
+        assert slice_dims[0] == slice_dims[1]
+        differ += pivot[0] != completed[0]
+    assert differ >= 10
