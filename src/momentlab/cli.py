@@ -181,6 +181,11 @@ def _load_model(sc: Scenario) -> None:
             raise ScenarioError("weights", str(exc))
     has_slice = "lambda" in raw or "direction" in raw or "direction_normals" in raw
     if has_slice:
+        # double description adds a coordinate, and a contact cone one more
+        cone = " with contact-cone" if "contact-cone" in sc.analyses else ""
+        limit = polyhedra.MAX_DIM - 1 - bool(cone)
+        if d > limit:
+            raise ScenarioError("torus_rank", f"must be at most {limit} for a slice{cone}")
         lam = _parse_vector(basis, raw.get("lambda"), "lambda", d)
         vectors = raw.get("direction")
         normals = raw.get("direction_normals")

@@ -171,26 +171,6 @@ def hessian_quadratic(module: WeightedModule, xi: Vector, v: Sequence) -> ExtSca
     return acc
 
 
-def fixed_decomposition(
-    module: WeightedModule, e: Sequence
-) -> tuple[Vector, Vector]:
-    """Split a point into its component on zero-weight coordinates (fixed by
-    the torus) plus the rest."""
-    vec = linalg.as_vector(module.scalar_basis, e)
-    if len(vec) != 2 * module.n_coords:
-        raise ModelError("point has wrong length")
-    zero = module.scalar_basis.zero()
-    e0, e1 = list(vec), list(vec)
-    for j in range(module.n_coords):
-        fixed = all(a == 0 for a in module.weights[j])
-        for slot in (2 * j, 2 * j + 1):
-            if fixed:
-                e1[slot] = zero
-            else:
-                e0[slot] = zero
-    return tuple(e0), tuple(e1)
-
-
 # -- adapted frame ------------------------------------------------------------------
 
 
@@ -384,23 +364,23 @@ class AffineSlice:
         _require_on_slice(self, point)
         return tangent_space(self, point)
 
-    def orthant(self) -> Polyhedron:
-        basis = self.scalar_basis
-        d = self.torus_rank
-        return polyhedra.intersect_halfspaces(
-            basis, d, [(linalg.unit(basis, d, j), 0) for j in range(d)]
-        )
-
     def moment_polytope(self) -> Polyhedron:
         if self._polytope_cache is None:
-            basis = self.scalar_basis
-            d = self.torus_rank
-            eqs = [(a, linalg.dot(a, self.lam)) for a in self.ideal.rows]
             P = polyhedra.intersect_halfspaces(
-                basis, d, [(linalg.unit(basis, d, j), 0) for j in range(d)], eqs
+                self.scalar_basis, self.torus_rank, _orthant_rows(self), _plane_rows(self)
             )
             object.__setattr__(self, "_polytope_cache", P)
         return self._polytope_cache
+
+
+def _orthant_rows(slice_: AffineSlice) -> list:
+    basis, d = slice_.scalar_basis, slice_.torus_rank
+    return [(linalg.unit(basis, d, j), 0) for j in range(d)]
+
+
+def _plane_rows(slice_: AffineSlice) -> list:
+    """The equalities <a, x> = <a, lambda> of lambda + W, one per ideal row."""
+    return [(a, linalg.dot(a, slice_.lam)) for a in slice_.ideal.rows]
 
 
 def build_affine_slice(
@@ -502,14 +482,6 @@ class SupportStratum:
     scalar_basis: ConstantBasis
     ambient_dim: int
 
-    def face_polyhedron(self) -> Polyhedron:
-        """The face of the moment polytope carrying this stratum."""
-        return polyhedra.from_generators(
-            self.scalar_basis, self.ambient_dim,
-            [list(v) for v in self.face_vertices],
-            [list(r) for r in self.face_rays],
-        )
-
     def face_affine_dim(self) -> int:
         base = self.face_vertices[0]
         rows = [linalg.vec_sub(v, base) for v in self.face_vertices[1:]]
@@ -602,14 +574,9 @@ def moment_image(slice_: AffineSlice) -> MomentImageReport:
         direction == slice_.ideal.annihilator()
         and slice_.direction.contains(linalg.vec_sub(base, slice_.lam))
     )
-    ambient = slice_.orthant()
-    affine_only = polyhedra.intersect_halfspaces(
-        slice_.scalar_basis,
-        slice_.torus_rank,
-        [],
-        [(a, linalg.dot(a, slice_.lam)) for a in slice_.ideal.rows],
-    )
-    sympl_ok = polyhedra.poly_equal(P, polyhedra.intersect(ambient, affine_only))
+    # cut_out_by's precondition: build_affine_slice checked that the plane
+    # meets the open orthant
+    sympl_ok = polyhedra.cut_out_by(P, _orthant_rows(slice_), _plane_rows(slice_))
     rational = polyhedra.is_rational_polyhedral(P)
     closed = lattice.null_subgroup_closed(slice_)
     return MomentImageReport(
@@ -632,8 +599,7 @@ def local_cone(slice_: AffineSlice, point: ModelPoint) -> Polyhedron:
         for j in range(d)
         if j not in point.support
     ]
-    eqs = [(a, linalg.dot(a, slice_.lam)) for a in slice_.ideal.rows]
-    return polyhedra.intersect_halfspaces(basis, d, hs, eqs)
+    return polyhedra.intersect_halfspaces(basis, d, hs, _plane_rows(slice_))
 
 
 def local_cones_intersection(slice_: AffineSlice) -> Polyhedron:
@@ -648,8 +614,7 @@ def local_cones_intersection(slice_: AffineSlice) -> Polyhedron:
             if j not in stratum.support and j not in seen:
                 seen.add(j)
                 hs.append((linalg.unit(basis, d, j), 0))
-    eqs = [(a, linalg.dot(a, slice_.lam)) for a in slice_.ideal.rows]
-    return polyhedra.intersect_halfspaces(basis, d, hs, eqs)
+    return polyhedra.intersect_halfspaces(basis, d, hs, _plane_rows(slice_))
 
 
 # -- slice data (symplectic and null slices) -------------------------------------------

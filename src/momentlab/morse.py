@@ -185,7 +185,6 @@ def full_critical_set(
             "moment polytope is unbounded; the vertex-hull identity needs a "
             "compact model"
         )
-    basis = slice_.scalar_basis
     out = []
     for stratum in models.support_strata(slice_):
         cols = _projected_ideal_columns(slice_, stratum.support)
@@ -201,12 +200,9 @@ def full_critical_set(
                 image=stratum.face_vertices[0],
             )
         )
-    hull = polyhedra.from_generators(basis, P.dim, [s.image for s in out])
-    counts = []
-    for v in P.vrep.vertices:
-        counts.append((v, sum(1 for s in out if s.image == v)))
-    check = VertexCheck(
-        hull_equals_polytope=polyhedra.poly_equal(hull, P),
-        vertex_fibre_counts=tuple(counts),
-    )
-    return tuple(out), check
+    vertices = P.vrep.vertices
+    counts = tuple((v, sum(1 for s in out if s.image == v)) for v in vertices)
+    # a polytope is the hull of a finite set of its points iff the set
+    # holds every vertex
+    hull_ok = all(s.image in vertices for s in out) and all(n for _, n in counts)
+    return tuple(out), VertexCheck(hull_equals_polytope=hull_ok, vertex_fibre_counts=counts)

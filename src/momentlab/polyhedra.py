@@ -11,7 +11,10 @@ domain rows; ExtScalars are built only for the Polyhedron's public fields.
 Vertices are divided out of the homogenized rays, equalities are one
 elimination of the dual lines, facets are reduced modulo them and
 deduplicated as canonical rays, and containment (contains, poly_equal)
-evaluates every constraint row at every homogenized generator.
+evaluates every constraint row at every homogenized generator.  cut_out_by
+decides whether P equals the polyhedron of given rows without double
+description: containment, one rank of the given equalities, and P's facet
+rows found among the given rows, both reduced as the dual pass reduces.
 from_generators keeps the input generators that are extreme by incidence
 against the facets of one dual pass, with ranks read off elimination pivots.
 Sizes are capped at desk scale, where the double description method is
@@ -96,19 +99,6 @@ class Polyhedron:
         if any(e.basis != self.scalar_basis for e in v):
             raise BasisMismatchError("point uses a different constant basis")
         return not self.is_empty and _generators_inside(self, [v])
-
-    def to_json_dict(self) -> dict:
-        def enc(hs: HalfSpace) -> dict:
-            return {
-                "normal": [str(e) for e in hs.normal],
-                "offset": str(hs.offset),
-            }
-
-        return {
-            "dim": self.dim,
-            "halfspaces": [enc(h) for h in self.halfspaces],
-            "equalities": [enc(h) for h in self.equalities],
-        }
 
 
 # -- double description ---------------------------------------------------------
@@ -226,6 +216,24 @@ def _primal(D: _Domain, dim: int, eq_rows: list, hs_rows: list) -> tuple[VRep, l
     return vrep, rays + [g for l in lines for g in (l, D.neg(l))]
 
 
+def _reduction(D: _Domain, dim: int, eq_rows: list):
+    """`eq_rows` eliminated in D to a positive last pivot, that pivot, and the
+    map taking a primitive row (normal, -offset) to its canonical form modulo
+    their span, or to None when its normal part vanishes there (the trivial
+    t >= 0 direction)."""
+    rows, pivots, last = _eliminate(eq_rows, D.nonzero, D.step, D.one)
+    if D.sign(last) < 0:
+        rows, last = [D.neg(r) for r in rows], D.neg((last,))[0]
+
+    def reduce(v):
+        for p, row in zip(pivots, rows):  # row[p] is last > 0
+            if D.nonzero(v[p]):
+                v = D.comb(last, v, v[p], row)
+        return D.canon(v) if any(map(D.nonzero, v[:dim])) else None
+
+    return rows, last, reduce
+
+
 def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
     """The H-representation of the polyhedron whose homogenized generators
     (g, 1) for a vertex g and (g, 0) for a ray are `gens`, in D: the sorted
@@ -238,9 +246,7 @@ def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
     """
     _check_scale(dim + 1, len(gens))
     lines, rays = cone_double_description(D, dim + 1, gens)
-    eq_rows, pivots, last = _eliminate(lines, D.nonzero, D.step, D.one)
-    if D.sign(last) < 0:
-        eq_rows, last = [D.neg(r) for r in eq_rows], D.neg((last,))[0]
+    eq_rows, last, reduce = _reduction(D, dim, lines)
     equalities = []
     for row in eq_rows:
         e = D.div(row, last)  # the reduced row: its pivot is 1
@@ -248,14 +254,8 @@ def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
             raise AssertionError("trivial equality produced")
         equalities.append((HalfSpace(e[:dim], -e[dim]), row))
     facets: dict = {}
-    for v in rays:
-        for p, row in zip(pivots, eq_rows):  # row[p] is last > 0
-            if D.nonzero(v[p]):
-                v = D.comb(last, v, v[p], row)
-        if not any(map(D.nonzero, v[:dim])):
-            continue  # the trivial t >= 0 direction
-        v = D.canon(v)
-        if v not in facets:
+    for v in map(reduce, rays):
+        if v is not None and v not in facets:
             nr = _to_scalars(D, v, True)
             facets[v] = HalfSpace(nr[:dim], -nr[dim])
     key = lambda pair: _sort_key(pair[0].normal + (pair[0].offset,))
@@ -471,45 +471,74 @@ def _generators_inside(
     rays: Sequence[Vector] = (),
     lines: Sequence[Vector] = (),
 ) -> bool:
-    """Whether conv(vertices) + cone(rays) + span(lines) lies in Q.
+    """Whether conv(vertices) + cone(rays) + span(lines) lies in Q, in one
+    domain chosen from Q's rows and the homogenized generators.  Q must be
+    nonempty: an empty polyhedron keeps no constraints."""
+    eqs, hss = _rows(Q.equalities), _rows(Q.halfspaces)
+    points, flats = _homogenized(Q.scalar_basis, vertices, rays, lines)
+    D = _domain(Q.scalar_basis, eqs + hss + points + flats)
+    return _rows_hold(D, *([D.conv(a) for a in rows] for rows in (eqs, hss, points, flats)))
 
-    Q's rows (normal, -offset) and the homogenized generators (v, 1), (r, 0)
-    and (l, 0) go into one domain, chosen from all of them, where every sign
-    is exact: each row vanishes on a line, an equality row on every
-    generator, and a half-space row is nonnegative on vertices and rays.
-    Q must be nonempty: an empty polyhedron keeps no constraints.
-    """
-    basis = Q.scalar_basis
+
+def _rows(halfspaces: Sequence[HalfSpace]) -> list:
+    return [tuple(h.normal) + (-h.offset,) for h in halfspaces]
+
+
+def _homogenized(basis: ConstantBasis, vertices, rays, lines) -> tuple[list, list]:
+    """The points (v, 1) and (r, 0), and the flats (l, 0)."""
     one, zero = basis.one(), basis.zero()
-    eqs = [tuple(h.normal) + (-h.offset,) for h in Q.equalities]
-    hss = [tuple(h.normal) + (-h.offset,) for h in Q.halfspaces]
     points = [tuple(v) + (one,) for v in vertices] + [tuple(r) + (zero,) for r in rays]
-    flats = [tuple(l) + (zero,) for l in lines]
-    D = _domain(basis, eqs + hss + points + flats)
-    conv, dot, sign = D.conv, D.dot, D.sign
-    eqs, hss = [conv(a) for a in eqs], [conv(a) for a in hss]
-    for g in map(conv, points):
+    return points, [tuple(l) + (zero,) for l in lines]
+
+
+def _rows_hold(D: _Domain, eqs: list, hss: list, points: list, flats: list) -> bool:
+    """Whether, with exact signs in D, every row vanishes on the flats, the
+    equality rows on the points, and the half-space rows are nonnegative on
+    the points."""
+    dot, sign = D.dot, D.sign
+    for g in points:
         if any(sign(dot(a, g)) for a in eqs) or any(sign(dot(a, g)) < 0 for a in hss):
             return False
-    for g in map(conv, flats):
-        if any(sign(dot(a, g)) for a in eqs + hss):
-            return False
-    return True
+    return not any(sign(dot(a, g)) for g in flats for a in eqs + hss)
 
 
-def intersect(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
-    if P.dim != Q.dim:
-        raise PolyhedronError("polyhedra live in different dimensions")
-    if P.is_empty or Q.is_empty:
-        return Polyhedron(P.scalar_basis, P.dim, (), (), VRep((), (), ()))
-    return intersect_halfspaces(
-        P.scalar_basis,
-        P.dim,
-        [(h.normal, h.offset) for h in P.halfspaces]
-        + [(h.normal, h.offset) for h in Q.halfspaces],
-        [(h.normal, h.offset) for h in P.equalities]
-        + [(h.normal, h.offset) for h in Q.equalities],
-    )
+def cut_out_by(
+    P: Polyhedron,
+    halfspaces: Sequence[tuple[Sequence, object]] = (),
+    equalities: Sequence[tuple[Sequence, object]] = (),
+) -> bool:
+    """Whether the nonempty P equals Q = {x : <n, x> >= b, <m, x> = c}, read
+    off P's own H- and V-representation in one domain, with no double
+    description.  Precondition: Q spans the plane of its equalities, as when
+    the plane meets the interior of the half-spaces.  Then P = Q iff
+
+    - P lies in Q: every given row holds on P's homogenized generators;
+    - the given equality rows, which then lie in the span of P's, have as
+      many pivots as P has equalities (else P is flatter than Q);
+    - every facet row of P, reduced modulo the equalities and made canonical
+      as _dual does, is a given half-space row reduced the same way: a facet
+      inequality appears, up to positive scaling, in every H-representation
+      (Ziegler, Lectures on Polytopes, 1995, Lecture 2).
+    """
+    if P.is_empty:
+        raise EmptyPolyhedronError("empty polyhedron has no representation to check")
+    basis, dim = P.scalar_basis, P.dim
+    hss, eqs = ([linalg.as_vector(basis, n) + (-_as_scalar(basis, b),) for n, b in rows]
+                for rows in (halfspaces, equalities))
+    if any(len(a) != dim + 1 for a in hss + eqs):
+        raise PolyhedronError("constraint normal has wrong dimension")
+    facets = _rows(P.halfspaces)
+    points, flats = _homogenized(basis, P.vrep.vertices, P.vrep.rays, P.vrep.lines)
+    D = _domain(basis, hss + eqs + facets + points + flats)
+    hss, eqs, points, flats = ([D.conv(a) for a in rows] for rows in (hss, eqs, points, flats))
+    if not _rows_hold(D, eqs, hss, points, flats):
+        return False
+    eq_rows, _, reduce = _reduction(D, dim, eqs)
+    # a scalar facet row converts to its canonical form; a given row is made
+    # primitive first
+    given = {reduce(D.comb(D.one, a, D.zero, a)) for a in hss}
+    return (len(eq_rows) == len(P.equalities)
+            and all(reduce(D.conv(f)) in given for f in facets))
 
 
 def is_bounded(P: Polyhedron) -> bool:

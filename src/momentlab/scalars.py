@@ -617,6 +617,7 @@ class _Domain(NamedTuple):
     conv: Callable  # a row of scalars in this domain, times a positive number
     scaled: Callable  # (conv(row), that positive number in this domain)
     one: object  # the unit of the domain, the first Bareiss divisor
+    zero: object
     unit: Callable  # unit(n, i): the i-th unit vector of length n
     nonzero: Callable
     step: Callable  # the Bareiss row update of _eliminate
@@ -645,7 +646,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
         return _Domain(
             conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])[0]),
             scaled=_z_clear,
-            one=1, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
+            one=1, zero=0, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
             nonzero=bool, step=_z_step,
             dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
             sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
@@ -657,7 +658,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
         ring = _SurdRing(basis, q)
         return _Domain(
             conv=lambda row: ring.clear(row)[0], scaled=ring.clear,
-            one=(1, 0), unit=lambda n, i: tuple((int(j == i), 0) for j in range(n)),
+            one=(1, 0), zero=(0, 0), unit=lambda n, i: tuple((int(j == i), 0) for j in range(n)),
             nonzero=lambda e: e[0] or e[1], step=ring.step, dot=ring.dot,
             sign=ring.sign, comb=ring.comb, canon=ring.canon,
             neg=lambda v: tuple((-a, -b) for a, b in v), div=ring.quotients,
@@ -682,7 +683,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
         return v
 
     return _Domain(
-        conv=tuple, scaled=lambda row: (tuple(row), one), one=one,
+        conv=tuple, scaled=lambda row: (tuple(row), one), one=one, zero=zero,
         unit=lambda n, i: tuple(one if j == i else zero for j in range(n)),
         nonzero=lambda e: not e.is_zero(),
         step=lambda row, prow, p, f, prev: [e / prev for e in msub(p, row, f, prow)],

@@ -16,6 +16,18 @@ def sqrt2_basis():
     return ConstantBasis.with_sqrt("sqrt2", 2)
 
 
+@pytest.fixture(scope="session")
+def three_surds_basis():
+    """{1, sqrt2, sqrt3, sqrt6} with every product declared: no single
+    declared square, so exact layers run on the scalars themselves."""
+    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
+             .with_constant("sqrt6", 6 ** 0.5, square=6))
+    basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
+    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
+    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
+    return basis
+
+
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 

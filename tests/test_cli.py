@@ -278,6 +278,79 @@ def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+def test_symplectization_identity_can_print_no(tmp_path, monkeypatch):
+    """A moment polytope cut by one more half-space, x_0 <= 1/2, is no longer
+    the orthant cut by the affine plane, and the report says so."""
+    from momentlab import models, polyhedra
+
+    moment_polytope = models.AffineSlice.moment_polytope
+
+    def cut(self):
+        P = moment_polytope(self)
+        return polyhedra.intersect_halfspaces(
+            P.scalar_basis, P.dim,
+            [(h.normal, h.offset) for h in P.halfspaces] + [([-1, 0], "-1/2")],
+            [(h.normal, h.offset) for h in P.equalities])
+
+    monkeypatch.setattr(models.AffineSlice, "moment_polytope", cut)
+    raw = segment_raw()
+    raw["analyses"] = ["slice-report"]
+    out = tmp_path / "out"
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    report = (out / "report.txt").read_text()
+    assert "vertices: (0, 1), (1/2, 1/2)" in report
+    assert "affine span is lambda + ideal annihilator: yes" in report
+    assert "equals ambient image cut by the affine plane: no" in report
+
+
+def test_vertex_hull_identity_can_print_no(tmp_path, monkeypatch):
+    """With the fixed-leaf stratum over the vertex (1, 0) dropped from the
+    strata, its image is missing from the hull, and the report says so."""
+    from momentlab import models
+
+    support_strata = models.support_strata
+    monkeypatch.setattr(models, "support_strata", lambda slice_: tuple(
+        st for st in support_strata(slice_) if st.support != (0,)))
+    raw = segment_raw()
+    raw["analyses"] = ["morse"]
+    out = tmp_path / "out"
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    report = (out / "report.txt").read_text()
+    assert "  support [1] -> (0, 1)\nhull of" in report
+    assert "hull of fixed-leaf images equals moment polytope: no" in report
+
+
+def ranked_slice_raw(rank, analyses, slice_field):
+    """A slice through (1, ..., 1) in the sum-zero hyperplane, given by its
+    normal or by a basis of direction vectors."""
+    ones = ["1"] * rank
+    raw = {"torus_rank": rank, "lambda": ones, "analyses": analyses, "xi": ones}
+    if slice_field == "direction_normals":
+        raw["direction_normals"] = [ones]
+    else:
+        raw["direction"] = [["0"] * i + ["1", "-1"] + ["0"] * (rank - 2 - i)
+                            for i in range(rank - 1)]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "rank, analyses, slice_field",
+    [(7, ["slice-report"], "direction_normals"), (7, ["morse"], "direction"),
+     (6, ["contact-cone"], "direction_normals"), (6, ["slice-report", "contact-cone"], "direction")],
+)
+def test_torus_rank_beyond_polytope_limit_exits_2(tmp_path, capsys, rank, analyses, slice_field):
+    """The polytope engine lifts a slice's torus rank by one coordinate, and a
+    contact cone by one more, up to polyhedra.MAX_DIM = 7: a larger rank is
+    rejected before anything runs, naming torus_rank, and one less passes."""
+    path = write(tmp_path, ranked_slice_raw(rank, analyses, slice_field))
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    limit = 5 if "contact-cone" in analyses else 6
+    assert f"field 'torus_rank': must be at most {limit} for a slice" in capsys.readouterr().err
+    smaller = write(tmp_path, ranked_slice_raw(rank - 1, analyses, slice_field), "smaller.json")
+    assert validate_scenario(smaller) == 0
+
+
 FUZZ_FIELDS = ("name", "constants", "torus_rank", "lambda", "direction_normals",
                "direction", "analyses", "xi", "seed", "samples", "t_max", "weights",
                "masked", "points", "curve", "family")

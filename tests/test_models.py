@@ -15,7 +15,6 @@ from momentlab.models import (
     build_local_model,
     cleanness_at,
     dphi_kernel_image,
-    fixed_decomposition,
     hessian_quadratic,
     leaf_stabilizer_algebra,
     local_cone,
@@ -30,6 +29,7 @@ from momentlab.models import (
 from momentlab.presymlin import PresympForm, Subspace
 
 from conftest import form_pairing, random_fraction
+from test_polyhedra import intersect, orthant
 from test_presymlin import random_skew_form, random_subspace
 
 
@@ -312,6 +312,24 @@ def test_hessian_is_half_second_difference(sqrt2_basis):
         assert second_diff == hessian_quadratic(mod, xi, v).scale(2)
 
 
+def fixed_decomposition(module, e):
+    """Split a point into its component on zero-weight coordinates (fixed by
+    the torus) plus the rest."""
+    vec = linalg.as_vector(module.scalar_basis, e)
+    if len(vec) != 2 * module.n_coords:
+        raise ModelError("point has wrong length")
+    zero = module.scalar_basis.zero()
+    e0, e1 = list(vec), list(vec)
+    for j in range(module.n_coords):
+        fixed = all(a == 0 for a in module.weights[j])
+        for slot in (2 * j, 2 * j + 1):
+            if fixed:
+                e1[slot] = zero
+            else:
+                e0[slot] = zero
+    return tuple(e0), tuple(e1)
+
+
 def test_fixed_decomposition_examples(sqrt2_basis):
     mod = WeightedModule(sqrt2_basis, 2, ((0, 0), (1, 0)))
     e0, e1 = fixed_decomposition(mod, [3, 1, 5, 7])
@@ -504,7 +522,54 @@ def test_moment_image_full_direction_is_orthant(sqrt2_basis):
         sqrt2_basis, 2, [1, 1], direction_vectors=[[1, 0], [0, 1]]
     )
     rep = models.moment_image(full)
-    assert polyhedra.poly_equal(rep.polytope, full.orthant())
+    assert polyhedra.poly_equal(rep.polytope, orthant(sqrt2_basis, 2))
+
+
+def cut_out_by_double_description(P, halfspaces, equalities):
+    """Reference: the route moment_image took before, one double description
+    of the given rows compared with P by mutual containment."""
+    Q = polyhedra.intersect_halfspaces(P.scalar_basis, P.dim, halfspaces, equalities)
+    return polyhedra.poly_equal(P, Q)
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2", "three_surds"])
+def test_cut_out_by_matches_double_description(field, rat_basis, sqrt2_basis,
+                                               three_surds_basis):
+    """polyhedra.cut_out_by against the double-description reference on
+    random validated slices, bounded and unbounded, over the Z, Z[sqrt2] and
+    scalar domains: the orthant cut by the plane, and three faulted systems
+    per slice (an orthant row dropped, a plane offset shifted by 1, and
+    x_j >= c added for a vertex coordinate c)."""
+    basis = {"q": rat_basis, "sqrt2": sqrt2_basis, "three_surds": three_surds_basis}[field]
+    # the scalar domain is slow: fewer slices there
+    count = 8 if field == "three_surds" else 20
+    rng = random.Random(5)
+    slices, bounded, irrational, verdicts = 0, 0, 0, {True: 0, False: 0}
+    while slices < count:
+        s = _random_slice(rng, basis, "q" if field == "q" else "sqrt2")
+        if s is None:
+            continue
+        slices += 1
+        P = s.moment_polytope()
+        bounded += polyhedra.is_bounded(P)
+        d = s.torus_rank
+        orth = [(linalg.unit(basis, d, j), 0) for j in range(d)]
+        plane = [(a, linalg.dot(a, s.lam)) for a in s.ideal.rows]
+        irrational += any(any(e.coeffs[1:]) for a, _ in plane for e in a)
+        assert polyhedra.cut_out_by(P, orth, plane)
+        assert cut_out_by_double_description(P, orth, plane)
+        j, k = rng.randrange(d), rng.randrange(len(plane))
+        c = rng.choice(P.vrep.vertices)[j]
+        shifted = list(plane)
+        shifted[k] = (plane[k][0], plane[k][1] + 1)
+        for hs, eqs in [(orth[:j] + orth[j + 1:], plane), (orth, shifted),
+                        (orth + [(linalg.unit(basis, d, j), c)], plane)]:
+            got = polyhedra.cut_out_by(P, hs, eqs)
+            assert got == cut_out_by_double_description(P, hs, eqs)
+            verdicts[got] += 1
+    assert 0 < bounded < slices
+    assert (irrational > 0) == (field != "q")
+    assert verdicts[True] and verdicts[False]
 
 
 # -- local cones -------------------------------------------------------------------
@@ -540,7 +605,7 @@ def test_pooled_intersection_matches_cone_by_cone(sqrt2_basis):
     )
     for s in (segment_slice(sqrt2_basis), tri):
         chained = functools.reduce(
-            polyhedra.intersect,
+            intersect,
             [local_cone(s, st.representative) for st in models.support_strata(s)],
         )
         assert polyhedra.poly_equal(chained, models.local_cones_intersection(s))

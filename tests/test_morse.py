@@ -17,6 +17,15 @@ from conftest import random_fraction
 from test_models import _random_bounded_slice, product_model, segment_slice, quasifold_slice
 
 
+def face_polyhedron(stratum):
+    """The face of the moment polytope carrying the stratum."""
+    return polyhedra.from_generators(
+        stratum.scalar_basis, stratum.ambient_dim,
+        [list(v) for v in stratum.face_vertices],
+        [list(r) for r in stratum.face_rays],
+    )
+
+
 def test_segment_critical_set(sqrt2_basis):
     s = segment_slice(sqrt2_basis)
     strata = critical_set(s, [1, 0])
@@ -28,7 +37,7 @@ def test_segment_critical_set(sqrt2_basis):
     assert [e.coeffs[0] for e in by_support[(1,)].eta] == [1, 0]
     # both strata are circles over endpoint images
     assert all(st.dimension == 1 for st in strata)
-    faces = {st.support: st.face_polyhedron() for st in models.support_strata(s)}
+    faces = {st.support: face_polyhedron(st) for st in models.support_strata(s)}
     for st in strata:
         vs, _ = polyhedra.enumerate_vertices(faces[st.support])
         assert len(vs) == 1
@@ -197,3 +206,40 @@ def test_vertex_hull_identity_random(sqrt2_basis):
         _, check = full_critical_set(s)
         assert check.hull_equals_polytope
         assert check.fibres_are_single_strata
+
+
+def hull_equals_by_double_description(P, strata):
+    """Reference: the route full_critical_set took before, the hull of the
+    images from one double description compared with P by containment."""
+    hull = polyhedra.from_generators(P.scalar_basis, P.dim, [s.image for s in strata])
+    return polyhedra.poly_equal(hull, P)
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2", "three_surds"])
+def test_vertex_hull_check_matches_double_description(field, monkeypatch, rat_basis,
+                                                      sqrt2_basis, three_surds_basis):
+    """The vertex check of full_critical_set against the double-description
+    reference on random bounded slices, as given and with each fixed-leaf
+    stratum dropped in turn from the strata it sees."""
+    basis = {"q": rat_basis, "sqrt2": sqrt2_basis, "three_surds": three_surds_basis}[field]
+    rng = random.Random(1414)
+    support_strata = models.support_strata
+    done = dropped = 0
+    while done < (4 if field == "three_surds" else 12):
+        s = _random_bounded_slice(rng, basis, rng.randint(2, 4), irrational=field != "q")
+        if s is None:
+            continue
+        done += 1
+        P = s.moment_polytope()
+        full, check = full_critical_set(s)
+        assert check.hull_equals_polytope
+        assert hull_equals_by_double_description(P, full)
+        for g in full:
+            kept = tuple(st for st in support_strata(s) if st.support != g.support)
+            with monkeypatch.context() as m:
+                m.setattr(models, "support_strata", lambda slice_: kept)
+                fewer, check = full_critical_set(s)
+            assert not check.hull_equals_polytope
+            assert not hull_equals_by_double_description(P, fewer)
+            dropped += 1
+    assert dropped >= done

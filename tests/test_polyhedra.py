@@ -36,6 +36,32 @@ def orthant(basis, d=2):
     )
 
 
+def intersect(P, Q):
+    """P and Q's constraints pooled into one system."""
+    if P.dim != Q.dim:
+        raise PolyhedronError("polyhedra live in different dimensions")
+    if P.is_empty or Q.is_empty:
+        return polyhedra.Polyhedron(P.scalar_basis, P.dim, (), (), polyhedra.VRep((), (), ()))
+    return intersect_halfspaces(
+        P.scalar_basis,
+        P.dim,
+        [(h.normal, h.offset) for h in P.halfspaces + Q.halfspaces],
+        [(h.normal, h.offset) for h in P.equalities + Q.equalities],
+    )
+
+
+def hrep_json(P):
+    """P's H-representation as strings."""
+    def enc(hs):
+        return {"normal": [str(e) for e in hs.normal], "offset": str(hs.offset)}
+
+    return {
+        "dim": P.dim,
+        "halfspaces": [enc(h) for h in P.halfspaces],
+        "equalities": [enc(h) for h in P.equalities],
+    }
+
+
 def random_polytope(rng, basis, dim, n_points):
     pts = [
         [random_fraction(rng, 6) for _ in range(dim)] for _ in range(n_points)
@@ -329,8 +355,8 @@ def test_project_commutes_with_box_intersection(sqrt2_basis):
             [([1, 0, 0], lo), ([0, 1, 0], lo),
              ([-1, 0, 0], -hi), ([0, -1, 0], -hi)],
         )
-        left = polyhedra.intersect(project(P, [0, 1]), box2)
-        right = project(polyhedra.intersect(P, box3), [0, 1])
+        left = intersect(project(P, [0, 1]), box2)
+        right = project(intersect(P, box3), [0, 1])
         assert poly_equal(left, right)
 
 
@@ -343,6 +369,38 @@ def test_poly_equal_examples(sqrt2_basis):
     empty = intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([-1, 0], 0)])
     assert poly_equal(empty, empty)
     assert not poly_equal(empty, P)
+
+
+def test_cut_out_by_examples(rat_basis, sqrt2_basis):
+    """Scaled, redundant and missing rows, a plane given twice, lines, and
+    the errors."""
+    P = segment(sqrt2_basis)
+    orth = [([1, 0], 0), ([0, 1], 0)]
+    assert polyhedra.cut_out_by(P, orth, [([1, 1], 1)])
+    # rows scaled by positive numbers, one irrational, and the plane twice
+    assert polyhedra.cut_out_by(
+        P, [([2, 0], 0), (["sqrt2", 0], 0), ([0, 3], 0)], [([2, 2], 2), ([1, 1], 1)])
+    # a redundant row, and a row that cuts P
+    assert polyhedra.cut_out_by(P, orth + [([1, 0], -1)], [([1, 1], 1)])
+    assert not polyhedra.cut_out_by(P, orth + [([-1, 0], "-1/2")], [([1, 1], 1)])
+    # a facet missing, the plane missing, the plane moved
+    assert not polyhedra.cut_out_by(P, orth[:1], [([1, 1], 1)])
+    assert not polyhedra.cut_out_by(P, orth)
+    assert not polyhedra.cut_out_by(P, orth, [([1, 1], 2)])
+    # a ray flatter than the quadrant: its facet x >= 0 is a given row
+    ray = intersect_halfspaces(rat_basis, 2, [([1, 0], 0)], [([0, 1], 0)])
+    assert not polyhedra.cut_out_by(ray, orth)
+    assert polyhedra.cut_out_by(ray, orth, [([0, 1], 0)])
+    # a strip with a line: every row must vanish on it
+    strip = intersect_halfspaces(rat_basis, 2, [([1, 0], 0), ([-1, 0], -1)])
+    assert strip.vrep.lines
+    assert polyhedra.cut_out_by(strip, [([-2, 0], -2), ([3, 0], 0)])
+    assert not polyhedra.cut_out_by(strip, [([1, 0], 0), ([-1, 0], -1), ([0, 1], 0)])
+    with pytest.raises(PolyhedronError, match="wrong dimension"):
+        polyhedra.cut_out_by(P, [([1, 0, 0], 0)])
+    empty = intersect_halfspaces(rat_basis, 1, [([1], 1), ([-1], 0)])
+    with pytest.raises(EmptyPolyhedronError):
+        polyhedra.cut_out_by(empty, [([1], 1), ([-1], 0)])
 
 
 @pytest.mark.parametrize("empty", [True, False])
@@ -394,7 +452,7 @@ def recorded_polyhedra():
     }
 
 
-# to_json_dict() of each, as recorded before facet extraction moved onto
+# hrep_json() of each, as recorded before facet extraction moved onto
 # integer rows: the facet normalization (the first nonzero entry of
 # (normal, -offset) scaled to +-1, facets reduced modulo the equalities) and
 # the facet order must not drift
@@ -477,7 +535,7 @@ RECORDED_HREP = {
 
 @pytest.mark.parametrize("name", sorted(RECORDED_HREP))
 def test_canonical_hrep_matches_record(name):
-    assert recorded_polyhedra()[name].to_json_dict() == RECORDED_HREP[name]
+    assert hrep_json(recorded_polyhedra()[name]) == RECORDED_HREP[name]
 
 
 @pytest.mark.parametrize("lines, passes", [((), 1), ([[0, 1]], 2)])
@@ -500,7 +558,7 @@ def test_from_generators_double_description_passes(monkeypatch, rat_basis, lines
     else:
         strip = intersect_halfspaces(
             rat_basis, 2, [([1, 0], 0), ([-1, 0], -1), ([0, 1], 0)])
-    assert P.to_json_dict() == strip.to_json_dict()
+    assert hrep_json(P) == hrep_json(strip)
     assert P.vrep == strip.vrep
 
 
@@ -512,5 +570,5 @@ def test_redundant_irrational_halfspace_keeps_the_box(sqrt2_basis):
     P = intersect_halfspaces(sqrt2_basis, 2, box)
     for extra in [([1, 1], -s2), ([s2, 1], -s2), ([-1, s2], -1)]:
         Q = intersect_halfspaces(sqrt2_basis, 2, box + [extra])
-        assert Q.to_json_dict() == P.to_json_dict()
+        assert hrep_json(Q) == hrep_json(P)
         assert Q.vrep == P.vrep
