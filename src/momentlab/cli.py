@@ -334,16 +334,17 @@ def _slice_report(sc: Scenario, lines: list[str]) -> None:
         _section(lines, "local cones",
                  "local cone at each stratum; their intersection reproduces "
                  "the moment polytope exactly")
-        inter = models.local_cones_intersection(sc.slice_)
         for s in strata:
             cone = models.local_cone(sc.slice_, s.representative)
             apex = [str(e) for e in s.representative.mu]
             lines.append(f"  support {list(s.support)} (representative moment "
                          f"value ({', '.join(apex)})):")
             lines.append(fmt_polyhedron(cone, indent="    "))
+        # cut_out_by's precondition: the pooled system holds on P, which
+        # spans the plane
         lines.append(
             "intersection of local cones equals moment polytope: "
-            + yesno(polyhedra.poly_equal(inter, rep.polytope))
+            + yesno(polyhedra.cut_out_by(rep.polytope, *models.local_cone_rows(sc.slice_)))
         )
 
         _section(lines, "slice data",

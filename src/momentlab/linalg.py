@@ -6,9 +6,9 @@ themselves.  Reduction is fraction-free; products clear denominators with one
 multiplier for the matrix and one per vector, and divide each image back
 once.  On the scalars, reduction divides by pivots, so matrices with
 irrational entries are reducible exactly when the constant basis declares
-the needed products.  Kernels, solves and basis extensions are each one
-reduction; ranks and basis extensions read only its pivot columns, so their
-rows are never divided back into scalars.
+the needed products.  Solves and basis extensions are each one reduction,
+kernels two in one domain; ranks and basis extensions read only the pivot
+columns, so their rows are never divided back into scalars.
 """
 
 from __future__ import annotations
@@ -142,18 +142,19 @@ def rank(rows: Sequence[Vector]) -> int:
     return len(_pivots(rows))
 
 
-def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> Matrix:
-    """Basis of the right kernel {v : A v = 0}."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for f in free:
-        v = [basis.zero()] * ncols
-        v[f] = basis.one()
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        out.append(tuple(v))
-    return out
+def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> tuple[Matrix, list[int]]:
+    """The canonical basis of {v : A v = 0}, as rref would give it, and its
+    pivots, in one domain: the reduced rows carry the last pivot L in their
+    pivot columns, so sum_i row_i[f] e_(p_i) - L e_f is a kernel vector for
+    each free column f, with no division.  Those are reduced in turn and
+    divided back once."""
+    D = _domain(basis, rows)
+    reduced, pivots, last = _eliminate(list(map(D.conv, rows)), D.nonzero, D.step, D.one)
+    pivot_rows, (minus_last,) = dict(zip(pivots, reduced)), D.neg((last,))
+    null = [[pivot_rows[c][f] if c in pivot_rows else minus_last if c == f else D.zero
+             for c in range(ncols)] for f in range(ncols) if f not in pivot_rows]
+    null, null_pivots, last = _eliminate(null, D.nonzero, D.step, D.one)
+    return [D.div(row, last) for row in null], null_pivots
 
 
 def solve(columns: Sequence[Vector], targets: Sequence[Vector], basis: ConstantBasis):

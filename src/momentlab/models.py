@@ -90,8 +90,7 @@ class WeightedModule:
             for j in range(self.n_coords)
             if j not in self.masked
         ]
-        null = linalg.kernel(rows, self.scalar_basis, self.torus_rank)
-        return Subspace.from_vectors(self.scalar_basis, self.torus_rank, null)
+        return Subspace.kernel_of(self.scalar_basis, self.torus_rank, rows)
 
 
 def standard_module(basis: ConstantBasis, d: int) -> WeightedModule:
@@ -239,10 +238,7 @@ def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
     module = model.module
     basis = module.scalar_basis
     n = 2 * module.n_coords
-    rows = _dphi_rows(module, point)
-    kernel = Subspace.from_vectors(
-        basis, n, linalg.kernel(rows, basis, n)
-    )
+    kernel = Subspace.kernel_of(basis, n, _dphi_rows(module, point))
     image = Subspace.from_vectors(
         basis,
         module.torus_rank,
@@ -261,11 +257,8 @@ def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
 def stabilizer_algebra(model, point: ModelPoint) -> Subspace:
     module = model.module
     basis = module.scalar_basis
-    rows = [
-        linalg.as_vector(basis, module.weights[j]) for j in point.support
-    ]
-    null = linalg.kernel(rows, basis, module.torus_rank)
-    return Subspace.from_vectors(basis, module.torus_rank, null)
+    rows = [linalg.as_vector(basis, module.weights[j]) for j in point.support]
+    return Subspace.kernel_of(basis, module.torus_rank, rows)
 
 
 def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
@@ -276,9 +269,7 @@ def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
     n = 2 * module.n_coords
     # D phi^T a for each row a of the ideal
     rows = linalg.mat_vecs(list(zip(*_dphi_rows(module, point))), slice_.ideal.rows, basis)
-    return Subspace.from_vectors(
-        basis, n, linalg.kernel(rows, basis, n)
-    )
+    return Subspace.kernel_of(basis, n, rows)
 
 
 def leaf_tangent(model, point: ModelPoint) -> Subspace:
@@ -310,8 +301,7 @@ def leaf_stabilizer_algebra(model, point: ModelPoint) -> Subspace:
                 if a:
                     row[k] = row[k] + c.scale(a)
         rows.append(tuple(row))
-    null = linalg.kernel(rows, basis, module.torus_rank)
-    return Subspace.from_vectors(basis, module.torus_rank, null)
+    return Subspace.kernel_of(basis, module.torus_rank, rows)
 
 
 @dataclass(frozen=True)
@@ -401,9 +391,7 @@ def build_affine_slice(
         raise SliceValidationError("lambda has wrong dimension")
     if direction_normals is not None:
         normal_rows = [linalg.as_vector(basis, nv) for nv in direction_normals]
-        W = Subspace.from_vectors(
-            basis, d, linalg.kernel(normal_rows, basis, d)
-        )
+        W = Subspace.kernel_of(basis, d, normal_rows)
     else:
         W = Subspace.from_vectors(basis, d, direction_vectors)
     ideal = W.annihilator()
@@ -602,9 +590,10 @@ def local_cone(slice_: AffineSlice, point: ModelPoint) -> Polyhedron:
     return polyhedra.intersect_halfspaces(basis, d, hs, _plane_rows(slice_))
 
 
-def local_cones_intersection(slice_: AffineSlice) -> Polyhedron:
-    """Intersection of the local cones over one representative per support
-    stratum (all constraints pooled into one exact system)."""
+def local_cone_rows(slice_: AffineSlice) -> tuple[list, list]:
+    """The local cones over one representative per support stratum, pooled
+    into one exact system: the half-spaces x_j >= 0 for each coordinate
+    outside some stratum's support, and the plane's equalities."""
     basis = slice_.scalar_basis
     d = slice_.torus_rank
     hs = []
@@ -614,7 +603,15 @@ def local_cones_intersection(slice_: AffineSlice) -> Polyhedron:
             if j not in stratum.support and j not in seen:
                 seen.add(j)
                 hs.append((linalg.unit(basis, d, j), 0))
-    return polyhedra.intersect_halfspaces(basis, d, hs, _plane_rows(slice_))
+    return hs, _plane_rows(slice_)
+
+
+def local_cones_intersection(slice_: AffineSlice) -> Polyhedron:
+    """Intersection of the local cones over one representative per support
+    stratum, from their pooled system."""
+    return polyhedra.intersect_halfspaces(
+        slice_.scalar_basis, slice_.torus_rank, *local_cone_rows(slice_)
+    )
 
 
 # -- slice data (symplectic and null slices) -------------------------------------------
@@ -649,7 +646,7 @@ def slices_at(model, point: ModelPoint) -> SliceData:
     so its dimension is the rank of σ restricted to D."""
     T, restricted, F = _tangent_model(model, point)
     D = presymlin.sigma_orthogonal(restricted, F)
-    symplectic_dim = restricted.restrict(D.rows).rank()
+    symplectic_dim = restricted.restricted_rank(D.rows)
     null_dim = linalg.rank([*F.rows, *restricted.kernel().rows]) - F.dim
     return SliceData(
         symplectic_dim=symplectic_dim,
@@ -691,7 +688,7 @@ def _identify_line_weights(
     coords = linalg.solve(T.rows, slots, basis)
     if None in coords or not all(D.contains(c) for c in coords):
         return None
-    if restricted.restrict(coords).rank() != expected_dim:
+    if restricted.restricted_rank(coords) != expected_dim:
         return None
     return tuple(tuple(module.weights[j]) for j in candidates)
 
@@ -706,7 +703,7 @@ def symplectization_slice_dim(model, point: ModelPoint) -> int:
     _, restricted, F = _tangent_model(model, point)
     big_form, big_F = presymlin.symplectization(restricted, F)
     D = presymlin.sigma_orthogonal(big_form, big_F)
-    return big_form.restrict(D.rows).rank()
+    return big_form.restricted_rank(D.rows)
 
 
 # -- local normal-form data --------------------------------------------------------

@@ -48,6 +48,15 @@ class Subspace:
         return Subspace(scalar_basis, ambient_dim, tuple(rows), tuple(pivots))
 
     @staticmethod
+    def kernel_of(scalar_basis: ConstantBasis, ambient_dim: int,
+                  rows: Sequence[Vector]) -> "Subspace":
+        """{v : A v = 0} for the rows of A, in linalg.kernel's canonical basis."""
+        if any(len(r) != ambient_dim for r in rows):
+            raise DimensionMismatchError(f"matrix row length is not {ambient_dim}")
+        null, pivots = linalg.kernel(rows, scalar_basis, ambient_dim)
+        return Subspace(scalar_basis, ambient_dim, tuple(null), tuple(pivots))
+
+    @staticmethod
     def zero(scalar_basis: ConstantBasis, ambient_dim: int) -> "Subspace":
         return Subspace(scalar_basis, ambient_dim, (), ())
 
@@ -94,8 +103,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (same coordinate size)."""
-        null = linalg.kernel(list(self.rows), self.scalar_basis, self.ambient_dim)
-        return Subspace.from_vectors(self.scalar_basis, self.ambient_dim, null)
+        return Subspace.kernel_of(self.scalar_basis, self.ambient_dim, self.rows)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -145,19 +153,25 @@ class PresympForm:
         return PresympForm.from_rows(scalar_basis, rows)
 
     def kernel(self) -> Subspace:
-        null = linalg.kernel(list(self.matrix), self.scalar_basis, self.dim)
-        return Subspace.from_vectors(self.scalar_basis, self.dim, null)
+        return Subspace.kernel_of(self.scalar_basis, self.dim, self.matrix)
 
     def rank(self) -> int:
         return linalg.rank(list(self.matrix))
 
     def restrict(self, basis_rows: Sequence[Vector]) -> "PresympForm":
-        """Gram matrix B M B^T of the form on the given vectors: the images
-        M b_j, then B times each image, which is column j of the Gram matrix.
-        """
+        """Gram matrix B M B^T of the form on the given vectors."""
+        return PresympForm.from_rows(self.scalar_basis, list(zip(*self._gram_columns(basis_rows))))
+
+    def restricted_rank(self, basis_rows: Sequence[Vector]) -> int:
+        """The rank of restrict(basis_rows), with no form built: its
+        skew-symmetry check is left to forms that are kept."""
+        return linalg.rank(self._gram_columns(basis_rows))
+
+    def _gram_columns(self, basis_rows: Sequence[Vector]) -> list[Vector]:
+        """The columns of B M B^T: the images M b_j, then B times each image,
+        which is column j."""
         basis, rows = self.scalar_basis, list(basis_rows)
-        columns = linalg.mat_vecs(rows, linalg.mat_vecs(self.matrix, rows, basis), basis)
-        return PresympForm.from_rows(basis, list(zip(*columns)))
+        return linalg.mat_vecs(rows, linalg.mat_vecs(self.matrix, rows, basis), basis)
 
 
 @dataclass(frozen=True)
@@ -173,8 +187,7 @@ def sigma_orthogonal(sigma: PresympForm, F: Subspace) -> Subspace:
     if F.ambient_dim != sigma.dim:
         raise DimensionMismatchError("subspace does not live in the form's space")
     constraints = linalg.mat_vecs(sigma.matrix, F.rows, sigma.scalar_basis)
-    null = linalg.kernel(constraints, sigma.scalar_basis, sigma.dim)
-    return Subspace.from_vectors(sigma.scalar_basis, sigma.dim, null)
+    return Subspace.kernel_of(sigma.scalar_basis, sigma.dim, constraints)
 
 
 def natural_quotient(

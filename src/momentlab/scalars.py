@@ -397,7 +397,9 @@ def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
 
     Over a quadratic surd c with c*c = q this is the conjugate formula
     (a + b*c) / (e + f*c) = (a + b*c)(e - f*c) / (e^2 - f^2*q); any other
-    basis solves the rational system whose columns are constant[t] * den.
+    basis solves the rational system whose columns are constant[t] * den,
+    over the constants t for which that product is declared: a solution
+    using any other constant would make x*den undefined.
     """
     basis = num.basis
     size = basis.size
@@ -410,21 +412,26 @@ def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
                 f"cannot divide {num} by {den}: declared square is a rational square"
             )
         return ExtScalar(basis, ((a * e - b * f * q) / norm, (b * e - a * f) / norm))
-    columns = []
+    used, columns = [], []
     for t in range(size):
         unit = [Fraction(0)] * size
         unit[t] = Fraction(1)
-        columns.append((ExtScalar(basis, tuple(unit)) * den).coeffs)
+        try:
+            columns.append((ExtScalar(basis, tuple(unit)) * den).coeffs)
+        except UnsupportedScalarOperation:
+            continue
+        used.append(t)
+    k = len(used)
     reduced, pivots = _rat_rref(
         [[col[r] for col in columns] + [num.coeffs[r]] for r in range(size)]
     )
-    if pivots and pivots[-1] == size:
+    if pivots and pivots[-1] == k:
         raise UnsupportedScalarOperation(
             f"cannot divide {num} by {den} within the declared span"
         )
     x = [Fraction(0)] * size
     for row, c in zip(reduced, pivots):
-        x[c] = row[size]
+        x[used[c]] = row[k]
     return ExtScalar(basis, tuple(x))
 
 

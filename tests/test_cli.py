@@ -320,6 +320,54 @@ def test_vertex_hull_identity_can_print_no(tmp_path, monkeypatch):
     assert "hull of fixed-leaf images equals moment polytope: no" in report
 
 
+def test_local_cones_identity_can_print_no(tmp_path, monkeypatch):
+    """With the stratum over the vertex (1, 0) dropped, its local cone no
+    longer bounds the pooled system, which leaves only x_0 >= 0 in the plane:
+    a ray, not the segment, and the report says so."""
+    from momentlab import models
+
+    support_strata = models.support_strata
+    monkeypatch.setattr(models, "support_strata", lambda slice_: tuple(
+        st for st in support_strata(slice_) if st.support != (0,)))
+    raw = segment_raw()
+    raw["analyses"] = ["slice-report"]
+    out = tmp_path / "out"
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    report = (out / "report.txt").read_text()
+    assert "vertices: (0, 1), (1, 0)" in report
+    assert "equals ambient image cut by the affine plane: yes" in report
+    assert "intersection of local cones equals moment polytope: no" in report
+
+
+@pytest.mark.parametrize("fault", ["vertex", "shifted"])
+def test_affine_span_identity_can_print_no(tmp_path, monkeypatch, fault):
+    """P's affine span read as its first vertex alone (no direction), or
+    moved off the plane by e_0 (the right direction, the wrong base point):
+    either way it is not lambda + the ideal's annihilator, and only that line
+    of the report says no."""
+    from momentlab import linalg, polyhedra
+    from momentlab.presymlin import Subspace
+
+    affine_span = polyhedra.affine_span
+
+    def faulty(P):
+        base, direction = affine_span(P)
+        if fault == "vertex":
+            return base, Subspace.zero(P.scalar_basis, P.dim)
+        return linalg.vec_add(base, linalg.unit(P.scalar_basis, P.dim, 0)), direction
+
+    monkeypatch.setattr(polyhedra, "affine_span", faulty)
+    raw = segment_raw()
+    raw["analyses"] = ["slice-report"]
+    out = tmp_path / "out"
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    report = (out / "report.txt").read_text()
+    assert "affine span is lambda + ideal annihilator: no" in report
+    assert "equals ambient image cut by the affine plane: yes" in report
+    assert "intersection of local cones equals moment polytope: yes" in report
+    assert "rational: yes" in report
+
+
 def ranked_slice_raw(rank, analyses, slice_field):
     """A slice through (1, ..., 1) in the sum-zero hyperplane, given by its
     normal or by a basis of direction vectors."""
@@ -452,6 +500,21 @@ def test_nonfinite_or_zero_constant_exits_2(tmp_path, capsys, name, value):
     assert run_scenario(path, out_dir=tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "field 'constants'" in err and "internal error" not in err
+
+
+def test_unused_constant_leaves_the_quasifold_report_alone(tmp_path):
+    """A declared constant with no products and no use must not stop the
+    divisions over sqrt2: the run succeeds and only the constants line of
+    the report changes."""
+    raw = json.loads((SCENARIOS / "quasifold.json").read_text())
+    assert run_scenario(write(tmp_path, raw, "plain.json"), out_dir=tmp_path / "plain") == 0
+    raw["constants"]["c"] = 0.5
+    assert run_scenario(write(tmp_path, raw), out_dir=tmp_path / "out") == 0
+    plain = (tmp_path / "plain" / "report.txt").read_text().splitlines()
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    changed = [(a, b) for a, b in zip(plain, report) if a != b]
+    assert len(plain) == len(report)
+    assert changed == [("constants: sqrt2=1.41421356237", "constants: c=0.5, sqrt2=1.41421356237")]
 
 
 @pytest.mark.parametrize("field", ["t_max", "constants"])

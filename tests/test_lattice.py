@@ -157,7 +157,7 @@ def ray_meets_by_kernel(vec, generators) -> bool:
         for i in range(len(vec))
         for t in range(size)
     ]
-    null = linalg.kernel(rows, q, len(scaled) + len(generators))
+    null, _ = linalg.kernel(rows, q, len(scaled) + len(generators))
     return any(not linalg.vec_is_zero(sol[:len(scaled)]) for sol in null)
 
 

@@ -101,7 +101,7 @@ def check_against_sympy(basis, square, m, rows):
     assert same(sympy_matrix(reduced, square) if reduced else sympy.zeros(0, m),
                 expected[: len(expected_pivots), :])
     assert linalg.rank(rows) == M.rank()
-    null = linalg.kernel(rows, basis, m)
+    null, _ = linalg.kernel(rows, basis, m)
     assert len(null) == m - len(expected_pivots)
     if null:
         K = sympy_matrix(null, square)
@@ -266,9 +266,12 @@ def test_undeclared_basis_still_raises():
     basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
     tau, one = basis.constant("tau"), basis.one()
     zero = basis.zero()
-    for rows in ([(tau,)], [(tau, one), (one, zero)], [(one, tau), (tau, one)]):
+    for rows in ([(one, tau), (tau, one)], [(tau, tau), (tau, one)]):
         with pytest.raises(UnsupportedScalarOperation):
             linalg.rref(rows)
+    # dividing a multiple of tau by tau needs no product
+    assert linalg.rref([(tau,)]) == ([(one,)], [0])
+    assert linalg.rref([(tau, one), (one, zero)]) == ([(one, zero), (zero, one)], [0, 1])
     with pytest.raises(UnsupportedScalarOperation):
         one / tau
     with pytest.raises(UnsupportedScalarOperation):
@@ -286,10 +289,13 @@ def test_division_by_multiple_constants_solves_rational_system():
     one, zero = basis.one(), basis.zero()
     assert linalg.rref([(x, y), (y, x + 1)]) == ([(one, zero), (zero, one)], [0, 1])
     assert linalg.rref([(x, y), (x.scale(2), y.scale(2))]) == ([(one, y / x)], [0])
-    # with an undeclared cross product the surd alone is no longer enough
+    # with an undeclared cross product the surd alone still divides by
+    # itself, but not by a divisor that involves tau
     partial = ConstantBasis.with_sqrt("sqrt2", 2).with_constant("tau", 6.2831853)
+    one, s2, tau = partial.one(), partial.constant("sqrt2"), partial.constant("tau")
+    assert one / s2 == s2.scale(Fraction(1, 2))
     with pytest.raises(UnsupportedScalarOperation):
-        partial.one() / partial.constant("sqrt2")
+        one / (s2 + tau)
 
 
 @st.composite
@@ -384,6 +390,72 @@ def coefficients(draw, square=False):
     return rows, vectors
 
 
+def two_step_kernel(rows, basis, ncols):
+    """The reference route to a canonical kernel basis: reduce the rows,
+    read one kernel vector per free column off the reduced rows, and reduce
+    those vectors again, as Subspace.from_vectors does."""
+    reduced, pivots = linalg.rref(rows)
+    null = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [basis.zero()] * ncols
+        v[f] = basis.one()
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        null.append(tuple(v))
+    return linalg.rref(null)
+
+
+@st.composite
+def kernel_coefficients(draw):
+    """Coefficient lists for 0..4 rows of length 0..5, often rank deficient
+    (the last row combines the first two) and often with columns that are
+    zero throughout."""
+    def scalar():
+        return [draw(entry)] + [draw(small) for _ in range(3)]
+
+    ncols = draw(st.integers(0, 5))
+    rows = [[scalar() for _ in range(ncols)] for _ in range(draw(st.integers(0, 4)))]
+    if len(rows) > 1 and draw(st.booleans()):
+        t = draw(small)
+        rows[-1] = [[a + t * b for a, b in zip(x, y)] for x, y in zip(rows[0], rows[1])]
+    if ncols:
+        for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[c] = [Fraction(0)] * 4
+    return ncols, rows
+
+
+@given(kernel_coefficients())
+@settings(deadline=None, max_examples=40)
+def test_kernel_is_the_canonical_basis(data):
+    # Q, Q(sqrt2), Q(sqrt(3/2)), c = -sqrt2 and three surds on the scalars,
+    # each with rational and with irrational entries
+    ncols, coefficient_rows = data
+    for basis in PRODUCT_BASES:
+        for irrational in (False, True):
+            rows = [tuple(basis.scalar(c[:basis.size] if irrational
+                                       else c[:1] + [0] * (basis.size - 1)) for c in row)
+                    for row in coefficient_rows]
+            null, pivots = linalg.kernel(rows, basis, ncols)
+            assert (null, pivots) == two_step_kernel(rows, basis, ncols)
+            assert Subspace.kernel_of(basis, ncols, rows) == Subspace(
+                basis, ncols, tuple(null), tuple(pivots))
+
+
+@pytest.mark.parametrize("basis", PRODUCT_BASES, ids=["q", "sqrt2", "sqrt3/2", "-sqrt2", "three"])
+def test_kernel_of_empty_and_zero_matrices(basis):
+    units = [linalg.unit(basis, 3, i) for i in range(3)]
+    assert linalg.kernel([], basis, 3) == (units, [0, 1, 2])
+    assert linalg.kernel([linalg.zeros(basis, 3)], basis, 3) == (units, [0, 1, 2])
+    assert linalg.kernel([], basis, 0) == ([], [])
+    assert linalg.kernel([(), ()], basis, 0) == ([], [])
+    assert linalg.kernel(units, basis, 3) == ([], [])
+    assert Subspace.kernel_of(basis, 3, []) == Subspace.full(basis, 3)
+    assert Subspace.kernel_of(basis, 3, units) == Subspace.zero(basis, 3)
+
+
 def reference_mat_vec(rows, v, basis):
     """m v entry by entry in scalar arithmetic."""
     out = []
@@ -411,7 +483,7 @@ def test_sigma_orthogonal_matches_scalar_arithmetic(data):
         form = PresympForm.from_rows(basis, matrix)
         F = Subspace.from_vectors(basis, form.dim, vectors)
         constraints = [reference_mat_vec(form.matrix, f, basis) for f in F.rows]
-        null = linalg.kernel(constraints, basis, form.dim)
+        null, _ = linalg.kernel(constraints, basis, form.dim)
         assert sigma_orthogonal(form, F) == Subspace.from_vectors(basis, form.dim, null)
 
 

@@ -26,7 +26,7 @@ from momentlab.models import (
     standard_module,
     symplectization_slice_dim,
 )
-from momentlab.presymlin import PresympForm, Subspace
+from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace
 
 from conftest import form_pairing, random_fraction
 from test_polyhedra import intersect, orthant
@@ -61,6 +61,16 @@ def test_build_affine_slice_examples(sqrt2_basis):
         sqrt2_basis, 2, [1, 1], direction_vectors=[[1, 0], [0, 1]]
     )
     assert full.ideal.dim == 0
+
+
+@pytest.mark.parametrize("field", ["direction_vectors", "direction_normals"])
+def test_build_affine_slice_rejects_rows_of_the_wrong_length(sqrt2_basis, field):
+    """Rows longer or shorter than the torus rank raise for both fields; a
+    long normal used to be cut to length and a short one to raise
+    IndexError."""
+    for rows in ([[1, 1, 1]], [[1]]):
+        with pytest.raises(DimensionMismatchError):
+            build_affine_slice(sqrt2_basis, 2, [1, 0], **{field: rows})
 
 
 def test_build_affine_slice_misses_image(sqrt2_basis):
@@ -594,6 +604,33 @@ def test_local_cones_intersection_is_polytope(sqrt2_basis):
     for s in (segment_slice(sqrt2_basis), quasifold_slice(sqrt2_basis)):
         P = s.moment_polytope()
         assert polyhedra.poly_equal(models.local_cones_intersection(s), P)
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2"])
+def test_local_cones_cut_out_matches_double_description(field, rat_basis, sqrt2_basis,
+                                                        monkeypatch):
+    """The report's local-cones line, cut_out_by on the pooled system,
+    against the double-description reference on random slices: once with
+    every stratum and once with each stratum dropped in turn."""
+    basis = sqrt2_basis if field == "sqrt2" else rat_basis
+    support_strata = models.support_strata
+    rng = random.Random(31)
+    slices, verdicts = 0, {True: 0, False: 0}
+    while slices < 12:
+        s = _random_slice(rng, basis, field)
+        if s is None:
+            continue
+        slices += 1
+        P, strata = s.moment_polytope(), support_strata(s)
+        for dropped in [None, *range(len(strata))]:
+            kept = tuple(st for i, st in enumerate(strata) if i != dropped)
+            monkeypatch.setattr(models, "support_strata", lambda slice_: kept)
+            hs, eqs = models.local_cone_rows(s)
+            got = polyhedra.cut_out_by(P, hs, eqs)
+            assert got == cut_out_by_double_description(P, hs, eqs)
+            assert got or dropped is not None
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_pooled_intersection_matches_cone_by_cone(sqrt2_basis):

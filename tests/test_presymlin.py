@@ -39,7 +39,7 @@ def brute_force_orthogonal(form, F):
         row = [form_pairing(form, linalg.unit(basis, form.dim, i), f) for i in range(form.dim)]
         rows.append(tuple(row))
     return Subspace.from_vectors(
-        basis, form.dim, linalg.kernel(rows, basis, form.dim)
+        basis, form.dim, linalg.kernel(rows, basis, form.dim)[0]
     )
 
 

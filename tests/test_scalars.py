@@ -72,6 +72,24 @@ def test_division_undeclared_raises():
         basis.one() / basis.constant("tau")
 
 
+@pytest.mark.parametrize("surd_first", [True, False])
+def test_division_ignores_a_constant_without_products(surd_first):
+    """A declared constant c with no products must not stop a division that
+    needs only sqrt2: the solution is sought over the constants whose
+    product with the divisor is declared."""
+    rationals = ConstantBasis.rationals()
+    basis = (rationals.with_constant("sqrt2", 2 ** 0.5, square=2).with_constant("c", 0.5)
+             if surd_first else
+             rationals.with_constant("c", 0.5).with_constant("sqrt2", 2 ** 0.5, square=2))
+    one, s2, c = basis.one(), basis.constant("sqrt2"), basis.constant("c")
+    x = one / (one + s2)
+    assert x == s2 - one
+    assert x * (one + s2) == one
+    # a quotient that would need the product c*sqrt2 still raises
+    with pytest.raises(UnsupportedScalarOperation):
+        one / (one + s2 + c)
+
+
 def test_float_eval_examples(sqrt2_basis):
     assert abs(pair(sqrt2_basis, 1, 1).to_float() - 2.414213562373095) < 1e-12
     assert sqrt2_basis.zero().to_float() == 0.0
