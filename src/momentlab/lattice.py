@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .linalg import Vector
 from .presymlin import Subspace
-from .scalars import UnsupportedScalarOperation, _clear_denominators, _eliminate, _z_step
+from .scalars import UnsupportedScalarOperation, _eliminate_rational
 
 
 @dataclass(frozen=True)
@@ -27,21 +27,13 @@ class QuasiLattice:
     rank: int
 
 
-def _rational_pivots(rows) -> list[int]:
-    """Pivot columns of a matrix of Fractions, eliminated over Z after
-    clearing each row's denominators."""
-    return _eliminate([_clear_denominators(row)[0] for row in rows], bool, _z_step, 1)[1]
-
-
 def is_rational_subspace(n: Subspace) -> bool:
-    if n.dim == 0:
-        return True
     rows = [
         tuple(e.coeffs[t] for e in b)
         for b in n.rows
         for t in range(n.scalar_basis.size)
     ]
-    return len(_rational_pivots(rows)) == n.dim
+    return len(_eliminate_rational(rows)[1]) == n.dim
 
 
 def quasilattice(n: Subspace) -> QuasiLattice:
@@ -58,7 +50,7 @@ def quasilattice(n: Subspace) -> QuasiLattice:
         tuple(g[i].coeffs[t] for i in range(m) for t in range(n.scalar_basis.size))
         for g in generators
     ]
-    rank = len(_rational_pivots(coeff_rows))
+    rank = len(_eliminate_rational(coeff_rows)[1])
     if rank < m:
         raise AssertionError("quasilattice rank below quotient dimension")
     return QuasiLattice(quotient_dim=m, generators=generators, rank=rank)
@@ -88,10 +80,9 @@ def ray_meets_rational_span(vec: Vector, generators: tuple[Vector, ...]) -> bool
     basis = vec[0].basis
     size = basis.size
     scaled = []
-    for u in range(size):
+    for name in basis.names:
         try:
-            cu = basis.constant(basis.names[u]) if u else basis.one()
-            scaled.append([cu * vi for vi in vec])
+            scaled.append([basis.constant(name) * vi for vi in vec])
         except UnsupportedScalarOperation:
             continue
     n_t = len(generators)
@@ -100,4 +91,4 @@ def ray_meets_rational_span(vec: Vector, generators: tuple[Vector, ...]) -> bool
         for i in range(m)
         for t in range(size)
     ]
-    return sum(1 for c in _rational_pivots(rows) if c >= n_t) < len(scaled)
+    return sum(1 for c in _eliminate_rational(rows)[1] if c >= n_t) < len(scaled)

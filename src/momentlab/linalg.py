@@ -2,12 +2,13 @@
 
 Row reduction and matrix-vector products run in the one number domain that
 scalars._domain picks for their operands: Z, Z[sqrt q] or the scalars
-themselves.  Reduction is fraction-free; products clear denominators with one
-multiplier for the matrix and one per vector, and divide each image back
-once.  On the scalars, reduction divides by pivots, so matrices with
+themselves.  Every reduction is scalars._eliminate in that domain,
+fraction-free; on the scalars it divides by pivots, so matrices with
 irrational entries are reducible exactly when the constant basis declares
-the needed products.  Solves and basis extensions are each one reduction,
-kernels two in one domain; ranks and basis extensions read only the pivot
+the needed products.  Products clear denominators with one multiplier for
+the matrix and one per vector, and divide each image back once.  Solves and
+basis extensions are each one reduction, kernels two in one domain; ranks
+(and so Subspace.contains) and basis extensions read only the pivot
 columns, so their rows are never divided back into scalars.
 """
 
@@ -125,7 +126,7 @@ def rref(rows: Sequence[Vector]) -> tuple[Matrix, list[int]]:
     if not rows or not rows[0]:
         return [], []
     D = _domain(rows[0][0].basis, rows)
-    reduced, pivots, last = _eliminate(list(map(D.conv, rows)), D.nonzero, D.step, D.one)
+    reduced, pivots, last = _eliminate(D, list(map(D.conv, rows)))
     return [D.div(row, last) for row in reduced], pivots
 
 
@@ -135,7 +136,7 @@ def _pivots(rows: Sequence[Vector]) -> list[int]:
     if not rows or not rows[0]:
         return []
     D = _domain(rows[0][0].basis, rows)
-    return _eliminate(list(map(D.conv, rows)), D.nonzero, D.step, D.one)[1]
+    return _eliminate(D, list(map(D.conv, rows)))[1]
 
 
 def rank(rows: Sequence[Vector]) -> int:
@@ -149,11 +150,11 @@ def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> tuple[Ma
     each free column f, with no division.  Those are reduced in turn and
     divided back once."""
     D = _domain(basis, rows)
-    reduced, pivots, last = _eliminate(list(map(D.conv, rows)), D.nonzero, D.step, D.one)
+    reduced, pivots, last = _eliminate(D, list(map(D.conv, rows)))
     pivot_rows, (minus_last,) = dict(zip(pivots, reduced)), D.neg((last,))
     null = [[pivot_rows[c][f] if c in pivot_rows else minus_last if c == f else D.zero
              for c in range(ncols)] for f in range(ncols) if f not in pivot_rows]
-    null, null_pivots, last = _eliminate(null, D.nonzero, D.step, D.one)
+    null, null_pivots, last = _eliminate(D, null)
     return [D.div(row, last) for row in null], null_pivots
 
 

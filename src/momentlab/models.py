@@ -624,17 +624,16 @@ class SliceData:
     null_dim: int
 
 
-def _tangent_model(model, point: ModelPoint) -> tuple[Subspace, PresympForm, Subspace]:
-    """The model's tangent space T at the point, the form restricted to T,
-    and the orbit tangent in T's coordinates."""
+def _tangent_model(model, point: ModelPoint) -> tuple[PresympForm, Subspace]:
+    """The form restricted to the model's tangent space T at the point, and
+    the orbit tangent in T's coordinates."""
     module = model.module
     basis = module.scalar_basis
-    T = model.tangent(point)
-    t_rows = list(T.rows)
+    t_rows = list(model.tangent(point).rows)
     restricted = adapted_form(module, point).restrict(t_rows)
     orbit = orbit_tangent(module, point)
     orbit_in_T = presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis)
-    return T, restricted, Subspace.from_vectors(basis, T.dim, orbit_in_T)
+    return restricted, Subspace.from_vectors(basis, len(t_rows), orbit_in_T)
 
 
 def slices_at(model, point: ModelPoint) -> SliceData:
@@ -644,51 +643,34 @@ def slices_at(model, point: ModelPoint) -> SliceData:
 
     The symplectic slice is D/(D ∩ D^σ); D ∩ D^σ is the radical of σ on D,
     so its dimension is the rank of σ restricted to D."""
-    T, restricted, F = _tangent_model(model, point)
+    restricted, F = _tangent_model(model, point)
     D = presymlin.sigma_orthogonal(restricted, F)
     symplectic_dim = restricted.restricted_rank(D.rows)
     null_dim = linalg.rank([*F.rows, *restricted.kernel().rows]) - F.dim
     return SliceData(
         symplectic_dim=symplectic_dim,
-        symplectic_weights=_identify_line_weights(
-            model.module, point, T, restricted, D, symplectic_dim
-        ),
+        symplectic_weights=_identify_line_weights(model.module, point, symplectic_dim),
         null_dim=null_dim,
     )
 
 
-def _identify_line_weights(
-    module: WeightedModule,
-    point: ModelPoint,
-    T: Subspace,
-    restricted: PresympForm,
-    D: Subspace,
-    expected_dim: int,
-):
+def _identify_line_weights(module: WeightedModule, point: ModelPoint, expected_dim: int):
     """Match the symplectic slice with whole unsupported unmasked coordinate
-    lines; returns their weights or None when the match fails.
+    lines: their weights, or None when their slots do not number its
+    dimension.  The count is the whole test.
 
-    The lines match when their slots lie in D and map onto D/(D ∩ D^σ).
-    There are as many slots as the quotient has dimensions and the induced
-    form is nondegenerate, so a slot combination in the radical is exactly
-    a kernel vector of the slots' Gram matrix: full Gram rank is the test."""
-    basis = module.scalar_basis
+    In the adapted frame these slots lie in the tangent space, whose
+    constraints touch only radial slots of the support, and are σ-orthogonal
+    to the orbit tangent, since σ is block-diagonal by coordinate and the
+    orbit lives on angular slots of the support: so they lie in D.  Their
+    Gram matrix is a direct sum of standard 2×2 blocks, of full rank, so they
+    map injectively into D/(D ∩ D^σ), and onto it when the count matches."""
     candidates = [
         j
         for j in range(module.n_coords)
         if j not in point.support and j not in module.masked
     ]
     if 2 * len(candidates) != expected_dim:
-        return None
-    slots = [
-        linalg.unit(basis, 2 * module.n_coords, slot)
-        for j in candidates
-        for slot in (2 * j, 2 * j + 1)
-    ]
-    coords = linalg.solve(T.rows, slots, basis)
-    if None in coords or not all(D.contains(c) for c in coords):
-        return None
-    if restricted.restricted_rank(coords) != expected_dim:
         return None
     return tuple(tuple(module.weights[j]) for j in candidates)
 
@@ -700,7 +682,7 @@ def symplectization_slice_dim(model, point: ModelPoint) -> int:
     The slice is D/(D ∩ D^σ) for D the σ-orthogonal of the enlarged orbit
     tangent; D ∩ D^σ is the radical of σ on D, so its dimension is the rank
     of σ restricted to D."""
-    _, restricted, F = _tangent_model(model, point)
+    restricted, F = _tangent_model(model, point)
     big_form, big_F = presymlin.symplectization(restricted, F)
     D = presymlin.sigma_orthogonal(big_form, big_F)
     return big_form.restricted_rank(D.rows)

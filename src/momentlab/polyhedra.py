@@ -86,11 +86,11 @@ class Polyhedron:
     dim: int
     halfspaces: tuple[HalfSpace, ...]
     equalities: tuple[HalfSpace, ...]
-    vrep: VRep | None = field(default=None, compare=False)
+    vrep: VRep = field(compare=False)
 
     @property
     def is_empty(self) -> bool:
-        return self.vrep is not None and not self.vrep.vertices
+        return not self.vrep.vertices
 
     def contains(self, point: Sequence) -> bool:
         v = linalg.as_vector(self.scalar_basis, point)
@@ -221,7 +221,7 @@ def _reduction(D: _Domain, dim: int, eq_rows: list):
     map taking a primitive row (normal, -offset) to its canonical form modulo
     their span, or to None when its normal part vanishes there (the trivial
     t >= 0 direction)."""
-    rows, pivots, last = _eliminate(eq_rows, D.nonzero, D.step, D.one)
+    rows, pivots, last = _eliminate(D, eq_rows)
     if D.sign(last) < 0:
         rows, last = [D.neg(r) for r in rows], D.neg((last,))[0]
 
@@ -339,7 +339,7 @@ def from_generators(
 
     def tight_rank(g) -> int:
         normals = eq_normals + [a[:dim] for a in hs_rows if not D.nonzero(D.dot(a, g))]
-        return len(_eliminate(normals, D.nonzero, D.step, D.one)[1])
+        return len(_eliminate(D, normals)[1])
 
     extreme = {_sort_key(v): v for v, g in zip(vs, points) if tight_rank(g) == dim}
     if not extreme:
@@ -363,14 +363,14 @@ def from_generators(
 
 def enumerate_vertices(P: Polyhedron) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     """Exact vertices and recession rays (lines appear as opposite ray pairs)."""
-    if P.is_empty or P.vrep is None:
+    if P.is_empty:
         raise EmptyPolyhedronError("empty polyhedron has no vertices")
     return P.vrep.vertices, P.vrep.rays_with_lines
 
 
 def affine_span(P: Polyhedron) -> tuple[Vector, Subspace]:
     """Basepoint and direction space of the affine hull."""
-    if P.is_empty or P.vrep is None:
+    if P.is_empty:
         raise EmptyPolyhedronError("empty polyhedron has no affine span")
     base = P.vrep.vertices[0]
     directions = [linalg.vec_sub(v, base) for v in P.vrep.vertices[1:]]
@@ -444,12 +444,9 @@ def project(P: Polyhedron, keep: Sequence[int]) -> Polyhedron:
     if sorted(set(keep)) != sorted(keep):
         raise PolyhedronError("keep must be a list of distinct coordinates")
     _check_coordinates(P, keep)
-    basis = P.scalar_basis
-    if P.is_empty:
-        return Polyhedron(basis, len(keep), (), (), VRep((), (), ()))
     pick = lambda vs: [tuple(v[i] for i in keep) for v in vs]
     return from_generators(
-        basis, len(keep), pick(P.vrep.vertices), pick(P.vrep.rays), pick(P.vrep.lines)
+        P.scalar_basis, len(keep), pick(P.vrep.vertices), pick(P.vrep.rays), pick(P.vrep.lines)
     )
 
 
@@ -542,6 +539,4 @@ def cut_out_by(
 
 
 def is_bounded(P: Polyhedron) -> bool:
-    if P.is_empty:
-        return True
     return not P.vrep.rays and not P.vrep.lines

@@ -70,14 +70,10 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, vector: Sequence) -> bool:
-        v = list(linalg.as_vector(self.scalar_basis, vector))
+        v = linalg.as_vector(self.scalar_basis, vector)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong length")
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(a.is_zero() for a in v)
+        return linalg.rank([*self.rows, v]) == self.dim
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

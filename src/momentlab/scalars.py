@@ -413,16 +413,14 @@ def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
             )
         return ExtScalar(basis, ((a * e - b * f * q) / norm, (b * e - a * f) / norm))
     used, columns = [], []
-    for t in range(size):
-        unit = [Fraction(0)] * size
-        unit[t] = Fraction(1)
+    for t, name in enumerate(basis.names):
         try:
-            columns.append((ExtScalar(basis, tuple(unit)) * den).coeffs)
+            columns.append((basis.constant(name) * den).coeffs)
         except UnsupportedScalarOperation:
             continue
         used.append(t)
     k = len(used)
-    reduced, pivots = _rat_rref(
+    reduced, pivots, last = _eliminate_rational(
         [[col[r] for col in columns] + [num.coeffs[r]] for r in range(size)]
     )
     if pivots and pivots[-1] == k:
@@ -431,32 +429,33 @@ def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
         )
     x = [Fraction(0)] * size
     for row, c in zip(reduced, pivots):
-        x[used[c]] = row[k]
+        x[used[c]] = Fraction(row[k], last)
     return ExtScalar(basis, tuple(x))
 
 
 # -- the elimination kernel ------------------------------------------------------
 
 
-def _eliminate(rows: list[list], nonzero, combine, one):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over an
-    integral domain; the one elimination loop of the package.
+def _eliminate(D: "_Domain", rows: list[list]):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over the
+    integral domain D; the one elimination loop of the package.
 
     Each step with pivot p replaces every other row by
     (p*row - f*pivot_row) / prev, where f is that row's entry in the pivot
-    column and prev the previous pivot (initially `one`).  The division is
+    column and prev the previous pivot (initially D.one).  The division is
     exact because every entry stays a minor of the input.  Earlier pivot rows
     then carry p in their pivot columns, so on return every nonzero row
     carries the last pivot in its pivot column; dividing by it gives the
-    reduced row-echelon form.  `combine(row, pivot_row, p, f, prev)` does one
-    row update in the caller's domain.  `rows` is consumed.
+    reduced row-echelon form.  D.step does one row update.  `rows` is
+    consumed.
 
     Returns the nonzero rows, their pivot columns and the last pivot.
     """
+    nonzero, combine = D.nonzero, D.step
     n = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    prev = one
+    prev = D.one
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, n) if nonzero(rows[i][c])), None)
@@ -505,14 +504,6 @@ def _z_clear(row: Sequence[ExtScalar]) -> tuple[tuple[int, ...], int]:
     that clears its denominators, and that integer."""
     ints, lcm = _clear_denominators([e.coeffs[0] for e in row])
     return tuple(ints), lcm
-
-
-def _rat_rref(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form of a rational matrix, eliminated over the
-    integers after clearing each row's denominators."""
-    work = [_clear_denominators([Fraction(x) for x in row])[0] for row in rows]
-    reduced, pivots, last = _eliminate(work, bool, _z_step, 1)
-    return [[Fraction(a, last) for a in row] for row in reduced], pivots
 
 
 class _SurdRing:
@@ -636,6 +627,26 @@ class _Domain(NamedTuple):
     div: Callable  # div(v, d): the entries of v divided by d, as scalars
 
 
+# Z for rational scalars in any basis; `_domain` adds the basis's `div`.
+_Z = _Domain(
+    conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])[0]),
+    scaled=_z_clear,
+    one=1, zero=0, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
+    nonzero=bool, step=_z_step,
+    dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
+    sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
+    neg=lambda v: tuple(-x for x in v),
+    div=None,
+)
+
+
+def _eliminate_rational(rows: Sequence[Sequence[Fraction]]):
+    """_eliminate over Z on a matrix of Fractions, each row first cleared of
+    its denominators: the nonzero integer rows, their pivots and the last
+    pivot, which each row carries in its pivot column."""
+    return _eliminate(_Z, [_clear_denominators(row)[0] for row in rows])
+
+
 def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domain:
     """The number domain for vectors like `rows`: the package's one choice
     between Z, Z[s] and the scalars.
@@ -650,16 +661,8 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
     """
     if all(not any(e.coeffs[1:]) for row in rows for e in row):
         tail = (Fraction(0),) * (basis.size - 1)
-        return _Domain(
-            conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])[0]),
-            scaled=_z_clear,
-            one=1, zero=0, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
-            nonzero=bool, step=_z_step,
-            dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
-            sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
-            neg=lambda v: tuple(-x for x in v),
-            div=lambda v, d: tuple(ExtScalar(basis, (Fraction(x, d),) + tail) for x in v),
-        )
+        return _Z._replace(
+            div=lambda v, d: tuple(ExtScalar(basis, (Fraction(x, d),) + tail) for x in v))
     q = basis.surd_square()
     if q is not None:
         ring = _SurdRing(basis, q)
@@ -710,18 +713,9 @@ def is_rational_direction(v: Sequence[ExtScalar]) -> bool:
     having rank at most 1: all entries must lie on a single rational line
     through one common factor.
     """
-    rows = [x.coeffs for x in v if not x.is_zero()]
-    if not rows:
+    if all(x.is_zero() for x in v):
         raise ScalarError("zero vector has no direction")
-    first = rows[0]
-    for row in rows[1:]:
-        # all 2x2 minors against the first nonzero row must vanish
-        for i in range(len(first)):
-            for j in range(i + 1, len(first)):
-                if first[i] * row[j] - first[j] * row[i] != 0:
-                    return False
-    # remaining rows are automatically proportional to the first
-    return True
+    return len(_eliminate_rational([x.coeffs for x in v])[1]) <= 1
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -268,11 +268,11 @@ def test_exact_float_scalar_field_runs(tmp_path):
 
 def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
     """An internal fault exits 3, not 2 like malformed input: here the
-    quasifold section's lattice finds no rational pivots, so its rank falls
-    below the quotient dimension."""
+    quasifold section's rational elimination finds no pivots, so its
+    lattice rank falls below the quotient dimension."""
     from momentlab import lattice
 
-    monkeypatch.setattr(lattice, "_rational_pivots", lambda rows: [])
+    monkeypatch.setattr(lattice, "_eliminate_rational", lambda rows: ([], [], 1))
     assert run_scenario(SCENARIOS / "segment.json", out_dir=tmp_path / "out") == 3
     assert ("internal error: AssertionError: quasilattice rank below quotient dimension"
             in capsys.readouterr().err)

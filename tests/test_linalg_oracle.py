@@ -1,14 +1,16 @@
 """Differential tests of the elimination kernel against sympy.
 
-rref, rank, kernel, solve over several targets, basis extension and the
-Zassenhaus meet of subspaces over Q, Q(sqrt2) and Q(sqrt(3/2)) (a declared
-square that is not an integer), and conjugate division are compared with
-sympy's exact linear algebra, and exact signs with sympy's.  Bases without
+rref, rank, kernel, solve over several targets, basis extension, containment
+and the Zassenhaus meet of subspaces over Q, Q(sqrt2) and Q(sqrt(3/2)) (a
+declared square that is not an integer), and conjugate division are compared
+with sympy's exact linear algebra, and exact signs with sympy's.  Containment
+is also compared over three surds.  Bases without
 declared products must keep raising UnsupportedScalarOperation.  Matrix-vector
 products, sigma-orthogonals and Gram restrictions are compared with plain
 scalar arithmetic, also over a negative declared root and over three surds.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import isqrt
@@ -18,7 +20,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from momentlab import linalg
-from momentlab.presymlin import PresympForm, Subspace, sigma_orthogonal
+from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace, sigma_orthogonal
 from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation, _SurdRing
 
 SQUARES = (2, Fraction(3, 2))
@@ -166,12 +168,22 @@ def test_intersect_matches_sympy(data):
                 expected_rows)
 
 
+def in_span(span, v):
+    """Containment by reduction in scalar arithmetic: clear v's entry at each
+    pivot of the canonical rows, then test for zero."""
+    for row, p in zip(span.rows, span.pivots):
+        if not v[p].is_zero():
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    return all(a.is_zero() for a in v)
+
+
 def greedy_extension(basis, m, rows, candidates):
     """The reference: keep each candidate not yet in the span."""
     span = Subspace.from_vectors(basis, m, rows)
     chosen = []
     for v in candidates:
-        if not span.contains(v):
+        if not in_span(span, v):
             chosen.append(v)
             span = span.add(Subspace.from_vectors(basis, m, [v]))
     return chosen
@@ -207,6 +219,83 @@ def test_pivot_only_rank_and_extension_match_sympy(data):
     chosen = linalg.extend_basis(rows, candidates)
     assert chosen == sympy_greedy_extension(rows, candidates, square)
     assert chosen == greedy_extension(basis, m, rows, candidates)
+
+
+CONTAINMENT_BASES = (ConstantBasis.rationals(), basis_for(2), basis_for(Fraction(3, 2)),
+                     three_surds())
+
+
+def sympy_scalar(x):
+    """x in sympy: each constant is the root of its declared square, with the
+    sign of its declared value."""
+    value = rational(x.coeffs[0])
+    for i in range(1, x.basis.size):
+        root = sympy.sqrt(rational(x.basis.product(i, i)[0]))
+        value += rational(x.coeffs[i]) * (root if x.basis.float_values[i] > 0 else -root)
+    return value
+
+
+def sympy_span_rank(rows):
+    if not rows:
+        return 0
+    return len(sympy_rref(sympy.Matrix([[sympy_scalar(e) for e in row] for row in rows]))[1])
+
+
+@st.composite
+def containment_cases(draw):
+    """Coefficient lists for 0..3 rows and 0..2 free vectors of length 1..4,
+    each entry with a coefficient for 1 and for up to three constants, and
+    rational weights for combining the rows."""
+    m = draw(st.integers(1, 4))
+
+    def vector():
+        return [[draw(entry)] + [draw(small) if draw(st.booleans()) else Fraction(0)
+                                 for _ in range(3)] for _ in range(m)]
+
+    rows = [vector() for _ in range(draw(st.integers(0, 3)))]
+    vectors = [vector() for _ in range(draw(st.integers(0, 2)))]
+    return m, rows, vectors, [draw(small) for _ in rows]
+
+
+@given(containment_cases())
+@settings(deadline=None, max_examples=25)
+def test_contains_matches_sympy_rank(data):
+    """v lies in the span iff appending it keeps the sympy rank, over Q,
+    Q(sqrt2), Q(sqrt(3/2)) and three surds; the candidates are the free
+    vectors, a rational combination of the rows, each row times the first
+    constant, the units and zero."""
+    m, coefficient_rows, coefficient_vectors, weights = data
+    for basis in CONTAINMENT_BASES:
+        def scalars(vector):
+            return tuple(basis.scalar(c[:basis.size]) for c in vector)
+
+        rows = [scalars(r) for r in coefficient_rows]
+        span = Subspace.from_vectors(basis, m, rows)
+        candidates = [scalars(v) for v in coefficient_vectors]
+        candidates += [linalg.unit(basis, m, i) for i in range(m)] + [linalg.zeros(basis, m)]
+        if rows:
+            candidates.append(functools.reduce(
+                linalg.vec_add, (linalg.vec_scale(r, t) for r, t in zip(rows, weights))))
+        if basis.size > 1:
+            candidates += [linalg.vec_scale(r, basis.constant(basis.names[1])) for r in rows]
+        rank = sympy_span_rank(rows)
+        for v in candidates:
+            assert span.contains(v) == (sympy_span_rank(rows + [v]) == rank)
+
+
+@pytest.mark.parametrize("basis", CONTAINMENT_BASES, ids=["q", "sqrt2", "sqrt3/2", "three"])
+def test_contains_on_zero_and_empty_spaces(basis):
+    zero, v = linalg.zeros(basis, 2), linalg.unit(basis, 2, 1)
+    assert Subspace.zero(basis, 2).contains(zero)
+    assert not Subspace.zero(basis, 2).contains(v)
+    assert Subspace.from_vectors(basis, 2, [zero]).contains(zero)
+    assert Subspace.full(basis, 2).contains(v)
+    assert Subspace.zero(basis, 0).contains(())
+    assert Subspace.full(basis, 0).contains([])
+    for space, wrong in ((Subspace.zero(basis, 2), v + v), (Subspace.full(basis, 2), v[:1]),
+                         (Subspace.zero(basis, 0), v)):
+        with pytest.raises(DimensionMismatchError):
+            space.contains(wrong)
 
 
 @pytest.mark.parametrize("square", (None,) + SQUARES)

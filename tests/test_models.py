@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -30,7 +29,6 @@ from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace
 
 from conftest import form_pairing, random_fraction
 from test_polyhedra import intersect, orthant
-from test_presymlin import random_skew_form, random_subspace
 
 
 def segment_slice(basis):
@@ -770,11 +768,13 @@ def test_symplectization_slice_dim_matches_natural_quotient(field, rat_basis, sq
     assert strata >= 20
 
 
-def slice_reference(module, x, T, restricted, F):
+def slice_reference(model, x):
     """Symplectic slice dimension and line weights through the reduction's
     projection: representatives of D/(D ∩ D^σ) from extend_basis, a
     projection onto their coordinates from a completed basis and solve, and
     the rank of the slots' projected images."""
+    module, T = model.module, model.tangent(x)
+    restricted, F = models._tangent_model(model, x)
     basis, n = restricted.scalar_basis, restricted.dim
     D = presymlin.sigma_orthogonal(restricted, F)
     radical = D.intersect(presymlin.sigma_orthogonal(restricted, D))
@@ -805,7 +805,7 @@ def test_slices_at_matches_projection_reference(field, rat_basis, sqrt2_basis):
 
     def check(model, x):
         sd = slices_at(model, x)
-        want = slice_reference(model.module, x, *models._tangent_model(model, x))
+        want = slice_reference(model, x)
         assert (sd.symplectic_dim, sd.symplectic_weights) == want
 
     for weights, masked in ((((1, 0), (0, 1), (1, 1)), ()), (((1, 0), (1, 1), (1, -1)), (1, 2)),
@@ -830,50 +830,41 @@ def test_slices_at_matches_projection_reference(field, rat_basis, sqrt2_basis):
 
 
 @pytest.mark.parametrize("field", ["rational", "sqrt2"])
-def test_line_weights_match_projection_reference_on_random_forms(field, rat_basis, sqrt2_basis):
-    """The line match on random skew forms and orbit tangents F, where the
-    slots can leave D or pair degenerately, against the projection route.
-    Half the time the form vanishes on the slots S, and half the time F is
-    drawn inside S's orthogonal (so S lies in D), with a vector of S ∩ S^σ
-    that puts slots into D's radical."""
+def test_line_slots_lie_in_d_and_pair_nondegenerately(field, rat_basis, sqrt2_basis):
+    """The premises that let slices_at name the slice weights from the count
+    alone: at every point of the model families, the unit vectors of the
+    unsupported unmasked slots lie in the tangent space, pair to zero with
+    the orbit tangent under the adapted form, and have a Gram matrix of full
+    rank."""
     basis = rat_basis if field == "rational" else sqrt2_basis
+
+    def check(model, x):
+        module = model.module
+        slots = [linalg.unit(basis, 2 * module.n_coords, slot)
+                 for j in range(module.n_coords) if j not in x.support and j not in module.masked
+                 for slot in (2 * j, 2 * j + 1)]
+        T = model.tangent(x)
+        form = models.adapted_form(module, x)
+        orbit = models.orbit_tangent(module, x)
+        assert all(T.contains(u) for u in slots)
+        assert all(form_pairing(form, u, w).is_zero() for u in slots for w in orbit.rows)
+        gram = [tuple(form_pairing(form, u, v) for v in slots) for u in slots]
+        assert linalg.rank(gram) == len(slots)
+        return len(slots)
+
+    pm = product_model(basis)
+    points = PRODUCT_POINTS["rational"] + (PRODUCT_POINTS["sqrt2"] if field == "sqrt2" else [])
+    total = sum(check(pm, ModelPoint.from_coordinates(basis, coords)) for coords in points)
     rng = random.Random(1503 if field == "rational" else 1504)
-    module = WeightedModule(basis, 2, ((1, 0), (0, 1), (1, 1)))
-    T = Subspace.full(basis, 6)
-
-    def combination(rows):
-        return functools.reduce(linalg.vec_add, (
-            linalg.vec_scale(r, random_fraction(rng)) for r in rows), linalg.zeros(basis, 6))
-
-    outcomes = {"count": 0, "outside D": 0, "degenerate": 0, "match": 0}
-    for _ in range(150):
-        x = ModelPoint.from_coordinates(basis, [rng.choice([0, 1]) for _ in range(3)])
-        slot_ids = [s for j in range(3) if j not in x.support for s in (2 * j, 2 * j + 1)]
-        rows = [list(r) for r in random_skew_form(rng, basis, 6, irrational_chance=0.3).matrix]
-        if rng.random() < 0.5:
-            for a, b in itertools.product(slot_ids, repeat=2):
-                rows[a][b] = basis.zero()
-        form = PresympForm.from_rows(basis, rows)
-        F = random_subspace(rng, basis, 6)
-        if rng.random() < 0.5:
-            S = Subspace.from_vectors(basis, 6, [linalg.unit(basis, 6, s) for s in slot_ids])
-            orth = presymlin.sigma_orthogonal(form, S)
-            vectors = [combination(orth.rows) for _ in range(rng.randint(0, orth.dim))]
-            radical = S.intersect(orth)
-            if radical.dim:
-                vectors.append(combination(radical.rows))
-            F = Subspace.from_vectors(basis, 6, vectors)
-        D = presymlin.sigma_orthogonal(form, F)
-        dim, want = slice_reference(module, x, T, form, F)
-        assert form.restrict(D.rows).rank() == dim
-        assert models._identify_line_weights(module, x, T, form, D, dim) == want
-        if len(slot_ids) != dim:
-            outcomes["count"] += 1
-        elif not all(D.contains(linalg.unit(basis, 6, s)) for s in slot_ids):
-            outcomes["outside D"] += 1
-        else:
-            outcomes["degenerate" if want is None else "match"] += 1
-    assert min(outcomes.values()) >= 5, outcomes
+    strata = 0
+    for _ in range(20):
+        s = _random_slice(rng, basis, field)
+        if s is None:
+            continue
+        for stratum in models.support_strata(s):
+            total += check(s, stratum.representative)
+            strata += 1
+    assert strata >= 20 and total >= 40
 
 
 def test_slices_at_leafwise_transitive_has_no_null_slice(sqrt2_basis):
