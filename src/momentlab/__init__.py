@@ -13,7 +13,6 @@ from .scalars import (
     ScalarError,
     SignUndecidableError,
     UnsupportedScalarOperation,
-    is_rational_direction,
     parse_scalar,
 )
 from .presymlin import PresympForm, ReducedSpace, Subspace

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import lattice, linalg, polyhedra, presymlin
@@ -329,14 +330,16 @@ def cleanness_at(model, point: ModelPoint) -> CleannessReport:
 @dataclass(frozen=True)
 class AffineSlice:
     """Preimage of an affine subspace lambda + W under the standard moment
-    map: a coisotropic model whose null ideal is the annihilator of W."""
+    map: a coisotropic model whose null ideal is the annihilator of W.
+
+    Its plane rows, moment polytope and support strata are computed on first
+    read and kept on the instance, outside the fields, so equality and hash
+    see the four fields alone."""
 
     module: WeightedModule
     lam: Vector
     direction: Subspace
     ideal: Subspace
-    _polytope_cache: "Polyhedron | None" = None
-    _strata_cache: "tuple | None" = None
 
     @property
     def scalar_basis(self) -> ConstantBasis:
@@ -355,22 +358,51 @@ class AffineSlice:
         return tangent_space(self, point)
 
     def moment_polytope(self) -> Polyhedron:
-        if self._polytope_cache is None:
-            P = polyhedra.intersect_halfspaces(
-                self.scalar_basis, self.torus_rank, _orthant_rows(self), _plane_rows(self)
-            )
-            object.__setattr__(self, "_polytope_cache", P)
-        return self._polytope_cache
+        return self._polytope
+
+    @cached_property
+    def plane_rows(self) -> tuple[tuple[Vector, ExtScalar], ...]:
+        """The equalities <a, x> = <a, lambda> of lambda + W, one per ideal row."""
+        return tuple((a, linalg.dot(a, self.lam)) for a in self.ideal.rows)
+
+    @cached_property
+    def _polytope(self) -> Polyhedron:
+        return polyhedra.intersect_halfspaces(
+            self.scalar_basis, self.torus_rank, _orthant_rows(self), self.plane_rows
+        )
+
+    @cached_property
+    def _strata(self) -> tuple["SupportStratum", ...]:
+        """Faces of the (pointed) moment polytope are generated by the subsets
+        of its vertices and rays vanishing on the complementary coordinates,
+        so no new conversions are needed here.  The polytope lies in the
+        orthant, so a generator is positive exactly on its support, kept as a
+        bitmask: S is realized iff the face over S has a vertex and its
+        generators' supports together cover S."""
+        d = self.torus_rank
+        P = self.moment_polytope()
+        verts, rays = P.vrep.vertices, P.vrep.rays_with_lines
+        vmasks = [_support_mask(v) for v in verts]
+        rmasks = [_support_mask(r) for r in rays]
+        out = []
+        for S in sorted(_subsets(range(d)), key=lambda s: (len(s), s)):
+            inside = sum(1 << j for j in S)
+            fv = [v for v, m in zip(verts, vmasks) if m | inside == inside]
+            if not fv:
+                continue
+            fr = [r for r, m in zip(rays, rmasks) if m | inside == inside]
+            covered = 0
+            for m in itertools.chain(vmasks, rmasks):
+                if m | inside == inside:
+                    covered |= m
+            if covered == inside:
+                out.append(SupportStratum(tuple(S), tuple(fv), tuple(fr), self.scalar_basis, d))
+        return tuple(out)
 
 
 def _orthant_rows(slice_: AffineSlice) -> list:
     basis, d = slice_.scalar_basis, slice_.torus_rank
     return [(linalg.unit(basis, d, j), 0) for j in range(d)]
-
-
-def _plane_rows(slice_: AffineSlice) -> list:
-    """The equalities <a, x> = <a, lambda> of lambda + W, one per ideal row."""
-    return [(a, linalg.dot(a, slice_.lam)) for a in slice_.ideal.rows]
 
 
 def build_affine_slice(
@@ -394,8 +426,7 @@ def build_affine_slice(
         W = Subspace.kernel_of(basis, d, normal_rows)
     else:
         W = Subspace.from_vectors(basis, d, direction_vectors)
-    ideal = W.annihilator()
-    slice_ = AffineSlice(module, lam_v, W, ideal)
+    slice_ = AffineSlice(module, lam_v, W, W.annihilator())
     P = slice_.moment_polytope()
     if P.is_empty:
         raise SliceValidationError("slice misses moment image")
@@ -419,7 +450,7 @@ def build_affine_slice(
                     f"slice is not transverse to the orthant face with zeros {sorted(T)}"
                 )
         raise AssertionError("transversality failed on no face")
-    return AffineSlice(module, lam_v, W, ideal, P)
+    return slice_
 
 
 def _transverse(W: Subspace, T: Sequence[int]) -> bool:
@@ -450,8 +481,8 @@ def _coordinate_positive_somewhere(P: Polyhedron, j: int) -> bool:
 
 def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
     phi = moment_quadratic(slice_.module, point)
-    for a in slice_.ideal.rows:
-        if not (linalg.dot(a, phi) - linalg.dot(a, slice_.lam)).is_zero():
+    for a, c in slice_.plane_rows:
+        if not (linalg.dot(a, phi) - c).is_zero():
             raise ModelError("point does not lie on the slice")
     for m in point.mu:
         if m.sign() < 0:
@@ -466,9 +497,25 @@ class SupportStratum:
     support: tuple[int, ...]
     face_vertices: tuple[Vector, ...]
     face_rays: tuple[Vector, ...]
-    representative: ModelPoint
     scalar_basis: ConstantBasis
     ambient_dim: int
+
+    @cached_property
+    def representative(self) -> ModelPoint:
+        """An exact relative-interior point of the stratum, computed on first
+        read: the barycenter of the k face vertices plus the sum of its rays,
+        one Fraction per coefficient, (sum of the vertices' + k * the rays')
+        over k, with the denominators cleared together."""
+        fv, fr, k = self.face_vertices, self.face_rays, len(self.face_vertices)
+        mu = []
+        for j in range(self.ambient_dim):
+            coeffs = []
+            for t in range(self.scalar_basis.size):
+                ints, den = _clear_denominators(
+                    [v[j].coeffs[t] for v in fv] + [k * r[j].coeffs[t] for r in fr])
+                coeffs.append(Fraction(sum(ints), den * k))
+            mu.append(ExtScalar(self.scalar_basis, tuple(coeffs)))
+        return ModelPoint(support=self.support, mu=tuple(mu))
 
     def face_affine_dim(self) -> int:
         base = self.face_vertices[0]
@@ -479,54 +526,10 @@ class SupportStratum:
 
 def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:
     """One stratum per support pattern realized on the slice, in canonical
-    order, each with an exact relative-interior representative point.
-
-    Faces of the (pointed) moment polytope are generated by the subsets of
-    its vertices and rays vanishing on the complementary coordinates, so no
-    new conversions are needed here.  The polytope lies in the orthant, so a
-    generator is positive exactly on its support, kept as a bitmask: S is
-    realized iff the face over S has a vertex and its generators' supports
-    together cover S.
-    """
-    if slice_._strata_cache is not None:
-        return slice_._strata_cache
-    d = slice_.torus_rank
-    basis = slice_.scalar_basis
-    P = slice_.moment_polytope()
-    verts, rays = P.vrep.vertices, P.vrep.rays_with_lines
-    vmasks = [_support_mask(v) for v in verts]
-    rmasks = [_support_mask(r) for r in rays]
-    out = []
-    for S in sorted(_subsets(range(d)), key=lambda s: (len(s), s)):
-        inside = sum(1 << j for j in S)
-        fv = [v for v, m in zip(verts, vmasks) if m | inside == inside]
-        if not fv:
-            continue
-        fr = [r for r, m in zip(rays, rmasks) if m | inside == inside]
-        covered = 0
-        for m in itertools.chain(vmasks, rmasks):
-            if m | inside == inside:
-                covered |= m
-        if covered != inside:
-            continue
-        # the barycenter of the k face vertices plus the sum of its rays, one
-        # Fraction per coefficient: (sum of the vertices' + k * the rays')
-        # over k, with the denominators cleared together
-        k = len(fv)
-        mu = []
-        for j in range(d):
-            coeffs = []
-            for t in range(basis.size):
-                ints, den = _clear_denominators(
-                    [v[j].coeffs[t] for v in fv] + [k * r[j].coeffs[t] for r in fr])
-                coeffs.append(Fraction(sum(ints), den * k))
-            mu.append(ExtScalar(basis, tuple(coeffs)))
-        rep = ModelPoint(support=tuple(S), mu=tuple(mu))
-        out.append(
-            SupportStratum(tuple(S), tuple(fv), tuple(fr), rep, basis, d)
-        )
-    object.__setattr__(slice_, "_strata_cache", tuple(out))
-    return slice_._strata_cache
+    order, each with an exact relative-interior representative point; they
+    are found once per slice (AffineSlice._strata), and each representative
+    on its first read."""
+    return slice_._strata
 
 
 def _support_mask(v: Vector) -> int:
@@ -564,7 +567,7 @@ def moment_image(slice_: AffineSlice) -> MomentImageReport:
     )
     # cut_out_by's precondition: build_affine_slice checked that the plane
     # meets the open orthant
-    sympl_ok = polyhedra.cut_out_by(P, _orthant_rows(slice_), _plane_rows(slice_))
+    sympl_ok = polyhedra.cut_out_by(P, _orthant_rows(slice_), slice_.plane_rows)
     rational = polyhedra.is_rational_polyhedral(P)
     closed = lattice.null_subgroup_closed(slice_)
     return MomentImageReport(
@@ -587,7 +590,7 @@ def local_cone(slice_: AffineSlice, point: ModelPoint) -> Polyhedron:
         for j in range(d)
         if j not in point.support
     ]
-    return polyhedra.intersect_halfspaces(basis, d, hs, _plane_rows(slice_))
+    return polyhedra.intersect_halfspaces(basis, d, hs, slice_.plane_rows)
 
 
 def local_cone_rows(slice_: AffineSlice) -> tuple[list, list]:
@@ -603,7 +606,7 @@ def local_cone_rows(slice_: AffineSlice) -> tuple[list, list]:
             if j not in stratum.support and j not in seen:
                 seen.add(j)
                 hs.append((linalg.unit(basis, d, j), 0))
-    return hs, _plane_rows(slice_)
+    return hs, slice_.plane_rows
 
 
 def local_cones_intersection(slice_: AffineSlice) -> Polyhedron:
@@ -628,12 +631,13 @@ def _tangent_model(model, point: ModelPoint) -> tuple[PresympForm, Subspace]:
     """The form restricted to the model's tangent space T at the point, and
     the orbit tangent in T's coordinates."""
     module = model.module
-    basis = module.scalar_basis
-    t_rows = list(model.tangent(point).rows)
-    restricted = adapted_form(module, point).restrict(t_rows)
-    orbit = orbit_tangent(module, point)
-    orbit_in_T = presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis)
-    return restricted, Subspace.from_vectors(basis, len(t_rows), orbit_in_T)
+    T = model.tangent(point)
+    restricted = adapted_form(module, point).restrict(list(T.rows))
+    # the orbit lies in T, since dphi reads only radial slots and the orbit
+    # only angular ones, and T's rows are canonical: an orbit row's
+    # coordinates in T are its entries at T's pivots
+    orbit_in_T = [tuple(v[p] for p in T.pivots) for v in orbit_tangent(module, point).rows]
+    return restricted, Subspace.from_vectors(module.scalar_basis, T.dim, orbit_in_T)
 
 
 def slices_at(model, point: ModelPoint) -> SliceData:

@@ -17,14 +17,17 @@ description: containment, one rank of the given equalities, and P's facet
 rows found among the given rows, both reduced as the dual pass reduces.
 from_generators keeps the input generators that are extreme by incidence
 against the facets of one dual pass, with ranks read off elimination pivots.
-Sizes are capped at desk scale, where the double description method is
-entirely adequate.
+slice_at_level substitutes the level into P's own rows, one
+intersect_halfspaces in one dimension less with no projection pass, and P's
+affine span is computed on first read and kept on P.  Sizes are capped at
+desk scale, where the double description method is entirely adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import lattice, linalg
@@ -99,6 +102,19 @@ class Polyhedron:
         if any(e.basis != self.scalar_basis for e in v):
             raise BasisMismatchError("point uses a different constant basis")
         return not self.is_empty and _generators_inside(self, [v])
+
+    @cached_property
+    def _affine_span(self) -> tuple[Vector, Subspace]:
+        """The nonempty P's first vertex and the span of its generator
+        differences, computed on first read (affine_span is the entry point)."""
+        base = self.vrep.vertices[0]
+        directions = [linalg.vec_sub(v, base) for v in self.vrep.vertices[1:]]
+        directions += list(self.vrep.rays) + list(self.vrep.lines)
+        return base, Subspace.from_vectors(self.scalar_basis, self.dim, directions)
+
+
+def _empty(basis: ConstantBasis, dim: int) -> Polyhedron:
+    return Polyhedron(basis, dim, (), (), VRep((), (), ()))
 
 
 # -- double description ---------------------------------------------------------
@@ -287,7 +303,7 @@ def intersect_halfspaces(
     D = _domain(basis, eq_rows + hs_rows)
     vrep, gens = _primal(D, dim, list(map(D.conv, eq_rows)), list(map(D.conv, hs_rows)))
     if not vrep.vertices:
-        return Polyhedron(basis, dim, (), (), VRep((), (), ()))
+        return _empty(basis, dim)
     halfspaces, equalities, _, _ = _dual(D, dim, gens)
     return Polyhedron(basis, dim, halfspaces, equalities, vrep)
 
@@ -323,7 +339,7 @@ def from_generators(
     would.
     """
     if not vertices:
-        return Polyhedron(basis, dim, (), (), VRep((), (), ()))
+        return _empty(basis, dim)
     one, zero = basis.one(), basis.zero()
     vs = [linalg.as_vector(basis, v) for v in vertices]
     points = [v + (one,) for v in vs]
@@ -369,13 +385,10 @@ def enumerate_vertices(P: Polyhedron) -> tuple[tuple[Vector, ...], tuple[Vector,
 
 
 def affine_span(P: Polyhedron) -> tuple[Vector, Subspace]:
-    """Basepoint and direction space of the affine hull."""
+    """Basepoint and direction space of the affine hull, kept on P."""
     if P.is_empty:
         raise EmptyPolyhedronError("empty polyhedron has no affine span")
-    base = P.vrep.vertices[0]
-    directions = [linalg.vec_sub(v, base) for v in P.vrep.vertices[1:]]
-    directions += list(P.vrep.rays) + list(P.vrep.lines)
-    return base, Subspace.from_vectors(P.scalar_basis, P.dim, directions)
+    return P._affine_span
 
 
 def is_rational_polyhedral(P: Polyhedron) -> bool:
@@ -422,18 +435,22 @@ def _check_coordinates(P: Polyhedron, coords: Sequence[int]) -> None:
 
 
 def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
-    """Intersect with {x_coord = level} and drop that coordinate."""
+    """Intersect with {x_coord = level} and drop that coordinate: the y with
+    (y, level inserted at coord) in P.  That is P's own rows with x_coord =
+    level substituted, so one intersect_halfspaces in dimension dim - 1 gives
+    the canonical polyhedron.  An empty P keeps no rows, and slices empty."""
     _check_coordinates(P, [coord])
     basis = P.scalar_basis
-    extra = [(linalg.unit(basis, P.dim, coord), _as_scalar(basis, level))]
-    sliced = intersect_halfspaces(
-        basis,
-        P.dim,
-        [(h.normal, h.offset) for h in P.halfspaces],
-        [(h.normal, h.offset) for h in P.equalities] + extra,
-    )
-    keep = [i for i in range(P.dim) if i != coord]
-    return project(sliced, keep)
+    if P.is_empty:
+        return _empty(basis, P.dim - 1)
+    level = _as_scalar(basis, level)
+
+    def substituted(rows):
+        return [(h.normal[:coord] + h.normal[coord + 1:], h.offset - h.normal[coord] * level)
+                for h in rows]
+
+    return intersect_halfspaces(
+        basis, P.dim - 1, substituted(P.halfspaces), substituted(P.equalities))
 
 
 def project(P: Polyhedron, keep: Sequence[int]) -> Polyhedron:

@@ -98,8 +98,17 @@ class Subspace:
         )
 
     def annihilator(self) -> "Subspace":
-        """Functionals vanishing on this subspace (same coordinate size)."""
-        return Subspace.kernel_of(self.scalar_basis, self.ambient_dim, self.rows)
+        """Functionals vanishing on this subspace (same coordinate size).
+
+        Computed once and kept on the instance, paired: the annihilator's own
+        annihilator is this subspace, whose canonical rows a second kernel
+        would only repeat."""
+        cached = vars(self).get("_annihilator")
+        if cached is None:
+            cached = Subspace.kernel_of(self.scalar_basis, self.ambient_dim, self.rows)
+            vars(self)["_annihilator"] = cached
+            vars(cached)["_annihilator"] = self
+        return cached
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -236,12 +245,3 @@ def symplectization(
     )
     return big_form, embedded
 
-
-def coordinates_in_basis(
-    vectors: Sequence[Vector], basis_rows: Sequence[Vector], basis: ConstantBasis
-) -> list[Vector]:
-    """Coordinates of each vector with respect to the given basis rows."""
-    out = linalg.solve(basis_rows, vectors, basis)
-    if None in out:
-        raise ScalarError("vector does not lie in the span of the basis")
-    return [tuple(x) for x in out]

@@ -703,21 +703,6 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
     )
 
 
-# -- whole-vector utilities ----------------------------------------------------
-
-
-def is_rational_direction(v: Sequence[ExtScalar]) -> bool:
-    """True iff some nonzero real multiple of v has all entries rational.
-
-    Equivalent to the rational coefficient matrix (entries x constants)
-    having rank at most 1: all entries must lie on a single rational line
-    through one common factor.
-    """
-    if all(x.is_zero() for x in v):
-        raise ScalarError("zero vector has no direction")
-    return len(_eliminate_rational([x.coeffs for x in v])[1]) <= 1
-
-
 # -- parsing ---------------------------------------------------------------------
 
 _TERM = re.compile(

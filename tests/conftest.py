@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from momentlab.scalars import ConstantBasis
+from momentlab.scalars import ConstantBasis, ScalarError, _eliminate_rational
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +46,15 @@ def form_pairing(form, u, v):
         for j, m in enumerate(row):
             acc = acc + u[i] * m * v[j]
     return acc
+
+
+def is_rational_direction(v):
+    """True iff some nonzero real multiple of v has all entries rational.
+
+    Equivalent to the rational coefficient matrix (entries x constants)
+    having rank at most 1: all entries must lie on a single rational line
+    through one common factor.
+    """
+    if all(x.is_zero() for x in v):
+        raise ScalarError("zero vector has no direction")
+    return len(_eliminate_rational([x.coeffs for x in v])[1]) <= 1

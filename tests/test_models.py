@@ -26,6 +26,7 @@ from momentlab.models import (
     symplectization_slice_dim,
 )
 from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace
+from momentlab.scalars import ScalarError
 
 from conftest import form_pairing, random_fraction
 from test_polyhedra import intersect, orthant
@@ -59,6 +60,47 @@ def test_build_affine_slice_examples(sqrt2_basis):
         sqrt2_basis, 2, [1, 1], direction_vectors=[[1, 0], [0, 1]]
     )
     assert full.ideal.dim == 0
+
+
+def test_affine_slice_equality_and_hash_ignore_computed_facts(sqrt2_basis):
+    """A built slice and a hand-built one with the same data stay equal, with
+    the same hash, as their plane rows, polytope and strata are computed."""
+    s = build_affine_slice(sqrt2_basis, 3, [1, 1, 1], direction_normals=[[1, "sqrt2", 1]])
+    t = models.AffineSlice(s.module, s.lam, s.direction, s.ideal)
+    before = hash(s)
+    assert s == t and hash(t) == before
+    for compute in (lambda x: x.moment_polytope(), models.support_strata,
+                    lambda x: x.plane_rows):
+        compute(s)
+        assert s == t and hash(s) == before == hash(t)
+        assert s == models.AffineSlice(s.module, s.lam, s.direction, s.ideal)
+    models.moment_image(t)
+    assert s == t and hash(t) == before
+
+
+def test_slice_facts_are_computed_once(sqrt2_basis, monkeypatch):
+    """Across build_affine_slice, moment_image, local_cone_rows and
+    support_strata, the moment polytope is intersected once and the plane
+    rows are dotted once: one linalg.dot per ideal row."""
+    calls = {"intersect": 0, "dot": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(polyhedra, "intersect_halfspaces",
+                        counting("intersect", polyhedra.intersect_halfspaces))
+    monkeypatch.setattr(linalg, "dot", counting("dot", linalg.dot))
+    s = build_affine_slice(sqrt2_basis, 4, [1, 2, 1, 1],
+                           direction_normals=[[1, "sqrt2", 1, 0], [0, 1, 1, 1]])
+    rep = models.moment_image(s)
+    _, plane = models.local_cone_rows(s)
+    strata = models.support_strata(s)
+    assert s.ideal.dim == 2 and calls == {"intersect": 1, "dot": 2}
+    assert rep.polytope is s.moment_polytope() and plane is s.plane_rows
+    assert models.support_strata(s) is strata and len(strata) > 1
 
 
 @pytest.mark.parametrize("field", ["direction_vectors", "direction_normals"])
@@ -723,6 +765,14 @@ def test_slices_at_product_points_and_symplectization(sqrt2_basis):
         )
 
 
+def coordinates_in_basis(vectors, basis_rows, basis):
+    """Coordinates of each vector with respect to the given basis rows."""
+    out = linalg.solve(basis_rows, vectors, basis)
+    if None in out:
+        raise ScalarError("vector does not lie in the span of the basis")
+    return [tuple(x) for x in out]
+
+
 def symplectization_quotient_dim(model, x):
     """symplectization_slice_dim through natural_quotient's reduction: the
     dimension of the symplectic quotient of the enlarged orbit tangent's
@@ -735,7 +785,7 @@ def symplectization_quotient_dim(model, x):
     restricted = models.adapted_form(module, x).restrict(t_rows)
     orbit = models.orbit_tangent(module, x)
     F = Subspace.from_vectors(
-        basis, T.dim, presymlin.coordinates_in_basis(list(orbit.rows), t_rows, basis))
+        basis, T.dim, coordinates_in_basis(list(orbit.rows), t_rows, basis))
     return presymlin.natural_quotient(*presymlin.symplectization(restricted, F), "orth").quotient_dim
 
 

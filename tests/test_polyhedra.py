@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,9 @@ from momentlab.polyhedra import (
     slice_at_level,
 )
 from momentlab.presymlin import Subspace
-from momentlab.scalars import BasisMismatchError, ConstantBasis, is_rational_direction
+from momentlab.scalars import BasisMismatchError, ConstantBasis
 
-from conftest import random_fraction
+from conftest import is_rational_direction, random_fraction
 
 
 def segment(basis):
@@ -189,11 +190,14 @@ ORACLE_BASES = {
 def redundant_generators(rng, basis, dim, kind):
     """Vertices with a duplicate and a midpoint; for kind 1..4 rays with an
     unnormalized duplicate and a redundant sum, plus opposite rays (2), an
-    explicit line (3) or a zero ray (4)."""
+    explicit line (3) or a zero ray (4).  An irrational entry carries one of
+    the basis's constants."""
 
     def scalar():
         if basis.size > 1 and rng.random() < 0.3:
-            return basis.scalar([random_fraction(rng, 3), random_fraction(rng, 2)])
+            coeffs = [random_fraction(rng, 3)] + [Fraction(0)] * (basis.size - 1)
+            coeffs[rng.randrange(1, basis.size) if basis.size > 2 else 1] = random_fraction(rng, 2)
+            return basis.scalar(coeffs)
         return basis.from_rational(random_fraction(rng, 3))
 
     def vec():
@@ -300,6 +304,68 @@ def test_project_examples(sqrt2_basis):
 def test_slice_at_level_rejects_out_of_range_coordinate(sqrt2_basis, coord, level):
     with pytest.raises(PolyhedronError, match=f"coordinate {coord} "):
         slice_at_level(segment(sqrt2_basis), coord, level)
+
+
+def test_slice_at_level_of_empty_polyhedron_is_empty(sqrt2_basis):
+    """An empty polyhedron keeps no constraints, yet every slice of it is
+    empty, as its projection is."""
+    empty = intersect_halfspaces(sqrt2_basis, 2, [([1, 0], 1), ([-1, 0], 0)])
+    for coord in (0, 1):
+        for level in (0, 1, "sqrt2"):
+            sliced = slice_at_level(empty, coord, level)
+            assert sliced.is_empty and sliced.dim == 1
+            assert sliced == project(empty, [1 - coord])
+
+
+def slice_by_projection(P, coord, level):
+    """Reference for slice_at_level on a nonempty P: intersect P with the
+    equality x_coord = level, then project the other coordinates out."""
+    basis = P.scalar_basis
+    sliced = intersect_halfspaces(
+        basis,
+        P.dim,
+        [(h.normal, h.offset) for h in P.halfspaces],
+        [(h.normal, h.offset) for h in P.equalities]
+        + [(linalg.unit(basis, P.dim, coord), level)],
+    )
+    return project(sliced, [i for i in range(P.dim) if i != coord])
+
+
+@pytest.mark.parametrize("name", ["rat_basis", "sqrt2_basis", "three_surds_basis"])
+def test_slice_at_level_matches_projection_reference(name, request):
+    """Substituting the level into P's rows gives the canonical polyhedron
+    the intersect-then-project route gives, for bounded polyhedra, unbounded
+    ones and ones with lines, on every coordinate, at every vertex level (a
+    face at the lowest), between them and beyond them (nothing)."""
+    basis = request.getfixturevalue(name)
+    rng = random.Random(len(name))
+    seen = Counter()
+    # the three-surd basis runs double description on the scalars themselves,
+    # far slower than on Z or Z[s], so it gets half the cases
+    for case in range(12 if basis.size > 2 else 24):
+        dim = case % 3 + 1
+        P = from_generators(basis, dim, *redundant_generators(rng, basis, dim, case % 5))
+        rays, lines = P.vrep.rays, P.vrep.lines
+        seen["lines" if lines else "unbounded" if rays else "bounded"] += 1
+        for coord in range(dim):
+            values = sorted({v[coord].coeffs: v[coord] for v in P.vrep.vertices}.values(),
+                            key=lambda e: e.to_float())
+            between = [(a + b).scale(Fraction(1, 2)) for a, b in zip(values, values[1:])]
+            beyond = [values[0] - basis.one(), values[-1] + basis.one()]
+            # the slice at the lowest vertex level is a face when nothing
+            # descends below it
+            face = all(r[coord].sign() >= 0 for r in rays) and all(
+                l[coord].is_zero() for l in lines)
+            for level in values + between + beyond:
+                new, old = slice_at_level(P, coord, level), slice_by_projection(P, coord, level)
+                assert new == old and new.is_empty == old.is_empty
+                if not new.vrep.lines:
+                    assert new.vrep == old.vrep
+                seen["empty"] += new.is_empty
+                seen["point"] += (dim > 1 and len(new.vrep.vertices) == 1
+                                  and not new.vrep.rays and not new.vrep.lines)
+                seen["face"] += face and level is values[0]
+    assert min(seen[k] for k in ("bounded", "unbounded", "lines", "empty", "point", "face")) >= 3, seen
 
 
 @pytest.mark.parametrize("keep", [[5], [0, 2], [-1]])

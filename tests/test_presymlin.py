@@ -60,6 +60,33 @@ def test_canonical_basis_is_presentation_independent(sqrt2_basis):
         assert Subspace.from_vectors(sqrt2_basis, dim, recombined) == S
 
 
+def annihilator_cases(rng, basis):
+    """The zero subspace and the whole space in dimensions 0 and 3, then
+    random subspaces of dimensions 1..5."""
+    yield from (Subspace.zero(basis, 0), Subspace.full(basis, 0),
+                Subspace.zero(basis, 3), Subspace.full(basis, 3))
+    for _ in range(40):
+        yield random_subspace(rng, basis, rng.randint(1, 5), irrational_rows=2)
+
+
+def test_annihilator_is_kept_and_paired(rat_basis, sqrt2_basis):
+    """S.annihilator() is computed once and equals a fresh kernel of S's
+    rows; its own annihilator is S itself, which is what a fresh kernel of
+    its rows gives; and keeping it changes neither equality nor hash."""
+    rng = random.Random(2024)
+    for basis in (rat_basis, sqrt2_basis):
+        for S in annihilator_cases(rng, basis):
+            n = S.ambient_dim
+            copy, before = Subspace(basis, n, S.rows, S.pivots), hash(S)
+            ann = S.annihilator()
+            assert S.annihilator() is ann
+            assert ann.annihilator() is S
+            assert ann == Subspace.kernel_of(basis, n, S.rows)
+            assert S == Subspace.kernel_of(basis, n, ann.rows)
+            assert ann.dim == n - S.dim
+            assert S == copy and hash(S) == before == hash(copy)
+
+
 def test_sigma_orthogonal_standard_pairs(sqrt2_basis):
     form = PresympForm.standard(sqrt2_basis, 2)
     F = Subspace.from_vectors(sqrt2_basis, 4, [[1, 0, 0, 0]])

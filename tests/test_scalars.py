@@ -10,11 +10,10 @@ from momentlab.scalars import (
     ScalarError,
     SignUndecidableError,
     UnsupportedScalarOperation,
-    is_rational_direction,
     parse_scalar,
 )
 
-from conftest import random_fraction
+from conftest import is_rational_direction, random_fraction
 
 fractions = st.fractions(max_denominator=50)
 
