@@ -436,8 +436,12 @@ def _contact_section(sc: Scenario, lines: list[str], out: Path) -> None:
              "homogenized moment cone; slicing at level one recovers the "
              "polytope and scaled samples satisfy the cone inequalities")
     lines.append(fmt_polyhedron(cone))
-    lines.append(f"slice at level 1 equals moment polytope: "
-                 f"{yesno(polyhedra.poly_equal(back, P))}")
+    # the slice reads its H- and V-rep separately off the cone, so both are
+    # compared: equal polyhedra have equal canonical H-reps, and equal V-reps
+    # unless they have lines, whose basis the double description picks
+    same = (polyhedra.poly_equal(back, P) and back == P
+            and (bool(P.vrep.lines) or back.vrep == P.vrep))
+    lines.append(f"slice at level 1 equals moment polytope: {yesno(same)}")
     if polyhedra.is_bounded(P):
         n = sc.raw.get("samples", 10000)
         t_max = float(sc.raw.get("t_max", 2.0))

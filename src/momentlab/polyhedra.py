@@ -17,10 +17,18 @@ description: containment, one rank of the given equalities, and P's facet
 rows found among the given rows, both reduced as the dual pass reduces.
 from_generators keeps the input generators that are extreme by incidence
 against the facets of one dual pass, with ranks read off elimination pivots.
-slice_at_level substitutes the level into P's own rows, one
-intersect_halfspaces in one dimension less with no projection pass, and P's
-affine span is computed on first read and kept on P.  Sizes are capped at
-desk scale, where the double description method is entirely adequate.
+The contact cone and its level-one slice are read off representations with
+no double description.  homogenize of a P without lines takes P's own facet
+and equality rows as the cone's, already canonical, and the rays (v, 1) and
+(r, 0) over P's vertices and rays; slice_at_level of a pointed cone at a
+positive level, with no ray below level 0, divides the rays that cross the
+level into vertices and moves the level into the rows' offset column, rows
+canonicalized by the helper the dual pass uses (_canonical_hrep).  A P with
+lines, and every other slice, runs intersect_halfspaces on P's own rows, with
+t >= 0 or with the level substituted, in one dimension less with no
+projection pass.  P's affine span is computed on first read and kept on P.
+Sizes are capped at desk scale, where the double description method is
+entirely adequate.
 """
 
 from __future__ import annotations
@@ -252,17 +260,28 @@ def _reduction(D: _Domain, dim: int, eq_rows: list):
 
 def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
     """The H-representation of the polyhedron whose homogenized generators
-    (g, 1) for a vertex g and (g, 0) for a ray are `gens`, in D: the sorted
-    half-spaces and equalities, and in the same order their rows
-    (normal, -offset) in D, positive multiples of the scalar ones.
-
-    The dual cone's lines span the equalities: one elimination, normalized to
-    a positive last pivot, gives their reduced rows.  Its rays, reduced modulo
-    those rows and made canonical, are the facets.
-    """
+    (g, 1) for a vertex g and (g, 0) for a ray are `gens`, in D, as
+    _canonical_hrep returns it.  The dual cone's lines span the equalities
+    and its rays are the facets, with at most the trivial t >= 0 direction
+    besides them."""
     _check_scale(dim + 1, len(gens))
     lines, rays = cone_double_description(D, dim + 1, gens)
-    eq_rows, last, reduce = _reduction(D, dim, lines)
+    return _canonical_hrep(D, dim, lines, rays)
+
+
+def _canonical_hrep(D: _Domain, dim: int, eq_rows: list, facet_rows: list
+                    ) -> tuple[tuple, tuple, list, list]:
+    """The canonical H-representation of a nonempty polyhedron from rows
+    (normal, -offset) in D: `eq_rows` span its equalities, and `facet_rows`
+    hold a row of each facet, besides rows whose normal part vanishes modulo
+    the equalities.  Returns the sorted half-spaces and equalities, and in the
+    same order their rows in D, positive multiples of the scalar ones.
+
+    One elimination, normalized to a positive last pivot, gives the reduced
+    equality rows.  The facet rows, reduced modulo those rows, made canonical
+    and deduplicated, are the facets.  `eq_rows` is consumed.
+    """
+    eq_rows, last, reduce = _reduction(D, dim, eq_rows)
     equalities = []
     for row in eq_rows:
         e = D.div(row, last)  # the reduced row: its pivot is 1
@@ -270,15 +289,19 @@ def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
             raise AssertionError("trivial equality produced")
         equalities.append((HalfSpace(e[:dim], -e[dim]), row))
     facets: dict = {}
-    for v in map(reduce, rays):
+    for v in map(reduce, facet_rows):
         if v is not None and v not in facets:
             nr = _to_scalars(D, v, True)
             facets[v] = HalfSpace(nr[:dim], -nr[dim])
-    key = lambda pair: _sort_key(pair[0].normal + (pair[0].offset,))
+    key = lambda pair: _halfspace_key(pair[0])
     hs = sorted(((h, v) for v, h in facets.items()), key=key)
     eqs = sorted(equalities, key=key)
     return (tuple(h for h, _ in hs), tuple(h for h, _ in eqs),
             [v for _, v in hs], [r for _, r in eqs])
+
+
+def _halfspace_key(h: HalfSpace):
+    return _sort_key(h.normal + (h.offset,))
 
 
 def intersect_halfspaces(
@@ -415,15 +438,40 @@ def is_rational_polyhedral(P: Polyhedron) -> bool:
 
 
 def homogenize(P: Polyhedron) -> Polyhedron:
-    """Cone over P: the closure of {(t v, t) : v in P, t >= 0}."""
+    """Cone over P: the closure of {(t v, t) : v in P, t >= 0}.
+
+    For P without lines both representations are read off P's own, with no
+    double description (Ziegler, Lectures on Polytopes, 1995, Lecture 2; the
+    cone Lerman builds contact toric manifolds on, 2003).  Each facet and
+    equality row (n, -o) of P gives the cone's row ((n, -o), 0).  The cone's
+    equalities keep P's pivots, so these rows are already reduced and
+    canonical.  t >= 0 is one more facet iff rec(P) is as large as P, for a
+    polytope iff P is a point.  The apex is the only vertex; each vertex v of
+    P gives the ray (v, 1) and each ray r the ray (r, 0).  A P with lines
+    takes intersect_halfspaces on those rows and t >= 0.
+    """
     if P.is_empty:
         raise EmptyPolyhedronError("cannot homogenize an empty polyhedron")
-    basis = P.scalar_basis
+    basis, dim, vrep = P.scalar_basis, P.dim, P.vrep
     zero = basis.zero()
-    hs = [(tuple(h.normal) + (-h.offset,), zero) for h in P.halfspaces]
-    hs.append((linalg.unit(basis, P.dim + 1, P.dim), zero))
-    eqs = [(tuple(h.normal) + (-h.offset,), zero) for h in P.equalities]
-    return intersect_halfspaces(basis, P.dim + 1, hs, eqs)
+    hs, eqs = _rows(P.halfspaces), _rows(P.equalities)
+    t = linalg.unit(basis, dim + 1, dim)
+    if vrep.lines:
+        return intersect_halfspaces(
+            basis, dim + 1, [(n, zero) for n in hs + [t]], [(n, zero) for n in eqs])
+    # the limits the double description route checks: its constraints, then
+    # its homogenized generators, the apex and one per ray
+    _check_scale(dim + 2, 2 * len(eqs) + len(hs) + 2)
+    _check_scale(dim + 2, 1 + len(vrep.vertices) + len(vrep.rays))
+    if linalg.rank(vrep.rays) == dim - len(eqs):
+        hs.append(t)
+    points = [tuple(v) + (basis.one(),) for v in vrep.vertices]
+    D = _domain(basis, points)
+    rays = [_to_scalars(D, D.conv(g), True) for g in points]
+    rays += [tuple(r) + (zero,) for r in vrep.rays]
+    cone_rows = lambda ns: tuple(sorted((HalfSpace(n, zero) for n in ns), key=_halfspace_key))
+    return Polyhedron(basis, dim + 1, cone_rows(hs), cone_rows(eqs),
+                      VRep(((zero,) * (dim + 1),), tuple(sorted(rays, key=_sort_key)), ()))
 
 
 def _check_coordinates(P: Polyhedron, coords: Sequence[int]) -> None:
@@ -436,14 +484,22 @@ def _check_coordinates(P: Polyhedron, coords: Sequence[int]) -> None:
 
 def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
     """Intersect with {x_coord = level} and drop that coordinate: the y with
-    (y, level inserted at coord) in P.  That is P's own rows with x_coord =
-    level substituted, so one intersect_halfspaces in dimension dim - 1 gives
-    the canonical polyhedron.  An empty P keeps no rows, and slices empty."""
+    (y, level inserted at coord) in P.  An empty P keeps no rows, and slices
+    empty.  A pointed cone (its one vertex the origin, no lines) with no ray
+    below level 0, sliced at a positive level, is read off its
+    representations (_cone_slice).  Any other P is its own rows with x_coord
+    = level substituted, so one intersect_halfspaces in dimension dim - 1
+    gives the canonical polyhedron."""
     _check_coordinates(P, [coord])
     basis = P.scalar_basis
     if P.is_empty:
         return _empty(basis, P.dim - 1)
     level = _as_scalar(basis, level)
+    vrep = P.vrep
+    if (level.sign() > 0 and not vrep.lines and len(vrep.vertices) == 1
+            and linalg.vec_is_zero(vrep.vertices[0])
+            and all(r[coord].sign() >= 0 for r in vrep.rays)):
+        return _cone_slice(P, coord, level)
 
     def substituted(rows):
         return [(h.normal[:coord] + h.normal[coord + 1:], h.offset - h.normal[coord] * level)
@@ -451,6 +507,37 @@ def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
 
     return intersect_halfspaces(
         basis, P.dim - 1, substituted(P.halfspaces), substituted(P.equalities))
+
+
+def _cone_slice(C: Polyhedron, coord: int, level: ExtScalar) -> Polyhedron:
+    """slice_at_level of a pointed cone C at level > 0, every ray g with
+    g[coord] >= 0, with no double description.
+
+    The plane meets C's relative interior, so the slice's faces are those of
+    C that meet it.  Its vertices are level * g / g[coord] for the rays with
+    g[coord] > 0 (none: the slice is empty), divided in D as _primal divides,
+    and its rays are the rays with g[coord] = 0.  Its rows are C's rows, whose
+    offsets are zero, with the level substituted: (n, 0) becomes
+    (n without n_coord, level * n_coord), a column move at level one.  They
+    are canonicalized as _dual's; the facet x_coord >= 0, whose normal part
+    vanishes there, drops out.
+    """
+    basis, dim = C.scalar_basis, C.dim - 1
+    drop = lambda v: v[:coord] + v[coord + 1:]
+    times_level = (lambda e: e) if level == basis.one() else (lambda e: e * level)
+    # a vertex level * g / g[coord], homogenized: (level * g, g[coord])
+    points = [tuple(map(times_level, drop(g))) + (g[coord],)
+              for g in C.vrep.rays if not g[coord].is_zero()]
+    if not points:
+        return _empty(basis, dim)
+    rays = sorted((drop(g) for g in C.vrep.rays if g[coord].is_zero()), key=_sort_key)
+    moved = lambda rows: [drop(h.normal) + (times_level(h.normal[coord]),) for h in rows]
+    eqs, hss = moved(C.equalities), moved(C.halfspaces)
+    D = _domain(basis, points + eqs + hss)
+    vertices = sorted((D.div(g[:dim], g[dim]) for g in map(D.conv, points)), key=_sort_key)
+    halfspaces, equalities, _, _ = _canonical_hrep(
+        D, dim, list(map(D.conv, eqs)), list(map(D.conv, hss)))
+    return Polyhedron(basis, dim, halfspaces, equalities, VRep(tuple(vertices), tuple(rays), ()))
 
 
 def project(P: Polyhedron, keep: Sequence[int]) -> Polyhedron:

@@ -22,15 +22,13 @@ def fmt_float(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _format_rows(points: np.ndarray) -> list[str]:
-    """Each row of a 2-D array as its entries printed by fmt_float, comma
-    separated, formatted by one % over the whole block.  Adding 0.0 turns
-    -0.0 into 0.0, the one value fmt_float rewrites."""
+def _format_rows(points: np.ndarray, sep: str) -> str:
+    """The rows of a 2-D array joined by sep, each its entries printed by
+    fmt_float, comma separated, formatted by one % over the whole block.
+    Adding 0.0 turns -0.0 into 0.0, the one value fmt_float rewrites."""
     rows, cols = points.shape
-    if rows == 0:
-        return []
-    template = "\n".join([",".join(["%.12g"] * cols)] * rows)
-    return (template % tuple((points + 0.0).ravel().tolist())).split("\n")
+    template = sep.join([",".join(["%.12g"] * cols)] * rows)
+    return template % tuple((points + 0.0).ravel().tolist())
 
 
 def fmt_vector(v: Vector) -> str:
@@ -74,7 +72,8 @@ def emit_csv(points: np.ndarray, path: Path) -> None:
     points = np.atleast_2d(points)
     names = ["x", "y", "z"] + [f"c{i}" for i in range(3, points.shape[1])]
     header = ",".join(names[: points.shape[1]])
-    path.write_text("\n".join([header] + _format_rows(points)) + "\n")
+    body = "\n" + _format_rows(points, "\n") if len(points) else ""
+    path.write_text(header + body + "\n")
 
 
 def emit_svg(points: np.ndarray, path: Path, size: int = 480) -> None:
@@ -93,7 +92,7 @@ def emit_svg(points: np.ndarray, path: Path, size: int = 480) -> None:
     def sy(y):
         return size - margin - (y / span) * (size - 2 * margin)
 
-    poly = " ".join(_format_rows(np.stack([sx(points[:, 0]), sy(points[:, 1])], axis=1)))
+    poly = _format_rows(np.stack([sx(points[:, 0]), sy(points[:, 1])], axis=1), " ")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',

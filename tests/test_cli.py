@@ -14,6 +14,8 @@ from momentlab.cli import main, run_scenario, validate_scenario
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # SHA-256 of every scenario output, recorded by the benchmark (read only here)
 EXPECTED = SCENARIOS.parent / "bench" / "expected.json"
+# segment's report.txt less its float residual line
+SEGMENT_GOLDEN = Path(__file__).resolve().parent / "golden" / "segment_report.txt"
 
 
 def write(tmp_path, data, name="scenario.json"):
@@ -368,6 +370,34 @@ def test_affine_span_identity_can_print_no(tmp_path, monkeypatch, fault):
     assert "rational: yes" in report
 
 
+@pytest.mark.parametrize("fault", ["facet", "ray"])
+def test_contact_identity_can_print_no(tmp_path, monkeypatch, fault):
+    """A contact cone missing its first facet or its first ray does not slice
+    back to the segment at level one.  The slice reads its H- and V-rep
+    separately off the cone, so the report compares both, and says no."""
+    import dataclasses
+
+    from momentlab import polyhedra
+
+    homogenize = polyhedra.homogenize
+
+    def faulty(P):
+        cone = homogenize(P)
+        if fault == "facet":
+            return dataclasses.replace(cone, halfspaces=cone.halfspaces[1:])
+        return dataclasses.replace(cone, vrep=dataclasses.replace(cone.vrep, rays=cone.vrep.rays[1:]))
+
+    monkeypatch.setattr(polyhedra, "homogenize", faulty)
+    raw = segment_raw()
+    raw["analyses"] = ["contact-cone"]
+    out = tmp_path / "out"
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    report = (out / "report.txt").read_text()
+    kept = "  rays: (1, 0, 1)\n" if fault == "ray" else "= 0\n  <(0, 1, 0), .> >= 0\n"
+    assert kept in report
+    assert "slice at level 1 equals moment polytope: no" in report
+
+
 def ranked_slice_raw(rank, analyses, slice_field):
     """A slice through (1, ..., 1) in the sum-zero hyperplane, given by its
     normal or by a basis of direction vectors."""
@@ -583,6 +613,17 @@ def test_exact_report_matches_recorded_digest(tmp_path, scenario):
     want = json.loads(EXPECTED.read_text())["scenario_files"][scenario]["report.txt"]
     assert run_scenario(SCENARIOS / f"{scenario}.json", out_dir=tmp_path) == 0
     assert hashlib.sha256((tmp_path / "report.txt").read_bytes()).hexdigest() == want
+
+
+def test_segment_report_matches_golden_copy(tmp_path):
+    """segment's report, the contact-cone section included, byte for byte as
+    the committed copy, with its one float line (the sampled H-rep residual,
+    which numpy computes) left out, so the comparison holds on any machine."""
+    assert run_scenario(SCENARIOS / "segment.json", out_dir=tmp_path) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines(keepends=True)
+    exact = [line for line in lines if not line.startswith("max H-rep residual ")]
+    assert len(exact) == len(lines) - 1
+    assert "".join(exact) == SEGMENT_GOLDEN.read_text()
 
 
 # -- fresh interpreters: exact runs leave numpy unloaded -----------------------------

@@ -722,6 +722,16 @@ def test_local_cone_sampler_cross_validation(sqrt2_basis):
             assert np.abs(near @ normal - h.offset.to_float()).max() < 1e-9
 
 
+def test_masked_index_range_boundary(rat_basis):
+    """The library checks masked indices itself: the last coordinate is
+    accepted, one past it and -1 are not."""
+    weights = ((1, 0), (0, 1), (1, 1))
+    assert WeightedModule(rat_basis, 2, weights, frozenset({2})).masked == {2}
+    for j in (3, -1):
+        with pytest.raises(ModelError, match="masked index out of range"):
+            WeightedModule(rat_basis, 2, weights, frozenset({j}))
+
+
 def test_off_slice_point_rejected(sqrt2_basis):
     s = segment_slice(sqrt2_basis)
     off = ModelPoint.from_coordinates(sqrt2_basis, [(2, 0), (0, 0)])

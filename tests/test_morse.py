@@ -243,3 +243,20 @@ def test_vertex_hull_check_matches_double_description(field, monkeypatch, rat_ba
             assert not hull_equals_by_double_description(P, fewer)
             dropped += 1
     assert dropped >= done
+
+
+@pytest.mark.parametrize("fault", ["two vertices", "a ray"])
+def test_fixed_leaf_stratum_image_must_be_a_point(fault, monkeypatch, sqrt2_basis):
+    """A full-rank stratum is fixed by the whole torus, so its face is one
+    point; a face with two vertices, or with a ray, is an internal fault."""
+    import dataclasses
+
+    s = segment_slice(sqrt2_basis)
+    stratum = next(st for st in models.support_strata(s) if st.support == (0,))
+    if fault == "two vertices":
+        bad = dataclasses.replace(stratum, face_vertices=s.moment_polytope().vrep.vertices)
+    else:
+        bad = dataclasses.replace(stratum, face_rays=(linalg.as_vector(sqrt2_basis, [-1, 1]),))
+    monkeypatch.setattr(models, "support_strata", lambda slice_: (bad,))
+    with pytest.raises(AssertionError, match="fixed-leaf stratum image not a point"):
+        full_critical_set(s)

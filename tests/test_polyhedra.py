@@ -638,3 +638,128 @@ def test_redundant_irrational_halfspace_keeps_the_box(sqrt2_basis):
         Q = intersect_halfspaces(sqrt2_basis, 2, box + [extra])
         assert hrep_json(Q) == hrep_json(P)
         assert Q.vrep == P.vrep
+
+
+# -- the contact cone chain against its double-description routes -------------------
+
+
+def homogenize_by_dd(P):
+    """Reference for homogenize: P's rows ((n, -o), 0) and t >= 0 through
+    intersect_halfspaces, a primal and a dual double description pass."""
+    basis, zero = P.scalar_basis, P.scalar_basis.zero()
+    rows = lambda hs: [(tuple(h.normal) + (-h.offset,), zero) for h in hs]
+    t = (linalg.unit(basis, P.dim + 1, P.dim), zero)
+    return intersect_halfspaces(basis, P.dim + 1, rows(P.halfspaces) + [t], rows(P.equalities))
+
+
+def slice_by_substitution(P, coord, level):
+    """Reference for slice_at_level on a nonempty P: P's rows with x_coord =
+    level substituted, through intersect_halfspaces."""
+    basis = P.scalar_basis
+    level = polyhedra._as_scalar(basis, level)
+
+    def substituted(rows):
+        return [(h.normal[:coord] + h.normal[coord + 1:], h.offset - h.normal[coord] * level)
+                for h in rows]
+
+    return intersect_halfspaces(
+        basis, P.dim - 1, substituted(P.halfspaces), substituted(P.equalities))
+
+
+def assert_same_polyhedron(new, ref):
+    """Equal canonical H-reps and equalities; equal V-reps, or, with lines,
+    whose basis the double description picks, equal sets."""
+    assert new == ref and new.is_empty == ref.is_empty
+    if ref.vrep.lines:
+        assert poly_equal(new, ref)
+    else:
+        assert new.vrep == ref.vrep
+
+
+def cone_chain_cases(basis, rng, n):
+    """Nonempty polyhedra from redundant generators, bounded, unbounded and
+    with lines, in dimensions 1..3, many of them lower-dimensional, and a
+    single point in each dimension."""
+    out = [from_generators(basis, dim, [[rng.randint(-2, 2) for _ in range(dim)]])
+           for dim in (1, 2, 3)]
+    for case in range(n):
+        dim = case % 3 + 1
+        out.append(from_generators(basis, dim, *redundant_generators(rng, basis, dim, case % 5)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["rat_basis", "sqrt2_basis", "three_surds_basis"])
+def test_homogenize_matches_double_description_reference(name, request):
+    """The cone read off P's representations is the one the two double
+    description passes give, the t >= 0 facet included exactly when rec(P)
+    is as large as P; a P with lines takes that route itself."""
+    basis = request.getfixturevalue(name)
+    rng = random.Random(21 + len(name))
+    seen = Counter()
+    t_row = linalg.unit(basis, 1, 0)
+    for P in cone_chain_cases(basis, rng, 10 if basis.size > 2 else 20):
+        cone = homogenize(P)
+        assert_same_polyhedron(cone, homogenize_by_dd(P))
+        seen["lines" if P.vrep.lines else "unbounded" if P.vrep.rays else "bounded"] += 1
+        seen["lower"] += len(P.equalities) > 0
+        is_point = len(P.vrep.vertices) == 1 and not P.vrep.rays and not P.vrep.lines
+        seen["point"] += is_point
+        t_facet = any(h.normal[-1:] == t_row and linalg.vec_is_zero(h.normal[:-1])
+                      for h in cone.halfspaces)
+        seen["t facet"] += t_facet
+        seen["t facet, unbounded"] += t_facet and not is_point
+    assert min(seen.values()) >= 1 and len(seen) == 7, seen
+
+
+@pytest.mark.parametrize("name", ["rat_basis", "sqrt2_basis", "three_surds_basis"])
+def test_cone_slice_matches_substitution_reference(name, request):
+    """Every slice of a cone over P, on every coordinate, at level 1, at a
+    non-unit rational level, at sqrt2 where the basis has it, and at level 0
+    and -1, where slice_at_level substitutes as the reference does: the same
+    canonical polyhedron.  Levels 0 and -1 and coordinates where a ray
+    descends below 0 take the substitution route."""
+    basis = request.getfixturevalue(name)
+    rng = random.Random(37 + len(name))
+    levels = [1, "3/2", 0, -1] + (["sqrt2"] if "sqrt2" in basis.names else [])
+    seen = Counter()
+    for P in cone_chain_cases(basis, rng, 6 if basis.size > 2 else 12):
+        cone = homogenize(P)
+        for coord in range(cone.dim):
+            rays_up = not cone.vrep.lines and all(
+                r[coord].sign() >= 0 for r in cone.vrep.rays)
+            for level in levels:
+                new = slice_at_level(cone, coord, level)
+                assert_same_polyhedron(new, slice_by_substitution(cone, coord, level))
+                read = rays_up and polyhedra._as_scalar(basis, level).sign() > 0
+                seen["read off" if read else "substituted"] += 1
+                seen["read off, empty"] += read and new.is_empty
+                seen["read off, unbounded"] += read and bool(new.vrep.rays)
+                seen["read off, lower"] += read and bool(new.equalities)
+                seen["level " + str(level)] += 1
+    assert min(seen.values()) >= 2 and len(seen) == 5 + len(levels), seen
+
+
+def test_cone_slice_with_every_ray_at_level_zero_is_empty(rat_basis, sqrt2_basis):
+    """A quadrant in the plane x_2 = 0 is a pointed cone with no ray above
+    level 0 in coordinate 2, so each positive level slices it empty; at
+    level 0 the slice is the quadrant."""
+    for basis in (rat_basis, sqrt2_basis):
+        cone = intersect_halfspaces(basis, 3, [([1, 0, 0], 0), ([0, 1, 0], 0)],
+                                    [([0, 0, 1], 0)])
+        for level in (1, "1/2"):
+            new = slice_at_level(cone, 2, level)
+            assert new.is_empty and new.dim == 2
+            assert_same_polyhedron(new, slice_by_substitution(cone, 2, level))
+        assert slice_at_level(cone, 2, 0) == orthant(basis)
+
+
+def test_homogenize_keeps_the_desk_scale_limit(rat_basis):
+    """A P in dimension 6 has a cone in dimension 7, whose double
+    description would need 8 coordinates: the same DeskScaleError as the
+    double description route."""
+    P = from_generators(rat_basis, 6, [[0] * 6, [1] + [0] * 5])
+    with pytest.raises(DeskScaleError) as ref:
+        homogenize_by_dd(P)
+    with pytest.raises(DeskScaleError) as new:
+        homogenize(P)
+    assert str(new.value) == str(ref.value) == "ambient dimension 8 exceeds the supported limit 7"
