@@ -26,7 +26,6 @@ from .polyhedra import (
     intersect_halfspaces,
     is_rational_polyhedral,
     poly_equal,
-    project,
 )
 from .models import (
     AffineSlice,

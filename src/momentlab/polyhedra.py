@@ -1,34 +1,40 @@
 """Exact convex polyhedra over the extended scalars.
 
 H-representations are canonicalized through a double-description round trip:
-constraints -> generators -> irredundant facets.  Everything is exact.  Each
-public operation picks one number domain with scalars._domain: Z for
-rational data, Z[s] for a declared quadratic surd, where signs follow the
-integer quadratic rule, and the ExtScalars otherwise, whose signs come from
-ExtScalar.sign().  Its input rows are converted into that domain once, and
-both double description passes, primal and dual, run fraction-free on
-domain rows; ExtScalars are built only for the Polyhedron's public fields.
-Vertices are divided out of the homogenized rays, equalities are one
-elimination of the dual lines, facets are reduced modulo them and
-deduplicated as canonical rays, and containment (contains, poly_equal)
-evaluates every constraint row at every homogenized generator.  cut_out_by
+constraints -> generators -> irredundant facets (Fukuda & Prodon, "Double
+description method revisited", 1996).  Everything is exact.  A polyhedron
+keeps its double description in one number domain, which scalars._domain
+picks from the input rows: Z for rational data, Z[s] for a declared
+quadratic surd, where signs follow the integer quadratic rule, and the
+ExtScalars otherwise, whose signs come from ExtScalar.sign().  It holds the
+reduced equality rows and the facet rows, each the canonical positive
+multiple in the domain of its scalar row, and the homogenized vertices,
+rays and lines.  Both double description passes, primal and dual, run
+fraction-free on domain rows; the equalities are one elimination of the dual
+lines, and the facets are reduced modulo them and deduplicated as canonical
+rays.  The public halfspaces, equalities and vrep are built on first read,
+with vertices divided out of the homogenized rays and every field sorted.
+Comparisons read the domain rows and never build them: equality of canonical
+H-representations, containment (contains, poly_equal), which evaluates
+every constraint row at every homogenized generator, and cut_out_by, which
 decides whether P equals the polyhedron of given rows without double
 description: containment, one rank of the given equalities, and P's facet
 rows found among the given rows, both reduced as the dual pass reduces.
-from_generators keeps the input generators that are extreme by incidence
-against the facets of one dual pass, with ranks read off elimination pivots.
+Where two sides differ in domain, rows over Z are lifted into the other's
+(scalars._common); rows are positive multiples, so every sign is kept.
 The contact cone and its level-one slice are read off representations with
 no double description.  homogenize of a P without lines takes P's own facet
-and equality rows as the cone's, already canonical, and the rays (v, 1) and
-(r, 0) over P's vertices and rays; slice_at_level of a pointed cone at a
-positive level, with no ray below level 0, divides the rays that cross the
-level into vertices and moves the level into the rows' offset column, rows
-canonicalized by the helper the dual pass uses (_canonical_hrep).  A P with
-lines, and every other slice, runs intersect_halfspaces on P's own rows, with
-t >= 0 or with the level substituted, in one dimension less with no
-projection pass.  P's affine span is computed on first read and kept on P.
-Sizes are capped at desk scale, where the double description method is
-entirely adequate.
+and equality rows, with a 0 appended, as the cone's, already canonical, and
+P's homogenized vertices and rays, with a 0 appended, as its rays;
+slice_at_level of a pointed cone at a positive level, with no ray below
+level 0, converts the level into the cone's domain once, divides the rays
+that cross the level into vertices and moves the level into the rows'
+offset column, rows canonicalized by the helper the dual pass uses
+(_canonical_hrep).  A P with lines, and every other slice, runs
+intersect_halfspaces on P's own rows, with t >= 0 or with the level
+substituted, in one dimension less with no projection pass.  P's affine span
+is computed on first read and kept on P.  Sizes are capped at desk scale,
+where the double description method is entirely adequate.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ from .scalars import (
     ConstantBasis,
     ExtScalar,
     ScalarError,
+    _Z,
     _Domain,
+    _common,
     _domain,
     _eliminate,
     parse_scalar,
@@ -91,25 +99,76 @@ class VRep:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polyhedron:
+    """A polyhedron in R^dim over scalar_basis, held in its number domain D:
+    the reduced equality rows and the facet rows (normal, -offset), each the
+    canonical positive multiple in D of its scalar row, and the homogenized
+    generators, a positive multiple of (v, 1) per vertex v, of (r, 0) per
+    ray r and a nonzero one of (l, 0) per line l.  halfspaces, equalities and
+    vrep are built on first read.  Two polyhedra are equal when they share
+    basis, dimension and canonical H-representation, decided on these rows.
+    """
+
     scalar_basis: ConstantBasis
     dim: int
-    halfspaces: tuple[HalfSpace, ...]
-    equalities: tuple[HalfSpace, ...]
-    vrep: VRep = field(compare=False)
+    _D: _Domain = field(repr=False)
+    _eqs: tuple = field(repr=False)
+    _facets: tuple = field(repr=False)
+    _vertices: tuple = field(repr=False)
+    _rays: tuple = field(repr=False)
+    _lines: tuple = field(repr=False)
+
+    @cached_property
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        return _scalar_rows(self._D, self.dim, self._facets, True)
+
+    @cached_property
+    def equalities(self) -> tuple[HalfSpace, ...]:
+        return _scalar_rows(self._D, self.dim, self._eqs, False)
+
+    @cached_property
+    def vrep(self) -> VRep:
+        D, dim = self._D, self.dim
+        return VRep(*(tuple(sorted(vs, key=_sort_key)) for vs in (
+            (D.div(g[:dim], g[dim]) for g in self._vertices),
+            (_to_scalars(D, g[:dim], True) for g in self._rays),
+            (_to_scalars(D, g[:dim], False) for g in self._lines),
+        )))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polyhedron):
+            return NotImplemented
+        if (self.scalar_basis != other.scalar_basis or self.dim != other.dim
+                or len(self._facets) != len(other._facets) or len(self._eqs) != len(other._eqs)):
+            return False
+        _, lift, lift_other = _common(self._D, other._D)
+        same = lambda a, b: set(map(lift, a)) == set(map(lift_other, b))
+        return same(self._facets, other._facets) and same(self._eqs, other._eqs)
+
+    def __hash__(self) -> int:
+        # sign patterns are those of the scalar rows in every domain
+        signs = lambda rows: frozenset(tuple(map(self._D.sign, a)) for a in rows)
+        return hash((self.scalar_basis, self.dim, signs(self._facets), signs(self._eqs)))
 
     @property
     def is_empty(self) -> bool:
-        return not self.vrep.vertices
+        return not self._vertices
 
     def contains(self, point: Sequence) -> bool:
-        v = linalg.as_vector(self.scalar_basis, point)
+        basis = self.scalar_basis
+        v = linalg.as_vector(basis, point)
         if len(v) != self.dim:
             raise PolyhedronError("point has wrong dimension")
-        if any(e.basis != self.scalar_basis for e in v):
+        if any(e.basis != basis for e in v):
             raise BasisMismatchError("point uses a different constant basis")
-        return not self.is_empty and _generators_inside(self, [v])
+        if self.is_empty:
+            return False
+        h = v + (basis.one(),)
+        E = _domain(basis, [h])
+        D, lift, lift_point = _common(self._D, E)
+        eqs, facets, _, _ = _parts(self, lift)
+        return _rows_hold(D, eqs, facets, [lift_point(E.conv(h))], [])
 
     @cached_property
     def _affine_span(self) -> tuple[Vector, Subspace]:
@@ -122,7 +181,25 @@ class Polyhedron:
 
 
 def _empty(basis: ConstantBasis, dim: int) -> Polyhedron:
-    return Polyhedron(basis, dim, (), (), VRep((), (), ()))
+    return Polyhedron(basis, dim, _Z, (), (), (), (), ())
+
+
+def _scalar_rows(D: _Domain, dim: int, rows, facet: bool) -> tuple[HalfSpace, ...]:
+    """The sorted half-spaces of rows (normal, -offset) in D: a facet row
+    divided by the absolute value of its first nonzero entry, a reduced
+    equality row by its pivot."""
+    out = []
+    for v in rows:
+        r = _to_scalars(D, v, facet)
+        out.append(HalfSpace(r[:dim], -r[dim]))
+    return tuple(sorted(out, key=_halfspace_key))
+
+
+def _parts(P: Polyhedron, lift) -> tuple[list, list, list, list]:
+    """P's equality rows, facet rows, homogenized vertices and rays, and
+    lines, each mapped by lift."""
+    return ([lift(a) for a in P._eqs], [lift(a) for a in P._facets],
+            [lift(g) for g in P._vertices + P._rays], [lift(l) for l in P._lines])
 
 
 # -- double description ---------------------------------------------------------
@@ -214,30 +291,18 @@ def _check_scale(dim: int, n_constraints: int) -> None:
         )
 
 
-def _primal(D: _Domain, dim: int, eq_rows: list, hs_rows: list) -> tuple[VRep, list]:
-    """The sorted V-representation of {x : <a, (x, 1)> = 0 for a in eq_rows,
-    >= 0 for a in hs_rows}, from one pass over t >= 0, then each equality row
-    and its negation, then the half-space rows, all in D; and the homogenized
-    generators in D (rays, then each line and its negation), which are the
-    dual pass's rows.  A ray with t > 0 is a vertex times t."""
+def _primal(D: _Domain, dim: int, eq_rows: list, hs_rows: list) -> tuple[list, list]:
+    """The homogenized generators of {x : <a, (x, 1)> = 0 for a in eq_rows,
+    >= 0 for a in hs_rows}, in D, from one pass over t >= 0, then each
+    equality row and its negation, then the half-space rows: the rays, in the
+    pass's order, and the lines.  A ray with t > 0 is a vertex times t."""
     rows = [D.unit(dim + 1, dim)]
     for a in eq_rows:
         rows += [a, D.neg(a)]
     lines, rays = cone_double_description(D, dim + 1, rows + hs_rows)
     if any(D.nonzero(l[dim]) for l in lines):
         raise AssertionError("lineality escaped t >= 0")
-    vertices, recession = [], []
-    for g in rays:
-        if D.nonzero(g[dim]):  # t > 0, the first row
-            vertices.append(D.div(g[:dim], g[dim]))
-        else:
-            recession.append(_to_scalars(D, g[:dim], True))
-    vrep = VRep(
-        tuple(sorted(vertices, key=_sort_key)),
-        tuple(sorted(recession, key=_sort_key)),
-        tuple(sorted((_to_scalars(D, l[:dim], False) for l in lines), key=_sort_key)),
-    )
-    return vrep, rays + [g for l in lines for g in (l, D.neg(l))]
+    return rays, lines
 
 
 def _reduction(D: _Domain, dim: int, eq_rows: list):
@@ -258,7 +323,7 @@ def _reduction(D: _Domain, dim: int, eq_rows: list):
     return rows, last, reduce
 
 
-def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
+def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple]:
     """The H-representation of the polyhedron whose homogenized generators
     (g, 1) for a vertex g and (g, 0) for a ray are `gens`, in D, as
     _canonical_hrep returns it.  The dual cone's lines span the equalities
@@ -269,35 +334,23 @@ def _dual(D: _Domain, dim: int, gens: list) -> tuple[tuple, tuple, list, list]:
     return _canonical_hrep(D, dim, lines, rays)
 
 
-def _canonical_hrep(D: _Domain, dim: int, eq_rows: list, facet_rows: list
-                    ) -> tuple[tuple, tuple, list, list]:
+def _canonical_hrep(D: _Domain, dim: int, eq_rows: list, facet_rows: list) -> tuple[tuple, tuple]:
     """The canonical H-representation of a nonempty polyhedron from rows
     (normal, -offset) in D: `eq_rows` span its equalities, and `facet_rows`
     hold a row of each facet, besides rows whose normal part vanishes modulo
-    the equalities.  Returns the sorted half-spaces and equalities, and in the
-    same order their rows in D, positive multiples of the scalar ones.
+    the equalities.  Returns the equality rows and the facet rows, each the
+    canonical positive multiple in D of its scalar row.
 
     One elimination, normalized to a positive last pivot, gives the reduced
     equality rows.  The facet rows, reduced modulo those rows, made canonical
     and deduplicated, are the facets.  `eq_rows` is consumed.
     """
-    eq_rows, last, reduce = _reduction(D, dim, eq_rows)
-    equalities = []
-    for row in eq_rows:
-        e = D.div(row, last)  # the reduced row: its pivot is 1
-        if linalg.vec_is_zero(e[:dim]):
-            raise AssertionError("trivial equality produced")
-        equalities.append((HalfSpace(e[:dim], -e[dim]), row))
-    facets: dict = {}
-    for v in map(reduce, facet_rows):
-        if v is not None and v not in facets:
-            nr = _to_scalars(D, v, True)
-            facets[v] = HalfSpace(nr[:dim], -nr[dim])
-    key = lambda pair: _halfspace_key(pair[0])
-    hs = sorted(((h, v) for v, h in facets.items()), key=key)
-    eqs = sorted(equalities, key=key)
-    return (tuple(h for h, _ in hs), tuple(h for h, _ in eqs),
-            [v for _, v in hs], [r for _, r in eqs])
+    eq_rows, _, reduce = _reduction(D, dim, eq_rows)
+    if any(not any(map(D.nonzero, row[:dim])) for row in eq_rows):
+        raise AssertionError("trivial equality produced")
+    equalities = tuple(D.canon(D.comb(D.one, row, D.zero, row)) for row in eq_rows)
+    facets = dict.fromkeys(v for v in map(reduce, facet_rows) if v is not None)
+    return equalities, tuple(facets)
 
 
 def _halfspace_key(h: HalfSpace):
@@ -324,11 +377,13 @@ def intersect_halfspaces(
     eq_rows = [n + (-b,) for n, b in eqs]
     hs_rows = [n + (-b,) for n, b in hs]
     D = _domain(basis, eq_rows + hs_rows)
-    vrep, gens = _primal(D, dim, list(map(D.conv, eq_rows)), list(map(D.conv, hs_rows)))
-    if not vrep.vertices:
+    rays, lines = _primal(D, dim, list(map(D.conv, eq_rows)), list(map(D.conv, hs_rows)))
+    vertices = tuple(g for g in rays if D.nonzero(g[dim]))  # t > 0, the first row
+    if not vertices:
         return _empty(basis, dim)
-    halfspaces, equalities, _, _ = _dual(D, dim, gens)
-    return Polyhedron(basis, dim, halfspaces, equalities, vrep)
+    eqs, facets = _dual(D, dim, rays + [g for l in lines for g in (l, D.neg(l))])
+    return Polyhedron(basis, dim, D, eqs, facets, vertices,
+                      tuple(g for g in rays if not D.nonzero(g[dim])), tuple(lines))
 
 
 def _as_scalar(basis: ConstantBasis, value) -> ExtScalar:
@@ -337,64 +392,6 @@ def _as_scalar(basis: ConstantBasis, value) -> ExtScalar:
     if isinstance(value, str):
         return parse_scalar(value, basis)
     return basis.from_rational(Fraction(value))
-
-
-def from_generators(
-    basis: ConstantBasis,
-    dim: int,
-    vertices: Sequence[Sequence],
-    rays: Sequence[Sequence] = (),
-    lines: Sequence[Sequence] = (),
-) -> Polyhedron:
-    """Polyhedron conv(vertices) + cone(rays) + span(lines).
-
-    One dual double description gives the H-representation.  The cached
-    generators are the extreme ones among the inputs, read off by incidence
-    against it (Fukuda-Prodon 1996): a vertex is extreme iff the facet normals
-    tight at it, together with the equality normals, have rank dim, and a ray
-    iff they have rank dim - 1.  Ranks are the pivot counts of one
-    elimination, on the dual pass's own rows.  Rays come divided by the
-    absolute value of their first nonzero entry, deduplicated and sorted,
-    exactly as intersect_halfspaces returns them.  When no vertex is extreme,
-    the normals do not span R^dim and P has lines (given, or from opposite
-    rays).  Then P has no extreme points, and its V-representation is the
-    one a primal pass over its own facet rows gives, as intersect_halfspaces
-    would.
-    """
-    if not vertices:
-        return _empty(basis, dim)
-    one, zero = basis.one(), basis.zero()
-    vs = [linalg.as_vector(basis, v) for v in vertices]
-    points = [v + (one,) for v in vs]
-    directions = [linalg.as_vector(basis, r) + (zero,) for r in rays]
-    flats = [linalg.as_vector(basis, l) + (zero,) for l in lines]
-    D = _domain(basis, points + directions + flats)
-    points, directions, flats = ([D.conv(g) for g in gs] for gs in (points, directions, flats))
-    gens = points + directions + [g for l in flats for g in (l, D.neg(l))]
-    halfspaces, equalities, hs_rows, eq_rows = _dual(D, dim, gens)
-    # the H-rep stays within the limits intersect_halfspaces accepts
-    _check_scale(dim + 1, 2 * len(equalities) + len(halfspaces) + 1)
-    eq_normals = [a[:dim] for a in eq_rows]
-
-    def tight_rank(g) -> int:
-        normals = eq_normals + [a[:dim] for a in hs_rows if not D.nonzero(D.dot(a, g))]
-        return len(_eliminate(D, normals)[1])
-
-    extreme = {_sort_key(v): v for v, g in zip(vs, points) if tight_rank(g) == dim}
-    if not extreme:
-        vrep = _primal(D, dim, eq_rows, hs_rows)[0]
-        return Polyhedron(basis, dim, halfspaces, equalities, vrep)
-    extreme_rays = {}
-    for g in directions:
-        if tight_rank(g) == dim - 1:
-            r = _to_scalars(D, g[:dim], True)
-            extreme_rays[_sort_key(r)] = r
-    vrep = VRep(
-        tuple(extreme[k] for k in sorted(extreme)),
-        tuple(extreme_rays[k] for k in sorted(extreme_rays)),
-        (),
-    )
-    return Polyhedron(basis, dim, halfspaces, equalities, vrep)
 
 
 # -- public operations -----------------------------------------------------------
@@ -440,38 +437,35 @@ def is_rational_polyhedral(P: Polyhedron) -> bool:
 def homogenize(P: Polyhedron) -> Polyhedron:
     """Cone over P: the closure of {(t v, t) : v in P, t >= 0}.
 
-    For P without lines both representations are read off P's own, with no
-    double description (Ziegler, Lectures on Polytopes, 1995, Lecture 2; the
-    cone Lerman builds contact toric manifolds on, 2003).  Each facet and
-    equality row (n, -o) of P gives the cone's row ((n, -o), 0).  The cone's
-    equalities keep P's pivots, so these rows are already reduced and
+    For P without lines the cone is read off P's own representation, with
+    no double description (Ziegler, Lectures on Polytopes, 1995, Lecture 2;
+    the cone Lerman builds contact toric manifolds on, 2003).  Each facet
+    and equality row a = (n, -o) of P gives the cone's row (a, 0).  The
+    cone's equalities keep P's pivots, so these rows are already reduced and
     canonical.  t >= 0 is one more facet iff rec(P) is as large as P, for a
-    polytope iff P is a point.  The apex is the only vertex; each vertex v of
-    P gives the ray (v, 1) and each ray r the ray (r, 0).  A P with lines
+    polytope iff P is a point.  The apex is the only vertex, and each of P's
+    homogenized vertices and rays g gives the ray (g, 0).  A P with lines
     takes intersect_halfspaces on those rows and t >= 0.
     """
     if P.is_empty:
         raise EmptyPolyhedronError("cannot homogenize an empty polyhedron")
-    basis, dim, vrep = P.scalar_basis, P.dim, P.vrep
-    zero = basis.zero()
-    hs, eqs = _rows(P.halfspaces), _rows(P.equalities)
-    t = linalg.unit(basis, dim + 1, dim)
-    if vrep.lines:
+    basis, dim, D = P.scalar_basis, P.dim, P._D
+    if P._lines:
+        zero = basis.zero()
+        t = linalg.unit(basis, dim + 1, dim)
         return intersect_halfspaces(
-            basis, dim + 1, [(n, zero) for n in hs + [t]], [(n, zero) for n in eqs])
+            basis, dim + 1, [(n, zero) for n in _rows(P.halfspaces) + [t]],
+            [(n, zero) for n in _rows(P.equalities)])
     # the limits the double description route checks: its constraints, then
     # its homogenized generators, the apex and one per ray
-    _check_scale(dim + 2, 2 * len(eqs) + len(hs) + 2)
-    _check_scale(dim + 2, 1 + len(vrep.vertices) + len(vrep.rays))
-    if linalg.rank(vrep.rays) == dim - len(eqs):
-        hs.append(t)
-    points = [tuple(v) + (basis.one(),) for v in vrep.vertices]
-    D = _domain(basis, points)
-    rays = [_to_scalars(D, D.conv(g), True) for g in points]
-    rays += [tuple(r) + (zero,) for r in vrep.rays]
-    cone_rows = lambda ns: tuple(sorted((HalfSpace(n, zero) for n in ns), key=_halfspace_key))
-    return Polyhedron(basis, dim + 1, cone_rows(hs), cone_rows(eqs),
-                      VRep(((zero,) * (dim + 1),), tuple(sorted(rays, key=_sort_key)), ()))
+    _check_scale(dim + 2, 2 * len(P._eqs) + len(P._facets) + 2)
+    _check_scale(dim + 2, 1 + len(P._vertices) + len(P._rays))
+    up = lambda v: v + (D.zero,)
+    facets = tuple(map(up, P._facets))
+    if len(_eliminate(D, [r[:dim] for r in P._rays])[1]) == dim - len(P._eqs):
+        facets += (D.unit(dim + 2, dim),)
+    return Polyhedron(basis, dim + 1, D, tuple(map(up, P._eqs)), facets,
+                      (D.unit(dim + 2, dim + 1),), tuple(map(up, P._vertices + P._rays)), ())
 
 
 def _check_coordinates(P: Polyhedron, coords: Sequence[int]) -> None:
@@ -491,14 +485,13 @@ def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
     = level substituted, so one intersect_halfspaces in dimension dim - 1
     gives the canonical polyhedron."""
     _check_coordinates(P, [coord])
-    basis = P.scalar_basis
+    basis, D = P.scalar_basis, P._D
     if P.is_empty:
         return _empty(basis, P.dim - 1)
     level = _as_scalar(basis, level)
-    vrep = P.vrep
-    if (level.sign() > 0 and not vrep.lines and len(vrep.vertices) == 1
-            and linalg.vec_is_zero(vrep.vertices[0])
-            and all(r[coord].sign() >= 0 for r in vrep.rays)):
+    if (level.sign() > 0 and not P._lines and len(P._vertices) == 1
+            and not any(map(D.nonzero, P._vertices[0][:P.dim]))
+            and all(D.sign(r[coord]) >= 0 for r in P._rays)):
         return _cone_slice(P, coord, level)
 
     def substituted(rows):
@@ -509,49 +502,40 @@ def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
         basis, P.dim - 1, substituted(P.halfspaces), substituted(P.equalities))
 
 
+def _substituted(D: _Domain, v, coord: int, x, y):
+    """x * v without entry coord, plus y * v[coord] in the last entry, in D,
+    for x, y > 0.  For a row (n, -o) that is a positive multiple of the row
+    with x_coord = y / x substituted; for a ray (g, 0) with g[coord] > 0, of
+    the point x * g / (y * g[coord]) homogenized, g[coord] dropped."""
+    rest = v[:coord] + v[coord + 1:]
+    return D.comb(x, rest, D.neg((y,))[0], (D.zero,) * (len(rest) - 1) + (v[coord],))
+
+
 def _cone_slice(C: Polyhedron, coord: int, level: ExtScalar) -> Polyhedron:
     """slice_at_level of a pointed cone C at level > 0, every ray g with
     g[coord] >= 0, with no double description.
 
     The plane meets C's relative interior, so the slice's faces are those of
     C that meet it.  Its vertices are level * g / g[coord] for the rays with
-    g[coord] > 0 (none: the slice is empty), divided in D as _primal divides,
-    and its rays are the rays with g[coord] = 0.  Its rows are C's rows, whose
-    offsets are zero, with the level substituted: (n, 0) becomes
-    (n without n_coord, level * n_coord), a column move at level one.  They
-    are canonicalized as _dual's; the facet x_coord >= 0, whose normal part
-    vanishes there, drops out.
+    g[coord] > 0 (none: the slice is empty), and its rays are the rays with
+    g[coord] = 0.  Its rows are C's rows, whose offsets are zero, with the
+    level substituted: a column move, with (n, 0) becoming (n without
+    n_coord, level * n_coord).  They are canonicalized as _dual's; the facet
+    x_coord >= 0, whose normal part vanishes there, drops out.  The level is
+    converted into C's domain once, as lv / mult with mult > 0; an
+    irrational level over a rational C lifts C's rows into its domain.
     """
     basis, dim = C.scalar_basis, C.dim - 1
-    drop = lambda v: v[:coord] + v[coord + 1:]
-    times_level = (lambda e: e) if level == basis.one() else (lambda e: e * level)
-    # a vertex level * g / g[coord], homogenized: (level * g, g[coord])
-    points = [tuple(map(times_level, drop(g))) + (g[coord],)
-              for g in C.vrep.rays if not g[coord].is_zero()]
-    if not points:
+    D, lift, _ = _common(C._D, _domain(basis, [(level,)]))
+    (lv,), mult = D.scaled((level,))
+    rays = [lift(g) for g in C._rays]
+    vertices = tuple(_substituted(D, g, coord, lv, mult) for g in rays if D.nonzero(g[coord]))
+    if not vertices:
         return _empty(basis, dim)
-    rays = sorted((drop(g) for g in C.vrep.rays if g[coord].is_zero()), key=_sort_key)
-    moved = lambda rows: [drop(h.normal) + (times_level(h.normal[coord]),) for h in rows]
-    eqs, hss = moved(C.equalities), moved(C.halfspaces)
-    D = _domain(basis, points + eqs + hss)
-    vertices = sorted((D.div(g[:dim], g[dim]) for g in map(D.conv, points)), key=_sort_key)
-    halfspaces, equalities, _, _ = _canonical_hrep(
-        D, dim, list(map(D.conv, eqs)), list(map(D.conv, hss)))
-    return Polyhedron(basis, dim, halfspaces, equalities, VRep(tuple(vertices), tuple(rays), ()))
-
-
-def project(P: Polyhedron, keep: Sequence[int]) -> Polyhedron:
-    """Exact orthogonal projection onto the kept coordinates, in the order of
-    `keep`: the hull of P's cached generators restricted to them.  Projection
-    adds no generators, so the result is no larger than P's own V-rep."""
-    keep = list(keep)
-    if sorted(set(keep)) != sorted(keep):
-        raise PolyhedronError("keep must be a list of distinct coordinates")
-    _check_coordinates(P, keep)
-    pick = lambda vs: [tuple(v[i] for i in keep) for v in vs]
-    return from_generators(
-        P.scalar_basis, len(keep), pick(P.vrep.vertices), pick(P.vrep.rays), pick(P.vrep.lines)
-    )
+    moved = lambda rows: [_substituted(D, lift(a), coord, mult, lv) for a in rows]
+    eqs, facets = _canonical_hrep(D, dim, moved(C._eqs), moved(C._facets))
+    slice_rays = tuple(g[:coord] + g[coord + 1:] for g in rays if not D.nonzero(g[coord]))
+    return Polyhedron(basis, dim, D, eqs, facets, vertices, slice_rays, ())
 
 
 def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
@@ -562,34 +546,20 @@ def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
         raise BasisMismatchError("polyhedra use different constant bases")
     if P.is_empty or Q.is_empty:
         return P.is_empty and Q.is_empty
-    return (_generators_inside(Q, P.vrep.vertices, P.vrep.rays, P.vrep.lines)
-            and _generators_inside(P, Q.vrep.vertices, Q.vrep.rays, Q.vrep.lines))
+    return _inside(P, Q) and _inside(Q, P)
 
 
-def _generators_inside(
-    Q: Polyhedron,
-    vertices: Sequence[Vector],
-    rays: Sequence[Vector] = (),
-    lines: Sequence[Vector] = (),
-) -> bool:
-    """Whether conv(vertices) + cone(rays) + span(lines) lies in Q, in one
-    domain chosen from Q's rows and the homogenized generators.  Q must be
-    nonempty: an empty polyhedron keeps no constraints."""
-    eqs, hss = _rows(Q.equalities), _rows(Q.halfspaces)
-    points, flats = _homogenized(Q.scalar_basis, vertices, rays, lines)
-    D = _domain(Q.scalar_basis, eqs + hss + points + flats)
-    return _rows_hold(D, *([D.conv(a) for a in rows] for rows in (eqs, hss, points, flats)))
+def _inside(P: Polyhedron, Q: Polyhedron) -> bool:
+    """Whether the nonempty P lies in the nonempty Q: Q's rows hold on P's
+    homogenized generators, in one domain for both."""
+    D, lift_p, lift_q = _common(P._D, Q._D)
+    eqs, facets, _, _ = _parts(Q, lift_q)
+    _, _, points, flats = _parts(P, lift_p)
+    return _rows_hold(D, eqs, facets, points, flats)
 
 
 def _rows(halfspaces: Sequence[HalfSpace]) -> list:
     return [tuple(h.normal) + (-h.offset,) for h in halfspaces]
-
-
-def _homogenized(basis: ConstantBasis, vertices, rays, lines) -> tuple[list, list]:
-    """The points (v, 1) and (r, 0), and the flats (l, 0)."""
-    one, zero = basis.one(), basis.zero()
-    points = [tuple(v) + (one,) for v in vertices] + [tuple(r) + (zero,) for r in rays]
-    return points, [tuple(l) + (zero,) for l in lines]
 
 
 def _rows_hold(D: _Domain, eqs: list, hss: list, points: list, flats: list) -> bool:
@@ -609,9 +579,10 @@ def cut_out_by(
     equalities: Sequence[tuple[Sequence, object]] = (),
 ) -> bool:
     """Whether the nonempty P equals Q = {x : <n, x> >= b, <m, x> = c}, read
-    off P's own H- and V-representation in one domain, with no double
-    description.  Precondition: Q spans the plane of its equalities, as when
-    the plane meets the interior of the half-spaces.  Then P = Q iff
+    off P's own H- and V-representation with no double description, in P's
+    domain or the given rows' (with the rows over Z lifted).  Precondition:
+    Q spans the plane of its equalities, as when the plane meets the interior
+    of the half-spaces.  Then P = Q iff
 
     - P lies in Q: every given row holds on P's homogenized generators;
     - the given equality rows, which then lie in the span of P's, have as
@@ -628,19 +599,17 @@ def cut_out_by(
                 for rows in (halfspaces, equalities))
     if any(len(a) != dim + 1 for a in hss + eqs):
         raise PolyhedronError("constraint normal has wrong dimension")
-    facets = _rows(P.halfspaces)
-    points, flats = _homogenized(basis, P.vrep.vertices, P.vrep.rays, P.vrep.lines)
-    D = _domain(basis, hss + eqs + facets + points + flats)
-    hss, eqs, points, flats = ([D.conv(a) for a in rows] for rows in (hss, eqs, points, flats))
+    E = _domain(basis, hss + eqs)
+    D, lift_p, lift_e = _common(P._D, E)
+    hss, eqs = ([lift_e(E.conv(a)) for a in rows] for rows in (hss, eqs))
+    _, facets, points, flats = _parts(P, lift_p)
     if not _rows_hold(D, eqs, hss, points, flats):
         return False
     eq_rows, _, reduce = _reduction(D, dim, eqs)
-    # a scalar facet row converts to its canonical form; a given row is made
-    # primitive first
+    # a given row is made primitive first; P's facet rows are canonical
     given = {reduce(D.comb(D.one, a, D.zero, a)) for a in hss}
-    return (len(eq_rows) == len(P.equalities)
-            and all(reduce(D.conv(f)) in given for f in facets))
+    return len(eq_rows) == len(P._eqs) and all(reduce(f) in given for f in facets)
 
 
 def is_bounded(P: Polyhedron) -> bool:
-    return not P.vrep.rays and not P.vrep.lines
+    return not P._rays and not P._lines

@@ -625,6 +625,7 @@ class _Domain(NamedTuple):
     canon: Callable  # the representative of a ray up to positive scaling
     neg: Callable  # vector negation
     div: Callable  # div(v, d): the entries of v divided by d, as scalars
+    lift: Callable  # a row over Z in this domain, canonical if the row is
 
 
 # Z for rational scalars in any basis; `_domain` adds the basis's `div`.
@@ -636,7 +637,7 @@ _Z = _Domain(
     dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
     sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
     neg=lambda v: tuple(-x for x in v),
-    div=None,
+    div=None, lift=tuple,
 )
 
 
@@ -645,6 +646,10 @@ def _eliminate_rational(rows: Sequence[Sequence[Fraction]]):
     its denominators: the nonzero integer rows, their pivots and the last
     pivot, which each row carries in its pivot column."""
     return _eliminate(_Z, [_clear_denominators(row)[0] for row in rows])
+
+
+def _surd_lift(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((x, 0) for x in v)
 
 
 def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domain:
@@ -672,6 +677,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
             nonzero=lambda e: e[0] or e[1], step=ring.step, dot=ring.dot,
             sign=ring.sign, comb=ring.comb, canon=ring.canon,
             neg=lambda v: tuple((-a, -b) for a, b in v), div=ring.quotients,
+            lift=_surd_lift,
         )
     one, zero = basis.one(), basis.zero()
 
@@ -700,7 +706,24 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
         dot=dot, sign=lambda x: x.sign(), comb=lambda x, u, y, v: tuple(msub(x, u, y, v)),
         canon=canon, neg=lambda v: tuple(-x for x in v),
         div=lambda v, d: tuple(x / d for x in v),
+        lift=lambda v: canon(tuple(map(basis.from_rational, v))),
     )
+
+
+def _same(v):
+    return v
+
+
+def _common(D: _Domain, E: _Domain) -> tuple[_Domain, Callable, Callable]:
+    """One domain for rows of D and rows of E over the same basis, and the
+    maps taking each side's rows into it.  Two domains over one basis differ
+    only when one is Z; its rows are then lifted into the other's, so each
+    row stays a positive multiple of its scalars and keeps every sign."""
+    if D.step is _z_step and E.step is not _z_step:
+        return E, E.lift, _same
+    if E.step is _z_step and D.step is not _z_step:
+        return D, _same, D.lift
+    return D, _same, _same
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -382,10 +382,19 @@ def test_contact_identity_can_print_no(tmp_path, monkeypatch, fault):
     homogenize = polyhedra.homogenize
 
     def faulty(P):
+        # drop the domain row or ray behind the cone's first public facet or ray
         cone = homogenize(P)
+        D, dim = cone._D, cone.dim
         if fault == "facet":
-            return dataclasses.replace(cone, halfspaces=cone.halfspaces[1:])
-        return dataclasses.replace(cone, vrep=dataclasses.replace(cone.vrep, rays=cone.vrep.rays[1:]))
+            first = (cone.halfspaces[0],)
+            kept = tuple(a for a in cone._facets
+                         if polyhedra._scalar_rows(D, dim, [a], True) != first)
+            assert len(kept) == len(cone._facets) - 1
+            return dataclasses.replace(cone, _facets=kept)
+        first = cone.vrep.rays[0]
+        kept = tuple(g for g in cone._rays if polyhedra._to_scalars(D, g[:dim], True) != first)
+        assert len(kept) == len(cone._rays) - 1
+        return dataclasses.replace(cone, _rays=kept)
 
     monkeypatch.setattr(polyhedra, "homogenize", faulty)
     raw = segment_raw()

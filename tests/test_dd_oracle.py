@@ -20,7 +20,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from momentlab import linalg
-from momentlab.polyhedra import _generators_inside, intersect_halfspaces, poly_equal
+from momentlab.polyhedra import _inside, intersect_halfspaces, poly_equal
 from momentlab.scalars import ConstantBasis, parse_scalar
 
 SQRT2, SQRT3 = sympy.sqrt(2), sympy.sqrt(3)
@@ -298,8 +298,8 @@ def check_containment(basis, dim, system_p, system_q, points):
     q_in_p = Q.is_empty or inside_by_sympy(Q, system_p, basis)
     assert poly_equal(P, Q) == poly_equal(Q, P) == (p_in_q and q_in_p)
     if not (P.is_empty or Q.is_empty):  # an empty polyhedron keeps no constraints
-        assert _generators_inside(Q, P.vrep.vertices, P.vrep.rays, P.vrep.lines) == p_in_q
-        assert _generators_inside(P, Q.vrep.vertices, Q.vrep.rays, Q.vrep.lines) == q_in_p
+        assert _inside(P, Q) == p_in_q
+        assert _inside(Q, P) == q_in_p
     for x in list(P.vrep.vertices) + list(Q.vrep.vertices) + points:
         assert P.contains(x) == (not P.is_empty and satisfies(system_p, x, basis))
         assert Q.contains(x) == (not Q.is_empty and satisfies(system_q, x, basis))

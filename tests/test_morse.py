@@ -15,11 +15,12 @@ from momentlab.morse import (
 
 from conftest import random_fraction
 from test_models import _random_bounded_slice, product_model, segment_slice, quasifold_slice
+from test_polyhedra import from_generators
 
 
 def face_polyhedron(stratum):
     """The face of the moment polytope carrying the stratum."""
-    return polyhedra.from_generators(
+    return from_generators(
         stratum.scalar_basis, stratum.ambient_dim,
         [list(v) for v in stratum.face_vertices],
         [list(r) for r in stratum.face_rays],
@@ -211,7 +212,7 @@ def test_vertex_hull_identity_random(sqrt2_basis):
 def hull_equals_by_double_description(P, strata):
     """Reference: the route full_critical_set took before, the hull of the
     images from one double description compared with P by containment."""
-    hull = polyhedra.from_generators(P.scalar_basis, P.dim, [s.image for s in strata])
+    hull = from_generators(P.scalar_basis, P.dim, [s.image for s in strata])
     return polyhedra.poly_equal(hull, P)
 
 

@@ -11,18 +11,81 @@ from momentlab.polyhedra import (
     PolyhedronError,
     affine_span,
     enumerate_vertices,
-    from_generators,
     homogenize,
     intersect_halfspaces,
     is_rational_polyhedral,
     poly_equal,
-    project,
     slice_at_level,
 )
 from momentlab.presymlin import Subspace
-from momentlab.scalars import BasisMismatchError, ConstantBasis
+from momentlab.scalars import BasisMismatchError, ConstantBasis, _domain, _eliminate
 
 from conftest import is_rational_direction, random_fraction
+
+
+# -- oracle constructors: a polyhedron from generators, and projection -------------
+
+
+def from_generators(basis, dim, vertices, rays=(), lines=()):
+    """Polyhedron conv(vertices) + cone(rays) + span(lines).
+
+    One dual double description gives the H-representation.  The kept
+    generators are the extreme ones among the inputs, read off by incidence
+    against it (Fukuda-Prodon 1996): a vertex is extreme iff the facet normals
+    tight at it, together with the equality normals, have rank dim, and a ray
+    iff they have rank dim - 1.  Ranks are the pivot counts of one
+    elimination, on the dual pass's own rows, and duplicates are dropped by
+    their canonical rows.  When no vertex is extreme, the normals do not span
+    R^dim and P has lines (given, or from opposite rays).  Then P has no
+    extreme points, and its generators are the ones a primal pass over its
+    own facet rows gives, as intersect_halfspaces would.
+    """
+    if not vertices:
+        return polyhedra._empty(basis, dim)
+    one, zero = basis.one(), basis.zero()
+    points = [linalg.as_vector(basis, v) + (one,) for v in vertices]
+    directions = [linalg.as_vector(basis, r) + (zero,) for r in rays]
+    flats = [linalg.as_vector(basis, l) + (zero,) for l in lines]
+    D = _domain(basis, points + directions + flats)
+    points, directions, flats = ([D.conv(g) for g in gs] for gs in (points, directions, flats))
+    gens = points + directions + [g for l in flats for g in (l, D.neg(l))]
+    eqs, facets = polyhedra._dual(D, dim, gens)
+    # the H-rep stays within the limits intersect_halfspaces accepts
+    polyhedra._check_scale(dim + 1, 2 * len(eqs) + len(facets) + 1)
+    eq_normals = [a[:dim] for a in eqs]
+
+    def extreme(gs, rank):
+        out = {}
+        for g in gs:
+            tight = [a[:dim] for a in facets if not D.nonzero(D.dot(a, g))]
+            if len(_eliminate(D, eq_normals + tight)[1]) == rank:
+                out.setdefault(D.canon(D.comb(D.one, g, D.zero, g)), g)
+        return tuple(out.values())
+
+    vs = extreme(points, dim)
+    if not vs:
+        rs, ls = polyhedra._primal(D, dim, list(eqs), list(facets))
+        return polyhedra.Polyhedron(
+            basis, dim, D, eqs, facets, tuple(g for g in rs if D.nonzero(g[dim])),
+            tuple(g for g in rs if not D.nonzero(g[dim])), tuple(ls))
+    return polyhedra.Polyhedron(basis, dim, D, eqs, facets, vs, extreme(directions, dim - 1), ())
+
+
+def project(P, keep):
+    """Exact orthogonal projection onto the kept coordinates, in the order of
+    `keep`: the hull of P's generators restricted to them.  Projection adds
+    no generators, so the result is no larger than P's own V-rep."""
+    keep = list(keep)
+    if sorted(set(keep)) != sorted(keep):
+        raise PolyhedronError("keep must be a list of distinct coordinates")
+    polyhedra._check_coordinates(P, keep)
+    pick = lambda vs: [tuple(v[i] for i in keep) for v in vs]
+    return from_generators(
+        P.scalar_basis, len(keep), pick(P.vrep.vertices), pick(P.vrep.rays), pick(P.vrep.lines)
+    )
+
+
+# -- examples ----------------------------------------------------------------------
 
 
 def segment(basis):
@@ -42,7 +105,7 @@ def intersect(P, Q):
     if P.dim != Q.dim:
         raise PolyhedronError("polyhedra live in different dimensions")
     if P.is_empty or Q.is_empty:
-        return polyhedra.Polyhedron(P.scalar_basis, P.dim, (), (), polyhedra.VRep((), (), ()))
+        return polyhedra._empty(P.scalar_basis, P.dim)
     return intersect_halfspaces(
         P.scalar_basis,
         P.dim,
@@ -763,3 +826,214 @@ def test_homogenize_keeps_the_desk_scale_limit(rat_basis):
     with pytest.raises(DeskScaleError) as new:
         homogenize(P)
     assert str(new.value) == str(ref.value) == "ambient dimension 8 exceeds the supported limit 7"
+
+
+# -- the domain representation and its lazy public fields ---------------------------
+
+
+def eager_fields(basis, dim, halfspaces=(), equalities=()):
+    """Reference for the public fields: the H- and V-representation of
+    {<n, x> >= b, <m, x> = c} as the eager route built them, scalars made
+    while the polyhedron is built.  A primal pass; vertices divided out of the
+    homogenized rays, rays and lines divided by their first nonzero entry
+    (rays by its absolute value); a dual pass, its lines eliminated to a
+    positive last pivot and divided by it, its rays reduced modulo them,
+    deduplicated as canonical rays and divided as rays; each field sorted."""
+    as_row = lambda n, b: linalg.as_vector(basis, n) + (-polyhedra._as_scalar(basis, b),)
+    eq_rows = [as_row(n, b) for n, b in equalities]
+    hs_rows = [as_row(n, b) for n, b in halfspaces]
+    D = _domain(basis, eq_rows + hs_rows)
+    rows = [D.unit(dim + 1, dim)]
+    for a in map(D.conv, eq_rows):
+        rows += [a, D.neg(a)]
+    lines, rays = polyhedra.cone_double_description(
+        D, dim + 1, rows + [D.conv(a) for a in hs_rows])
+    to_scalars = polyhedra._to_scalars
+    vertices = [D.div(g[:dim], g[dim]) for g in rays if D.nonzero(g[dim])]
+    if not vertices:
+        return (), (), polyhedra.VRep((), (), ())
+    sort = lambda vs: tuple(sorted(vs, key=polyhedra._sort_key))
+    vrep = polyhedra.VRep(
+        sort(vertices), sort(to_scalars(D, g[:dim], True) for g in rays if not D.nonzero(g[dim])),
+        sort(to_scalars(D, l[:dim], False) for l in lines))
+    dlines, drays = polyhedra.cone_double_description(
+        D, dim + 1, rays + [g for l in lines for g in (l, D.neg(l))])
+    erows, pivots, last = _eliminate(D, dlines)
+    if D.sign(last) < 0:
+        erows, last = [D.neg(r) for r in erows], D.neg((last,))[0]
+    eqs = [polyhedra.HalfSpace(e[:dim], -e[dim]) for e in (D.div(r, last) for r in erows)]
+    facets = {}
+    for v in drays:
+        for p, row in zip(pivots, erows):
+            if D.nonzero(v[p]):
+                v = D.comb(last, v, v[p], row)
+        if any(map(D.nonzero, v[:dim])) and D.canon(v) not in facets:
+            r = to_scalars(D, D.canon(v), True)
+            facets[D.canon(v)] = polyhedra.HalfSpace(r[:dim], -r[dim])
+    key = polyhedra._halfspace_key
+    return tuple(sorted(facets.values(), key=key)), tuple(sorted(eqs, key=key)), vrep
+
+
+def h_systems(basis, rng, n):
+    """Constraint systems with their kind: the rows of bounded, unbounded,
+    line-bearing and single-point polyhedra, each row scaled by a positive
+    number (irrational where the basis allows), with a redundant row pushed
+    outward; and empty systems."""
+    scales = [basis.from_rational(Fraction(rng.randint(1, 3), rng.randint(1, 3)))]
+    if basis.size > 1:
+        scales.append(basis.one() + basis.constant(basis.names[1]))
+    out = []
+    for P in cone_chain_cases(basis, rng, n):
+        # P's rows as scalars straight from its domain rows, so the systems
+        # do not depend on the public fields under test
+        D = P._D
+        rows = lambda vs: [(r[:-1], -r[-1]) for r in (D.div(v, D.one) for v in vs)]
+        hs = [(tuple(e * c for e in n), b * c) for n, b in rows(P._facets)
+              for c in [rng.choice(scales)]]
+        hs += [(n, b - basis.one()) for n, b in hs[:1]]
+        eqs = [(tuple(e * c for e in n), b * c) for n, b in rows(P._eqs)
+               for c in [rng.choice(scales)]]
+        kind = ("point" if len(P.vrep.vertices) == 1 and not P.vrep.rays and not P.vrep.lines
+                else "lines" if P.vrep.lines else "unbounded" if P.vrep.rays else "bounded")
+        out.append((kind, P.dim, hs, eqs))
+    for dim in (1, 2, 3):
+        row = linalg.unit(basis, dim, dim - 1)
+        out.append(("empty", dim, [(row, 1), (linalg.vec_neg(row), rng.choice(scales))], []))
+    return out
+
+
+@pytest.mark.parametrize("name", ["rat_basis", "sqrt2_basis", "three_surds_basis"])
+def test_public_fields_match_eager_reference(name, request):
+    """halfspaces, equalities and vrep, built on first read from the domain
+    rows, equal what the eager route built, for bounded, unbounded,
+    line-bearing, point and empty polyhedra; the cone over each nonempty one
+    and its level-one slice are compared with the same reference."""
+    basis = request.getfixturevalue(name)
+    rng = random.Random(91 + len(name))
+    seen = Counter()
+    for kind, dim, hs, eqs in h_systems(basis, rng, 8 if basis.size > 2 else 15):
+        P = intersect_halfspaces(basis, dim, hs, eqs)
+        assert (P.halfspaces, P.equalities, P.vrep) == eager_fields(basis, dim, hs, eqs)
+        assert P.is_empty == (kind == "empty")
+        seen[kind] += 1
+        if kind in ("empty", "lines") or dim > 2:
+            continue
+        for Q in (homogenize(P), slice_at_level(homogenize(P), dim, 1)):
+            rows = lambda hs: [(h.normal, h.offset) for h in hs]
+            ref = eager_fields(basis, Q.dim, rows(Q.halfspaces), rows(Q.equalities))
+            assert (Q.halfspaces, Q.equalities) == ref[:2]
+            assert Q.vrep == ref[2]
+        seen["cone"] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 1, seen
+
+
+def triangle_rows(basis, scale=None):
+    """The rows of the triangle x, y >= 0, 2x + 3y <= 6, whose last facet row
+    is not a unit multiple of its primitive integer row; with `scale`, each
+    row times that positive scalar, whose irrational part cancels in the
+    canonical rows."""
+    rows = [([1, 0], 0), ([0, 1], 0), ([-2, -3], -6)]
+    if scale is None:
+        return rows
+    return [([scale * e for e in linalg.as_vector(basis, n)], scale * b) for n, b in rows]
+
+
+@pytest.mark.parametrize("name, constant", [("sqrt2_basis", "sqrt2"),
+                                            ("three_surds_basis", "sqrt3")])
+def test_comparisons_across_domains(name, constant, request):
+    """One rational triangle built from rows over Z and from rows over
+    Z[sqrt2] (or the scalars) whose irrational parts cancel: equal, with
+    equal hashes, poly_equal both ways, the same containment and cut_out_by
+    verdicts, and unequal to a shifted triangle; the same for a segment on
+    its long edge, whose equality row is compared too; and its cone sliced at
+    an irrational level compares with the same slice of the other."""
+    basis = request.getfixturevalue(name)
+    c = basis.constant(constant)
+    scale = basis.one() + c
+    P = intersect_halfspaces(basis, 2, triangle_rows(basis))
+    Q = intersect_halfspaces(basis, 2, triangle_rows(basis, scale))
+    assert P._D.step is not Q._D.step  # Z against Z[sqrt2] or the scalars
+    assert P == Q and Q == P and hash(P) == hash(Q)
+    assert poly_equal(P, Q) and poly_equal(Q, P)
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+    inside, outside = [c.scale(half), tenth], [c.scale(3), half]
+    for point in ([half, half], [3, 0], inside, outside, [-tenth, half]):
+        assert P.contains(point) == Q.contains(point)
+    assert P.contains(inside) and not P.contains(outside)
+    for R, rows in ((P, triangle_rows(basis, scale)), (Q, triangle_rows(basis))):
+        assert polyhedra.cut_out_by(R, rows)
+        assert not polyhedra.cut_out_by(R, rows[:2])
+    shifted = intersect_halfspaces(basis, 2, [([1, 0], "1/2")] + triangle_rows(basis)[1:])
+    assert P != shifted and Q != shifted
+    assert not poly_equal(Q, shifted) and not poly_equal(shifted, P)
+    segments = [intersect_halfspaces(basis, 2, triangle_rows(basis)[:2], [([2, 3], 6)]),
+                intersect_halfspaces(basis, 2, triangle_rows(basis, scale)[:2],
+                                     [([scale * 2, scale * 3], scale * 6)])]
+    assert segments[0]._D.step is not segments[1]._D.step
+    assert segments[0] == segments[1] and hash(segments[0]) == hash(segments[1])
+    assert poly_equal(*segments) and segments[0] != P
+    assert all(R.contains([0, 2]) and not R.contains([c.scale(half), 1]) for R in segments)
+    sliced = [slice_at_level(homogenize(R), 2, c) for R in (P, Q)]
+    assert sliced[0] == sliced[1] and hash(sliced[0]) == hash(sliced[1])
+    assert poly_equal(*sliced) and sliced[0].vrep == sliced[1].vrep
+    assert sliced[0] != P and not poly_equal(sliced[0], P)
+
+
+@pytest.mark.parametrize("name", ["rat_basis", "sqrt2_basis", "three_surds_basis"])
+def test_equality_and_hash_ignore_read_order(name, request):
+    """Two builds of one polyhedron compare and hash alike whichever public
+    fields were read first, or none."""
+    basis = request.getfixturevalue(name)
+    rng = random.Random(5 + len(name))
+    reads = [(), ("halfspaces",), ("vrep", "equalities"), ("equalities", "halfspaces", "vrep")]
+    for kind, dim, hs, eqs in h_systems(basis, rng, 6):
+        built = [intersect_halfspaces(basis, dim, hs, eqs) for _ in reads]
+        for P, fields in zip(built, reads):
+            before = hash(P)
+            for f in fields:
+                getattr(P, f)
+            assert hash(P) == before
+        for P, fields in zip(built, reads):
+            assert all(P == Q and hash(P) == hash(Q) for Q in built), (kind, fields)
+
+
+SCALAR_FIELDS = ("halfspaces", "equalities", "vrep")
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2"])
+def test_comparisons_build_no_scalar_representation(field, monkeypatch, rat_basis, sqrt2_basis):
+    """poly_equal(local_cones_intersection(s), P) and the contact chain
+    (homogenize, the slice at level one, poly_equal) construct no ExtScalar,
+    and leave no public field built on the polyhedra they compare."""
+    from momentlab import models
+    from momentlab.scalars import ExtScalar
+    from test_models import _random_bounded_slice  # here: test_models imports this file
+
+    basis = rat_basis if field == "q" else sqrt2_basis
+    rng = random.Random(808)
+    made = Counter()
+    init = ExtScalar.__init__
+
+    def counted(self, *args, **kwargs):
+        made["scalars"] += 1
+        init(self, *args, **kwargs)
+
+    done = 0
+    while done < 6:
+        s = _random_bounded_slice(rng, basis, rng.randint(3, 4), irrational=field != "q")
+        if s is None:
+            continue
+        done += 1
+        P = s.moment_polytope()
+        L = models.local_cones_intersection(s)
+        one = basis.one()
+        built = {f for f in SCALAR_FIELDS if f in vars(P)}
+        with monkeypatch.context() as m:
+            m.setattr(ExtScalar, "__init__", counted)
+            assert poly_equal(L, P)
+            cone = homogenize(P)
+            back = slice_at_level(cone, P.dim, one)
+            assert poly_equal(back, P) and back == P
+        assert made["scalars"] == 0
+        assert not any(f in vars(Q) for Q in (L, cone, back) for f in SCALAR_FIELDS)
+        assert {f for f in SCALAR_FIELDS if f in vars(P)} == built
