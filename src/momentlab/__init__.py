@@ -33,7 +33,6 @@ from .models import (
     SliceData,
     WeightedModule,
     build_affine_slice,
-    build_local_model,
     cleanness_at,
     dphi_kernel_image,
     leaf_stabilizer_algebra,
@@ -43,7 +42,7 @@ from .models import (
     stabilizer_algebra,
     standard_module,
 )
-from .morse import critical_set, full_critical_set, morse_bott_check, morse_index
+from .morse import critical_set, full_critical_set, morse_bott_check
 
 __version__ = "0.1.0"
 

@@ -82,7 +82,10 @@ def _build_basis(raw: dict) -> ConstantBasis:
             raise ScenarioError(
                 "constants", f"{name}: value {value} does not match sqrt({square})"
             )
-        basis = basis.with_constant(name, float(value), square=square)
+        try:
+            basis = basis.with_constant(name, float(value), square=square)
+        except ScalarError as exc:
+            raise ScenarioError("constants", str(exc))
     return basis
 
 
@@ -99,6 +102,8 @@ def load_scenario(path: Path) -> Scenario:
     analyses = raw.get("analyses", ["slice-report"])
     if not isinstance(analyses, list) or any(a not in ANALYSES for a in analyses):
         raise ScenarioError("analyses", f"must be a list drawn from {ANALYSES}")
+    if len(set(analyses)) != len(analyses):
+        raise ScenarioError("analyses", "lists an analysis more than once")
     d = raw.get("torus_rank")
     if not _is_int(d) or d < 1:
         raise ScenarioError("torus_rank", "must be a positive integer")
@@ -191,6 +196,8 @@ def _load_model(sc: Scenario) -> None:
         normals = raw.get("direction_normals")
         if vectors is None and normals is None:
             raise ScenarioError("direction", "give direction or direction_normals")
+        if vectors is not None and normals is not None:
+            raise ScenarioError("direction", "give direction or direction_normals, not both")
         for name, value in (("direction", vectors), ("direction_normals", normals)):
             if value is not None and not isinstance(value, list):
                 raise ScenarioError(name, "must be a list of vectors")

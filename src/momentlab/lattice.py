@@ -5,7 +5,8 @@ A subspace is rational when it admits an all-rational basis.  The test used
 here never multiplies constants: it compares the dimension of the subspace
 with the rational dimension of the span of all per-constant coefficient
 rows of its basis (the smallest rational subspace containing it).  Those
-coefficient rows are plain rationals, eliminated over Z.
+coefficient rows are read off rows of any number domain (scalars._Domain.
+coeff_rows) as integers and eliminated over Z.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .linalg import Vector
 from .presymlin import Subspace
-from .scalars import UnsupportedScalarOperation, _eliminate_rational
+from .scalars import _Z, _Domain, _domain, _eliminate, _eliminate_rational
 
 
 @dataclass(frozen=True)
@@ -27,13 +28,44 @@ class QuasiLattice:
     rank: int
 
 
+def _coefficient_rows(D: _Domain, rows) -> list:
+    """The nonzero integer coefficient rows of rows of the domain D."""
+    return [c for r in rows for c in D.coeff_rows(r) if any(c)]
+
+
+def rational_rank(D: _Domain, rows) -> int:
+    """The dimension of the smallest rational subspace containing the rows,
+    vectors of the number domain D: the rank of their coefficient rows."""
+    return len(_eliminate(_Z, _coefficient_rows(D, rows))[1])
+
+
+def rational_fan(D: _Domain, normals: list, facet_normals: list) -> bool:
+    """Whether the span N of the independent `normals` is rational and every
+    facet normal is a real multiple of a rational vector modulo N, for
+    vectors of the number domain D; a polyhedron's normal fan is rational
+    exactly when this holds for its equality and facet normals.
+
+    N is rational iff the coefficient rows of its normals have rank
+    len(normals); the quasilattice of the quotient by N then has rank equal
+    to its dimension.  Modulo a rational N, a facet normal f = sum_t c_t f_t
+    (c_t the constants, f_t its rational coefficient rows) is a real
+    multiple of a rational vector iff the f_t span at most a line: a
+    rational functional vanishing on the multiple vanishes on every f_t,
+    the constants being independent over the rationals.  So f passes iff
+    its coefficient rows add at most one to the rank of N's."""
+    cut = _eliminate(_Z, _coefficient_rows(D, normals))[0]
+    if len(cut) != len(normals):
+        return False
+    for f in facet_normals:
+        rows = _coefficient_rows(D, [f])
+        if len(rows) > 1 and len(_eliminate(_Z, cut + rows)[0]) > len(cut) + 1:
+            return False
+    return True
+
+
 def is_rational_subspace(n: Subspace) -> bool:
-    rows = [
-        tuple(e.coeffs[t] for e in b)
-        for b in n.rows
-        for t in range(n.scalar_basis.size)
-    ]
-    return len(_eliminate_rational(rows)[1]) == n.dim
+    D = _domain(n.scalar_basis, n.rows)
+    return rational_rank(D, map(D.conv, n.rows)) == n.dim
 
 
 def quasilattice(n: Subspace) -> QuasiLattice:
@@ -61,34 +93,3 @@ def null_subgroup_closed(model) -> bool:
     i.e. whether the null ideal is a rational subspace."""
     ideal = model if isinstance(model, Subspace) else model.null_ideal()
     return is_rational_subspace(ideal)
-
-
-def ray_meets_rational_span(vec: Vector, generators: tuple[Vector, ...]) -> bool:
-    """Whether some nonzero real multiple of vec is a rational combination of
-    the generators.
-
-    The multipliers range over the rational span of the constants whose
-    products with vec's constants are declared (the rational multiplier is
-    always available).  In the rational columns [generators | scaled copies
-    of vec], such a multiple exists iff some scaled copy depends on the
-    generators and the copies before it: iff fewer than all the copies are
-    pivot columns.
-    """
-    m = len(vec)
-    if m == 0:
-        return False
-    basis = vec[0].basis
-    size = basis.size
-    scaled = []
-    for name in basis.names:
-        try:
-            scaled.append([basis.constant(name) * vi for vi in vec])
-        except UnsupportedScalarOperation:
-            continue
-    n_t = len(generators)
-    rows = [
-        tuple(g[i].coeffs[t] for g in generators) + tuple(w[i].coeffs[t] for w in scaled)
-        for i in range(m)
-        for t in range(size)
-    ]
-    return sum(1 for c in _eliminate_rational(rows)[1] if c >= n_t) < len(scaled)

@@ -22,6 +22,7 @@ from .scalars import (
     ExtScalar,
     RationalLike,
     ScalarError,
+    _Domain,
     _domain,
     _eliminate,
     parse_scalar,
@@ -150,12 +151,19 @@ def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> tuple[Ma
     each free column f, with no division.  Those are reduced in turn and
     divided back once."""
     D = _domain(basis, rows)
-    reduced, pivots, last = _eliminate(D, list(map(D.conv, rows)))
+    null, pivots, last = _kernel(D, list(map(D.conv, rows)), ncols)
+    return [D.div(row, last) for row in null], pivots
+
+
+def _kernel(D: _Domain, rows: list, ncols: int) -> tuple[list, list[int], object]:
+    """kernel on rows of the domain D, which are consumed: the kernel rows
+    eliminated in D, their pivots and the last pivot, which each row carries
+    in its pivot column."""
+    reduced, pivots, last = _eliminate(D, rows)
     pivot_rows, (minus_last,) = dict(zip(pivots, reduced)), D.neg((last,))
     null = [[pivot_rows[c][f] if c in pivot_rows else minus_last if c == f else D.zero
              for c in range(ncols)] for f in range(ncols) if f not in pivot_rows]
-    null, null_pivots, last = _eliminate(D, null)
-    return [D.div(row, last) for row in null], null_pivots
+    return _eliminate(D, null)
 
 
 def solve(columns: Sequence[Vector], targets: Sequence[Vector], basis: ConstantBasis):

@@ -1,6 +1,6 @@
 """Computable Hamiltonian models: weighted torus modules, coisotropic affine
 slices, null ideals, cleanness tests, exact moment images, local cones and
-local normal-form data.
+symplectic and null slice data.
 
 Pointwise linear algebra runs in an adapted frame with two slots per complex
 coordinate: on a supported coordinate the slots are the radial and angular
@@ -22,7 +22,15 @@ from . import lattice, linalg, polyhedra, presymlin
 from .linalg import Vector
 from .polyhedra import Polyhedron
 from .presymlin import PresympForm, Subspace
-from .scalars import ConstantBasis, ExtScalar, ScalarError, _clear_denominators
+from .scalars import (
+    ConstantBasis,
+    ExtScalar,
+    ScalarError,
+    _clear_denominators,
+    _Domain,
+    _domain,
+    _eliminate,
+)
 
 
 class ModelError(ScalarError):
@@ -149,26 +157,6 @@ def moment_quadratic(module: WeightedModule, e: ModelPoint) -> Vector:
             if a:
                 out[k] = out[k] + m.scale(a)
     return tuple(out)
-
-
-def moment_component(module: WeightedModule, xi: Vector, e: ModelPoint) -> ExtScalar:
-    return linalg.dot(moment_quadratic(module, e), xi)
-
-
-def hessian_quadratic(module: WeightedModule, xi: Vector, v: Sequence) -> ExtScalar:
-    """One half of sigma(xi(v), v) for a tangent vector v in interleaved
-    (re, im) coordinates; exact, needs |v_j|^2 to stay in the span."""
-    vec = linalg.as_vector(module.scalar_basis, v)
-    if len(vec) != 2 * module.n_coords:
-        raise ModelError("tangent vector has wrong length")
-    acc = module.scalar_basis.zero()
-    for j in range(module.n_coords):
-        if j in module.masked:
-            continue
-        re, im = vec[2 * j], vec[2 * j + 1]
-        sq = re * re + im * im
-        acc = acc + (module.weight_pairing(j, xi) * sq).scale(Fraction(1, 2))
-    return acc
 
 
 # -- adapted frame ------------------------------------------------------------------
@@ -332,9 +320,10 @@ class AffineSlice:
     """Preimage of an affine subspace lambda + W under the standard moment
     map: a coisotropic model whose null ideal is the annihilator of W.
 
-    Its plane rows, moment polytope and support strata are computed on first
-    read and kept on the instance, outside the fields, so equality and hash
-    see the four fields alone."""
+    Its plane rows, its direction and ideal rows in their number domain,
+    moment polytope and support strata are computed on first read and kept
+    on the instance, outside the fields, so equality and hash see the four
+    fields alone."""
 
     module: WeightedModule
     lam: Vector
@@ -363,7 +352,28 @@ class AffineSlice:
     @cached_property
     def plane_rows(self) -> tuple[tuple[Vector, ExtScalar], ...]:
         """The equalities <a, x> = <a, lambda> of lambda + W, one per ideal row."""
-        return tuple((a, linalg.dot(a, self.lam)) for a in self.ideal.rows)
+        ideal = self.ideal.rows
+        return tuple(zip(ideal, linalg.mat_vecs(ideal, [self.lam], self.scalar_basis)[0]))
+
+    @cached_property
+    def _domain_rows(self) -> tuple[_Domain, tuple, tuple]:
+        """The direction rows and the ideal rows converted once into one
+        number domain, each a positive multiple of its scalar row, so a
+        column subset has the rank of the scalar rows' columns."""
+        rows = self.direction.rows + self.ideal.rows
+        D = _domain(self.scalar_basis, rows)
+        conv = tuple(map(D.conv, rows))
+        return D, conv[:self.direction.dim], conv[self.direction.dim:]
+
+    def direction_rank(self, columns: Sequence[int]) -> int:
+        """The rank of the direction rows' entries at the columns."""
+        D, rows, _ = self._domain_rows
+        return _column_rank(D, rows, columns)
+
+    def ideal_rank(self, columns: Sequence[int]) -> int:
+        """The rank of the ideal rows' entries at the columns."""
+        D, _, rows = self._domain_rows
+        return _column_rank(D, rows, columns)
 
     @cached_property
     def _polytope(self) -> Polyhedron:
@@ -374,16 +384,15 @@ class AffineSlice:
     @cached_property
     def _strata(self) -> tuple["SupportStratum", ...]:
         """Faces of the (pointed) moment polytope are generated by the subsets
-        of its vertices and rays vanishing on the complementary coordinates,
-        so no new conversions are needed here.  The polytope lies in the
-        orthant, so a generator is positive exactly on its support, kept as a
-        bitmask: S is realized iff the face over S has a vertex and its
+        of its vertices and rays vanishing on the complementary coordinates.
+        The polytope lies in the orthant, so a generator is positive exactly
+        on its support, kept as a bitmask read off its homogenized generator
+        in P's domain: S is realized iff the face over S has a vertex and its
         generators' supports together cover S."""
         d = self.torus_rank
         P = self.moment_polytope()
-        verts, rays = P.vrep.vertices, P.vrep.rays_with_lines
-        vmasks = [_support_mask(v) for v in verts]
-        rmasks = [_support_mask(r) for r in rays]
+        (verts, vmasks), (rays, rmasks) = (_with_support_masks(P._D, d, pairs)
+                                           for pairs in P._paired_vrep[:2])
         out = []
         for S in sorted(_subsets(range(d)), key=lambda s: (len(s), s)):
             inside = sum(1 << j for j in S)
@@ -398,6 +407,17 @@ class AffineSlice:
             if covered == inside:
                 out.append(SupportStratum(tuple(S), tuple(fv), tuple(fr), self.scalar_basis, d))
         return tuple(out)
+
+
+def _column_rank(D: _Domain, rows, columns: Sequence[int]) -> int:
+    return len(_eliminate(D, [[r[j] for j in columns] for r in rows])[1])
+
+
+def _with_support_masks(D: _Domain, d: int, pairs) -> tuple[tuple, list[int]]:
+    """The scalar generators of (scalar, homogenized generator) pairs, and
+    each one's support as a bitmask, read off the generator in D."""
+    return (tuple(v for v, _ in pairs),
+            [sum(1 << j for j in range(d) if D.nonzero(g[j])) for _, g in pairs])
 
 
 def _orthant_rows(slice_: AffineSlice) -> list:
@@ -430,33 +450,28 @@ def build_affine_slice(
     P = slice_.moment_polytope()
     if P.is_empty:
         raise SliceValidationError("slice misses moment image")
-    # must reach the open cone: every coordinate positive somewhere on P
-    for j in range(d):
-        if not _coordinate_positive_somewhere(P, j):
-            raise SliceValidationError("slice misses moment image")
+    # must reach the open cone: every coordinate positive somewhere on P,
+    # read off P's homogenized generators, positive multiples of (v, 1) for
+    # a vertex v and (r, 0) for a ray r (P lies in the orthant: no lines)
+    D = P._D
+    if any(all(D.sign(g[j]) <= 0 for g in P._vertices + P._rays) for j in range(d)):
+        raise SliceValidationError("slice misses moment image")
     # every nonempty orthant face of the pointed polytope contains one of
     # its vertices, so the faces met are those with zeros T inside a vertex
     # zero set.  W + span{e_j : j not in T} = R^d iff W's columns T have
     # rank |T|, and columns of full rank keep it on every subset: one check
     # per distinct vertex zero set covers every face met.
-    zero_sets = {
-        tuple(j for j in range(d) if v[j].is_zero()) for v in P.vrep.vertices
-    }
-    if not all(_transverse(W, Z) for Z in zero_sets):
+    zero_sets = {tuple(j for j in range(d) if not D.nonzero(g[j])) for g in P._vertices}
+    transverse = lambda T: slice_.direction_rank(T) == len(T)
+    if not all(map(transverse, zero_sets)):
         # name the first failing face in subset order
         for T in _subsets(range(d)):
-            if T and any(set(T) <= set(Z) for Z in zero_sets) and not _transverse(W, T):
+            if T and any(set(T) <= set(Z) for Z in zero_sets) and not transverse(T):
                 raise SliceValidationError(
                     f"slice is not transverse to the orthant face with zeros {sorted(T)}"
                 )
         raise AssertionError("transversality failed on no face")
     return slice_
-
-
-def _transverse(W: Subspace, T: Sequence[int]) -> bool:
-    """Whether W + span{e_j : j not in T} is everything: W's columns T have
-    rank |T|."""
-    return linalg.rank([tuple(w[j] for j in T) for w in W.rows]) == len(T)
 
 
 def _subsets(items) -> list[tuple]:
@@ -465,18 +480,6 @@ def _subsets(items) -> list[tuple]:
     for r in range(len(items) + 1):
         out.extend(itertools.combinations(items, r))
     return out
-
-
-def _coordinate_positive_somewhere(P: Polyhedron, j: int) -> bool:
-    if P.is_empty:
-        return False
-    for v in P.vrep.vertices:
-        if v[j].sign() > 0:
-            return True
-    for r in P.vrep.rays_with_lines:
-        if r[j].sign() > 0:
-            return True
-    return False
 
 
 def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
@@ -530,10 +533,6 @@ def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:
     are found once per slice (AffineSlice._strata), and each representative
     on its first read."""
     return slice_._strata
-
-
-def _support_mask(v: Vector) -> int:
-    return sum(1 << j for j, e in enumerate(v) if not e.is_zero())
 
 
 # -- moment image --------------------------------------------------------------------
@@ -690,101 +689,3 @@ def symplectization_slice_dim(model, point: ModelPoint) -> int:
     big_form, big_F = presymlin.symplectization(restricted, F)
     D = presymlin.sigma_orthogonal(big_form, big_F)
     return big_form.restricted_rank(D.rows)
-
-
-# -- local normal-form data --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalModelData:
-    lam: Vector
-    stabilizer: Subspace
-    ideal: Subspace
-    s_weights: tuple[tuple[int, ...], ...]
-    v_dim: int
-    complement: tuple[Vector, ...]
-    q_dim: int
-
-    def stabilizer_weight_multiset(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _restrict_weights(self.s_weights, self.stabilizer)
-
-
-def _restrict_weights(
-    weights: Sequence[Sequence[int]], h: Subspace
-) -> tuple[tuple[Fraction, ...], ...]:
-    out = []
-    for w in weights:
-        row = tuple(
-            linalg.dot(linalg.as_vector(h.scalar_basis, w), b).rational_value()
-            if all(e.is_rational() for e in b)
-            else None
-            for b in h.rows
-        )
-        out.append(row)
-    return tuple(sorted(out))
-
-
-def build_local_model(
-    basis: ConstantBasis,
-    lam: Sequence,
-    stabilizer: Subspace,
-    s_weights: Sequence[Sequence[int]],
-    v_dim: int,
-    ideal: Subspace,
-) -> LocalModelData:
-    """Validated ingredients of the local normal form.  The intersection of
-    the ideal with the stabilizer must act trivially on the symplectic slice;
-    the complement splitting is chosen compatibly with the ideal."""
-    lam_v = linalg.as_vector(basis, lam)
-    d = stabilizer.ambient_dim
-    if ideal.ambient_dim != d or len(lam_v) != d:
-        raise ModelError("ingredient dimensions disagree")
-    meet = ideal.intersect(stabilizer)
-    for w in s_weights:
-        wv = linalg.as_vector(basis, w)
-        for b in meet.rows:
-            if not linalg.dot(wv, b).is_zero():
-                raise ModelError(
-                    "invalid ingredients: the ideal meets the stabilizer in a "
-                    "direction acting nontrivially on the symplectic slice"
-                )
-    # complement of the stabilizer, filled from the ideal first so that the
-    # lift of (ideal + stabilizer)/stabilizer lands inside the ideal
-    complement = linalg.extend_basis(
-        stabilizer.rows, list(ideal.rows) + [linalg.unit(basis, d, i) for i in range(d)]
-    )
-    p_dim = ideal.add(stabilizer).dim - stabilizer.dim
-    q_dim = (d - stabilizer.dim) - p_dim
-    return LocalModelData(
-        lam=lam_v,
-        stabilizer=stabilizer,
-        ideal=ideal,
-        s_weights=tuple(tuple(w) for w in s_weights),
-        v_dim=v_dim,
-        complement=tuple(complement),
-        q_dim=q_dim,
-    )
-
-
-def matches_point_data(
-    data: LocalModelData, model, point: ModelPoint
-) -> bool:
-    """Discrete-invariant comparison of the local model with the situation at
-    an actual model point: moment value, stabilizer, null ideal, slice
-    dimensions and stabilizer-restricted slice weights must all agree."""
-    phi = moment_quadratic(model.module, point)
-    if any(not (a - b).is_zero() for a, b in zip(phi, data.lam)):
-        return False
-    if stabilizer_algebra(model, point) != data.stabilizer:
-        return False
-    if model.null_ideal() != data.ideal:
-        return False
-    sd = slices_at(model, point)
-    if sd.symplectic_dim != 2 * len(data.s_weights) or sd.null_dim != data.v_dim:
-        return False
-    if sd.symplectic_weights is None:
-        return True
-    return (
-        _restrict_weights(sd.symplectic_weights, data.stabilizer)
-        == data.stabilizer_weight_multiset()
-    )

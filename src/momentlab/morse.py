@@ -126,20 +126,8 @@ def _check_unique(slice_: AffineSlice, support: Sequence[int]) -> None:
     # transversality makes the stabilizer meet the ideal trivially on
     # realized strata, so eta is well defined; the meet has dimension
     # ideal.dim minus the rank of the ideal's rows on the support
-    if linalg.rank(_projected_ideal_columns(slice_, support)) != slice_.ideal.dim:
+    if slice_.ideal_rank(support) != slice_.ideal.dim:
         raise AssertionError("ambiguous critical decomposition")
-
-
-def morse_index(slice_: AffineSlice, xi: Sequence, support: Sequence[int]) -> int:
-    """Index of the moment component of xi along the stratum with the given
-    support, as critical_set gives it."""
-    indices = {s.support: s.index for s in critical_set(slice_, xi)}
-    key = tuple(sorted(support))
-    if key in indices:
-        return indices[key]
-    if all(s.support != key for s in models.support_strata(slice_)):
-        raise MorseError(f"no stratum with support {key} on the slice")
-    raise MorseError(f"stratum {key} is not critical for xi")
 
 
 @dataclass(frozen=True)
@@ -187,9 +175,11 @@ def full_critical_set(
         )
     out = []
     for stratum in models.support_strata(slice_):
-        cols = _projected_ideal_columns(slice_, stratum.support)
+        # critical for every xi iff every xi restricted to the support is
+        # matched by the ideal: its rows have rank k on the support, which
+        # needs k rows at least
         k = len(stratum.support)
-        if k and linalg.rank(cols) != k:
+        if k and (k > slice_.ideal.dim or slice_.ideal_rank(stratum.support) != k):
             continue
         if len(stratum.face_vertices) != 1 or stratum.face_rays:
             raise AssertionError("fixed-leaf stratum image not a point")

@@ -32,9 +32,13 @@ that cross the level into vertices and moves the level into the rows'
 offset column, rows canonicalized by the helper the dual pass uses
 (_canonical_hrep).  A P with lines, and every other slice, runs
 intersect_halfspaces on P's own rows, with t >= 0 or with the level
-substituted, in one dimension less with no projection pass.  P's affine span
-is computed on first read and kept on P.  Sizes are capped at desk scale,
-where the double description method is entirely adequate.
+substituted, in one dimension less with no projection pass.  P's facts
+are read off its domain rows too: its affine span is its first vertex and
+the kernel of its equality normals, eliminated in P's domain and divided
+back once, computed on first read and kept on P; the rationality of its
+normal fan reads the integer coefficient rows of its equality and facet
+normals (lattice.rational_fan), with no scalar built.  Sizes are capped at
+desk scale, where the double description method is entirely adequate.
 """
 
 from __future__ import annotations
@@ -129,12 +133,18 @@ class Polyhedron:
 
     @cached_property
     def vrep(self) -> VRep:
+        return VRep(*(tuple(v for v, _ in part) for part in self._paired_vrep))
+
+    @cached_property
+    def _paired_vrep(self) -> tuple[tuple, tuple, tuple]:
+        """vrep's vertices, rays and lines, each paired with its homogenized
+        generator, in vrep's order."""
         D, dim = self._D, self.dim
-        return VRep(*(tuple(sorted(vs, key=_sort_key)) for vs in (
-            (D.div(g[:dim], g[dim]) for g in self._vertices),
-            (_to_scalars(D, g[:dim], True) for g in self._rays),
-            (_to_scalars(D, g[:dim], False) for g in self._lines),
-        )))
+        return tuple(tuple(sorted(zip(vs, gens), key=lambda p: _sort_key(p[0]))) for vs, gens in (
+            ((D.div(g[:dim], g[dim]) for g in self._vertices), self._vertices),
+            ((_to_scalars(D, g[:dim], True) for g in self._rays), self._rays),
+            ((_to_scalars(D, g[:dim], False) for g in self._lines), self._lines),
+        ))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polyhedron):
@@ -172,12 +182,14 @@ class Polyhedron:
 
     @cached_property
     def _affine_span(self) -> tuple[Vector, Subspace]:
-        """The nonempty P's first vertex and the span of its generator
-        differences, computed on first read (affine_span is the entry point)."""
-        base = self.vrep.vertices[0]
-        directions = [linalg.vec_sub(v, base) for v in self.vrep.vertices[1:]]
-        directions += list(self.vrep.rays) + list(self.vrep.lines)
-        return base, Subspace.from_vectors(self.scalar_basis, self.dim, directions)
+        """The nonempty P's first vertex and the kernel of its equality
+        normals, eliminated in P's domain and divided back once, computed on
+        first read (affine_span is the entry point)."""
+        D, dim = self._D, self.dim
+        null, pivots, last = linalg._kernel(D, [a[:dim] for a in self._eqs], dim)
+        direction = Subspace(self.scalar_basis, dim, tuple(D.div(r, last) for r in null),
+                             tuple(pivots))
+        return self.vrep.vertices[0], direction
 
 
 def _empty(basis: ConstantBasis, dim: int) -> Polyhedron:
@@ -414,24 +426,13 @@ def affine_span(P: Polyhedron) -> tuple[Vector, Subspace]:
 def is_rational_polyhedral(P: Polyhedron) -> bool:
     """Whether the normal fan is rational: the affine hull must be cut out by
     a rational subspace and every facet normal must admit a rational
-    representative in the quotient by that subspace (offsets are free)."""
+    representative in the quotient by that subspace (offsets are free).
+    Read off the normal parts of P's equality and facet rows in P's domain
+    (lattice.rational_fan)."""
     if P.is_empty:
         raise EmptyPolyhedronError("empty polyhedron has no rationality verdict")
-    _, direction = affine_span(P)
-    cutting = direction.annihilator()
-    if not lattice.is_rational_subspace(cutting):
-        return False
-    if direction.dim == 0:
-        return True
-    gens = lattice.quasilattice(cutting)
-    # column i of the pairings holds facet i against each direction row
-    pairings = linalg.mat_vecs([h.normal for h in P.halfspaces], direction.rows, P.scalar_basis)
-    for coords in zip(*pairings):
-        if all(e.is_zero() for e in coords):
-            continue
-        if not lattice.ray_meets_rational_span(coords, gens.generators):
-            return False
-    return True
+    dim = P.dim
+    return lattice.rational_fan(P._D, [a[:dim] for a in P._eqs], [f[:dim] for f in P._facets])
 
 
 def homogenize(P: Polyhedron) -> Polyhedron:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 RationalLike = int | Fraction
@@ -87,11 +87,22 @@ class ConstantBasis:
             raise ScalarError(f"unknown constant {name!r}") from None
 
     def declare_product(self, a: str, b: str, coeffs: Sequence[RationalLike]) -> None:
-        """Record that the real product a*b equals the span element `coeffs`."""
+        """Record that the real product a*b equals the span element `coeffs`.
+
+        A rational square a*a must be positive and not the square of a
+        rational: a would then be rational, and not independent of 1, while
+        exact elimination and rationality tests treat it as irrational."""
         i, j = self.index_of(a), self.index_of(b)
         if i == 0 or j == 0:
             raise ScalarError("products with the unit need no declaration")
         value = _canon(coeffs, self.size)
+        if i == j and not any(value[1:]):
+            q = value[0]
+            if q <= 0:
+                raise ScalarError(f"declared square {q} of {a} is not positive")
+            if all(isqrt(x) ** 2 == x for x in (q.numerator, q.denominator)):
+                raise ScalarError(f"declared square {q} of {a} is a rational square, "
+                                  f"so {a} would be rational")
         self._products[(i, j)] = value
         self._products[(j, i)] = value
 
@@ -406,11 +417,7 @@ def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
     q = basis.surd_square()
     if q is not None:
         (a, b), (e, f) = num.coeffs, den.coeffs
-        norm = e * e - f * f * q
-        if norm == 0:
-            raise UnsupportedScalarOperation(
-                f"cannot divide {num} by {den}: declared square is a rational square"
-            )
+        norm = e * e - f * f * q  # nonzero: q is not a rational square
         return ExtScalar(basis, ((a * e - b * f * q) / norm, (b * e - a * f) / norm))
     used, columns = [], []
     for t, name in enumerate(basis.names):
@@ -511,10 +518,10 @@ class _SurdRing:
     s = m*c and s*s = n*m.  An element is a pair (a, b) of integers meaning
     a + b*s; elimination and double description run on these."""
 
-    __slots__ = ("basis", "q", "m", "s2", "positive")
+    __slots__ = ("basis", "m", "s2", "positive")
 
     def __init__(self, basis: ConstantBasis, q: Fraction):
-        self.basis, self.q = basis, q
+        self.basis = basis
         self.m = q.denominator
         self.s2 = q.numerator * q.denominator
         self.positive = basis.float_values[1] > 0
@@ -536,15 +543,10 @@ class _SurdRing:
         return _surd_sign(x[0], x[1] if self.positive else -x[1], self.s2)
 
     def norm(self, d: tuple[int, int]) -> int:
-        """d times its conjugate.  That is nonzero for nonzero d unless the
-        declared square is a rational square, which raises."""
+        """d times its conjugate, nonzero for nonzero d: the declared square
+        is not a rational square (ConstantBasis.declare_product)."""
         d0, d1 = d
-        norm = d0 * d0 - d1 * d1 * self.s2
-        if norm == 0:
-            raise UnsupportedScalarOperation(
-                f"declared square {self.q} of {self.basis.names[1]} is a rational square"
-            )
-        return norm
+        return d0 * d0 - d1 * d1 * self.s2
 
     def dot(self, a: Sequence[tuple[int, int]], v: Sequence[tuple[int, int]]) -> tuple[int, int]:
         x0 = x1 = y = 0
@@ -585,7 +587,6 @@ class _SurdRing:
         e0, e1 = next(e for e in v if e[0] or e[1])
         if not e1:
             return v
-        self.norm((e0, e1))  # raises if the declared square is a rational square
         conj = (e0, -e1) if self.sign((e0, -e1)) > 0 else (-e0, e1)
         return self.comb(conj, v, (0, 0), v)
 
@@ -626,6 +627,7 @@ class _Domain(NamedTuple):
     neg: Callable  # vector negation
     div: Callable  # div(v, d): the entries of v divided by d, as scalars
     lift: Callable  # a row over Z in this domain, canonical if the row is
+    coeff_rows: Callable  # a row's coefficient rows, one per constant, as integers
 
 
 # Z for rational scalars in any basis; `_domain` adds the basis's `div`.
@@ -637,7 +639,7 @@ _Z = _Domain(
     dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
     sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
     neg=lambda v: tuple(-x for x in v),
-    div=None, lift=tuple,
+    div=None, lift=tuple, coeff_rows=lambda v: [v],
 )
 
 
@@ -652,6 +654,10 @@ def _surd_lift(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((x, 0) for x in v)
 
 
+def _surd_coeff_rows(v: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    return [tuple(a for a, _ in v), tuple(b for _, b in v)]
+
+
 def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domain:
     """The number domain for vectors like `rows`: the package's one choice
     between Z, Z[s] and the scalars.
@@ -662,7 +668,10 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
     Any other basis runs on the scalars, where a ray is divided by the
     absolute value of its first nonzero entry and signs come from
     ExtScalar.sign().  Converting a normalized ray with `conv` gives its
-    canonical form.
+    canonical form.  A row's coefficient rows, one per constant of the
+    domain (1 over Z; 1 and s over Z[s]; the basis's constants over the
+    scalars), span the smallest rational subspace containing it, since the
+    constants are independent over the rationals.
     """
     if all(not any(e.coeffs[1:]) for row in rows for e in row):
         tail = (Fraction(0),) * (basis.size - 1)
@@ -677,7 +686,7 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
             nonzero=lambda e: e[0] or e[1], step=ring.step, dot=ring.dot,
             sign=ring.sign, comb=ring.comb, canon=ring.canon,
             neg=lambda v: tuple((-a, -b) for a, b in v), div=ring.quotients,
-            lift=_surd_lift,
+            lift=_surd_lift, coeff_rows=_surd_coeff_rows,
         )
     one, zero = basis.one(), basis.zero()
 
@@ -707,6 +716,8 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
         canon=canon, neg=lambda v: tuple(-x for x in v),
         div=lambda v, d: tuple(x / d for x in v),
         lift=lambda v: canon(tuple(map(basis.from_rational, v))),
+        coeff_rows=lambda v: [_clear_denominators([e.coeffs[t] for e in v])[0]
+                              for t in range(basis.size)],
     )
 
 

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from momentlab.scalars import ConstantBasis, ScalarError, _eliminate_rational
+from momentlab.scalars import (
+    ConstantBasis,
+    ScalarError,
+    UnsupportedScalarOperation,
+    _eliminate_rational,
+)
 
 
 @pytest.fixture(scope="session")
@@ -16,8 +21,7 @@ def sqrt2_basis():
     return ConstantBasis.with_sqrt("sqrt2", 2)
 
 
-@pytest.fixture(scope="session")
-def three_surds_basis():
+def three_surds():
     """{1, sqrt2, sqrt3, sqrt6} with every product declared: no single
     declared square, so exact layers run on the scalars themselves."""
     basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
@@ -26,6 +30,23 @@ def three_surds_basis():
     basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
     basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
     return basis
+
+
+@pytest.fixture(scope="session")
+def three_surds_basis():
+    return three_surds()
+
+
+# One basis per route through the number domains: Z; Z[s] for sqrt2, for
+# sqrt(3/2) (s = 2c, a square with a denominator) and for the negative root
+# of 2; the scalars for three surds.
+DOMAIN_BASES = {
+    "q": ConstantBasis.rationals(),
+    "sqrt2": ConstantBasis.with_sqrt("sqrt2", 2),
+    "sqrt3/2": ConstantBasis.with_sqrt("c", Fraction(3, 2)),
+    "-sqrt2": ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2),
+    "three": three_surds(),
+}
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:
@@ -58,3 +79,35 @@ def is_rational_direction(v):
     if all(x.is_zero() for x in v):
         raise ScalarError("zero vector has no direction")
     return len(_eliminate_rational([x.coeffs for x in v])[1]) <= 1
+
+
+def ray_meets_rational_span(vec, generators) -> bool:
+    """Whether some nonzero real multiple of vec is a rational combination of
+    the generators: the scalar route of the facet test of
+    polyhedra.is_rational_polyhedral, kept as its reference.
+
+    The multipliers range over the rational span of the constants whose
+    products with vec's constants are declared (the rational multiplier is
+    always available).  In the rational columns [generators | scaled copies
+    of vec], such a multiple exists iff some scaled copy depends on the
+    generators and the copies before it: iff fewer than all the copies are
+    pivot columns.
+    """
+    m = len(vec)
+    if m == 0:
+        return False
+    basis = vec[0].basis
+    size = basis.size
+    scaled = []
+    for name in basis.names:
+        try:
+            scaled.append([basis.constant(name) * vi for vi in vec])
+        except UnsupportedScalarOperation:
+            continue
+    n_t = len(generators)
+    rows = [
+        tuple(g[i].coeffs[t] for g in generators) + tuple(w[i].coeffs[t] for w in scaled)
+        for i in range(m)
+        for t in range(size)
+    ]
+    return sum(1 for c in _eliminate_rational(rows)[1] if c >= n_t) < len(scaled)

@@ -68,6 +68,26 @@ def test_quasifold_report_content(tmp_path):
     assert "1/2*sqrt2" in report
 
 
+def test_rationality_verdicts_can_disagree(tmp_path, monkeypatch):
+    """The quasifold scenario's polytope is irrational and its null subgroup
+    not closed, so the verdicts agree; a fan test faulted to answer yes
+    makes the moment polytope section say rational and the verdicts
+    disagree, while the null-ideal lines keep their no."""
+    from momentlab import lattice
+
+    raw = json.loads((SCENARIOS / "quasifold.json").read_text())
+    raw["analyses"] = ["slice-report"]
+    out = tmp_path / "out"
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    report = (out / "report.txt").read_text()
+    assert "rational: no" in report and "verdicts agree: yes" in report
+    monkeypatch.setattr(lattice, "rational_fan", lambda D, normals, facets: True)
+    assert run_scenario(write(tmp_path, raw), out_dir=out) == 0
+    report = (out / "report.txt").read_text()
+    assert "\nrational: yes\nnull subgroup closed: no\nverdicts agree: no\n" in report
+    assert "rational subspace: no" in report
+
+
 def test_missing_field_exits_2(tmp_path, capsys):
     raw = segment_raw()
     del raw["torus_rank"]
@@ -539,6 +559,46 @@ def test_nonfinite_or_zero_constant_exits_2(tmp_path, capsys, name, value):
     assert run_scenario(path, out_dir=tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "field 'constants'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("constant", [{"sqrt4": 2.0}, {"c": {"value": 1.5, "square": 2.25}},
+                                      {"sqrt9": 3}],
+                         ids=["sqrt4", "declared-2.25", "sqrt9"])
+def test_rational_declared_square_exits_2(tmp_path, capsys, constant):
+    """A constant whose declared square is the square of a rational is a
+    rational number: sqrt4 = 2 used to run, and the rational line (1, 2) was
+    reported irrational on every rationality line."""
+    (name,) = constant
+    raw = {"constants": constant, "torus_rank": 2, "lambda": ["1", "0"],
+           "direction_normals": [["1", name]], "analyses": ["slice-report", "quasifold"]}
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "field 'constants'" in err and "rational square" in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_direction_and_direction_normals_together_exit_2(tmp_path, capsys):
+    """direction used to be ignored silently when direction_normals was
+    given as well."""
+    raw = segment_raw()
+    raw["direction"] = [["1", "-1"]]
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    assert "field 'direction': give direction or direction_normals, not both" in (
+        capsys.readouterr().err)
+
+
+def test_repeated_analysis_exits_2(tmp_path, capsys):
+    """A repeated analysis used to run, and print its section, twice."""
+    raw = segment_raw()
+    raw["analyses"] = ["morse", "slice-report", "morse"]
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    assert "field 'analyses': lists an analysis more than once" in capsys.readouterr().err
 
 
 def test_unused_constant_leaves_the_quasifold_report_alone(tmp_path):

@@ -1,16 +1,24 @@
 import random
 
+import pytest
+
 from momentlab import linalg
 from momentlab.lattice import (
     is_rational_subspace,
     null_subgroup_closed,
     quasilattice,
-    ray_meets_rational_span,
+    rational_rank,
 )
 from momentlab.presymlin import Subspace
-from momentlab.scalars import ConstantBasis, ExtScalar, UnsupportedScalarOperation
+from momentlab.scalars import (
+    ConstantBasis,
+    ExtScalar,
+    UnsupportedScalarOperation,
+    _domain,
+    _eliminate_rational,
+)
 
-from conftest import random_fraction, random_scalar
+from conftest import DOMAIN_BASES, random_fraction, random_scalar, ray_meets_rational_span
 
 
 def rational_basis_by_elimination(n: Subspace) -> bool:
@@ -176,3 +184,34 @@ def test_ray_meets_rational_span_matches_kernel_reference(sqrt2_basis):
         assert got == ray_meets_by_kernel(vec, gens), (vec, gens)
         seen.add(got)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BASES))
+def test_rational_subspace_matches_scalar_coefficient_rows(name):
+    """is_rational_subspace reads the coefficient rows of the rows in their
+    number domain; the scalars' own coefficient rows, eliminated over Q,
+    give the same verdict, as does rational_rank of the rows with every row
+    scaled by a nonzero scalar."""
+    basis = DOMAIN_BASES[name]
+    rng = random.Random(77 + len(name))
+    consts = [basis.constant(c) for c in basis.names[1:]]
+    seen = set()
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(0, dim)):
+            row = [basis.from_rational(random_fraction(rng)) for _ in range(dim)]
+            if consts and rng.random() < 0.5:
+                j = rng.randrange(dim)
+                row[j] = row[j] + rng.choice(consts).scale(random_fraction(rng))
+            rows.append(row)
+        n = Subspace.from_vectors(basis, dim, rows)
+        coefficient_rows = [tuple(e.coeffs[t] for e in b) for b in n.rows for t in range(basis.size)]
+        verdict = len(_eliminate_rational(coefficient_rows)[1]) == n.dim
+        assert is_rational_subspace(n) == verdict
+        scale = basis.one() + (rng.choice(consts) if consts else basis.one())
+        scaled = [tuple(e * scale for e in b) for b in n.rows]
+        D = _domain(basis, scaled)
+        assert (rational_rank(D, map(D.conv, scaled)) == n.dim) == verdict
+        seen.add(verdict)
+    assert seen == ({True, False} if consts else {True})

@@ -1,6 +1,9 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -11,25 +14,134 @@ from momentlab.models import (
     SliceValidationError,
     WeightedModule,
     build_affine_slice,
-    build_local_model,
     cleanness_at,
     dphi_kernel_image,
-    hessian_quadratic,
     leaf_stabilizer_algebra,
     local_cone,
-    matches_point_data,
-    moment_component,
     moment_quadratic,
     slices_at,
     stabilizer_algebra,
     standard_module,
     symplectization_slice_dim,
 )
+from momentlab.morse import full_critical_set
 from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace
 from momentlab.scalars import ScalarError
 
-from conftest import form_pairing, random_fraction
+from conftest import DOMAIN_BASES, form_pairing, random_fraction
 from test_polyhedra import intersect, orthant
+
+
+# -- model helpers no report or CLI path reaches, kept here as test code -------------
+
+
+def moment_component(module, xi, e):
+    return linalg.dot(moment_quadratic(module, e), xi)
+
+
+def hessian_quadratic(module, xi, v):
+    """One half of sigma(xi(v), v) for a tangent vector v in interleaved
+    (re, im) coordinates; exact, needs |v_j|^2 to stay in the span."""
+    vec = linalg.as_vector(module.scalar_basis, v)
+    if len(vec) != 2 * module.n_coords:
+        raise ModelError("tangent vector has wrong length")
+    acc = module.scalar_basis.zero()
+    for j in range(module.n_coords):
+        if j in module.masked:
+            continue
+        re, im = vec[2 * j], vec[2 * j + 1]
+        sq = re * re + im * im
+        acc = acc + (module.weight_pairing(j, xi) * sq).scale(Fraction(1, 2))
+    return acc
+
+
+@dataclass(frozen=True)
+class LocalModelData:
+    """Ingredients of the local normal form."""
+
+    lam: tuple
+    stabilizer: Subspace
+    ideal: Subspace
+    s_weights: tuple[tuple[int, ...], ...]
+    v_dim: int
+    complement: tuple
+    q_dim: int
+
+    def stabilizer_weight_multiset(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _restrict_weights(self.s_weights, self.stabilizer)
+
+
+def _restrict_weights(weights: Sequence[Sequence[int]], h: Subspace):
+    out = []
+    for w in weights:
+        row = tuple(
+            linalg.dot(linalg.as_vector(h.scalar_basis, w), b).rational_value()
+            if all(e.is_rational() for e in b)
+            else None
+            for b in h.rows
+        )
+        out.append(row)
+    return tuple(sorted(out))
+
+
+def build_local_model(basis, lam, stabilizer, s_weights, v_dim, ideal) -> LocalModelData:
+    """Validated ingredients of the local normal form.  The intersection of
+    the ideal with the stabilizer must act trivially on the symplectic slice;
+    the complement splitting is chosen compatibly with the ideal."""
+    lam_v = linalg.as_vector(basis, lam)
+    d = stabilizer.ambient_dim
+    if ideal.ambient_dim != d or len(lam_v) != d:
+        raise ModelError("ingredient dimensions disagree")
+    meet = ideal.intersect(stabilizer)
+    for w in s_weights:
+        wv = linalg.as_vector(basis, w)
+        for b in meet.rows:
+            if not linalg.dot(wv, b).is_zero():
+                raise ModelError(
+                    "invalid ingredients: the ideal meets the stabilizer in a "
+                    "direction acting nontrivially on the symplectic slice"
+                )
+    # complement of the stabilizer, filled from the ideal first so that the
+    # lift of (ideal + stabilizer)/stabilizer lands inside the ideal
+    complement = linalg.extend_basis(
+        stabilizer.rows, list(ideal.rows) + [linalg.unit(basis, d, i) for i in range(d)]
+    )
+    p_dim = ideal.add(stabilizer).dim - stabilizer.dim
+    q_dim = (d - stabilizer.dim) - p_dim
+    return LocalModelData(
+        lam=lam_v,
+        stabilizer=stabilizer,
+        ideal=ideal,
+        s_weights=tuple(tuple(w) for w in s_weights),
+        v_dim=v_dim,
+        complement=tuple(complement),
+        q_dim=q_dim,
+    )
+
+
+def matches_point_data(data: LocalModelData, model, point: ModelPoint) -> bool:
+    """Discrete-invariant comparison of the local model with the situation at
+    an actual model point: moment value, stabilizer, null ideal, slice
+    dimensions and stabilizer-restricted slice weights must all agree."""
+    phi = moment_quadratic(model.module, point)
+    if any(not (a - b).is_zero() for a, b in zip(phi, data.lam)):
+        return False
+    if stabilizer_algebra(model, point) != data.stabilizer:
+        return False
+    if model.null_ideal() != data.ideal:
+        return False
+    sd = slices_at(model, point)
+    if sd.symplectic_dim != 2 * len(data.s_weights) or sd.null_dim != data.v_dim:
+        return False
+    if sd.symplectic_weights is None:
+        return True
+    return (
+        _restrict_weights(sd.symplectic_weights, data.stabilizer)
+        == data.stabilizer_weight_multiset()
+    )
+
+
+# -- example models -------------------------------------------------------------------
 
 
 def segment_slice(basis):
@@ -81,8 +193,8 @@ def test_affine_slice_equality_and_hash_ignore_computed_facts(sqrt2_basis):
 def test_slice_facts_are_computed_once(sqrt2_basis, monkeypatch):
     """Across build_affine_slice, moment_image, local_cone_rows and
     support_strata, the moment polytope is intersected once and the plane
-    rows are dotted once: one linalg.dot per ideal row."""
-    calls = {"intersect": 0, "dot": 0}
+    rows' offsets are one product of the ideal rows with lambda."""
+    calls = {"intersect": 0, "mat_vecs": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -92,13 +204,13 @@ def test_slice_facts_are_computed_once(sqrt2_basis, monkeypatch):
 
     monkeypatch.setattr(polyhedra, "intersect_halfspaces",
                         counting("intersect", polyhedra.intersect_halfspaces))
-    monkeypatch.setattr(linalg, "dot", counting("dot", linalg.dot))
+    monkeypatch.setattr(linalg, "mat_vecs", counting("mat_vecs", linalg.mat_vecs))
     s = build_affine_slice(sqrt2_basis, 4, [1, 2, 1, 1],
                            direction_normals=[[1, "sqrt2", 1, 0], [0, 1, 1, 1]])
     rep = models.moment_image(s)
     _, plane = models.local_cone_rows(s)
     strata = models.support_strata(s)
-    assert s.ideal.dim == 2 and calls == {"intersect": 1, "dot": 2}
+    assert s.ideal.dim == 2 and calls == {"intersect": 1, "mat_vecs": 1}
     assert rep.polytope is s.moment_polytope() and plane is s.plane_rows
     assert models.support_strata(s) is strata and len(strata) > 1
 
@@ -508,6 +620,82 @@ def test_support_strata_match_subset_scan(field, rat_basis, sqrt2_basis):
         checked += 1
         unbounded += not polyhedra.is_bounded(s.moment_polytope())
     assert checked >= 40 and unbounded >= 5
+
+
+def coordinate_positive_somewhere(P, j):
+    """Reference for build_affine_slice's reach test, on P's scalar V-rep."""
+    return any(v[j].sign() > 0 for v in P.vrep.vertices + P.vrep.rays_with_lines)
+
+
+def transverse(W, T):
+    """Reference for the transversality test, one linalg.rank per call:
+    W + span{e_j : j not in T} is everything iff W's columns T have rank |T|."""
+    return linalg.rank([tuple(w[j] for j in T) for w in W.rows]) == len(T)
+
+
+def slice_verdict_by_vrep(basis, d, lam, vecs):
+    """Reference for build_affine_slice's checks, on P's scalar V-rep with
+    per-call ranks: the message of the first failing check, or None."""
+    W = Subspace.from_vectors(basis, d, vecs)
+    s = models.AffineSlice(standard_module(basis, d), linalg.as_vector(basis, lam), W,
+                           W.annihilator())
+    P = s.moment_polytope()
+    if P.is_empty or not all(coordinate_positive_somewhere(P, j) for j in range(d)):
+        return "slice misses moment image"
+    zero_sets = [{j for j in range(d) if v[j].is_zero()} for v in P.vrep.vertices]
+    for r in range(1, d + 1):
+        for T in itertools.combinations(range(d), r):
+            if any(set(T) <= Z for Z in zero_sets) and not transverse(W, T):
+                return f"slice is not transverse to the orthant face with zeros {list(T)}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BASES))
+def test_slice_checks_match_scalar_references(name):
+    """On random slices over Z, Z[s] for three squares and the scalars:
+    build_affine_slice accepts or names the same failure as the checks on
+    P's scalar V-rep; every column subset of the direction and the ideal
+    rows has the rank linalg.rank gives it; the support strata (masks read
+    off P's domain generators) are those of the V-rep scan; and the
+    fixed-leaf strata of a bounded slice are those whose ideal columns have
+    full rank by linalg.rank."""
+    basis = DOMAIN_BASES[name]
+    rng = random.Random(99 + len(name))
+    consts = [basis.constant(c) for c in basis.names[1:]]
+    seen = Counter()
+    for _ in range(40 if consts[1:] else 70):
+        d = rng.randint(2, 4)
+        vecs = []
+        for _ in range(rng.randint(1, d - 1)):
+            row = [basis.from_rational(rng.randint(-2, 2)) for _ in range(d)]
+            if consts and rng.random() < 0.4:
+                row[rng.randrange(d)] = rng.choice(consts).scale(rng.choice([1, -1, Fraction(1, 2)]))
+            vecs.append(row)
+        lam = [rng.choice([0, 1, 2]) for _ in range(d)]
+        want = slice_verdict_by_vrep(basis, d, lam, vecs)
+        try:
+            s = build_affine_slice(basis, d, lam, direction_vectors=vecs)
+        except SliceValidationError as exc:
+            assert str(exc) == want
+            seen[want.split(" with")[0]] += 1
+            continue
+        assert want is None
+        seen["valid"] += 1
+        for r in range(d + 1):
+            for T in itertools.combinations(range(d), r):
+                cols = lambda rows: [tuple(a[j] for j in T) for a in rows]
+                assert s.direction_rank(T) == linalg.rank(cols(s.direction.rows))
+                assert s.ideal_rank(T) == linalg.rank(cols(s.ideal.rows))
+        strata = models.support_strata(s)
+        assert [(st.support, st.face_vertices, st.face_rays) for st in strata] == (
+            support_strata_by_scan(s))
+        if polyhedra.is_bounded(s.moment_polytope()):
+            fixed = [st.support for st in strata
+                     if not st.support or transverse(s.ideal, st.support)]
+            assert [g.support for g in full_critical_set(s)[0]] == fixed
+            seen["bounded"] += 1
+    assert set(seen) == {"valid", "bounded", "slice misses moment image",
+                         "slice is not transverse to the orthant face"}, seen
 
 
 def barycenter_by_fraction_sums(stratum):

@@ -10,11 +10,16 @@ from momentlab.morse import (
     critical_set,
     full_critical_set,
     morse_bott_check,
-    morse_index,
 )
 
 from conftest import random_fraction
-from test_models import _random_bounded_slice, product_model, segment_slice, quasifold_slice
+from test_models import (
+    _random_bounded_slice,
+    hessian_quadratic,
+    product_model,
+    quasifold_slice,
+    segment_slice,
+)
 from test_polyhedra import from_generators
 
 
@@ -56,6 +61,18 @@ def test_zero_xi_is_everywhere_critical(sqrt2_basis):
     strata = critical_set(s, [0, 0])
     assert [st.support for st in strata] == [(0,), (1,), (0, 1)]
     assert all(st.index == 0 for st in strata)
+
+
+def morse_index(slice_, xi, support) -> int:
+    """Index of the moment component of xi along the stratum with the given
+    support, as critical_set gives it."""
+    indices = {s.support: s.index for s in critical_set(slice_, xi)}
+    key = tuple(sorted(support))
+    if key in indices:
+        return indices[key]
+    if all(s.support != key for s in models.support_strata(slice_)):
+        raise MorseError(f"no stratum with support {key} on the slice")
+    raise MorseError(f"stratum {key} is not critical for xi")
 
 
 def test_morse_index_errors(sqrt2_basis):
@@ -168,10 +185,10 @@ def test_hessian_signs_on_stratum(sqrt2_basis):
     strata = {st.support: st for st in critical_set(s, [1, 0])}
     eta = strata[(0,)].eta
     mod = s.module
-    along = models.hessian_quadratic(mod, eta, [0, "sqrt2", 0, 0])
+    along = hessian_quadratic(mod, eta, [0, "sqrt2", 0, 0])
     assert along.is_zero()
-    normal_x = models.hessian_quadratic(mod, eta, [0, 0, 1, 0])
-    normal_y = models.hessian_quadratic(mod, eta, [0, 0, 0, 1])
+    normal_x = hessian_quadratic(mod, eta, [0, 0, 1, 0])
+    normal_y = hessian_quadratic(mod, eta, [0, 0, 0, 1])
     assert normal_x.sign() < 0 and normal_y.sign() < 0
 
 

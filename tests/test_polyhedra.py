@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from momentlab import linalg, polyhedra
+from momentlab import lattice, linalg, polyhedra
 from momentlab.polyhedra import (
     DeskScaleError,
     EmptyPolyhedronError,
@@ -18,9 +18,15 @@ from momentlab.polyhedra import (
     slice_at_level,
 )
 from momentlab.presymlin import Subspace
-from momentlab.scalars import BasisMismatchError, ConstantBasis, _domain, _eliminate
+from momentlab.scalars import (
+    BasisMismatchError,
+    ConstantBasis,
+    _domain,
+    _eliminate,
+    _eliminate_rational,
+)
 
-from conftest import is_rational_direction, random_fraction
+from conftest import DOMAIN_BASES, is_rational_direction, random_fraction, ray_meets_rational_span
 
 
 # -- oracle constructors: a polyhedron from generators, and projection -------------
@@ -1037,3 +1043,87 @@ def test_comparisons_build_no_scalar_representation(field, monkeypatch, rat_basi
         assert made["scalars"] == 0
         assert not any(f in vars(Q) for Q in (L, cone, back) for f in SCALAR_FIELDS)
         assert {f for f in SCALAR_FIELDS if f in vars(P)} == built
+
+
+# -- affine span and rationality on domain rows, against the scalar routes ----------
+
+
+def affine_span_by_generators(P):
+    """Reference for affine_span: the first vertex and the rref of the
+    generator differences, rays and lines, as scalars."""
+    base = P.vrep.vertices[0]
+    directions = [linalg.vec_sub(v, base) for v in P.vrep.vertices[1:]]
+    directions += list(P.vrep.rays) + list(P.vrep.lines)
+    return base, Subspace.from_vectors(P.scalar_basis, P.dim, directions)
+
+
+def rational_fan_by_scalars(P):
+    """Reference for is_rational_polyhedral, the scalar route: the
+    annihilator of the reference affine span must be rational, by the rank
+    of its scalars' coefficient rows, and every facet normal's pairings with
+    the direction rows must meet the rational span of the quasilattice
+    generators (ray_meets_rational_span).  Returns the verdict and why."""
+    _, direction = affine_span_by_generators(P)
+    cutting = direction.annihilator()
+    size = P.scalar_basis.size
+    coefficient_rows = [tuple(e.coeffs[t] for e in b) for b in cutting.rows for t in range(size)]
+    if len(_eliminate_rational(coefficient_rows)[1]) != cutting.dim:
+        return False, "irrational cut"
+    if direction.dim == 0:
+        return True, "point"
+    gens = lattice.quasilattice(cutting)
+    pairings = linalg.mat_vecs([h.normal for h in P.halfspaces], direction.rows, P.scalar_basis)
+    for coords in zip(*pairings):
+        if not all(e.is_zero() for e in coords) and not ray_meets_rational_span(
+                coords, gens.generators):
+            return False, "irrational facet"
+    return True, "lower" if cutting.dim else "full"
+
+
+def rationality_cases(basis, rng, n):
+    """Nonempty polyhedra built three ways: intersect_halfspaces on the rows
+    of random (often lower-dimensional, often irrational) polyhedra, the
+    cone over each one without lines (homogenize) and that cone's level-one
+    slice (_cone_slice); plus, when the basis has a constant, a segment cut
+    out by an irrational plane and examples whose cutting space is rational
+    while a facet normal is irrational."""
+    out = []
+    for _, dim, hs, eqs in h_systems(basis, rng, n):
+        P = intersect_halfspaces(basis, dim, hs, eqs)
+        if P.is_empty:  # an empty system, or rows scaled by 1 + c for c < 0
+            continue
+        out.append(("intersect", P))
+        if not P._lines and dim < 5:
+            cone = homogenize(P)
+            out += [("homogenize", cone), ("cone slice", slice_at_level(cone, dim, 1))]
+    if basis.size > 1:
+        c = basis.constant(basis.names[-1])
+        out.append(("intersect", intersect_halfspaces(
+            basis, 3, [([0, 1, 0], 0), ([1, 0, 0], 0), ([-1, c, 0], -1)], [([0, 0, 1], 1)])))
+        out.append(("intersect", intersect_halfspaces(
+            basis, 2, [([1, 0], 0), ([-1, 0], -2)], [([1, 1], c)])))
+        out.append(("intersect", intersect_halfspaces(
+            basis, 2, [([1, 0], 0), ([0, 1], 0), ([-1, 0], -2)], [([1, c], 1)])))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BASES))
+def test_affine_span_and_rationality_match_scalar_routes(name):
+    """affine_span's kernel of P's equality rows equals the rref of its
+    generator differences, and is_rational_polyhedral on P's coefficient
+    rows gives the scalar route's verdict, for polyhedra from
+    intersect_halfspaces, homogenize and the cone slice, over Z, Z[s] for
+    three squares and the scalars."""
+    basis = DOMAIN_BASES[name]
+    rng = random.Random(4242 + len(name))
+    seen = Counter()
+    for route, P in rationality_cases(basis, rng, 12 if basis.size > 2 else 30):
+        base, direction = affine_span(P)
+        assert (base, direction) == affine_span_by_generators(P)
+        verdict, why = rational_fan_by_scalars(P)
+        assert is_rational_polyhedral(P) == verdict, (route, why)
+        seen[route] += 1
+        seen[why] += 1
+    assert {"intersect", "homogenize", "cone slice", "full", "lower"} <= set(seen), seen
+    if basis.size > 1:
+        assert seen["irrational cut"] and seen["irrational facet"], seen

@@ -133,6 +133,32 @@ def test_constant_needs_a_finite_nonzero_value(value, square):
         ConstantBasis.rationals().with_constant("c", value, square=square)
 
 
+@pytest.mark.parametrize("value, square, message", [
+    (2.0, 4, "rational square"), (1.5, Fraction(9, 4), "rational square"),
+    (1.0, 1, "rational square"), (1.0, -1, "not positive"), (1.0, 0, "not positive"),
+], ids=["4", "9/4", "1", "-1", "0"])
+def test_declared_square_must_be_positive_and_irrational(value, square, message):
+    """A declared square q <= 0 has no real root, and one that is the square
+    of a rational makes the constant rational, so 1 and it are dependent
+    while Z[s] and the rationality tests treat them as independent."""
+    with pytest.raises(ScalarError, match=message):
+        ConstantBasis.rationals().with_constant("c", value, square=square)
+    with pytest.raises(ScalarError, match=message):
+        ConstantBasis.rationals().with_constant("c", value).declare_product("c", "c", [square, 0])
+    if square > 0:
+        with pytest.raises(ScalarError, match=message):
+            ConstantBasis.with_sqrt("r", square)
+
+
+def test_irrational_declared_squares_are_accepted():
+    assert ConstantBasis.with_sqrt("r", Fraction(2, 9)).surd_square() == Fraction(2, 9)
+    assert ConstantBasis.with_sqrt("r", Fraction(9, 2)).surd_square() == Fraction(9, 2)
+    assert ConstantBasis.with_sqrt("r", 8).surd_square() == 8
+    basis = ConstantBasis.with_sqrt("r", 3).with_constant("c", 0.5)
+    basis.declare_product("r", "c", [0, 0, 1])  # a non-square product is not checked
+    basis.declare_product("c", "c", [0, 1, 0])  # nor a square with an irrational part
+
+
 def test_parse_and_format_round_trip(sqrt2_basis):
     for text in ["0", "1", "-3/2", "sqrt2", "1 + 1/2*sqrt2", "2 - sqrt2"]:
         x = parse_scalar(text, sqrt2_basis)
