@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import lattice, linalg, models, morse, polyhedra, reporting
 from .errors import SamplerError
-from .models import AffineSlice, ModelPoint, WeightedModule
+from .models import AffineSlice, ModelError, ModelPoint, WeightedModule
 from .reporting import fmt_float, fmt_polyhedron, fmt_subspace, fmt_vector, yesno
 from .scalars import ConstantBasis, ScalarError
 
@@ -143,6 +143,10 @@ def _load_analysis_inputs(sc: Scenario) -> None:
         if not isinstance(family, list) or len(family) < 2:
             raise ScenarioError("family", "must be a list of at least two curves")
         sc.family = [_parse_curve(c, f"family[{i}]") for i, c in enumerate(family)]
+        for i, c in enumerate(sc.family):
+            if c.ambient_dim != sc.family[0].ambient_dim:
+                raise ScenarioError("family", f"family[{i}] lies in R^{c.ambient_dim}, "
+                                              f"family[0] in R^{sc.family[0].ambient_dim}")
 
 
 def _is_int(value) -> bool:
@@ -240,6 +244,11 @@ def _load_model(sc: Scenario) -> None:
             )
         except ScalarError as exc:
             raise ScenarioError("points", f"point {i}: {exc}")
+        if sc.slice_ is not None:
+            try:
+                models._require_on_slice(sc.slice_, sc.points[-1])
+            except ModelError as exc:
+                raise ScenarioError("points", f"point {i}: {exc}")
     if sc.slice_ is None and sc.module is None:
         raise ScenarioError("lambda", "scenario defines neither a slice nor a module")
 

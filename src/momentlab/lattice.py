@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .linalg import Vector
 from .presymlin import Subspace
-from .scalars import _Z, _Domain, _domain, _eliminate, _eliminate_rational
+from .scalars import _Z, _Domain, _domain, _eliminate
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,17 @@ def is_rational_subspace(n: Subspace) -> bool:
 def quasilattice(n: Subspace) -> QuasiLattice:
     """Quotient coordinates with kernel n, the images of the standard basis,
     and the rank of the additive group they generate (computed as a rational
-    dimension; the group is torsion-free)."""
+    dimension; the group is torsion-free).  The generators are the columns
+    of the functionals' rows, so the rank is rational_rank of those rows:
+    their coefficient rows are, up to row scalings, the generators'
+    coefficient matrix transposed."""
     functionals = n.annihilator()
     m = functionals.dim
-    d = n.ambient_dim
     generators = tuple(
-        tuple(row[j] for row in functionals.rows) for j in range(d)
+        tuple(row[j] for row in functionals.rows) for j in range(n.ambient_dim)
     )
-    coeff_rows = [
-        tuple(g[i].coeffs[t] for i in range(m) for t in range(n.scalar_basis.size))
-        for g in generators
-    ]
-    rank = len(_eliminate_rational(coeff_rows)[1])
+    D = _domain(n.scalar_basis, functionals.rows)
+    rank = rational_rank(D, map(D.conv, functionals.rows))
     if rank < m:
         raise AssertionError("quasilattice rank below quotient dimension")
     return QuasiLattice(quotient_dim=m, generators=generators, rank=rank)

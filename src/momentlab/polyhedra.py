@@ -22,29 +22,28 @@ description: containment, one rank of the given equalities, and P's facet
 rows found among the given rows, both reduced as the dual pass reduces.
 Where two sides differ in domain, rows over Z are lifted into the other's
 (scalars._common); rows are positive multiples, so every sign is kept.
-The contact cone and its level-one slice are read off representations with
-no double description.  homogenize of a P without lines takes P's own facet
-and equality rows, with a 0 appended, as the cone's, already canonical, and
-P's homogenized vertices and rays, with a 0 appended, as its rays;
-slice_at_level of a pointed cone at a positive level, with no ray below
-level 0, converts the level into the cone's domain once, divides the rays
-that cross the level into vertices and moves the level into the rows'
-offset column, rows canonicalized by the helper the dual pass uses
-(_canonical_hrep).  A P with lines, and every other slice, runs
-intersect_halfspaces on P's own rows, with t >= 0 or with the level
-substituted, in one dimension less with no projection pass.  P's facts
-are read off its domain rows too: its affine span is its first vertex and
-the kernel of its equality normals, eliminated in P's domain and divided
-back once, computed on first read and kept on P; the rationality of its
-normal fan reads the integer coefficient rows of its equality and facet
-normals (lattice.rational_fan), with no scalar built.  Sizes are capped at
-desk scale, where the double description method is entirely adequate.
+The contact cone is read off P's representation with no double description:
+homogenize takes P's own facet and equality rows, with a 0 appended, as the
+cone's, already canonical, P's homogenized vertices and rays, with a 0
+appended, as its rays, and P's lines, so extended, as its lines.
+slice_at_level converts the level into P's domain once and moves it into the
+offset column of each of P's rows.  A pointed cone at a positive level, with
+no ray below level 0, divides the rays that cross the level into vertices
+and canonicalizes the moved rows by the helper the dual pass uses
+(_canonical_hrep); every other slice gives the moved rows to one double
+description in one dimension less (_build, the tail of
+intersect_halfspaces), with no projection pass.  P's facts are read off its
+domain rows too: its affine span is its first vertex and the kernel of its
+equality normals, eliminated in P's domain and divided back once, computed
+on first read and kept on P; the rationality of its normal fan reads the
+integer coefficient rows of its equality and facet normals
+(lattice.rational_fan), with no scalar built.  Sizes are capped at desk
+scale, where the double description method is entirely adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -61,7 +60,6 @@ from .scalars import (
     _common,
     _domain,
     _eliminate,
-    parse_scalar,
 )
 
 MAX_DIM = 7
@@ -380,16 +378,20 @@ def intersect_halfspaces(
     Redundant constraints are removed by converting to generators and back;
     emptiness is detected exactly.
     """
-    hs = [(linalg.as_vector(basis, n), _as_scalar(basis, b)) for n, b in halfspaces]
-    eqs = [(linalg.as_vector(basis, n), _as_scalar(basis, b)) for n, b in equalities]
-    for n, _ in hs + eqs:
-        if len(n) != dim:
-            raise PolyhedronError("constraint normal has wrong dimension")
-    _check_scale(dim + 1, 2 * len(eqs) + len(hs) + 1)
-    eq_rows = [n + (-b,) for n, b in eqs]
-    hs_rows = [n + (-b,) for n, b in hs]
-    D = _domain(basis, eq_rows + hs_rows)
-    rays, lines = _primal(D, dim, list(map(D.conv, eq_rows)), list(map(D.conv, hs_rows)))
+    hs, eqs = ([linalg.as_vector(basis, n) + (-_as_scalar(basis, b),) for n, b in rows]
+               for rows in (halfspaces, equalities))
+    if any(len(a) != dim + 1 for a in hs + eqs):
+        raise PolyhedronError("constraint normal has wrong dimension")
+    D = _domain(basis, eqs + hs)
+    return _build(basis, D, dim, list(map(D.conv, eqs)), list(map(D.conv, hs)))
+
+
+def _build(basis: ConstantBasis, D: _Domain, dim: int, eq_rows: list, hs_rows: list) -> Polyhedron:
+    """The canonical polyhedron {x : <a, (x, 1)> = 0 for a in eq_rows, >= 0
+    for a in hs_rows}, rows in D: the primal pass, then, unless it finds no
+    vertex, the dual pass on its generators."""
+    _check_scale(dim + 1, 2 * len(eq_rows) + len(hs_rows) + 1)
+    rays, lines = _primal(D, dim, eq_rows, hs_rows)
     vertices = tuple(g for g in rays if D.nonzero(g[dim]))  # t > 0, the first row
     if not vertices:
         return _empty(basis, dim)
@@ -399,11 +401,8 @@ def intersect_halfspaces(
 
 
 def _as_scalar(basis: ConstantBasis, value) -> ExtScalar:
-    if isinstance(value, ExtScalar):
-        return value
-    if isinstance(value, str):
-        return parse_scalar(value, basis)
-    return basis.from_rational(Fraction(value))
+    """An offset or a level, read as linalg.as_vector reads an entry."""
+    return linalg.as_vector(basis, (value,))[0]
 
 
 # -- public operations -----------------------------------------------------------
@@ -436,37 +435,30 @@ def is_rational_polyhedral(P: Polyhedron) -> bool:
 
 
 def homogenize(P: Polyhedron) -> Polyhedron:
-    """Cone over P: the closure of {(t v, t) : v in P, t >= 0}.
-
-    For P without lines the cone is read off P's own representation, with
-    no double description (Ziegler, Lectures on Polytopes, 1995, Lecture 2;
-    the cone Lerman builds contact toric manifolds on, 2003).  Each facet
-    and equality row a = (n, -o) of P gives the cone's row (a, 0).  The
-    cone's equalities keep P's pivots, so these rows are already reduced and
-    canonical.  t >= 0 is one more facet iff rec(P) is as large as P, for a
-    polytope iff P is a point.  The apex is the only vertex, and each of P's
-    homogenized vertices and rays g gives the ray (g, 0).  A P with lines
-    takes intersect_halfspaces on those rows and t >= 0.
+    """Cone over P: the closure of {(t v, t) : v in P, t >= 0}, read off P's
+    own representation with no double description (Ziegler, Lectures on
+    Polytopes, 1995, Lecture 2; the cone Lerman builds contact toric
+    manifolds on, 2003).  Each facet and equality row a = (n, -o) of P gives
+    the cone's row (a, 0).  The cone's equalities keep P's pivots, so these
+    rows are already reduced and canonical.  t >= 0 is one more facet iff
+    rec(P) is as large as P, for a polytope iff P is a point.  The apex is
+    the only vertex, each of P's homogenized vertices and rays g gives the
+    ray (g, 0), and each line l the line (l, 0).
     """
     if P.is_empty:
         raise EmptyPolyhedronError("cannot homogenize an empty polyhedron")
     basis, dim, D = P.scalar_basis, P.dim, P._D
-    if P._lines:
-        zero = basis.zero()
-        t = linalg.unit(basis, dim + 1, dim)
-        return intersect_halfspaces(
-            basis, dim + 1, [(n, zero) for n in _rows(P.halfspaces) + [t]],
-            [(n, zero) for n in _rows(P.equalities)])
-    # the limits the double description route checks: its constraints, then
-    # its homogenized generators, the apex and one per ray
+    # the limits a double description of the cone checks: its constraints,
+    # then its homogenized generators, the apex, one per ray, two per line
     _check_scale(dim + 2, 2 * len(P._eqs) + len(P._facets) + 2)
-    _check_scale(dim + 2, 1 + len(P._vertices) + len(P._rays))
+    _check_scale(dim + 2, 1 + len(P._vertices) + len(P._rays) + 2 * len(P._lines))
     up = lambda v: v + (D.zero,)
     facets = tuple(map(up, P._facets))
-    if len(_eliminate(D, [r[:dim] for r in P._rays])[1]) == dim - len(P._eqs):
+    if len(_eliminate(D, [r[:dim] for r in P._rays + P._lines])[1]) == dim - len(P._eqs):
         facets += (D.unit(dim + 2, dim),)
     return Polyhedron(basis, dim + 1, D, tuple(map(up, P._eqs)), facets,
-                      (D.unit(dim + 2, dim + 1),), tuple(map(up, P._vertices + P._rays)), ())
+                      (D.unit(dim + 2, dim + 1),), tuple(map(up, P._vertices + P._rays)),
+                      tuple(map(up, P._lines)))
 
 
 def _check_coordinates(P: Polyhedron, coords: Sequence[int]) -> None:
@@ -480,63 +472,49 @@ def _check_coordinates(P: Polyhedron, coords: Sequence[int]) -> None:
 def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
     """Intersect with {x_coord = level} and drop that coordinate: the y with
     (y, level inserted at coord) in P.  An empty P keeps no rows, and slices
-    empty.  A pointed cone (its one vertex the origin, no lines) with no ray
-    below level 0, sliced at a positive level, is read off its
-    representations (_cone_slice).  Any other P is its own rows with x_coord
-    = level substituted, so one intersect_halfspaces in dimension dim - 1
-    gives the canonical polyhedron."""
+    empty.  The level is converted into P's domain once, as lv / mult with
+    mult > 0 (an irrational level over a rational P lifts P's rows into its
+    domain), and moved into each of P's rows: a column move, with (n, -o)
+    becoming (mult * (n without n_coord), -mult * o + lv * n_coord).
+
+    A pointed cone (its one vertex the origin, no lines) with no ray below
+    level 0, sliced at a positive level, is read off its representations.
+    The plane meets its relative interior, so the slice's faces are those of
+    the cone that meet it.  Its vertices are level * g / g[coord] for the
+    rays g with g[coord] > 0 (none: the slice is empty), its rays are the
+    rays with g[coord] = 0, and its moved rows are canonicalized as _dual's;
+    the facet x_coord >= 0, whose normal part vanishes there, drops out.
+    Any other P gives the moved rows to one double description in dimension
+    dim - 1 (_build)."""
     _check_coordinates(P, [coord])
-    basis, D = P.scalar_basis, P._D
+    basis, dim = P.scalar_basis, P.dim - 1
     if P.is_empty:
-        return _empty(basis, P.dim - 1)
+        return _empty(basis, dim)
     level = _as_scalar(basis, level)
-    if (level.sign() > 0 and not P._lines and len(P._vertices) == 1
-            and not any(map(D.nonzero, P._vertices[0][:P.dim]))
-            and all(D.sign(r[coord]) >= 0 for r in P._rays)):
-        return _cone_slice(P, coord, level)
-
-    def substituted(rows):
-        return [(h.normal[:coord] + h.normal[coord + 1:], h.offset - h.normal[coord] * level)
-                for h in rows]
-
-    return intersect_halfspaces(
-        basis, P.dim - 1, substituted(P.halfspaces), substituted(P.equalities))
+    D, lift, _ = _common(P._D, _domain(basis, [(level,)]))
+    (lv,), mult = D.scaled((level,))
+    moved = lambda rows: [_substituted(D, lift(a), coord, mult, lv) for a in rows]
+    if (D.sign(lv) > 0 and not P._lines and len(P._vertices) == 1
+            and not any(map(P._D.nonzero, P._vertices[0][:P.dim]))
+            and all(P._D.sign(r[coord]) >= 0 for r in P._rays)):
+        rays = [lift(g) for g in P._rays]
+        vertices = tuple(_substituted(D, g, coord, lv, mult) for g in rays if D.nonzero(g[coord]))
+        if not vertices:
+            return _empty(basis, dim)
+        eqs, facets = _canonical_hrep(D, dim, moved(P._eqs), moved(P._facets))
+        slice_rays = tuple(g[:coord] + g[coord + 1:] for g in rays if not D.nonzero(g[coord]))
+        return Polyhedron(basis, dim, D, eqs, facets, vertices, slice_rays, ())
+    return _build(basis, D, dim, moved(P._eqs), moved(P._facets))
 
 
 def _substituted(D: _Domain, v, coord: int, x, y):
     """x * v without entry coord, plus y * v[coord] in the last entry, in D,
-    for x, y > 0.  For a row (n, -o) that is a positive multiple of the row
-    with x_coord = y / x substituted; for a ray (g, 0) with g[coord] > 0, of
-    the point x * g / (y * g[coord]) homogenized, g[coord] dropped."""
+    for x > 0.  For a row (n, -o) that is a positive multiple of the row
+    with x_coord = y / x substituted; for a ray (g, 0) with g[coord] > 0 and
+    y > 0, of the point x * g / (y * g[coord]) homogenized, g[coord]
+    dropped."""
     rest = v[:coord] + v[coord + 1:]
     return D.comb(x, rest, D.neg((y,))[0], (D.zero,) * (len(rest) - 1) + (v[coord],))
-
-
-def _cone_slice(C: Polyhedron, coord: int, level: ExtScalar) -> Polyhedron:
-    """slice_at_level of a pointed cone C at level > 0, every ray g with
-    g[coord] >= 0, with no double description.
-
-    The plane meets C's relative interior, so the slice's faces are those of
-    C that meet it.  Its vertices are level * g / g[coord] for the rays with
-    g[coord] > 0 (none: the slice is empty), and its rays are the rays with
-    g[coord] = 0.  Its rows are C's rows, whose offsets are zero, with the
-    level substituted: a column move, with (n, 0) becoming (n without
-    n_coord, level * n_coord).  They are canonicalized as _dual's; the facet
-    x_coord >= 0, whose normal part vanishes there, drops out.  The level is
-    converted into C's domain once, as lv / mult with mult > 0; an
-    irrational level over a rational C lifts C's rows into its domain.
-    """
-    basis, dim = C.scalar_basis, C.dim - 1
-    D, lift, _ = _common(C._D, _domain(basis, [(level,)]))
-    (lv,), mult = D.scaled((level,))
-    rays = [lift(g) for g in C._rays]
-    vertices = tuple(_substituted(D, g, coord, lv, mult) for g in rays if D.nonzero(g[coord]))
-    if not vertices:
-        return _empty(basis, dim)
-    moved = lambda rows: [_substituted(D, lift(a), coord, mult, lv) for a in rows]
-    eqs, facets = _canonical_hrep(D, dim, moved(C._eqs), moved(C._facets))
-    slice_rays = tuple(g[:coord] + g[coord + 1:] for g in rays if not D.nonzero(g[coord]))
-    return Polyhedron(basis, dim, D, eqs, facets, vertices, slice_rays, ())
 
 
 def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
@@ -557,10 +535,6 @@ def _inside(P: Polyhedron, Q: Polyhedron) -> bool:
     eqs, facets, _, _ = _parts(Q, lift_q)
     _, _, points, flats = _parts(P, lift_p)
     return _rows_hold(D, eqs, facets, points, flats)
-
-
-def _rows(halfspaces: Sequence[HalfSpace]) -> list:
-    return [tuple(h.normal) + (-h.offset,) for h in halfspaces]
 
 
 def _rows_hold(D: _Domain, eqs: list, hss: list, points: list, flats: list) -> bool:

@@ -32,6 +32,12 @@ _MAX_BLOCK = 1 << 20
 # reference point and takes its lower bound from the _TOP largest bounds
 _COARSE_STRIDE = 16
 _TOP = 32
+# distance_to_image's polyline for curves with no exact projection, in points
+_N_DENSE = 20000
+# chord midpoints convexity_defect draws per cloud
+_N_PAIRS = 50000
+# query points _min_sq_dist_chunked compares at once
+_CHUNK = 512
 
 # Finite curve parameters can still overflow double precision.  The functions
 # below return inf or nan then, without a numpy warning; callers check the
@@ -278,7 +284,7 @@ def moment_of_lift(x: np.ndarray) -> np.ndarray:
 
 
 @_overflow_quiet
-def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
+def distance_to_image(spec: CurveSpec) -> Callable:
     """Distance function to (curve intersect orthant): exact projection for
     affine pieces and circles (with a dense fallback near the arc ends),
     dense polyline for the other kinds."""
@@ -297,7 +303,7 @@ def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
             return np.linalg.norm(pts - proj, axis=1)
 
         return dist_affine
-    dense_t = np.linspace(*_param_domain(spec), n_dense)
+    dense_t = np.linspace(*_param_domain(spec), _N_DENSE)
     dense = evaluate(spec, dense_t)
     dense = dense[np.all(dense >= 0.0, axis=1)]
     if len(dense) == 0:
@@ -352,7 +358,7 @@ def distance_to_image(spec: CurveSpec, n_dense: int = 20000) -> Callable:
 
 
 @_overflow_quiet
-def _min_sq_dist_chunked(pts: np.ndarray, ref: np.ndarray, chunk: int = 512) -> np.ndarray:
+def _min_sq_dist_chunked(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Squared distance from each point to its nearest reference point.
 
     The squared coordinate differences are added one coordinate at a time,
@@ -362,8 +368,8 @@ def _min_sq_dist_chunked(pts: np.ndarray, ref: np.ndarray, chunk: int = 512) -> 
     three-dimensional temporary."""
     out = np.empty(len(pts))
     cols = [np.ascontiguousarray(ref[:, k]) for k in range(ref.shape[1])]
-    for i in range(0, len(pts), chunk):
-        block = pts[i : i + chunk]
+    for i in range(0, len(pts), _CHUNK):
+        block = pts[i : i + _CHUNK]
         d2 = None
         for k, col in enumerate(cols):
             d = block[:, k, None] - col
@@ -372,7 +378,7 @@ def _min_sq_dist_chunked(pts: np.ndarray, ref: np.ndarray, chunk: int = 512) -> 
                 d2 = d
             else:
                 d2 += d
-        out[i : i + chunk] = d2.min(axis=1)
+        out[i : i + _CHUNK] = d2.min(axis=1)
     return out
 
 
@@ -381,21 +387,16 @@ def _min_dist_chunked(pts: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 @_overflow_quiet
-def convexity_defect(
-    cloud: PointCloud,
-    membership: Callable,
-    n_pairs: int = 50000,
-    seed: int | None = None,
-) -> float:
+def convexity_defect(cloud: PointCloud, membership: Callable) -> float:
     """Largest distance from a sampled chord midpoint to the image set; zero
     in the limit exactly for convex images."""
     if cloud.count == 0:
         raise SamplerError("empty cloud")
     if cloud.count == 1:
         return 0.0
-    rng = np.random.default_rng(cloud.seed if seed is None else seed)
-    i = rng.integers(0, cloud.count, n_pairs)
-    j = rng.integers(0, cloud.count, n_pairs)
+    rng = np.random.default_rng(cloud.seed)
+    i = rng.integers(0, cloud.count, _N_PAIRS)
+    j = rng.integers(0, cloud.count, _N_PAIRS)
     # take gathers whole rows faster than fancy indexing, with the same values
     mid = 0.5 * (cloud.points.take(i, axis=0) + cloud.points.take(j, axis=0))
     return float(np.max(membership(mid)))

@@ -404,21 +404,13 @@ def _surd_sign(a, b, q) -> int:
 
 
 def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
-    """Solve x*den = num over the rational span, if the products allow it.
-
-    Over a quadratic surd c with c*c = q this is the conjugate formula
-    (a + b*c) / (e + f*c) = (a + b*c)(e - f*c) / (e^2 - f^2*q); any other
-    basis solves the rational system whose columns are constant[t] * den,
-    over the constants t for which that product is declared: a solution
-    using any other constant would make x*den undefined.
+    """Solve x*den = num over the rational span, if the products allow it:
+    the rational system whose columns are constant[t] * den, over the
+    constants t for which that product is declared; a solution using any
+    other constant would make x*den undefined.
     """
     basis = num.basis
     size = basis.size
-    q = basis.surd_square()
-    if q is not None:
-        (a, b), (e, f) = num.coeffs, den.coeffs
-        norm = e * e - f * f * q  # nonzero: q is not a rational square
-        return ExtScalar(basis, ((a * e - b * f * q) / norm, (b * e - a * f) / norm))
     used, columns = [], []
     for t, name in enumerate(basis.names):
         try:

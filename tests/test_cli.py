@@ -290,11 +290,11 @@ def test_exact_float_scalar_field_runs(tmp_path):
 
 def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
     """An internal fault exits 3, not 2 like malformed input: here the
-    quasifold section's rational elimination finds no pivots, so its
-    lattice rank falls below the quotient dimension."""
+    quasifold section's rational rank comes out 0, so its lattice rank
+    falls below the quotient dimension."""
     from momentlab import lattice
 
-    monkeypatch.setattr(lattice, "_eliminate_rational", lambda rows: ([], [], 1))
+    monkeypatch.setattr(lattice, "rational_rank", lambda D, rows: 0)
     assert run_scenario(SCENARIOS / "segment.json", out_dir=tmp_path / "out") == 3
     assert ("internal error: AssertionError: quasilattice rank below quotient dimension"
             in capsys.readouterr().err)
@@ -599,6 +599,39 @@ def test_repeated_analysis_exits_2(tmp_path, capsys):
     assert validate_scenario(path) == 2
     assert run_scenario(path, out_dir=tmp_path / "out") == 2
     assert "field 'analyses': lists an analysis more than once" in capsys.readouterr().err
+
+
+def test_family_of_mixed_ambient_dimensions_exits_2(tmp_path, capsys):
+    """An affine piece in R^2 next to one in R^3 used to validate and then
+    exit 3 in the deformation scan, when numpy failed to broadcast."""
+    raw = json.loads((SCENARIOS / "deformation.json").read_text())
+    raw["family"] = [
+        {"kind": "affine", "basepoint": [1.0, 0.0], "direction": [-1.0, 1.0]},
+        {"kind": "affine", "basepoint": [1.0, 0.0, 0.0], "direction": [-1.0, 1.0, 0.0]},
+    ]
+    raw["samples"] = 100
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "field 'family': family[1] lies in R^3, family[0] in R^2" in err
+    assert "internal error" not in err
+
+
+def test_point_off_the_slice_exits_2(tmp_path, capsys):
+    """A point whose moment value misses the slice's plane used to validate,
+    and the run then failed without naming the field."""
+    raw = segment_raw()
+    raw["lambda"] = ["1", "1"]
+    raw["points"] = [[1, 1]]
+    raw["analyses"] = ["slice-report"]
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("field 'points': point 0: point does not lie on the slice") == 2
+    raw["points"] = [[2, 0]]  # mu = (2, 0): on the plane mu_0 + mu_1 = 1 + 1
+    assert validate_scenario(write(tmp_path, raw)) == 0
 
 
 def test_unused_constant_leaves_the_quasifold_report_alone(tmp_path):

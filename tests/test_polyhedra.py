@@ -21,6 +21,7 @@ from momentlab.presymlin import Subspace
 from momentlab.scalars import (
     BasisMismatchError,
     ConstantBasis,
+    ScalarError,
     _domain,
     _eliminate,
     _eliminate_rational,
@@ -538,6 +539,32 @@ def test_cut_out_by_examples(rat_basis, sqrt2_basis):
         polyhedra.cut_out_by(empty, [([1], 1), ([-1], 0)])
 
 
+@pytest.mark.parametrize("value", [0.1, True, float("nan")], ids=["0.1", "True", "nan"])
+def test_offsets_and_levels_parse_as_normals_do(rat_basis, value):
+    """An offset or a level is read as an entry of a normal is: a float that
+    is no small exact rational, a boolean and a nan each raise ScalarError.
+    Offsets used to go through Fraction(value), which took 0.1 as
+    3602879701896397/36028797018963968, True as 1, and raised a bare
+    ValueError on nan."""
+    with pytest.raises(ScalarError):
+        linalg.as_vector(rat_basis, [value])
+    with pytest.raises(ScalarError):
+        intersect_halfspaces(rat_basis, 1, [([1], value), ([-1], -1)])
+    with pytest.raises(ScalarError):
+        intersect_halfspaces(rat_basis, 1, [([1], 0)], [([1], value)])
+    P = intersect_halfspaces(rat_basis, 1, [([1], 0), ([-1], -1)])
+    with pytest.raises(ScalarError):
+        polyhedra.cut_out_by(P, [([1], value), ([-1], -1)])
+    with pytest.raises(ScalarError):
+        polyhedra.cut_out_by(P, [([1], 0), ([-1], -1)], [([1], value)])
+    square = intersect_halfspaces(rat_basis, 2, [([1, 0], 0), ([0, 1], 0), ([-1, 0], -1),
+                                                 ([0, -1], -1)])
+    cone = homogenize(square)
+    for Q in (square, cone):
+        with pytest.raises(ScalarError):
+            slice_at_level(Q, Q.dim - 1, value)
+
+
 @pytest.mark.parametrize("empty", [True, False])
 def test_contains_validates_the_point_first(sqrt2_basis, empty):
     # an empty polyhedron rejects a malformed point as a nonempty one does
@@ -761,7 +788,7 @@ def cone_chain_cases(basis, rng, n):
 def test_homogenize_matches_double_description_reference(name, request):
     """The cone read off P's representations is the one the two double
     description passes give, the t >= 0 facet included exactly when rec(P)
-    is as large as P; a P with lines takes that route itself."""
+    is as large as P, for P with lines too."""
     basis = request.getfixturevalue(name)
     rng = random.Random(21 + len(name))
     seen = Counter()
@@ -784,9 +811,10 @@ def test_homogenize_matches_double_description_reference(name, request):
 def test_cone_slice_matches_substitution_reference(name, request):
     """Every slice of a cone over P, on every coordinate, at level 1, at a
     non-unit rational level, at sqrt2 where the basis has it, and at level 0
-    and -1, where slice_at_level substitutes as the reference does: the same
-    canonical polyhedron.  Levels 0 and -1 and coordinates where a ray
-    descends below 0 take the substitution route."""
+    and -1: the same canonical polyhedron as the reference's substitution
+    into scalar rows.  Levels 0 and -1, coordinates where a ray descends
+    below 0 and cones with lines take the double description of the rows
+    moved in the domain."""
     basis = request.getfixturevalue(name)
     rng = random.Random(37 + len(name))
     levels = [1, "3/2", 0, -1] + (["sqrt2"] if "sqrt2" in basis.names else [])
@@ -1043,6 +1071,26 @@ def test_comparisons_build_no_scalar_representation(field, monkeypatch, rat_basi
         assert made["scalars"] == 0
         assert not any(f in vars(Q) for Q in (L, cone, back) for f in SCALAR_FIELDS)
         assert {f for f in SCALAR_FIELDS if f in vars(P)} == built
+
+
+def test_cone_and_slices_off_the_read_off_route_build_no_scalar_representation(
+        rat_basis, sqrt2_basis):
+    """homogenize of a P with lines, and slices at levels 0 and -1 of P and
+    of its cone, work on P's domain rows alone: no public field is built on
+    the polyhedron they take."""
+    for basis in (rat_basis, sqrt2_basis):
+        normal = [1, "sqrt2" if basis.size > 1 else 2, 0]
+        P = intersect_halfspaces(basis, 3, [(normal, 0), ([-1, 0, 0], -1), ([0, 1, 0], 0)])
+        cone = homogenize(P)
+        slices = [slice_at_level(Q, coord, level)
+                  for Q in (P, cone) for coord in (0, 2) for level in (0, -1)]
+        assert not any(f in vars(Q) for Q in (P, cone) for f in SCALAR_FIELDS)
+        assert P.vrep.lines and cone.vrep.lines
+        assert cone == homogenize_by_dd(P)
+        for Q in (P, cone):
+            for coord in (0, 2):
+                for level in (0, -1):
+                    assert slices.pop(0) == slice_by_substitution(Q, coord, level)
 
 
 # -- affine span and rationality on domain rows, against the scalar routes ----------
