@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .linalg import Vector
 from .presymlin import Subspace
-from .scalars import _Z, _Domain, _domain, _eliminate
+from .scalars import _Z, _Domain, _eliminate
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ def rational_fan(D: _Domain, normals: list, facet_normals: list) -> bool:
 
 
 def is_rational_subspace(n: Subspace) -> bool:
-    D = _domain(n.scalar_basis, n.rows)
-    return rational_rank(D, map(D.conv, n.rows)) == n.dim
+    """Read off the subspace's canonical rows in their number domain."""
+    return rational_rank(n._D, n._rows) == n.dim
 
 
 def quasilattice(n: Subspace) -> QuasiLattice:
@@ -80,8 +80,7 @@ def quasilattice(n: Subspace) -> QuasiLattice:
     generators = tuple(
         tuple(row[j] for row in functionals.rows) for j in range(n.ambient_dim)
     )
-    D = _domain(n.scalar_basis, functionals.rows)
-    rank = rational_rank(D, map(D.conv, functionals.rows))
+    rank = rational_rank(functionals._D, functionals._rows)
     if rank < m:
         raise AssertionError("quasilattice rank below quotient dimension")
     return QuasiLattice(quotient_dim=m, generators=generators, rank=rank)

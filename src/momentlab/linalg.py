@@ -1,15 +1,17 @@
 """Exact vector and matrix helpers over the extended scalar domain.
 
-Row reduction and matrix-vector products run in the one number domain that
-scalars._domain picks for their operands: Z, Z[sqrt q] or the scalars
-themselves.  Every reduction is scalars._eliminate in that domain,
-fraction-free; on the scalars it divides by pivots, so matrices with
-irrational entries are reducible exactly when the constant basis declares
-the needed products.  Products clear denominators with one multiplier for
-the matrix and one per vector, and divide each image back once.  Solves and
-basis extensions are each one reduction, kernels two in one domain; ranks
-(and so Subspace.contains) and basis extensions read only the pivot
-columns, so their rows are never divided back into scalars.
+Matrices live as blocks of rows in one number domain (scalars._Domain): Z,
+Z[sqrt q] or the scalars themselves, which scalars._domain picks once, when
+scalars come in.  Each kept row is a positive multiple of its scalar row.
+The block routines (_rref, _kernel, _pivots, _mat_vecs) take such rows and
+return such rows; Subspace and PresympForm keep theirs between calls.  Every
+reduction is scalars._eliminate, fraction-free in the domain; on the scalars
+it divides by pivots, so matrices with irrational entries are reducible
+exactly when the constant basis declares the needed products.  A reduced
+basis is kept canonical, each row by its representative up to scaling
+(D.prim), so its scalar row is the row divided by its pivot entry.  The
+public functions below convert scalar input once and divide canonical rows
+back into scalars once, at the end.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .scalars import (
     _Domain,
     _domain,
     _eliminate,
+    _scaled,
     parse_scalar,
 )
 
@@ -92,7 +95,7 @@ def mat_vecs(m: Sequence[Vector], vectors: Sequence[Vector], basis: ConstantBasi
     """The products m v for each of the vectors.
 
     They run in the number domain scalars._domain picks for the matrix and
-    the vectors together.  The matrix is converted once with one multiplier
+    the vectors together.  The matrix is converted with one multiplier
     common to all its entries (one per row would rescale the entries of m v
     against each other), each vector with its own, and each image is divided
     back by the product of the two.
@@ -103,13 +106,11 @@ def mat_vecs(m: Sequence[Vector], vectors: Sequence[Vector], basis: ConstantBasi
     if any(len(x) != ncols for x in (*m, *vectors)):
         raise ScalarError("dimension mismatch in matrix-vector product")
     D = _domain(basis, [*m, *vectors])
-    flat, mm = D.scaled([e for row in m for e in row])
-    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(len(m))]
+    rows, mm = _matrix(D, basis, m, ncols)
     out = []
     for v in vectors:
-        w, mv = D.scaled(v)
-        # dot of 1-vectors: the product of the two multipliers in the domain
-        out.append(D.div([D.dot(row, w) for row in rows], D.dot((mm,), (mv,))))
+        w, mv = _scaled(D, basis, v)
+        out.append(D.div(tuple(D.dot(row, w) for row in rows), _times(D, mm, (mv,))[0]))
     return out
 
 
@@ -118,52 +119,84 @@ def format_matrix(rows: Iterable[Vector]) -> str:
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form with pivots normalized to 1.
-
-    Returns the nonzero rows and their pivot columns.  The rows are
-    eliminated fraction-free in the number domain scalars._domain picks for
-    them, and divided by the last pivot once, at the end.
-    """
+    """Reduced row-echelon form with pivots normalized to 1: the nonzero
+    rows and their pivot columns, from one reduction in the number domain
+    scalars._domain picks for the rows."""
     if not rows or not rows[0]:
         return [], []
-    D = _domain(rows[0][0].basis, rows)
-    reduced, pivots, last = _eliminate(D, list(map(D.conv, rows)))
-    return [D.div(row, last) for row in reduced], pivots
+    reduced, pivots, D = _rref(*_block(rows[0][0].basis, rows))
+    return _scalar_rows(D, reduced, pivots), pivots
 
 
-def _pivots(rows: Sequence[Vector]) -> list[int]:
-    """The pivot columns of rref(rows), from the elimination alone: no row is
-    divided back into scalars."""
-    if not rows or not rows[0]:
-        return []
-    D = _domain(rows[0][0].basis, rows)
-    return _eliminate(D, list(map(D.conv, rows)))[1]
+def _scalar_pivots(rows: Sequence[Vector]) -> list[int]:
+    """The pivot columns of rref(rows), with no row divided back."""
+    return _pivots(*_block(rows[0][0].basis, rows)) if rows and rows[0] else []
 
 
 def rank(rows: Sequence[Vector]) -> int:
-    return len(_pivots(rows))
+    return len(_scalar_pivots(rows))
 
 
 def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> tuple[Matrix, list[int]]:
     """The canonical basis of {v : A v = 0}, as rref would give it, and its
-    pivots, in one domain: the reduced rows carry the last pivot L in their
-    pivot columns, so sum_i row_i[f] e_(p_i) - L e_f is a kernel vector for
-    each free column f, with no division.  Those are reduced in turn and
-    divided back once."""
+    pivots (_kernel)."""
+    null, pivots, D = _kernel(*_block(basis, rows), ncols)
+    return _scalar_rows(D, null, pivots), pivots
+
+
+# -- blocks: rows in a number domain -----------------------------------------------
+
+
+def _block(basis: ConstantBasis, rows: Sequence[Vector]) -> tuple[_Domain, list]:
+    """The domain scalars._domain picks for the rows, and each row in it."""
     D = _domain(basis, rows)
-    null, pivots, last = _kernel(D, list(map(D.conv, rows)), ncols)
-    return [D.div(row, last) for row in null], pivots
+    return D, list(map(D.conv, rows))
 
 
-def _kernel(D: _Domain, rows: list, ncols: int) -> tuple[list, list[int], object]:
-    """kernel on rows of the domain D, which are consumed: the kernel rows
-    eliminated in D, their pivots and the last pivot, which each row carries
-    in its pivot column."""
+def _matrix(D: _Domain, basis: ConstantBasis, rows: Sequence[Vector], ncols: int):
+    """A scalar matrix's rows in D, with one positive multiplier for all
+    entries, and that multiplier."""
+    flat, mult = _scaled(D, basis, [e for row in rows for e in row])
+    return [tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(len(rows))], mult
+
+
+def _times(D: _Domain, x, v) -> tuple:
+    """x * v in D: the Bareiss update with nothing subtracted, divisor one."""
+    return tuple(D.step(v, v, x, D.zero, D.one))
+
+
+def _scalar_rows(D: _Domain, rows, pivots: Sequence[int]) -> Matrix:
+    """Canonical rows of D as scalars: each divided by its pivot entry."""
+    return [D.div(row, row[p]) for row, p in zip(rows, pivots)]
+
+
+def _rref(D: _Domain, rows: list) -> tuple[list, list[int], _Domain]:
+    """The canonical rows (D.prim) spanning the rows of D, which are
+    consumed, their pivots and D."""
+    reduced, pivots, _ = _eliminate(D, rows)
+    return list(map(D.prim, reduced)), pivots, D
+
+
+def _pivots(D: _Domain, rows: list) -> list[int]:
+    return _eliminate(D, rows)[1]
+
+
+def _kernel(D: _Domain, rows: list, ncols: int) -> tuple[list, list[int], _Domain]:
+    """The canonical basis of {v : A v = 0} for the rows of A in D (consumed),
+    as _rref gives it.  The reduced rows carry the last pivot L in their
+    pivot columns, so sum_i row_i[f] e_(p_i) - L e_f is a kernel vector for
+    each free column f, with no division; those are reduced in turn."""
     reduced, pivots, last = _eliminate(D, rows)
     pivot_rows, (minus_last,) = dict(zip(pivots, reduced)), D.neg((last,))
     null = [[pivot_rows[c][f] if c in pivot_rows else minus_last if c == f else D.zero
              for c in range(ncols)] for f in range(ncols) if f not in pivot_rows]
-    return _eliminate(D, null)
+    return _rref(D, null)
+
+
+def _mat_vecs(D: _Domain, m, vectors) -> list[tuple]:
+    """The products m v in D: positive multiples of the scalar products when
+    m has one multiplier for all entries."""
+    return [tuple(D.dot(row, v) for row in m) for v in vectors]
 
 
 def solve(columns: Sequence[Vector], targets: Sequence[Vector], basis: ConstantBasis):
@@ -199,4 +232,4 @@ def extend_basis(rows: Sequence[Vector], candidates: Sequence[Vector]) -> list[V
     len(rows), when [rows | candidates] (as columns) is reduced.
     """
     k = len(rows)
-    return [candidates[p - k] for p in _pivots(list(zip(*rows, *candidates))) if p >= k]
+    return [candidates[p - k] for p in _scalar_pivots(list(zip(*rows, *candidates))) if p >= k]

@@ -27,6 +27,7 @@ from .scalars import (
     ExtScalar,
     ScalarError,
     _clear_denominators,
+    _common,
     _Domain,
     _domain,
     _eliminate,
@@ -167,17 +168,10 @@ def adapted_form(module: WeightedModule, point: ModelPoint) -> PresympForm:
     contributes a standard block scaled by |z_j|^2 = 2 mu_j on the support
     and by 1 off it; masked coordinates contribute zero blocks."""
     basis = module.scalar_basis
-    n = 2 * module.n_coords
-    zero = basis.zero()
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    for j in range(module.n_coords):
-        if j in module.masked:
-            continue
-        scale = point.mu[j].scale(2) if j in point.support else basis.one()
-        a, b = 2 * j, 2 * j + 1
-        rows[a][b] = -scale
-        rows[b][a] = scale
-    return PresympForm.from_rows(basis, rows)
+    return PresympForm._blocks(basis, [
+        None if j in module.masked else point.mu[j].scale(2) if j in point.support else basis.one()
+        for j in range(module.n_coords)
+    ])
 
 
 def orbit_tangent(module: WeightedModule, point: ModelPoint) -> Subspace:
@@ -261,6 +255,12 @@ def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
     return Subspace.kernel_of(basis, n, rows)
 
 
+def _at_point(model, point: ModelPoint) -> dict:
+    """The facts computed at the point, kept on the model instance, outside
+    its fields, as AffineSlice keeps its plane rows."""
+    return vars(model).setdefault("_at_points", {}).setdefault(point, {})
+
+
 def leaf_tangent(model, point: ModelPoint) -> Subspace:
     """Tangent space of the null foliation at the point, computed from the
     form: the kernel of the restriction of the form to the model's tangent
@@ -274,23 +274,17 @@ def leaf_stabilizer_algebra(model, point: ModelPoint) -> Subspace:
     """All xi whose induced tangent vector at the point is tangent to the
     null foliation, computed directly from the tangency condition."""
     module = model.module
-    basis = module.scalar_basis
-    foliation = leaf_tangent(model, point)
-    functionals = foliation.annihilator()
+    functionals = leaf_tangent(model, point).annihilator()
     # action vector of xi in the adapted frame: angular slot j carries
-    # <alpha_j, xi> on the support
-    rows = []
-    for phi in functionals.rows:
-        row = [basis.zero()] * module.torus_rank
-        for j in point.support:
-            c = phi[2 * j + 1]
-            if c.is_zero():
-                continue
-            for k, a in enumerate(module.weights[j]):
-                if a:
-                    row[k] = row[k] + c.scale(a)
-        rows.append(tuple(row))
-    return Subspace.kernel_of(basis, module.torus_rank, rows)
+    # <alpha_j, xi> on the support, so phi pairs with it as the row
+    # sum_j phi[2j + 1] alpha_j, read off phi's domain row
+    D = functionals._D
+    columns = [D.ints([module.weights[j][k] for j in point.support])
+               for k in range(module.torus_rank)]
+    rows = [[D.dot([phi[2 * j + 1] for j in point.support], col) for col in columns]
+            for phi in functionals._rows]
+    return Subspace(module.scalar_basis, module.torus_rank,
+                    *linalg._kernel(D, rows, module.torus_rank))
 
 
 @dataclass(frozen=True)
@@ -320,10 +314,11 @@ class AffineSlice:
     """Preimage of an affine subspace lambda + W under the standard moment
     map: a coisotropic model whose null ideal is the annihilator of W.
 
-    Its plane rows, its direction and ideal rows in their number domain,
-    moment polytope and support strata are computed on first read and kept
-    on the instance, outside the fields, so equality and hash see the four
-    fields alone."""
+    Its plane rows, its direction, ideal and plane rows in their number
+    domain, moment polytope, support strata and, per point, its tangent
+    space and tangent model are computed on first read and kept on the
+    instance, outside the fields, so equality and hash see the four fields
+    alone."""
 
     module: WeightedModule
     lam: Vector
@@ -342,9 +337,13 @@ class AffineSlice:
         return self.ideal
 
     def tangent(self, point: ModelPoint) -> Subspace:
-        """The slice's tangent space at a point checked to lie on it."""
-        _require_on_slice(self, point)
-        return tangent_space(self, point)
+        """The slice's tangent space at a point checked to lie on it, kept
+        per point."""
+        at = _at_point(self, point)
+        if "tangent" not in at:
+            _require_on_slice(self, point)
+            at["tangent"] = tangent_space(self, point)
+        return at["tangent"]
 
     def moment_polytope(self) -> Polyhedron:
         return self._polytope
@@ -356,30 +355,37 @@ class AffineSlice:
         return tuple(zip(ideal, linalg.mat_vecs(ideal, [self.lam], self.scalar_basis)[0]))
 
     @cached_property
-    def _domain_rows(self) -> tuple[_Domain, tuple, tuple]:
-        """The direction rows and the ideal rows converted once into one
-        number domain, each a positive multiple of its scalar row, so a
-        column subset has the rank of the scalar rows' columns."""
-        rows = self.direction.rows + self.ideal.rows
-        D = _domain(self.scalar_basis, rows)
-        conv = tuple(map(D.conv, rows))
-        return D, conv[:self.direction.dim], conv[self.direction.dim:]
+    def _domain_rows(self) -> tuple[_Domain, tuple, tuple, tuple]:
+        """The direction rows, the ideal rows and the plane's rows
+        (a, -<a, lambda>), one per ideal row a, in one number domain, each a
+        positive multiple of its scalar row, so a column subset has the rank
+        of the scalar rows' columns; only lambda is converted."""
+        W, N, d = self.direction, self.ideal, self.torus_rank
+        E = _domain(self.scalar_basis, [self.lam])
+        D = _common(_common(W._D, N._D)[0], E)[0]
+        into = lambda X: _common(D, X)[2]
+        # mu * (lambda, 1) for some mu > 0: mu * (a, 0) - <a, mu * lambda> e_d
+        lam = into(E)(E.conv((*self.lam, self.scalar_basis.one())))
+        ideal = tuple(map(into(N._D), N._rows))
+        plane = tuple(D.comb(lam[d], a + (D.zero,), D.one, (D.zero,) * d + (D.dot(a, lam[:d]),))
+                      for a in ideal)
+        return D, tuple(map(into(W._D), W._rows)), ideal, plane
 
     def direction_rank(self, columns: Sequence[int]) -> int:
         """The rank of the direction rows' entries at the columns."""
-        D, rows, _ = self._domain_rows
+        D, rows, _, _ = self._domain_rows
         return _column_rank(D, rows, columns)
 
     def ideal_rank(self, columns: Sequence[int]) -> int:
         """The rank of the ideal rows' entries at the columns."""
-        D, _, rows = self._domain_rows
+        D, _, rows, _ = self._domain_rows
         return _column_rank(D, rows, columns)
 
     @cached_property
     def _polytope(self) -> Polyhedron:
+        basis, d = self.scalar_basis, self.torus_rank
         return polyhedra.intersect_halfspaces(
-            self.scalar_basis, self.torus_rank, _orthant_rows(self), self.plane_rows
-        )
+            basis, d, [(linalg.unit(basis, d, j), 0) for j in range(d)], self.plane_rows)
 
     @cached_property
     def _strata(self) -> tuple["SupportStratum", ...]:
@@ -418,11 +424,6 @@ def _with_support_masks(D: _Domain, d: int, pairs) -> tuple[tuple, list[int]]:
     each one's support as a bitmask, read off the generator in D."""
     return (tuple(v for v, _ in pairs),
             [sum(1 << j for j in range(d) if D.nonzero(g[j])) for _, g in pairs])
-
-
-def _orthant_rows(slice_: AffineSlice) -> list:
-    basis, d = slice_.scalar_basis, slice_.torus_rank
-    return [(linalg.unit(basis, d, j), 0) for j in range(d)]
 
 
 def build_affine_slice(
@@ -565,8 +566,10 @@ def moment_image(slice_: AffineSlice) -> MomentImageReport:
         and slice_.direction.contains(linalg.vec_sub(base, slice_.lam))
     )
     # cut_out_by's precondition: build_affine_slice checked that the plane
-    # meets the open orthant
-    sympl_ok = polyhedra.cut_out_by(P, _orthant_rows(slice_), slice_.plane_rows)
+    # meets the open orthant; the rows x_j >= 0 are the units (e_j, 0)
+    D, _, _, plane = slice_._domain_rows
+    orthant = [D.unit(P.dim + 1, j) for j in range(P.dim)]
+    sympl_ok = polyhedra._cut_out(P, D, orthant, list(plane))
     rational = polyhedra.is_rational_polyhedral(P)
     closed = lattice.null_subgroup_closed(slice_)
     return MomentImageReport(
@@ -628,15 +631,19 @@ class SliceData:
 
 def _tangent_model(model, point: ModelPoint) -> tuple[PresympForm, Subspace]:
     """The form restricted to the model's tangent space T at the point, and
-    the orbit tangent in T's coordinates."""
-    module = model.module
-    T = model.tangent(point)
-    restricted = adapted_form(module, point).restrict(list(T.rows))
-    # the orbit lies in T, since dphi reads only radial slots and the orbit
-    # only angular ones, and T's rows are canonical: an orbit row's
-    # coordinates in T are its entries at T's pivots
-    orbit_in_T = [tuple(v[p] for p in T.pivots) for v in orbit_tangent(module, point).rows]
-    return restricted, Subspace.from_vectors(module.scalar_basis, T.dim, orbit_in_T)
+    the orbit tangent in T's coordinates, kept per point."""
+    at = _at_point(model, point)
+    if "model" not in at:
+        module = model.module
+        T = model.tangent(point)
+        restricted = adapted_form(module, point).restrict(T)
+        # the orbit lies in T, since dphi reads only radial slots and the
+        # orbit only angular ones, and T's rows are canonical: an orbit row's
+        # coordinates in T are its entries at T's pivots
+        orbit = orbit_tangent(module, point)
+        at["model"] = restricted, Subspace(module.scalar_basis, T.dim, *linalg._rref(
+            orbit._D, [[v[p] for p in T.pivots] for v in orbit._rows]))
+    return at["model"]
 
 
 def slices_at(model, point: ModelPoint) -> SliceData:
@@ -648,8 +655,8 @@ def slices_at(model, point: ModelPoint) -> SliceData:
     so its dimension is the rank of σ restricted to D."""
     restricted, F = _tangent_model(model, point)
     D = presymlin.sigma_orthogonal(restricted, F)
-    symplectic_dim = restricted.restricted_rank(D.rows)
-    null_dim = linalg.rank([*F.rows, *restricted.kernel().rows]) - F.dim
+    symplectic_dim = restricted.restricted_rank(D)
+    null_dim = F.add(restricted.kernel()).dim - F.dim
     return SliceData(
         symplectic_dim=symplectic_dim,
         symplectic_weights=_identify_line_weights(model.module, point, symplectic_dim),
@@ -688,4 +695,4 @@ def symplectization_slice_dim(model, point: ModelPoint) -> int:
     restricted, F = _tangent_model(model, point)
     big_form, big_F = presymlin.symplectization(restricted, F)
     D = presymlin.sigma_orthogonal(big_form, big_F)
-    return big_form.restricted_rank(D.rows)
+    return big_form.restricted_rank(D)

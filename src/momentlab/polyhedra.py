@@ -34,11 +34,11 @@ and canonicalizes the moved rows by the helper the dual pass uses
 description in one dimension less (_build, the tail of
 intersect_halfspaces), with no projection pass.  P's facts are read off its
 domain rows too: its affine span is its first vertex and the kernel of its
-equality normals, eliminated in P's domain and divided back once, computed
-on first read and kept on P; the rationality of its normal fan reads the
-integer coefficient rows of its equality and facet normals
-(lattice.rational_fan), with no scalar built.  Sizes are capped at desk
-scale, where the double description method is entirely adequate.
+equality normals, eliminated in P's domain and kept there as the
+direction's rows, computed on first read and kept on P; the rationality of
+its normal fan reads the integer coefficient rows of its equality and facet
+normals (lattice.rational_fan), with no scalar built.  Sizes are capped at
+desk scale, where the double description method is entirely adequate.
 """
 
 from __future__ import annotations
@@ -181,12 +181,11 @@ class Polyhedron:
     @cached_property
     def _affine_span(self) -> tuple[Vector, Subspace]:
         """The nonempty P's first vertex and the kernel of its equality
-        normals, eliminated in P's domain and divided back once, computed on
-        first read (affine_span is the entry point)."""
-        D, dim = self._D, self.dim
-        null, pivots, last = linalg._kernel(D, [a[:dim] for a in self._eqs], dim)
-        direction = Subspace(self.scalar_basis, dim, tuple(D.div(r, last) for r in null),
-                             tuple(pivots))
+        normals, eliminated and kept in P's domain, computed on first read
+        (affine_span is the entry point)."""
+        dim = self.dim
+        direction = Subspace(self.scalar_basis, dim,
+                             *linalg._kernel(self._D, [a[:dim] for a in self._eqs], dim))
         return self.vrep.vertices[0], direction
 
 
@@ -491,8 +490,10 @@ def slice_at_level(P: Polyhedron, coord: int, level) -> Polyhedron:
     if P.is_empty:
         return _empty(basis, dim)
     level = _as_scalar(basis, level)
-    D, lift, _ = _common(P._D, _domain(basis, [(level,)]))
-    (lv,), mult = D.scaled((level,))
+    E = _domain(basis, [(level,)])
+    D, lift, lift_level = _common(P._D, E)
+    # a positive multiple of (level, 1): lv over its multiplier is the level
+    lv, mult = lift_level(E.conv((level, basis.one())))
     moved = lambda rows: [_substituted(D, lift(a), coord, mult, lv) for a in rows]
     if (D.sign(lv) > 0 and not P._lines and len(P._vertices) == 1
             and not any(map(P._D.nonzero, P._vertices[0][:P.dim]))
@@ -575,12 +576,17 @@ def cut_out_by(
     if any(len(a) != dim + 1 for a in hss + eqs):
         raise PolyhedronError("constraint normal has wrong dimension")
     E = _domain(basis, hss + eqs)
+    return _cut_out(P, E, list(map(E.conv, hss)), list(map(E.conv, eqs)))
+
+
+def _cut_out(P: Polyhedron, E: _Domain, hss: list, eqs: list) -> bool:
+    """cut_out_by on the rows (normal, -offset) of the domain E."""
     D, lift_p, lift_e = _common(P._D, E)
-    hss, eqs = ([lift_e(E.conv(a)) for a in rows] for rows in (hss, eqs))
+    hss, eqs = [lift_e(a) for a in hss], [lift_e(a) for a in eqs]
     _, facets, points, flats = _parts(P, lift_p)
     if not _rows_hold(D, eqs, hss, points, flats):
         return False
-    eq_rows, _, reduce = _reduction(D, dim, eqs)
+    eq_rows, _, reduce = _reduction(D, P.dim, eqs)
     # a given row is made primitive first; P's facet rows are canonical
     given = {reduce(D.comb(D.one, a, D.zero, a)) for a in hss}
     return len(eq_rows) == len(P._eqs) and all(reduce(f) in given for f in facets)

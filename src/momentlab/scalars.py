@@ -52,7 +52,7 @@ class ConstantBasis:
     surds such as sqrt2 possible.
     """
 
-    __slots__ = ("names", "float_values", "_index", "_products")
+    __slots__ = ("names", "float_values", "_index", "_products", "_one")
 
     def __init__(
         self,
@@ -75,6 +75,7 @@ class ConstantBasis:
         self.float_values = float_values
         self._index = {n: i for i, n in enumerate(names)}
         self._products: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        self._one = ExtScalar(self, (Fraction(1),) + (Fraction(0),) * (len(names) - 1))
 
     @property
     def size(self) -> int:
@@ -147,7 +148,8 @@ class ConstantBasis:
         return ExtScalar(self, (Fraction(0),) * self.size)
 
     def one(self) -> "ExtScalar":
-        return self.from_rational(1)
+        """The unit, one scalar per basis: scalars are immutable."""
+        return self._one
 
     def from_rational(self, q: RationalLike) -> "ExtScalar":
         coeffs = [Fraction(0)] * self.size
@@ -487,6 +489,12 @@ def _z_comb(x: int, u: Sequence[int], y: int, v: Sequence[int]) -> tuple[int, ..
     return tuple(c // g for c in w) if g > 1 else tuple(w)
 
 
+def _z_prim(v: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero v over the gcd of its entries, first nonzero entry positive."""
+    g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+    return tuple(x // g for x in v)
+
+
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The values times the least common multiple of their denominators, and
     that multiple."""
@@ -496,13 +504,6 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
         if lcm % d:
             lcm *= Fraction(lcm, d).denominator  # lcm(lcm, d)
     return [x.numerator * (lcm // x.denominator) for x in values], lcm
-
-
-def _z_clear(row: Sequence[ExtScalar]) -> tuple[tuple[int, ...], int]:
-    """A row of rational scalars as integers, scaled by the positive integer
-    that clears its denominators, and that integer."""
-    ints, lcm = _clear_denominators([e.coeffs[0] for e in row])
-    return tuple(ints), lcm
 
 
 class _SurdRing:
@@ -582,6 +583,14 @@ class _SurdRing:
         conj = (e0, -e1) if self.sign((e0, -e1)) > 0 else (-e0, e1)
         return self.comb(conj, v, (0, 0), v)
 
+    def prim(self, v: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        """The nonzero v times the conjugate of its first nonzero entry e,
+        made primitive (comb), where e becomes its norm over a positive
+        integer, and negated if that is negative."""
+        e = next(e for e in v if e[0] or e[1])
+        w = self.comb((e[0], -e[1]), v, (0, 0), v)
+        return w if self.norm(e) > 0 else tuple((-a, -b) for a, b in w)
+
     def quotients(self, v: Sequence[tuple[int, int]], d: tuple[int, int]) -> tuple[ExtScalar, ...]:
         """The entries of v divided by d, as scalars: directly when d is an
         integer, else multiply by the conjugate of d, then divide by its
@@ -606,7 +615,6 @@ class _Domain(NamedTuple):
     and the signs decided around them; `_domain` picks it."""
 
     conv: Callable  # a row of scalars in this domain, times a positive number
-    scaled: Callable  # (conv(row), that positive number in this domain)
     one: object  # the unit of the domain, the first Bareiss divisor
     zero: object
     unit: Callable  # unit(n, i): the i-th unit vector of length n
@@ -620,18 +628,25 @@ class _Domain(NamedTuple):
     div: Callable  # div(v, d): the entries of v divided by d, as scalars
     lift: Callable  # a row over Z in this domain, canonical if the row is
     coeff_rows: Callable  # a row's coefficient rows, one per constant, as integers
+    prim: Callable  # the representative of a nonzero row up to nonzero scaling
+    ints: Callable  # a row of integers in this domain, exactly
+
+
+def _scaled(D: _Domain, basis: ConstantBasis, row: Sequence[ExtScalar]) -> tuple[list, object]:
+    """D.conv(row) and the positive number it multiplies the row by, in D."""
+    *out, mult = D.conv((*row, basis.one()))
+    return out, mult
 
 
 # Z for rational scalars in any basis; `_domain` adds the basis's `div`.
 _Z = _Domain(
     conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])[0]),
-    scaled=_z_clear,
     one=1, zero=0, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
     nonzero=bool, step=_z_step,
     dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
     sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
     neg=lambda v: tuple(-x for x in v),
-    div=None, lift=tuple, coeff_rows=lambda v: [v],
+    div=None, lift=tuple, coeff_rows=lambda v: [v], prim=_z_prim, ints=tuple,
 )
 
 
@@ -656,14 +671,17 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
 
     All-rational rows run over Z after clearing each row's denominators (a
     positive row scaling keeps every sign), where primitive vectors are
-    canonical.  Rows over a declared surd run on pairs in Z[s] (_SurdRing), whose signs follow the sign of the constant.
-    Any other basis runs on the scalars, where a ray is divided by the
-    absolute value of its first nonzero entry and signs come from
-    ExtScalar.sign().  Converting a normalized ray with `conv` gives its
-    canonical form.  A row's coefficient rows, one per constant of the
-    domain (1 over Z; 1 and s over Z[s]; the basis's constants over the
-    scalars), span the smallest rational subspace containing it, since the
-    constants are independent over the rationals.
+    canonical.  Rows over a declared surd run on pairs in Z[s] (_SurdRing),
+    whose signs follow the sign of the constant.  Any other basis runs on
+    the scalars, where a ray is divided by the absolute value of its first
+    nonzero entry and signs come from ExtScalar.sign().  Converting a
+    normalized ray with `conv` gives its canonical form.  A row's coefficient
+    rows, one per constant of the domain (1 over Z; 1 and s over Z[s]; the
+    basis's constants over the scalars), span the smallest rational subspace
+    containing it, since the constants are independent over the rationals.
+    `prim` gives a row's representative up to nonzero scaling: first nonzero
+    entry a positive integer (one on the scalars) and, over Z and Z[s], no
+    common integer factor.
     """
     if all(not any(e.coeffs[1:]) for row in rows for e in row):
         tail = (Fraction(0),) * (basis.size - 1)
@@ -673,12 +691,12 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
     if q is not None:
         ring = _SurdRing(basis, q)
         return _Domain(
-            conv=lambda row: ring.clear(row)[0], scaled=ring.clear,
+            conv=lambda row: ring.clear(row)[0],
             one=(1, 0), zero=(0, 0), unit=lambda n, i: tuple((int(j == i), 0) for j in range(n)),
             nonzero=lambda e: e[0] or e[1], step=ring.step, dot=ring.dot,
             sign=ring.sign, comb=ring.comb, canon=ring.canon,
             neg=lambda v: tuple((-a, -b) for a, b in v), div=ring.quotients,
-            lift=_surd_lift, coeff_rows=_surd_coeff_rows,
+            lift=_surd_lift, coeff_rows=_surd_coeff_rows, prim=ring.prim, ints=_surd_lift,
         )
     one, zero = basis.one(), basis.zero()
 
@@ -699,17 +717,25 @@ def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domai
                 return tuple(x / scale for x in v)
         return v
 
+    def prim(v):
+        first = next(e for e in v if not e.is_zero())
+        return tuple(x / first for x in v)
+
+    def ints(v):
+        return tuple(map(basis.from_rational, v))
+
     return _Domain(
-        conv=tuple, scaled=lambda row: (tuple(row), one), one=one, zero=zero,
+        conv=tuple, one=one, zero=zero,
         unit=lambda n, i: tuple(one if j == i else zero for j in range(n)),
         nonzero=lambda e: not e.is_zero(),
         step=lambda row, prow, p, f, prev: [e / prev for e in msub(p, row, f, prow)],
         dot=dot, sign=lambda x: x.sign(), comb=lambda x, u, y, v: tuple(msub(x, u, y, v)),
         canon=canon, neg=lambda v: tuple(-x for x in v),
         div=lambda v, d: tuple(x / d for x in v),
-        lift=lambda v: canon(tuple(map(basis.from_rational, v))),
+        lift=lambda v: canon(ints(v)),
         coeff_rows=lambda v: [_clear_denominators([e.coeffs[t] for e in v])[0]
                               for t in range(basis.size)],
+        prim=prim, ints=ints,
     )
 
 

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from momentlab import linalg
 from momentlab.presymlin import (
     PresympForm,
@@ -8,8 +11,9 @@ from momentlab.presymlin import (
     sigma_orthogonal,
     symplectization,
 )
+from momentlab.scalars import ScalarError
 
-from conftest import form_pairing, random_fraction, random_scalar
+from conftest import DOMAIN_BASES, form_pairing, random_fraction, random_scalar
 
 
 def random_skew_form(rng, basis, dim, irrational_chance=0.0):
@@ -228,3 +232,211 @@ def test_symplectization_slice_independent_of_ker_complement(sqrt2_basis):
         assert slice_dims[0] == slice_dims[1]
         differ += pivot[0] != completed[0]
     assert differ >= 10
+
+
+# -- the block route against entry-by-entry scalar arithmetic -----------------------
+
+
+def reference_rref(rows, n):
+    """Gauss-Jordan on ExtScalars, dividing by each pivot: the canonical rows
+    and pivots of the span."""
+    rows, pivots = [list(r) for r in rows], []
+    for c in range(n):
+        p = next((i for i in range(len(pivots), len(rows)) if not rows[i][c].is_zero()), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(r) for r in rows[:len(pivots)]], pivots
+
+
+def reference_kernel(rows, basis, n):
+    """One kernel vector per free column of reference_rref, then reduced."""
+    reduced, pivots = reference_rref(rows, n)
+    null = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = [basis.zero()] * n
+        v[f] = basis.one()
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        null.append(v)
+    return reference_rref(null, n)
+
+
+def reference_product(matrix, v, basis):
+    out = []
+    for row in matrix:
+        acc = basis.zero()
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        out.append(acc)
+    return tuple(out)
+
+
+def assert_matches(S, expected):
+    """Canonical rows, pivots, == and hash agree with the reference."""
+    rows, pivots = expected
+    assert S.rows == tuple(rows) and S.pivots == tuple(pivots)
+    born = Subspace(S.scalar_basis, S.ambient_dim, rows, pivots)
+    assert S == born and born == S and hash(S) == hash(born)
+
+
+block_entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def block_cases(draw):
+    """A basis from every route (Z, Z[s] for sqrt2, sqrt(3/2) and -sqrt2, the
+    scalars for three surds), an ambient dimension 1..4, two lists of 0..3
+    vectors (the second often combining the first) and a skew matrix, each
+    entry rational or with irrational parts."""
+    name = draw(st.sampled_from(sorted(DOMAIN_BASES)))
+    basis = DOMAIN_BASES[name]
+    n = draw(st.integers(1, 4))
+
+    def scalar(irrational):
+        coeffs = [draw(block_entry)] + [draw(block_entry) if irrational and draw(st.booleans())
+                                        else 0 for _ in range(basis.size - 1)]
+        return basis.scalar(coeffs)
+
+    def vectors():
+        irrational = draw(st.booleans())
+        return [tuple(scalar(irrational) for _ in range(n))
+                for _ in range(draw(st.integers(0, 3)))]
+
+    us, vs = vectors(), vectors()
+    if us and vs and draw(st.booleans()):
+        vs[0] = linalg.vec_add(us[0], linalg.vec_scale(vs[0], draw(block_entry)))
+    irrational = draw(st.booleans())
+    matrix = [[basis.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = scalar(irrational)
+            matrix[j][i] = -matrix[i][j]
+    return name, basis, n, us, vs, matrix
+
+
+@given(block_cases())
+@settings(deadline=None, max_examples=30)
+def test_block_route_matches_scalar_reference(case):
+    """Every Subspace and PresympForm operation, run on rows in the number
+    domain, gives the canonical rows, pivots, equality and hash of the same
+    computation done entry by entry in ExtScalar arithmetic."""
+    _, basis, n, us, vs, matrix = case
+    U, V = Subspace.from_vectors(basis, n, us), Subspace.from_vectors(basis, n, vs)
+    ref_u, ref_v = reference_rref(us, n), reference_rref(vs, n)
+    assert_matches(U, ref_u)
+    assert_matches(V, ref_v)
+    assert_matches(Subspace.kernel_of(basis, n, us), reference_kernel(us, basis, n))
+    assert_matches(U.add(V), reference_rref(ref_u[0] + ref_v[0], n))
+    ann_u, ann_v = reference_kernel(ref_u[0], basis, n), reference_kernel(ref_v[0], basis, n)
+    assert_matches(U.annihilator(), ann_u)
+    # the meet is the kernel of both annihilators, not a Zassenhaus reduction
+    assert_matches(U.intersect(V), reference_kernel(ann_u[0] + ann_v[0], basis, n))
+    candidates = vs + [linalg.unit(basis, n, i) for i in range(n)] + [linalg.zeros(basis, n)]
+    for v in candidates:
+        assert U.contains(v) == (len(reference_rref(ref_u[0] + [v], n)[1]) == U.dim)
+
+    form = PresympForm.from_rows(basis, matrix)
+    constraints = [reference_product(matrix, f, basis) for f in ref_u[0]]
+    assert_matches(sigma_orthogonal(form, U), reference_kernel(constraints, basis, n))
+    for vectors, restricted in ((ref_u[0], form.restrict(U)), (us, form.restrict(us))):
+        gram = [tuple(reference_product([u], reference_product(matrix, v, basis), basis)[0]
+                      for v in vectors) for u in vectors]
+        assert restricted.matrix == tuple(gram) and restricted.dim == len(vectors)
+        rank = len(reference_rref(gram, len(vectors))[1])
+        assert restricted.rank() == rank
+        assert form.restricted_rank(U if vectors is ref_u[0] else us) == rank
+
+    big_form, big_F = symplectization(form, U)
+    ker_rows, ker_pivots = reference_kernel(matrix, basis, n)
+    k = len(ker_rows)
+    zero, one = basis.zero(), basis.one()
+    big = [list(r) + [zero] * k for r in matrix] + [[zero] * (n + k) for _ in range(k)]
+    for a, p in enumerate(ker_pivots):
+        big[p][n + a], big[n + a][p] = one, -one
+    assert big_form.matrix == tuple(map(tuple, big))
+    assert big_form == PresympForm.from_rows(basis, big)
+    assert_matches(big_F, ([r + (zero,) * k for r in ref_u[0]], ref_u[1]))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BASES))
+def test_block_route_on_zero_and_full_subspaces(name):
+    """The zero and the whole space, and the operations that produce them,
+    against the reference, with a rank-two form."""
+    basis = DOMAIN_BASES[name]
+    c = basis.scalar([1] + [1] * (basis.size - 1))
+    form = PresympForm.from_rows(basis, [[0, c, 0], [-c, 0, 0], [0, 0, 0]])
+    units = [linalg.unit(basis, 3, i) for i in range(3)]
+    zero, full = Subspace.zero(basis, 3), Subspace.full(basis, 3)
+    assert_matches(zero, ([], []))
+    assert_matches(full, (units, [0, 1, 2]))
+    assert_matches(zero.annihilator(), (units, [0, 1, 2]))
+    assert_matches(full.annihilator(), ([], []))
+    assert_matches(zero.add(full), (units, [0, 1, 2]))
+    assert_matches(zero.intersect(full), ([], []))
+    assert_matches(Subspace.kernel_of(basis, 3, []), (units, [0, 1, 2]))
+    assert_matches(sigma_orthogonal(form, zero), (units, [0, 1, 2]))
+    assert_matches(sigma_orthogonal(form, full), (units[2:], [2]))
+    assert_matches(form.kernel(), (units[2:], [2]))
+    assert form.restrict(zero).dim == 0 and form.restricted_rank(zero) == 0
+    assert form.restrict(full) == form and form.restricted_rank(full) == 2
+    assert not zero.contains(units[0]) and zero.contains(linalg.zeros(basis, 3))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BASES))
+def test_rational_form_on_irrational_vectors_matches_scalar_reference(name):
+    """A rational form meets irrational vectors in their domain: its rows
+    are carried there exactly, not one by one up to scaling, so their
+    common multiplier survives."""
+    basis = DOMAIN_BASES[name]
+    c = basis.scalar([2] + [1] * (basis.size - 1))
+    matrix = [[basis.from_rational(x) for x in row]
+              for row in ([0, 2, 1], [-2, 0, 3], [-1, -3, 0])]
+    form = PresympForm.from_rows(basis, matrix)
+    zero, one = basis.zero(), basis.one()
+    for vectors in ([(c, one, zero)], [(c, one, zero), (zero, c, one)]):
+        F = Subspace.from_vectors(basis, 3, vectors)
+        constraints = [reference_product(matrix, f, basis) for f in F.rows]
+        assert_matches(sigma_orthogonal(form, F), reference_kernel(constraints, basis, 3))
+        gram = [tuple(reference_product([u], reference_product(matrix, v, basis), basis)[0]
+                      for v in F.rows) for u in F.rows]
+        assert form.restrict(F).matrix == tuple(gram) == form.restrict(F.rows).matrix
+        assert form.restricted_rank(F) == len(reference_rref(gram, len(gram))[1])
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(DOMAIN_BASES) if n != "q"])
+def test_rational_span_of_irrational_vectors_equals_the_rational_one(name):
+    """A rational subspace spanned by irrational multiples of rational
+    vectors is born in Z[s] (or on the scalars), the same subspace spanned by
+    the rational vectors over Z: equal, with equal hashes and rows, through
+    every operation."""
+    basis = DOMAIN_BASES[name]
+    rng = random.Random(17)
+    irrational = basis.scalar([1] + [1] * (basis.size - 1))
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        rational = [tuple(basis.from_rational(random_fraction(rng, 3)) for _ in range(n))
+                    for _ in range(rng.randint(1, 3))]
+        scaled = [linalg.vec_scale(v, irrational.scale(rng.randint(1, 3))) for v in rational]
+        R, S = (Subspace.from_vectors(basis, n, vs) for vs in (rational, scaled))
+        assert R == S and S == R and hash(R) == hash(S) and R.rows == S.rows
+        assert R.annihilator() == S.annihilator() and S.annihilator().rows == R.annihilator().rows
+        assert S.intersect(R) == R and R.add(S) == S and hash(S.add(R)) == hash(R)
+        assert Subspace.kernel_of(basis, n, scaled) == Subspace.kernel_of(basis, n, rational)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_BASES))
+def test_from_rows_still_rejects_a_matrix_that_is_not_skew(name):
+    basis = DOMAIN_BASES[name]
+    c = basis.scalar([2] + [1] * (basis.size - 1))
+    for rows in ([[0, 1], [1, 0]], [[1, 0], [0, 0]], [[0, c], [-1, 0]], [[0, c], [c, 0]]):
+        with pytest.raises(ScalarError, match="skew"):
+            PresympForm.from_rows(basis, rows)
+    assert PresympForm.from_rows(basis, [[0, c], [-c, 0]]).rank() == 2
