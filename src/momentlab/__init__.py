@@ -11,7 +11,6 @@ from .scalars import (
     ExtScalar,
     BasisMismatchError,
     ScalarError,
-    SignUndecidableError,
     UnsupportedScalarOperation,
     parse_scalar,
 )

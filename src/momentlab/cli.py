@@ -13,6 +13,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,33 +60,55 @@ class Scenario:
 
 
 def _build_basis(raw: dict) -> ConstantBasis:
-    basis = ConstantBasis.rationals()
+    """The declared square roots, at most three, closed under products: the
+    constants are 1, c1, c2, c1*c2, c3, c1*c3, ..., the product of the roots
+    in each bitmask, with every product declared, so exact layers run on
+    Z[s1..sk].  A product of sqrt<k> constants is named sqrt<n>, any other
+    product by its factors' names joined with "_"."""
     constants = raw.get("constants", {})
     if not isinstance(constants, dict):
         raise ScenarioError("constants", "must be a mapping of name to value")
+    if len(constants) > 3:
+        raise ScenarioError("constants", "at most three square roots can be declared")
+    names, values, squares = ["one"], [1.0], [Fraction(1)]
     for name in sorted(constants):
-        value = constants[name]
-        square = None
+        value, square = constants[name], None
         if isinstance(value, dict):
-            square = value.get("square")
-            value = value.get("value")
+            value, square = value.get("value"), value.get("square")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioError("constants", f"{name} needs a numeric value")
         if not _is_positive_number(abs(value)):
             raise ScenarioError("constants", f"{name} needs a finite nonzero value")
         if square is not None and not _is_positive_number(square):
             raise ScenarioError("constants", f"{name}: square must be a positive number")
-        m = _SQRT_NAME.match(name)
-        if square is None and m:
-            square = int(m.group(1))
-        if square is not None and abs(float(square) ** 0.5 - value) > 1e-6:
-            raise ScenarioError(
-                "constants", f"{name}: value {value} does not match sqrt({square})"
-            )
-        try:
-            basis = basis.with_constant(name, float(value), square=square)
-        except ScalarError as exc:
-            raise ScenarioError("constants", str(exc))
+        if square is None and _SQRT_NAME.match(name):
+            square = int(name[4:])
+        if square is None:
+            raise ScenarioError("constants", f"{name} has no square: name it sqrt<k> or "
+                                             'declare {"value": v, "square": q}')
+        if abs(float(square) ** 0.5 - value) > 1e-6:
+            raise ScenarioError("constants", f"{name}: value {value} does not match sqrt({square})")
+        square = Fraction(square)
+        for i in range(len(names)):
+            sqrt_names = names[i] == f"sqrt{squares[i]}" and name == f"sqrt{square}"
+            names.append(name if i == 0 else f"sqrt{squares[i] * square}" if sqrt_names
+                         else f"{names[i]}_{name}")
+            values.append(values[i] * value)
+            squares.append(squares[i] * square)
+    roots = sorted(constants)
+    for mask, q in enumerate(squares[1:], 1):
+        if all(math.isqrt(x) ** 2 == x for x in (q.numerator, q.denominator)):
+            factors = "*".join(r for i, r in enumerate(roots) if mask >> i & 1)
+            raise ScenarioError("constants", f"{factors} has the rational square {q}, "
+                                             "so the square roots are not independent")
+    try:
+        basis = ConstantBasis(names, values)
+        for a in range(1, len(names)):
+            for b in range(a, len(names)):
+                basis.declare_product(names[a], names[b], [
+                    squares[a & b] if j == a ^ b else 0 for j in range(len(names))])
+    except ScalarError as exc:
+        raise ScenarioError("constants", str(exc))
     return basis
 
 

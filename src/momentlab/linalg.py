@@ -1,13 +1,11 @@
 """Exact vector and matrix helpers over the extended scalar domain.
 
-Matrices live as blocks of rows in one number domain (scalars._Domain): Z,
-Z[sqrt q] or the scalars themselves, which scalars._domain picks once, when
+Matrices live as blocks of rows in one number domain (scalars._Domain): Z
+or the basis's ring Z[s_1..s_k], which scalars._domain picks once, when
 scalars come in.  Each kept row is a positive multiple of its scalar row.
 The block routines (_rref, _kernel, _pivots, _mat_vecs) take such rows and
 return such rows; Subspace and PresympForm keep theirs between calls.  Every
-reduction is scalars._eliminate, fraction-free in the domain; on the scalars
-it divides by pivots, so matrices with irrational entries are reducible
-exactly when the constant basis declares the needed products.  A reduced
+reduction is scalars._eliminate, fraction-free in the domain.  A reduced
 basis is kept canonical, each row by its representative up to scaling
 (D.prim), so its scalar row is the row divided by its pivot entry.  The
 public functions below convert scalar input once and divide canonical rows

@@ -4,9 +4,8 @@ H-representations are canonicalized through a double-description round trip:
 constraints -> generators -> irredundant facets (Fukuda & Prodon, "Double
 description method revisited", 1996).  Everything is exact.  A polyhedron
 keeps its double description in one number domain, which scalars._domain
-picks from the input rows: Z for rational data, Z[s] for a declared
-quadratic surd, where signs follow the integer quadratic rule, and the
-ExtScalars otherwise, whose signs come from ExtScalar.sign().  It holds the
+picks from the input rows: Z for rational data, else the basis's ring
+Z[s_1..s_k] of square roots, whose signs are exact integer rules.  It holds the
 reduced equality rows and the facet rows, each the canonical positive
 multiple in the domain of its scalar row, and the homogenized vertices,
 rays and lines.  Both double description passes, primal and dual, run

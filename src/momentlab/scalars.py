@@ -1,14 +1,14 @@
 """Exact scalars in the rational span of declared real constants.
 
-The scalar domain is a finite-dimensional vector space over the rationals
-spanned by named constants, the first of which is always 1.  Declaring the
-constants linearly independent over the rationals is a trusted input: it
-cannot be verified for arbitrary reals, so the library documents the
-contract instead of checking it.
-
-The domain is a vector space, not a ring.  Products exist only when one
+The scalar domain is a vector space over the rationals spanned by named
+constants, the first of which is always 1.  Products exist only when one
 factor is rational or when the product of two constants has been declared
 (e.g. sqrt2 * sqrt2 = 2); anything else raises UnsupportedScalarOperation.
+Exact elimination, division and signs run in one of two rings: Z for
+rational rows, and Z[s_1..s_k] (_SurdRing) for a basis of the products of up
+to three square roots, with every product declared and checked.  No declared
+square is a rational square, so by Besicovitch's theorem (J. London Math.
+Soc. 1940) such constants are linearly independent over the rationals.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isfinite, isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -31,16 +32,7 @@ class BasisMismatchError(ScalarError):
 
 
 class UnsupportedScalarOperation(ScalarError):
-    """The requested operation leaves the declared rational span."""
-
-
-class SignUndecidableError(ScalarError):
-    """Interval arithmetic straddles zero and no symbolic rule applies."""
-
-
-# Error radius assumed for a declared double: a few ulp, to absorb both the
-# representation error of the double and the user's rounding of the constant.
-_FLOAT_SLACK = Fraction(1, 2**48)
+    """The requested operation leaves the declared span or its ring."""
 
 
 class ConstantBasis:
@@ -48,11 +40,10 @@ class ConstantBasis:
 
     The first constant is always ``one`` with value 1.  Optional product
     declarations record that the real product of two non-unit constants is a
-    known element of the span; they are what make division by quadratic
-    surds such as sqrt2 possible.
+    known element of the span; they are what make the basis a ring (ring).
     """
 
-    __slots__ = ("names", "float_values", "_index", "_products", "_one")
+    __slots__ = ("names", "float_values", "_index", "_products", "_one", "_ring")
 
     def __init__(
         self,
@@ -76,6 +67,7 @@ class ConstantBasis:
         self._index = {n: i for i, n in enumerate(names)}
         self._products: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         self._one = ExtScalar(self, (Fraction(1),) + (Fraction(0),) * (len(names) - 1))
+        self._ring = None
 
     @property
     def size(self) -> int:
@@ -106,18 +98,18 @@ class ConstantBasis:
                                   f"so {a} would be rational")
         self._products[(i, j)] = value
         self._products[(j, i)] = value
+        self._ring = None
 
     def product(self, i: int, j: int) -> tuple[Fraction, ...] | None:
         return self._products.get((i, j))
 
-    def surd_square(self) -> Fraction | None:
-        """q when the basis is {1, c} with a declared rational square c*c = q."""
-        if self.size != 2:
-            return None
-        sq = self._products.get((1, 1))
-        if sq is None or sq[1] != 0:
-            return None
-        return sq[0]
+    def ring(self) -> "_SurdRing":
+        """The basis as Z[s_1..s_k] (_SurdRing), kept until a product is
+        declared; raises UnsupportedScalarOperation naming the constant
+        outside it."""
+        if self._ring is None:
+            self._ring = _SurdRing(self)
+        return self._ring
 
     def with_constant(
         self, name: str, float_value: float, square: RationalLike | None = None
@@ -125,11 +117,9 @@ class ConstantBasis:
         """Return a new basis extended by one constant, optionally with a
         declared square (making it behave as a quadratic surd)."""
         basis = ConstantBasis(self.names + (name,), self.float_values + (float_value,))
-        basis._products.update(self._products)
+        basis._products.update({ij: p + (Fraction(0),) for ij, p in self._products.items()})
         if square is not None:
-            sq = [Fraction(0)] * basis.size
-            sq[0] = Fraction(square)
-            basis.declare_product(name, name, sq)
+            basis.declare_product(name, name, [square] + [0] * self.size)
         return basis
 
     @staticmethod
@@ -138,10 +128,7 @@ class ConstantBasis:
 
     @staticmethod
     def with_sqrt(name: str = "sqrt2", radicand: RationalLike = 2) -> "ConstantBasis":
-        radicand = Fraction(radicand)
-        if radicand <= 0:
-            raise ScalarError("radicand must be positive")
-        value = float(radicand) ** 0.5
+        value = abs(float(radicand)) ** 0.5  # declare_product refuses a radicand <= 0
         return ConstantBasis().with_constant(name, value, square=radicand)
 
     def zero(self) -> "ExtScalar":
@@ -220,14 +207,12 @@ class ExtScalar:
 
     def __add__(self, other):
         other = self._coerce(other)
-        self._check(other)
         return ExtScalar(
             self.basis, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other):
         other = self._coerce(other)
-        self._check(other)
         return ExtScalar(
             self.basis, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -240,7 +225,9 @@ class ExtScalar:
         return ExtScalar(self.basis, tuple(q * a for a in self.coeffs))
 
     def _coerce(self, other) -> "ExtScalar":
+        """other, a scalar of this basis or a rational, as a scalar."""
         if isinstance(other, ExtScalar):
+            self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
             return self.basis.from_rational(other)
@@ -294,17 +281,12 @@ class ExtScalar:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self.scale(Fraction(1, 1) / q)
+            return self.scale(1 / Fraction(other))
         if not isinstance(other, ExtScalar):
             return NotImplemented
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        if other.is_rational():
-            return self.scale(Fraction(1) / other.coeffs[0])
+        if other.is_rational():  # 1 / 0 raises ZeroDivisionError
+            return self.scale(1 / other.coeffs[0])
         return _divide(self, other)
 
     # -- evaluation and ordering ---------------------------------------------
@@ -315,57 +297,23 @@ class ExtScalar:
         )
 
     def sign(self) -> int:
-        """Exact sign where decidable; raises SignUndecidableError otherwise."""
+        """Exact sign: a single constant has the sign of its declared value,
+        and any other irrational scalar is signed in the basis's ring."""
         nonzero = [i for i, c in enumerate(self.coeffs) if c != 0]
-        if not nonzero:
-            return 0
-        if nonzero == [0]:
-            return 1 if self.coeffs[0] > 0 else -1
-        if len(nonzero) == 1:
-            # single declared constant with a known (positive) float value
-            i = nonzero[0]
-            const_sign = 1 if self.basis.float_values[i] > 0 else -1
-            return const_sign if self.coeffs[i] > 0 else -const_sign
-        if len(nonzero) == 2 and nonzero[0] == 0:
-            i = nonzero[1]
-            sq = self.basis.product(i, i)
-            if sq is not None and all(c == 0 for c in sq[1:]):
-                # the constant is +sqrt(q) or -sqrt(q), by its declared value
-                value = self.basis.float_values[i]
-                if value == 0:
-                    raise SignUndecidableError("declared square with a zero constant")
-                b = self.coeffs[i] if value > 0 else -self.coeffs[i]
-                return _surd_sign(self.coeffs[0], b, sq[0])
-        return self._sign_interval()
+        if len(nonzero) > 1:
+            ring = self.basis.ring()
+            return ring.sign(ring.clear((self,))[0])
+        for i in nonzero:
+            return 1 if (self.coeffs[i] > 0) == (self.basis.float_values[i] > 0) else -1
+        return 0
 
-    def _sign_interval(self) -> int:
-        value = Fraction(0)
-        radius = Fraction(0)
-        for c, v in zip(self.coeffs, self.basis.float_values):
-            if c == 0:
-                continue
-            fv = Fraction(v)
-            value += c * fv
-            radius += abs(c) * abs(fv) * _FLOAT_SLACK
-        if value > radius:
-            return 1
-        if value < -radius:
-            return -1
-        raise SignUndecidableError(
-            f"sign of {self} cannot be certified from declared float values"
-        )
+    def _cmp(self, other) -> int:
+        return (self - other).sign()
 
-    def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+    __lt__ = lambda self, other: self._cmp(other) < 0
+    __le__ = lambda self, other: self._cmp(other) <= 0
+    __gt__ = lambda self, other: self._cmp(other) > 0
+    __ge__ = lambda self, other: self._cmp(other) >= 0
 
     # -- text form -------------------------------------------------------------
 
@@ -393,8 +341,9 @@ class ExtScalar:
 
 
 def _surd_sign(a, b, q) -> int:
-    """Sign of a + b*sqrt(q) for rationals a, b and q > 0, decided from a^2
-    against b^2*q; exact on integers too."""
+    """Sign of a + b*sqrt(q) for a positive integer q and a, b ints or
+    elements of one floor of a tower (_Surd), decided from a^2 against
+    b^2*q."""
     if a >= 0 and b >= 0:
         return 1 if a or b else 0
     if a <= 0 and b <= 0:
@@ -406,32 +355,10 @@ def _surd_sign(a, b, q) -> int:
 
 
 def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
-    """Solve x*den = num over the rational span, if the products allow it:
-    the rational system whose columns are constant[t] * den, over the
-    constants t for which that product is declared; a solution using any
-    other constant would make x*den undefined.
-    """
-    basis = num.basis
-    size = basis.size
-    used, columns = [], []
-    for t, name in enumerate(basis.names):
-        try:
-            columns.append((basis.constant(name) * den).coeffs)
-        except UnsupportedScalarOperation:
-            continue
-        used.append(t)
-    k = len(used)
-    reduced, pivots, last = _eliminate_rational(
-        [[col[r] for col in columns] + [num.coeffs[r]] for r in range(size)]
-    )
-    if pivots and pivots[-1] == k:
-        raise UnsupportedScalarOperation(
-            f"cannot divide {num} by {den} within the declared span"
-        )
-    x = [Fraction(0)] * size
-    for row, c in zip(reduced, pivots):
-        x[used[c]] = Fraction(row[k], last)
-    return ExtScalar(basis, tuple(x))
+    """num / den for an irrational den, in the basis's ring."""
+    ring = num.basis.ring()
+    n, d = ring.clear((num, den))
+    return ring.quotients((n,), d)[0]
 
 
 # -- the elimination kernel ------------------------------------------------------
@@ -506,51 +433,170 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (lcm // x.denominator) for x in values], lcm
 
 
+@total_ordering
+class _Surd:
+    """An element a + b*s of a floor K_i = K_(i-1)[s] below the top of a tower,
+    a and b in K_(i-1) (ints on the first floor).  The operators take an int
+    or an element of the same floor, // an exact integer divisor."""
+
+    __slots__ = ("a", "b", "floor")
+
+    def __init__(self, a, b, floor: tuple[int, bool]):
+        self.a, self.b, self.floor = a, b, floor
+
+    def __add__(self, o):
+        if isinstance(o, _Surd):
+            return _Surd(self.a + o.a, self.b + o.b, self.floor)
+        return _Surd(self.a + o, self.b, self.floor)
+
+    def __neg__(self):
+        return _Surd(-self.a, -self.b, self.floor)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        if isinstance(o, _Surd):
+            a, b, c, d = self.a, self.b, o.a, o.b
+            return _Surd(a * c + b * d * self.floor[0], a * d + b * c, self.floor)
+        return _Surd(self.a * o, self.b * o, self.floor)
+
+    def __floordiv__(self, n: int):
+        return _Surd(self.a // n, self.b // n, self.floor)
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def __eq__(self, o):
+        if isinstance(o, _Surd):
+            return self.a == o.a and self.b == o.b
+        return not self.b and self.a == o
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __lt__(self, o):
+        return (self - o).sign() < 0
+
+    def sign(self) -> int:
+        s2, positive = self.floor
+        return _surd_sign(self.a, self.b if positive else -self.b, s2)
+
+
+def _conj_norm(a, b, s2) -> tuple[tuple, int]:
+    """For x = a + b*s with s*s = s2, a and b one floor below: the product of
+    the Galois conjugates of x other than x, as a pair (c, d) meaning c + d*s,
+    and x times that product, the norm of x, a nonzero integer for nonzero x."""
+    n = a * a - b * b * s2
+    if not isinstance(n, _Surd):
+        return (a, -b), n
+    (c, d), norm = _conj_norm(n.a, n.b, n.floor[0])
+    p = _Surd(c, d, n.floor)
+    return (a * p, -b * p), norm
+
+
+def _flat(x) -> tuple[int, ...]:
+    """The integer coordinates of an int or a _Surd, by monomial."""
+    return _flat(x.a) + _flat(x.b) if isinstance(x, _Surd) else (x,)
+
+
+def _up(xs: Sequence[int], floors: Sequence[tuple[int, bool]]):
+    """The element of the top of `floors` (an int below the first floor) with
+    integer coordinates xs."""
+    if not floors:
+        return xs[0]
+    h = len(xs) // 2
+    return _Surd(_up(xs[:h], floors[:-1]), _up(xs[h:], floors[:-1]), floors[-1])
+
+
 class _SurdRing:
-    """Z[s] for a basis {1, c} with a declared square c*c = q = n/m, where
-    s = m*c and s*s = n*m.  An element is a pair (a, b) of integers meaning
-    a + b*s; elimination and double description run on these."""
+    """Z[s_1..s_k] for a basis of the 2^k products of k <= 3 roots c_i with
+    declared squares n_i/m_i, listed by bitmask (1, c_1, c_2, c_1*c_2, c_3,
+    ...) with every product declared, where s_i = m_i*c_i and s_i*s_i =
+    n_i*m_i.  An element is a pair (a, b) meaning a + b*s_k, a and b in
+    K_(k-1) = Z[s_1..s_(k-1)]: ints for k = 1, _Surd above; the arithmetic
+    is written once, with Python operators, for both.  An element's integer
+    coordinates are its coefficients on the monomials, the products of the
+    s_i, by bitmask too.  Every declared product is checked against the
+    ring's, and every constant's declared value against the ring's sign."""
 
-    __slots__ = ("basis", "m", "s2", "positive")
+    def __init__(self, basis: ConstantBasis):
+        names, n = basis.names, basis.size
+        if n == 1:
+            raise UnsupportedScalarOperation("the rationals have no roots; Z is their ring")
+        # constant t is the product of the roots h in its bitmask, whose
+        # squares multiply to squares[t] and their m_i to scale[t]
+        squares, scale, negative = [Fraction(1)] * n, [1] * n, [False] * n
+        for t in range(1, n):
+            h, sq = 1 << t.bit_length() - 1, basis.product(t, t)
+            if sq is None or any(sq[1:]) or t == 8:
+                raise UnsupportedScalarOperation(
+                    f"constant {names[t]} is outside the ring of at most three square "
+                    "roots with declared rational squares and their declared products")
+            if t == h:
+                squares[t], scale[t] = sq[0], sq[0].denominator
+            else:
+                squares[t], scale[t] = squares[h] * squares[t - h], scale[h] * scale[t - h]
+            negative[t] = basis.float_values[t] < 0
+            if t != h and negative[t] != (negative[h] != negative[t - h]):
+                raise UnsupportedScalarOperation(
+                    f"declared value of {names[t]} has not the sign of its roots' product")
+        for t in range(1, n):
+            for u in range(t, n):
+                if t ^ u >= n or basis.product(t, u) != tuple(
+                        squares[t & u] if j == t ^ u else 0 for j in range(n)):
+                    raise UnsupportedScalarOperation(
+                        f"declared product {names[t]}*{names[u]} is not a product of the "
+                        "square roots, so the basis is not a ring")
+        # one floor K_i = K_(i-1)[s] per root: (s*s, whether s is positive)
+        floors = [(squares[h].numerator * scale[h], not negative[h])
+                  for h in (1 << i for i in range(n.bit_length() - 1))]
+        below, h = floors[:-1], n // 2
+        self.basis, (self.s2, self.positive), self._scale = basis, floors[-1], scale
+        self._into = None if scale[-1] == 1 else [Fraction(1, m) for m in scale]
+        cz = self._czero = _up((0,) * h, below)
+        up = lambda x: _up((x,) + (0,) * (h - 1), below)
+        if h == 1:  # pairs of ints are their own integer coordinates
+            self._pairs = lambda flat: tuple(zip(flat[::2], flat[1::2]))
+            self._flatten, ints = _same, lambda v: tuple((x, 0) for x in v)
+        else:
+            self._pairs = lambda flat: tuple(
+                (_up(flat[i:i + h], below), _up(flat[i + h:i + n], below))
+                for i in range(0, len(flat), n))
+            self._flatten = lambda v: [_flat(a) + _flat(b) for a, b in v]
+            ints = lambda v: tuple((up(x), cz) for x in v)
+        one, zero = (up(1), cz), (cz, cz)
+        self.domain = _Domain(
+            conv=self.clear, one=one, zero=zero,
+            unit=lambda n, i: tuple(one if j == i else zero for j in range(n)),
+            nonzero=lambda e: e[0] or e[1], step=self.step, dot=self.dot, sign=self.sign,
+            comb=lambda x, u, y, v: self._primitive(self._msub(x, u, y, v)),
+            canon=self.canon, neg=lambda v: tuple((-a, -b) for a, b in v), div=self.quotients,
+            coeff_rows=lambda v: list(zip(*self._flatten(v))), prim=self.prim, ints=ints,
+        )
 
-    def __init__(self, basis: ConstantBasis, q: Fraction):
-        self.basis = basis
-        self.m = q.denominator
-        self.s2 = q.numerator * q.denominator
-        self.positive = basis.float_values[1] > 0
-
-    def clear(self, row: Sequence[ExtScalar]) -> tuple[tuple, tuple[int, int]]:
-        """A row of scalars as pairs, scaled by the positive integer that
-        clears its denominators, and that integer as an element of Z[s]."""
-        m = self.m
-        if m == 1:  # an integer square, as for sqrt2: s is c itself
+    def clear(self, row: Sequence[ExtScalar]) -> tuple:
+        """A row of scalars as elements, times the integer clearing its denominators."""
+        if self._into is None:
             values = [x for e in row for x in e.coeffs]
         else:
-            values = [x for e in row for x in (e.coeffs[0], e.coeffs[1] / m)]
-        flat, lcm = _clear_denominators(values)
-        return tuple(zip(flat[::2], flat[1::2])), (lcm, 0)
+            values = [x * f for e in row for x, f in zip(e.coeffs, self._into)]
+        return self._pairs(_clear_denominators(values)[0])
 
-    def sign(self, x: tuple[int, int]) -> int:
-        """Exact sign, with c the positive or the negative root as its
-        declared value says."""
+    def sign(self, x) -> int:
+        """Exact sign, each root with the sign of its declared value."""
         return _surd_sign(x[0], x[1] if self.positive else -x[1], self.s2)
 
-    def norm(self, d: tuple[int, int]) -> int:
-        """d times its conjugate, nonzero for nonzero d: the declared square
-        is not a rational square (ConstantBasis.declare_product)."""
-        d0, d1 = d
-        return d0 * d0 - d1 * d1 * self.s2
-
-    def dot(self, a: Sequence[tuple[int, int]], v: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        x0 = x1 = y = 0
+    def dot(self, a, v):
+        x0 = x1 = y = self._czero
         for (a0, a1), (b0, b1) in zip(a, v):
             x0 += a0 * b0
             y += a1 * b1
             x1 += a0 * b1 + a1 * b0
         return (x0 + y * self.s2, x1)
 
-    def _msub(self, x, u, y, v) -> list[tuple[int, int]]:
-        """x*u - y*v for x, y in Z[s] and vectors u, v."""
+    def _msub(self, x, u, y, v) -> list[tuple]:
+        """x*u - y*v for ring elements x, y and vectors u, v."""
         (x0, x1), (y0, y1), s2 = x, y, self.s2
         return [
             (x0 * a0 - y0 * b0 + (x1 * a1 - y1 * b1) * s2,
@@ -558,53 +604,62 @@ class _SurdRing:
             for (a0, a1), (b0, b1) in zip(u, v)
         ]
 
-    def comb(self, x, u, y, v) -> tuple[tuple[int, int], ...]:
-        """x*u - y*v divided by the gcd of its integers."""
-        w = self._msub(x, u, y, v)
-        g = gcd(*(c for e in w for c in e))
+    def _times(self, x, v) -> list[tuple]:
+        (c0, c1), s2 = x, self.s2
+        return [(a * c0 + b * c1 * s2, a * c1 + b * c0) for a, b in v]
+
+    def _primitive(self, w) -> tuple:
+        """w divided by the gcd of its integers."""
+        g = gcd(*(c for x in self._flatten(w) for c in x))
         return tuple((c0 // g, c1 // g) for c0, c1 in w) if g > 1 else tuple(w)
 
-    def step(self, row, prow, p, f, prev) -> list[tuple[int, int]]:
-        """The Bareiss update (p*row - f*prow) / prev: multiply by the
-        conjugate of prev, then divide by its norm."""
-        c0, c1 = prev
-        norm, s2 = self.norm(prev), self.s2
+    def step(self, row, prow, p, f, prev) -> list[tuple]:
+        """The Bareiss update (p*row - f*prow) / prev: multiply by the product
+        of the other conjugates of prev, then divide by its norm, an integer."""
+        (c0, c1), s2 = prev, self.s2
+        norm = c0 * c0 - c1 * c1 * s2
+        if type(norm) is int:  # one root: the conjugate of prev
+            c1 = -c1
+        else:
+            (c0, c1), norm = _conj_norm(c0, c1, s2)
         return [
-            ((x0 * c0 - x1 * c1 * s2) // norm, (x1 * c0 - x0 * c1) // norm)
+            ((x0 * c0 + x1 * c1 * s2) // norm, (x1 * c0 + x0 * c1) // norm)
             for x0, x1 in self._msub(p, row, f, prow)
         ]
 
-    def canon(self, v: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-        """v times the absolute value of the conjugate of its first nonzero
-        entry, which makes that entry rational, then made primitive."""
-        e0, e1 = next(e for e in v if e[0] or e[1])
-        if not e1:
+    def canon(self, v: tuple) -> tuple:
+        """v times the positive multiple of the other conjugates of its first
+        nonzero entry, which makes that entry rational, then made primitive."""
+        e = next(e for e in v if e[0] or e[1])
+        if not e[1] and (type(e[0]) is int or not any(_flat(e[0])[1:])):  # e is an integer
             return v
-        conj = (e0, -e1) if self.sign((e0, -e1)) > 0 else (-e0, e1)
-        return self.comb(conj, v, (0, 0), v)
+        (c0, c1), _ = _conj_norm(*e, self.s2)
+        conj = (c0, c1) if self.sign((c0, c1)) > 0 else (-c0, -c1)
+        return self._primitive(self._times(conj, v))
 
-    def prim(self, v: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        """The nonzero v times the conjugate of its first nonzero entry e,
-        made primitive (comb), where e becomes its norm over a positive
+    def prim(self, v: Sequence[tuple]) -> tuple:
+        """The nonzero v times the other conjugates of its first nonzero entry
+        e, made primitive (comb), where e becomes its norm over a positive
         integer, and negated if that is negative."""
         e = next(e for e in v if e[0] or e[1])
-        w = self.comb((e[0], -e[1]), v, (0, 0), v)
-        return w if self.norm(e) > 0 else tuple((-a, -b) for a, b in w)
+        conj, norm = _conj_norm(*e, self.s2)
+        w = self._primitive(self._times(conj, v))
+        return w if norm > 0 else tuple((-a, -b) for a, b in w)
 
-    def quotients(self, v: Sequence[tuple[int, int]], d: tuple[int, int]) -> tuple[ExtScalar, ...]:
+    def quotients(self, v: Sequence[tuple], d: tuple) -> tuple[ExtScalar, ...]:
         """The entries of v divided by d, as scalars: directly when d is an
-        integer, else multiply by the conjugate of d, then divide by its
-        norm."""
-        d0, d1 = d
-        m, basis = self.m, self.basis
-        if not d1:
-            return tuple(ExtScalar(basis, (Fraction(a0, d0), Fraction(a1 * m, d0))) for a0, a1 in v)
-        norm, s2 = self.norm(d), self.s2
-        return tuple(
-            ExtScalar(basis, (Fraction(a0 * d0 - a1 * d1 * s2, norm),
-                              Fraction((a1 * d0 - a0 * d1) * m, norm)))
-            for a0, a1 in v
-        )
+        integer, else times the other conjugates of d, over its norm."""
+        if not d[1] and (type(d[0]) is int or not any(_flat(d[0])[1:])):
+            d = _flat(d[0])[0]
+        else:
+            conj, d = _conj_norm(*d, self.s2)
+            v = self._times(conj, v)
+        basis, scale = self.basis, self._scale
+        if len(scale) == 2:  # one root: pairs of ints
+            return tuple(ExtScalar(basis, (Fraction(a, d), Fraction(b * scale[1], d)))
+                         for a, b in v)
+        return tuple(ExtScalar(basis, tuple(Fraction(c * m, d) for c, m in zip(x, scale)))
+                     for x in self._flatten(v))
 
 
 # -- the number domain -----------------------------------------------------------
@@ -626,10 +681,9 @@ class _Domain(NamedTuple):
     canon: Callable  # the representative of a ray up to positive scaling
     neg: Callable  # vector negation
     div: Callable  # div(v, d): the entries of v divided by d, as scalars
-    lift: Callable  # a row over Z in this domain, canonical if the row is
     coeff_rows: Callable  # a row's coefficient rows, one per constant, as integers
     prim: Callable  # the representative of a nonzero row up to nonzero scaling
-    ints: Callable  # a row of integers in this domain, exactly
+    ints: Callable  # a row of integers in this domain, exactly, canonical if the row is
 
 
 def _scaled(D: _Domain, basis: ConstantBasis, row: Sequence[ExtScalar]) -> tuple[list, object]:
@@ -646,97 +700,24 @@ _Z = _Domain(
     dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
     sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
     neg=lambda v: tuple(-x for x in v),
-    div=None, lift=tuple, coeff_rows=lambda v: [v], prim=_z_prim, ints=tuple,
+    div=None, coeff_rows=lambda v: [v], prim=_z_prim, ints=tuple,
 )
 
 
-def _eliminate_rational(rows: Sequence[Sequence[Fraction]]):
-    """_eliminate over Z on a matrix of Fractions, each row first cleared of
-    its denominators: the nonzero integer rows, their pivots and the last
-    pivot, which each row carries in its pivot column."""
-    return _eliminate(_Z, [_clear_denominators(row)[0] for row in rows])
-
-
-def _surd_lift(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((x, 0) for x in v)
-
-
-def _surd_coeff_rows(v: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    return [tuple(a for a, _ in v), tuple(b for _, b in v)]
-
-
 def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domain:
-    """The number domain for vectors like `rows`: the package's one choice
-    between Z, Z[s] and the scalars.
-
-    All-rational rows run over Z after clearing each row's denominators (a
-    positive row scaling keeps every sign), where primitive vectors are
-    canonical.  Rows over a declared surd run on pairs in Z[s] (_SurdRing),
-    whose signs follow the sign of the constant.  Any other basis runs on
-    the scalars, where a ray is divided by the absolute value of its first
-    nonzero entry and signs come from ExtScalar.sign().  Converting a
-    normalized ray with `conv` gives its canonical form.  A row's coefficient
-    rows, one per constant of the domain (1 over Z; 1 and s over Z[s]; the
-    basis's constants over the scalars), span the smallest rational subspace
-    containing it, since the constants are independent over the rationals.
-    `prim` gives a row's representative up to nonzero scaling: first nonzero
-    entry a positive integer (one on the scalars) and, over Z and Z[s], no
-    common integer factor.
-    """
+    """The number domain for vectors like `rows`, the package's one choice:
+    Z for all-rational rows, each cleared of its denominators, else the
+    basis's ring Z[s_1..s_k] (ConstantBasis.ring), which raises naming a
+    constant outside it.  A row's integer coefficient rows, one per constant
+    of the domain (1; the 2^k monomials), span the smallest rational
+    subspace containing it.  `canon` and `prim` give a row's representative
+    up to positive and to nonzero scaling: primitive, first nonzero entry
+    an integer."""
     if all(not any(e.coeffs[1:]) for row in rows for e in row):
         tail = (Fraction(0),) * (basis.size - 1)
         return _Z._replace(
             div=lambda v, d: tuple(ExtScalar(basis, (Fraction(x, d),) + tail) for x in v))
-    q = basis.surd_square()
-    if q is not None:
-        ring = _SurdRing(basis, q)
-        return _Domain(
-            conv=lambda row: ring.clear(row)[0],
-            one=(1, 0), zero=(0, 0), unit=lambda n, i: tuple((int(j == i), 0) for j in range(n)),
-            nonzero=lambda e: e[0] or e[1], step=ring.step, dot=ring.dot,
-            sign=ring.sign, comb=ring.comb, canon=ring.canon,
-            neg=lambda v: tuple((-a, -b) for a, b in v), div=ring.quotients,
-            lift=_surd_lift, coeff_rows=_surd_coeff_rows, prim=ring.prim, ints=_surd_lift,
-        )
-    one, zero = basis.one(), basis.zero()
-
-    def msub(x, u, y, v):
-        return [x * a - y * b for a, b in zip(u, v)]
-
-    def dot(a, v):
-        acc = zero
-        for x, y in zip(a, v):
-            acc = acc + x * y
-        return acc
-
-    def canon(v):
-        for e in v:
-            s = e.sign()
-            if s:
-                scale = e if s > 0 else -e
-                return tuple(x / scale for x in v)
-        return v
-
-    def prim(v):
-        first = next(e for e in v if not e.is_zero())
-        return tuple(x / first for x in v)
-
-    def ints(v):
-        return tuple(map(basis.from_rational, v))
-
-    return _Domain(
-        conv=tuple, one=one, zero=zero,
-        unit=lambda n, i: tuple(one if j == i else zero for j in range(n)),
-        nonzero=lambda e: not e.is_zero(),
-        step=lambda row, prow, p, f, prev: [e / prev for e in msub(p, row, f, prow)],
-        dot=dot, sign=lambda x: x.sign(), comb=lambda x, u, y, v: tuple(msub(x, u, y, v)),
-        canon=canon, neg=lambda v: tuple(-x for x in v),
-        div=lambda v, d: tuple(x / d for x in v),
-        lift=lambda v: canon(ints(v)),
-        coeff_rows=lambda v: [_clear_denominators([e.coeffs[t] for e in v])[0]
-                              for t in range(basis.size)],
-        prim=prim, ints=ints,
-    )
+    return basis.ring().domain
 
 
 def _same(v):
@@ -748,11 +729,9 @@ def _common(D: _Domain, E: _Domain) -> tuple[_Domain, Callable, Callable]:
     maps taking each side's rows into it.  Two domains over one basis differ
     only when one is Z; its rows are then lifted into the other's, so each
     row stays a positive multiple of its scalars and keeps every sign."""
-    if D.step is _z_step and E.step is not _z_step:
-        return E, E.lift, _same
-    if E.step is _z_step and D.step is not _z_step:
-        return D, _same, D.lift
-    return D, _same, _same
+    if D.step is not _z_step:
+        return D, _same, (D.ints if E.step is _z_step else _same)
+    return (D, _same, _same) if E.step is _z_step else (E, E.ints, _same)
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -7,7 +7,9 @@ from momentlab.scalars import (
     ConstantBasis,
     ScalarError,
     UnsupportedScalarOperation,
-    _eliminate_rational,
+    _Z,
+    _clear_denominators,
+    _eliminate,
 )
 
 
@@ -22,8 +24,8 @@ def sqrt2_basis():
 
 
 def three_surds():
-    """{1, sqrt2, sqrt3, sqrt6} with every product declared: no single
-    declared square, so exact layers run on the scalars themselves."""
+    """{1, sqrt2, sqrt3, sqrt6} with every product declared: exact layers
+    run on Z[sqrt2, sqrt3], a tower of two square roots."""
     basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
              .with_constant("sqrt6", 6 ** 0.5, square=6))
     basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
@@ -39,7 +41,7 @@ def three_surds_basis():
 
 # One basis per route through the number domains: Z; Z[s] for sqrt2, for
 # sqrt(3/2) (s = 2c, a square with a denominator) and for the negative root
-# of 2; the scalars for three surds.
+# of 2; Z[s1, s2] for three surds, the products of two roots.
 DOMAIN_BASES = {
     "q": ConstantBasis.rationals(),
     "sqrt2": ConstantBasis.with_sqrt("sqrt2", 2),
@@ -47,6 +49,13 @@ DOMAIN_BASES = {
     "-sqrt2": ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2),
     "three": three_surds(),
 }
+
+
+def _eliminate_rational(rows):
+    """_eliminate over Z on a matrix of Fractions, each row first cleared of
+    its denominators: the nonzero integer rows, their pivots and the last
+    pivot, which each row carries in its pivot column."""
+    return _eliminate(_Z, [_clear_denominators(row)[0] for row in rows])
 
 
 def random_fraction(rng: random.Random, span: int = 4) -> Fraction:

@@ -4,18 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import momentlab
-from momentlab.cli import main, run_scenario, validate_scenario
+from momentlab.cli import _build_basis, main, run_scenario, validate_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # SHA-256 of every scenario output, recorded by the benchmark (read only here)
 EXPECTED = SCENARIOS.parent / "bench" / "expected.json"
 # segment's report.txt less its float residual line
 SEGMENT_GOLDEN = Path(__file__).resolve().parent / "golden" / "segment_report.txt"
+# a scenario over two square roots, kept out of scenarios/, and its report
+TWO_ROOTS = SEGMENT_GOLDEN.parent / "two_roots.json"
 
 
 def write(tmp_path, data, name="scenario.json"):
@@ -634,19 +637,82 @@ def test_point_off_the_slice_exits_2(tmp_path, capsys):
     assert validate_scenario(write(tmp_path, raw)) == 0
 
 
-def test_unused_constant_leaves_the_quasifold_report_alone(tmp_path):
-    """A declared constant with no products and no use must not stop the
-    divisions over sqrt2: the run succeeds and only the constants line of
-    the report changes."""
+def test_constant_without_a_square_exits_2(tmp_path, capsys):
+    """A declared constant with no square, used or not, is no product of
+    square roots, so exact arithmetic would refuse it at the first
+    irrational row; the scenario exits 2 naming it."""
     raw = json.loads((SCENARIOS / "quasifold.json").read_text())
-    assert run_scenario(write(tmp_path, raw, "plain.json"), out_dir=tmp_path / "plain") == 0
     raw["constants"]["c"] = 0.5
-    assert run_scenario(write(tmp_path, raw), out_dir=tmp_path / "out") == 0
-    plain = (tmp_path / "plain" / "report.txt").read_text().splitlines()
-    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
-    changed = [(a, b) for a, b in zip(plain, report) if a != b]
-    assert len(plain) == len(report)
-    assert changed == [("constants: sqrt2=1.41421356237", "constants: c=0.5, sqrt2=1.41421356237")]
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    assert "field 'constants': c has no square" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("constants, message", [
+    ({"sqrt2": 2 ** 0.5, "sqrt3": 3 ** 0.5, "sqrt6": 6 ** 0.5},
+     "sqrt2*sqrt3*sqrt6 has the rational square 36"),
+    ({"sqrt2": 2 ** 0.5, "sqrt8": 8 ** 0.5}, "sqrt2*sqrt8 has the rational square 16"),
+    ({"a": {"value": 1.5 ** 0.5, "square": 1.5}, "b": {"value": 6 ** 0.5, "square": 6}},
+     "a*b has the rational square 9"),
+    ({"sqrt2": 2 ** 0.5, "sqrt3": 3 ** 0.5, "sqrt5": 5 ** 0.5, "sqrt7": 7 ** 0.5},
+     "at most three square roots"),
+], ids=["2-3-6", "2-8", "3/2-6", "four"])
+def test_dependent_or_too_many_square_roots_exit_2(tmp_path, capsys, constants, message):
+    """Every nonempty subset of the radicands must multiply to a non-square:
+    sqrt2, sqrt3 and sqrt6 pass each pairwise check, yet their product is
+    6, rational, and the constants 1, sqrt2, sqrt3, sqrt6 and their products
+    would be dependent over the rationals.  A fourth root is refused too."""
+    raw = {"constants": constants, "torus_rank": 2, "lambda": ["1", "0"],
+           "direction_normals": [["1", "1"]], "analyses": ["slice-report"]}
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    assert f"field 'constants': {message}" in capsys.readouterr().err
+
+
+def test_square_roots_are_closed_under_products():
+    """The basis lists the products of the roots by bitmask, a product of
+    sqrt<k> constants named sqrt<n>, any other by its factors' names."""
+    b = _build_basis({"constants": {f"sqrt{k}": k ** 0.5 for k in (2, 3, 5)}})
+    assert b.names == ("one", "sqrt2", "sqrt3", "sqrt6", "sqrt5", "sqrt10", "sqrt15", "sqrt30")
+    assert b.product(b.index_of("sqrt6"), b.index_of("sqrt10")) == tuple(
+        Fraction(2) if n == "sqrt15" else 0 for n in b.names)
+    assert b.ring().domain is b.ring().domain
+    b = _build_basis({"constants": {"a": {"value": 1.5 ** 0.5, "square": 1.5}, "sqrt2": 2 ** 0.5}})
+    assert b.names == ("one", "a", "sqrt2", "a_sqrt2")
+    assert abs(b.float_values[3] - 3 ** 0.5) < 1e-12
+
+
+def test_two_roots_report_matches_golden_copy(tmp_path):
+    """Two square roots run end to end on Z[sqrt2, sqrt3], which holds sqrt6,
+    the declared roots' product.  The golden report's rationality and
+    quasilattice lines, by hand:
+
+    - the null ideal is the line of n = (1, sqrt2, sqrt3).  Its coefficient
+      rows on 1, sqrt2 and sqrt3 are the three unit vectors, so the smallest
+      rational subspace containing it is R^3, of dimension 3 > 1: the ideal
+      is not rational and the null subgroup is not closed;
+    - the polytope is the triangle x >= 0, <n, x> = 1, with vertices e0,
+      e1/sqrt2 = (0, 1/2*sqrt2, 0) and e2/sqrt3 = (0, 0, 1/3*sqrt3).  Its
+      equality normal n is irrational, so the fan is not rational: "rational:
+      no", in agreement with the null subgroup;
+    - the quotient by the ideal has dimension 2, with coordinates the
+      annihilator rows (1, 0, -1/3*sqrt3) and (0, 1, -1/3*sqrt6), both
+      orthogonal to n since sqrt3*sqrt3/3 = 1 and sqrt2 = sqrt6*sqrt3/3.
+      The images of the unit vectors are their columns (1, 0), (0, 1) and
+      (-1/3*sqrt3, -1/3*sqrt6).  The coefficient rows of the annihilator,
+      on 1: (1, 0, 0) and (0, 1, 0), on sqrt3: (0, 0, -1/3), and on sqrt6:
+      (0, 0, -1/3), span a space of dimension 3, so the quasilattice has
+      rank 3 of expected 2.
+    """
+    assert validate_scenario(TWO_ROOTS) == 0
+    assert run_scenario(TWO_ROOTS, out_dir=tmp_path) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert report == (TWO_ROOTS.parent / "two_roots_report.txt").read_text()
+    assert "constants: sqrt2=1.41421356237, sqrt3=1.73205080757, sqrt6=2.44948974278" in report
+    assert "rank: 3 of expected 2" in report and "rational: no" in report
 
 
 @pytest.mark.parametrize("field", ["t_max", "constants"])

@@ -46,7 +46,7 @@ def field(*radicals):
 
 
 THREE_SURDS = three_surds()
-# c is the negative root of c*c = 2: no integer arithmetic, DD runs on the scalars
+# c is the negative root of c*c = 2: DD runs on Z[s], signs flipped with c's
 NEGATIVE_ROOT = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
 FIELDS = {
     RATIONALS: field(),
@@ -169,13 +169,13 @@ def test_vertices_match_brute_force(data):
 @given(systems(THREE_SURDS, max_dim=3, max_constraints=5))
 @settings(deadline=None, max_examples=15)
 def test_vertices_over_three_surds_match_brute_force(data):
-    # this basis has no integer arithmetic, so DD runs on the scalars
+    # DD runs on Z[sqrt2, sqrt3], a tower of two square roots
     check_against_brute_force(*data)
 
 
 def test_negative_declared_square_keeps_its_vrep():
-    # c is the negative root of c*c = 2, which the integer quadratic sign
-    # rule does not cover; the scalars still decide every sign met here
+    # c is the negative root of c*c = 2: the integer quadratic sign rule
+    # takes c's sign from its declared value
     basis = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
     c = basis.constant("c")
     P = intersect_halfspaces(basis, 1, [([c], 1)])

@@ -15,10 +15,9 @@ from momentlab.scalars import (
     ExtScalar,
     UnsupportedScalarOperation,
     _domain,
-    _eliminate_rational,
 )
 
-from conftest import DOMAIN_BASES, random_fraction, random_scalar, ray_meets_rational_span
+from conftest import DOMAIN_BASES, _eliminate_rational, random_fraction, random_scalar, ray_meets_rational_span
 
 
 def rational_basis_by_elimination(n: Subspace) -> bool:

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from momentlab import linalg
 from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace, sigma_orthogonal
-from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation, _SurdRing
+from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation
 
 SQUARES = (2, Fraction(3, 2))
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -35,8 +35,8 @@ def basis_for(square):
 
 
 def three_surds():
-    """Q(sqrt2, sqrt3) on the basis {1, sqrt2, sqrt3, sqrt6}: not one surd, so
-    elimination and products run on the scalars."""
+    """Q(sqrt2, sqrt3) on the basis {1, sqrt2, sqrt3, sqrt6}: two square roots,
+    so elimination runs on the tower Z[sqrt2, sqrt3]."""
     basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
              .with_constant("sqrt6", 6 ** 0.5, square=6))
     basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
@@ -352,19 +352,19 @@ def test_conjugate_division_matches_sympy(square, a, b, e, f):
 
 
 def test_undeclared_basis_still_raises():
+    """tau has no declared square, so no ring holds it: every exact operation
+    on irrational rows is refused with tau named, also those that would need
+    no product, such as dividing a multiple of tau by tau."""
     basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
     tau, one = basis.constant("tau"), basis.one()
     zero = basis.zero()
-    for rows in ([(one, tau), (tau, one)], [(tau, tau), (tau, one)]):
-        with pytest.raises(UnsupportedScalarOperation):
+    for rows in ([(one, tau), (tau, one)], [(tau, tau), (tau, one)], [(tau,)],
+                 [(tau, one), (one, zero)]):
+        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
             linalg.rref(rows)
-    # dividing a multiple of tau by tau needs no product
-    assert linalg.rref([(tau,)]) == ([(one,)], [0])
-    assert linalg.rref([(tau, one), (one, zero)]) == ([(one, zero), (zero, one)], [0, 1])
-    with pytest.raises(UnsupportedScalarOperation):
-        one / tau
-    with pytest.raises(UnsupportedScalarOperation):
-        (one + tau) / (one - tau)
+    for num, den in ((one, tau), (one + tau, one - tau), (tau, tau)):
+        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
+            num / den
     # rational matrices need no products and still reduce
     reduced, pivots = linalg.rref([(one, one.scale(2)), (one.scale(2), one)])
     assert pivots == [0, 1] and reduced == [(one, zero), (zero, one)]
@@ -378,13 +378,13 @@ def test_division_by_multiple_constants_solves_rational_system():
     one, zero = basis.one(), basis.zero()
     assert linalg.rref([(x, y), (y, x + 1)]) == ([(one, zero), (zero, one)], [0, 1])
     assert linalg.rref([(x, y), (x.scale(2), y.scale(2))]) == ([(one, y / x)], [0])
-    # with an undeclared cross product the surd alone still divides by
-    # itself, but not by a divisor that involves tau
+    # a constant without a declared square keeps the basis from being a
+    # ring: the surd alone no longer divides either, and tau is named
     partial = ConstantBasis.with_sqrt("sqrt2", 2).with_constant("tau", 6.2831853)
     one, s2, tau = partial.one(), partial.constant("sqrt2"), partial.constant("tau")
-    assert one / s2 == s2.scale(Fraction(1, 2))
-    with pytest.raises(UnsupportedScalarOperation):
-        one / (s2 + tau)
+    for den in (s2, s2 + tau):
+        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
+            one / den
 
 
 @st.composite
@@ -407,8 +407,8 @@ def test_sign_matches_sympy(data):
     expected = int(sympy.sign(rational(a) + rational(b) * sympy.sqrt(rational(square))))
     assert x.sign() == expected
     # the integer rule on Z[s], after clearing denominators
-    ring = _SurdRing(basis, Fraction(square))
-    (pair,), _ = ring.clear((x,))
+    ring = basis.ring()
+    (pair,) = ring.clear((x,))
     assert ring.sign(pair) == expected
 
 
@@ -423,9 +423,73 @@ def test_sign_on_a_negative_declared_root_matches_sympy(data):
     expected = int(sympy.sign(rational(a) - rational(b) * root))
     assert x.sign() == expected
     # the integer rule on Z[s] follows the sign of the declared root
-    ring = _SurdRing(basis, Fraction(square))
-    (pair,), _ = ring.clear((x,))
+    ring = basis.ring()
+    (pair,) = ring.clear((x,))
     assert ring.sign(pair) == expected
+
+
+def test_three_surd_sign_near_a_float_tie_is_exact():
+    """sqrt2 + sqrt3 less its nearest double is below the rounding error of
+    the declared values, yet its sign is exact in Z[sqrt2, sqrt3]."""
+    x = three_surds().scalar([-Fraction(2 ** 0.5 + 3 ** 0.5), 1, 1, 0])
+    expected = int(sympy.sign(sympy_scalar(x)))
+    assert expected != 0 and x.sign() == expected
+
+
+def negative_roots():
+    """{1, c, sqrt3, d} with c = -sqrt2 and d = c*sqrt3 = -sqrt6, every
+    product declared: a tower whose first root and product are negative."""
+    basis = (ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
+             .with_constant("sqrt3", 3 ** 0.5, square=3).with_constant("d", -(6 ** 0.5), square=6))
+    basis.declare_product("c", "sqrt3", [0, 0, 0, 1])
+    basis.declare_product("c", "d", [0, 0, 2, 0])
+    basis.declare_product("sqrt3", "d", [0, 3, 0, 0])
+    return basis
+
+
+def fractional_square():
+    """{1, sqrt2, c, sqrt3} with c = sqrt(3/2) and sqrt2*c = sqrt3: a tower
+    whose second root has a square with a denominator, so s2 = 2c."""
+    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("c", 1.5 ** 0.5, square=Fraction(3, 2))
+             .with_constant("sqrt3", 3 ** 0.5, square=3))
+    basis.declare_product("sqrt2", "c", [0, 0, 0, 1])
+    basis.declare_product("sqrt2", "sqrt3", [0, 0, 2, 0])
+    basis.declare_product("c", "sqrt3", [0, Fraction(3, 2), 0, 0])
+    return basis
+
+
+TOWERS = (three_surds(), negative_roots(), fractional_square())
+
+
+@given(st.lists(small, min_size=4, max_size=4), st.lists(small, min_size=4, max_size=4))
+@settings(deadline=None, max_examples=40)
+def test_tower_division_inverts_multiplication(num, den):
+    """Division by an irrational scalar runs in the tower (times the other
+    conjugates of the divisor, over its norm); multiplying back by the
+    declared products, with no ring, gives the dividend."""
+    for basis in TOWERS:
+        x, y = basis.scalar(num), basis.scalar(den)
+        if not y.is_zero():
+            assert (x / y) * y == x
+
+
+@given(st.lists(st.integers(-10**20, 10**20), min_size=3, max_size=3), st.integers(-1, 2),
+       st.integers(1, 7))
+@settings(deadline=None, max_examples=40)
+def test_three_surd_sign_matches_sympy(irrational, shift, den):
+    """The sign in the tower, down from sqrt3 over Z[sqrt2] to Z, against
+    sympy's, for a + b*c1 + c*c2 + d*c1*c2 over a common denominator with a
+    within two of -(b*c1 + c*c2 + d*c1*c2), for b, c, d up to 10^20, and for
+    positive and negative roots and a square with a denominator."""
+    for basis in TOWERS:
+        tail = sympy_scalar(basis.scalar([0, *irrational]))
+        a = -int(sympy.floor(tail)) + shift
+        x = basis.scalar([Fraction(v, den) for v in (a, *irrational)])
+        expected = int(sympy.sign(sympy_scalar(x)))
+        assert x.sign() == expected
+        ring = basis.ring()
+        (pair,) = ring.clear((x,))
+        assert ring.sign(pair) == expected
 
 
 # -- matrix-vector products against plain scalar arithmetic ------------------------
@@ -519,7 +583,7 @@ def kernel_coefficients(draw):
 @given(kernel_coefficients())
 @settings(deadline=None, max_examples=40)
 def test_kernel_is_the_canonical_basis(data):
-    # Q, Q(sqrt2), Q(sqrt(3/2)), c = -sqrt2 and three surds on the scalars,
+    # Q, Q(sqrt2), Q(sqrt(3/2)), c = -sqrt2 and three surds on Z[sqrt2, sqrt3],
     # each with rational and with irrational entries
     ncols, coefficient_rows = data
     for basis in PRODUCT_BASES:

@@ -652,7 +652,7 @@ def slice_verdict_by_vrep(basis, d, lam, vecs):
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_BASES))
 def test_slice_checks_match_scalar_references(name):
-    """On random slices over Z, Z[s] for three squares and the scalars:
+    """On random slices over Z, Z[s] for three squares and Z[s1, s2]:
     build_affine_slice accepts or names the same failure as the checks on
     P's scalar V-rep; every column subset of the direction and the ideal
     rows has the rank linalg.rank gives it; the support strata (masks read

@@ -24,10 +24,9 @@ from momentlab.scalars import (
     ScalarError,
     _domain,
     _eliminate,
-    _eliminate_rational,
 )
 
-from conftest import DOMAIN_BASES, is_rational_direction, random_fraction, ray_meets_rational_span
+from conftest import DOMAIN_BASES, _eliminate_rational, is_rational_direction, random_fraction, ray_meets_rational_span
 
 
 # -- oracle constructors: a polyhedron from generators, and projection -------------
@@ -410,8 +409,8 @@ def test_slice_at_level_matches_projection_reference(name, request):
     basis = request.getfixturevalue(name)
     rng = random.Random(len(name))
     seen = Counter()
-    # the three-surd basis runs double description on the scalars themselves,
-    # far slower than on Z or Z[s], so it gets half the cases
+    # the three-surd basis runs double description on a tower of two roots,
+    # slower than on Z or Z[s], so it gets half the cases
     for case in range(12 if basis.size > 2 else 24):
         dim = case % 3 + 1
         P = from_generators(basis, dim, *redundant_generators(rng, basis, dim, case % 5))
@@ -976,7 +975,7 @@ def triangle_rows(basis, scale=None):
                                             ("three_surds_basis", "sqrt3")])
 def test_comparisons_across_domains(name, constant, request):
     """One rational triangle built from rows over Z and from rows over
-    Z[sqrt2] (or the scalars) whose irrational parts cancel: equal, with
+    Z[sqrt2] (or Z[sqrt2, sqrt3]) whose irrational parts cancel: equal, with
     equal hashes, poly_equal both ways, the same containment and cut_out_by
     verdicts, and unequal to a shifted triangle; the same for a segment on
     its long edge, whose equality row is compared too; and its cone sliced at
@@ -986,7 +985,7 @@ def test_comparisons_across_domains(name, constant, request):
     scale = basis.one() + c
     P = intersect_halfspaces(basis, 2, triangle_rows(basis))
     Q = intersect_halfspaces(basis, 2, triangle_rows(basis, scale))
-    assert P._D.step is not Q._D.step  # Z against Z[sqrt2] or the scalars
+    assert P._D.step is not Q._D.step  # Z against Z[sqrt2] or Z[sqrt2, sqrt3]
     assert P == Q and Q == P and hash(P) == hash(Q)
     assert poly_equal(P, Q) and poly_equal(Q, P)
     half, tenth = Fraction(1, 2), Fraction(1, 10)
@@ -1161,7 +1160,7 @@ def test_affine_span_and_rationality_match_scalar_routes(name):
     generator differences, and is_rational_polyhedral on P's coefficient
     rows gives the scalar route's verdict, for polyhedra from
     intersect_halfspaces, homogenize and the cone slice, over Z, Z[s] for
-    three squares and the scalars."""
+    three squares and Z[s1, s2]."""
     basis = DOMAIN_BASES[name]
     rng = random.Random(4242 + len(name))
     seen = Counter()

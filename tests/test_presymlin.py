@@ -414,7 +414,7 @@ def test_rational_form_on_irrational_vectors_matches_scalar_reference(name):
 @pytest.mark.parametrize("name", [n for n in sorted(DOMAIN_BASES) if n != "q"])
 def test_rational_span_of_irrational_vectors_equals_the_rational_one(name):
     """A rational subspace spanned by irrational multiples of rational
-    vectors is born in Z[s] (or on the scalars), the same subspace spanned by
+    vectors is born in Z[s] (or Z[s1, s2]), the same subspace spanned by
     the rational vectors over Z: equal, with equal hashes and rows, through
     every operation."""
     basis = DOMAIN_BASES[name]

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momentlab.cli import _build_basis
 from momentlab.scalars import (
     BasisMismatchError,
     ConstantBasis,
     ScalarError,
-    SignUndecidableError,
     UnsupportedScalarOperation,
     parse_scalar,
 )
@@ -65,6 +65,51 @@ def test_division_by_surd(sqrt2_basis):
     assert (x / s2) * s2 == x
 
 
+def two_roots(sqrt6_value=6 ** 0.5, sqrt2_times_sqrt3=(0, 0, 0, 1)):
+    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
+             .with_constant("sqrt6", sqrt6_value, square=6))
+    basis.declare_product("sqrt2", "sqrt3", list(sqrt2_times_sqrt3))
+    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
+    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
+    return basis
+
+
+@pytest.mark.parametrize("basis, message", [
+    (two_roots(), None),
+    (two_roots(sqrt6_value=-(6 ** 0.5)), "declared value of sqrt6 has not the sign"),
+    (two_roots(sqrt2_times_sqrt3=(0, 0, 0, 2)), "declared product sqrt2\\*sqrt3 is not"),
+    (two_roots().with_constant("sqrt5", 5 ** 0.5, square=5), "product sqrt2\\*sqrt5 is not"),
+    (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3),
+     "product sqrt2\\*sqrt3 is not"),
+    (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
+     .with_constant("tau", 6.2831853), "constant tau is outside"),
+], ids=["ring", "wrong-sign", "wrong-product", "undeclared-products", "no-product-constant",
+        "opaque-product-constant"])
+def test_the_ring_checks_every_declared_product_and_sign(basis, message):
+    """A basis is the ring of its roots only if every declared product is
+    the ring's product and every constant has the sign of its roots'
+    product; otherwise exact layers refuse it, naming the constants."""
+    x = basis.one() + basis.constant("sqrt2") - basis.constant("sqrt3")
+    if message is None:
+        assert x.sign() == 1 and basis.ring().domain is basis.ring().domain
+        return
+    with pytest.raises(UnsupportedScalarOperation, match=message):
+        x.sign()
+
+
+def test_three_roots_make_a_ring_and_a_fourth_is_outside_it():
+    """Up to three roots make the ring Z[s1, s2, s3]; a fourth root is
+    outside it, and the rationals alone have no roots to make one."""
+    three = _build_basis({"constants": {f"sqrt{k}": k ** 0.5 for k in (2, 3, 5)}})
+    assert (three.constant("sqrt30") - three.constant("sqrt2").scale(3)).sign() == 1
+    assert (three.constant("sqrt15") - three.constant("sqrt6").scale(Fraction(3, 2))).sign() == 1
+    four = three.with_constant("sqrt7", 7 ** 0.5, square=7)
+    with pytest.raises(UnsupportedScalarOperation, match="constant sqrt7 is outside"):
+        four.ring()
+    with pytest.raises(UnsupportedScalarOperation, match="no roots"):
+        ConstantBasis.rationals().ring()
+
+
 def test_division_undeclared_raises():
     basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
     with pytest.raises(UnsupportedScalarOperation):
@@ -72,21 +117,18 @@ def test_division_undeclared_raises():
 
 
 @pytest.mark.parametrize("surd_first", [True, False])
-def test_division_ignores_a_constant_without_products(surd_first):
-    """A declared constant c with no products must not stop a division that
-    needs only sqrt2: the solution is sought over the constants whose
-    product with the divisor is declared."""
+def test_division_refuses_a_constant_without_products(surd_first):
+    """A declared constant c with no square and no products keeps the basis
+    from being a ring, wherever c stands in it: a division is refused, with
+    c named, even one that needs only sqrt2."""
     rationals = ConstantBasis.rationals()
     basis = (rationals.with_constant("sqrt2", 2 ** 0.5, square=2).with_constant("c", 0.5)
              if surd_first else
              rationals.with_constant("c", 0.5).with_constant("sqrt2", 2 ** 0.5, square=2))
     one, s2, c = basis.one(), basis.constant("sqrt2"), basis.constant("c")
-    x = one / (one + s2)
-    assert x == s2 - one
-    assert x * (one + s2) == one
-    # a quotient that would need the product c*sqrt2 still raises
-    with pytest.raises(UnsupportedScalarOperation):
-        one / (one + s2 + c)
+    for den in (one + s2, one + s2 + c):
+        with pytest.raises(UnsupportedScalarOperation, match="constant c "):
+            one / den
 
 
 def test_float_eval_examples(sqrt2_basis):
@@ -114,14 +156,14 @@ def test_sign_single_opaque_constant():
     assert basis.constant("tau").scale(-3).sign() == -1
 
 
-def test_sign_interval_and_undecidable():
+def test_multi_term_sign_refuses_a_constant_without_square():
+    """tau has no declared square, so no ring holds tau - 6: its sign is
+    refused, with tau named, however far its declared value is from a tie."""
     basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
     t = basis.constant("tau")
-    assert (t - 6).sign() > 0
-    assert (t - 7).sign() < 0
-    exact = basis.scalar([Fraction(6.2831853), Fraction(-1)])
-    with pytest.raises(SignUndecidableError):
-        exact.sign()
+    for x in (t - 6, t - 7, basis.scalar([Fraction(6.2831853), Fraction(-1)])):
+        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
+            x.sign()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
@@ -151,9 +193,8 @@ def test_declared_square_must_be_positive_and_irrational(value, square, message)
 
 
 def test_irrational_declared_squares_are_accepted():
-    assert ConstantBasis.with_sqrt("r", Fraction(2, 9)).surd_square() == Fraction(2, 9)
-    assert ConstantBasis.with_sqrt("r", Fraction(9, 2)).surd_square() == Fraction(9, 2)
-    assert ConstantBasis.with_sqrt("r", 8).surd_square() == 8
+    for square in (Fraction(2, 9), Fraction(9, 2), 8):
+        assert ConstantBasis.with_sqrt("r", square).product(1, 1) == (square, 0)
     basis = ConstantBasis.with_sqrt("r", 3).with_constant("c", 0.5)
     basis.declare_product("r", "c", [0, 0, 1])  # a non-square product is not checked
     basis.declare_product("c", "c", [0, 1, 0])  # nor a square with an irrational part
