@@ -13,7 +13,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -21,7 +20,7 @@ from . import lattice, linalg, models, morse, polyhedra, reporting
 from .errors import SamplerError
 from .models import AffineSlice, ModelError, ModelPoint, WeightedModule
 from .reporting import fmt_float, fmt_polyhedron, fmt_subspace, fmt_vector, yesno
-from .scalars import ConstantBasis, ScalarError
+from .scalars import ConstantBasis, ScalarError, _is_positive_number
 
 # numpy and the sampler load only with curve parsing and the float sections,
 # so a run of an exact scenario starts without them
@@ -33,8 +32,6 @@ ANALYSES = ("slice-report", "morse", "quasifold", "contact-cone", "sample", "def
 _SQRT_NAME = re.compile(r"^sqrt(\d+)$")
 # desk-scale cap on float samples per analysis
 MAX_SAMPLES = 1_000_000
-# the largest finite double; a larger JSON integer cannot be read as a float
-_MAX_FLOAT = sys.float_info.max
 
 
 class ScenarioError(ValueError):
@@ -60,55 +57,33 @@ class Scenario:
 
 
 def _build_basis(raw: dict) -> ConstantBasis:
-    """The declared square roots, at most three, closed under products: the
-    constants are 1, c1, c2, c1*c2, c3, c1*c3, ..., the product of the roots
-    in each bitmask, with every product declared, so exact layers run on
-    Z[s1..sk].  A product of sqrt<k> constants is named sqrt<n>, any other
-    product by its factors' names joined with "_"."""
+    """The declared square roots, in name order, as a ConstantBasis, which
+    closes them under products and refuses them unless independent.  A root
+    named sqrt<k> has the square k unless it declares one, and its value
+    must be the positive root of its square."""
     constants = raw.get("constants", {})
     if not isinstance(constants, dict):
         raise ScenarioError("constants", "must be a mapping of name to value")
-    if len(constants) > 3:
-        raise ScenarioError("constants", "at most three square roots can be declared")
-    names, values, squares = ["one"], [1.0], [Fraction(1)]
+    roots = []
     for name in sorted(constants):
         value, square = constants[name], None
         if isinstance(value, dict):
             value, square = value.get("value"), value.get("square")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioError("constants", f"{name} needs a numeric value")
-        if not _is_positive_number(abs(value)):
-            raise ScenarioError("constants", f"{name} needs a finite nonzero value")
-        if square is not None and not _is_positive_number(square):
-            raise ScenarioError("constants", f"{name}: square must be a positive number")
         if square is None and _SQRT_NAME.match(name):
             square = int(name[4:])
         if square is None:
             raise ScenarioError("constants", f"{name} has no square: name it sqrt<k> or "
                                              'declare {"value": v, "square": q}')
-        if abs(float(square) ** 0.5 - value) > 1e-6:
-            raise ScenarioError("constants", f"{name}: value {value} does not match sqrt({square})")
-        square = Fraction(square)
-        for i in range(len(names)):
-            sqrt_names = names[i] == f"sqrt{squares[i]}" and name == f"sqrt{square}"
-            names.append(name if i == 0 else f"sqrt{squares[i] * square}" if sqrt_names
-                         else f"{names[i]}_{name}")
-            values.append(values[i] * value)
-            squares.append(squares[i] * square)
-    roots = sorted(constants)
-    for mask, q in enumerate(squares[1:], 1):
-        if all(math.isqrt(x) ** 2 == x for x in (q.numerator, q.denominator)):
-            factors = "*".join(r for i, r in enumerate(roots) if mask >> i & 1)
-            raise ScenarioError("constants", f"{factors} has the rational square {q}, "
-                                             "so the square roots are not independent")
+        roots.append((name, value, square))
     try:
-        basis = ConstantBasis(names, values)
-        for a in range(1, len(names)):
-            for b in range(a, len(names)):
-                basis.declare_product(names[a], names[b], [
-                    squares[a & b] if j == a ^ b else 0 for j in range(len(names))])
+        basis = ConstantBasis(roots)
     except ScalarError as exc:
         raise ScenarioError("constants", str(exc))
+    for name, value, square in roots:
+        if abs(float(square) ** 0.5 - value) > 1e-6:
+            raise ScenarioError("constants", f"{name}: value {value} does not match sqrt({square})")
     return basis
 
 
@@ -174,10 +149,6 @@ def _load_analysis_inputs(sc: Scenario) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_positive_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= _MAX_FLOAT
 
 
 def _parse_vector(basis, entries, field_name, length=None):

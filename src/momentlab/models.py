@@ -264,10 +264,13 @@ def _at_point(model, point: ModelPoint) -> dict:
 def leaf_tangent(model, point: ModelPoint) -> Subspace:
     """Tangent space of the null foliation at the point, computed from the
     form: the kernel of the restriction of the form to the model's tangent
-    space."""
-    T = model.tangent(point)
-    form = adapted_form(model.module, point)
-    return T.intersect(presymlin.sigma_orthogonal(form, T))
+    space; kept per point."""
+    at = _at_point(model, point)
+    if "leaf" not in at:
+        T = model.tangent(point)
+        form = adapted_form(model.module, point)
+        at["leaf"] = T.intersect(presymlin.sigma_orthogonal(form, T))
+    return at["leaf"]
 
 
 def leaf_stabilizer_algebra(model, point: ModelPoint) -> Subspace:
@@ -315,10 +318,10 @@ class AffineSlice:
     map: a coisotropic model whose null ideal is the annihilator of W.
 
     Its plane rows, its direction, ideal and plane rows in their number
-    domain, moment polytope, support strata and, per point, its tangent
-    space and tangent model are computed on first read and kept on the
-    instance, outside the fields, so equality and hash see the four fields
-    alone."""
+    domain, moment polytope, support strata and, per point, its on-slice
+    check, tangent space, leaf tangent and tangent model are computed on
+    first read and kept on the instance, outside the fields, so equality and
+    hash see the four fields alone."""
 
     module: WeightedModule
     lam: Vector
@@ -484,6 +487,11 @@ def _subsets(items) -> list[tuple]:
 
 
 def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
+    """Raise unless the point lies on the slice; a point that passes is
+    kept, and checked once."""
+    at = _at_point(slice_, point)
+    if "on_slice" in at:
+        return
     phi = moment_quadratic(slice_.module, point)
     for a, c in slice_.plane_rows:
         if not (linalg.dot(a, phi) - c).is_zero():
@@ -491,6 +499,7 @@ def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
     for m in point.mu:
         if m.sign() < 0:
             raise ModelError("point has negative moment value")
+    at["on_slice"] = True
 
 
 # -- support strata -----------------------------------------------------------------

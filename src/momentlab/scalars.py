@@ -1,26 +1,29 @@
-"""Exact scalars in the rational span of declared real constants.
+"""Exact scalars in the rational span of up to three square roots and their
+products.
 
-The scalar domain is a vector space over the rationals spanned by named
-constants, the first of which is always 1.  Products exist only when one
-factor is rational or when the product of two constants has been declared
-(e.g. sqrt2 * sqrt2 = 2); anything else raises UnsupportedScalarOperation.
+A ConstantBasis is built from its roots c_1..c_k, k <= 3, each a name, a
+float value and a positive rational square.  Its constants are the 2^k
+products of the roots, listed by bitmask (1, c_1, c_2, c_1*c_2, c_3, ...).
+No product of roots has a rational square, so by Besicovitch's theorem (J.
+London Math. Soc. 1940) the constants are linearly independent over the
+rationals, and every product is fixed: c_t*c_u = squares[t & u]*c_(t ^ u).
 Exact elimination, division and signs run in one of two rings: Z for
-rational rows, and Z[s_1..s_k] (_SurdRing) for a basis of the products of up
-to three square roots, with every product declared and checked.  No declared
-square is a rational square, so by Besicovitch's theorem (J. London Math.
-Soc. 1940) such constants are linearly independent over the rationals.
+rational rows, and Z[s_1..s_k] (_SurdRing) for the others.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, isfinite, isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 RationalLike = int | Fraction
+# the largest finite double; a larger integer cannot be read as a float
+_MAX_FLOAT = sys.float_info.max
 
 
 class ScalarError(ValueError):
@@ -32,40 +35,53 @@ class BasisMismatchError(ScalarError):
 
 
 class UnsupportedScalarOperation(ScalarError):
-    """The requested operation leaves the declared span or its ring."""
+    """The requested operation leaves the span."""
+
+
+def _is_positive_number(value) -> bool:
+    return (isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+            and 0 < value <= _MAX_FLOAT)
 
 
 class ConstantBasis:
-    """Named real constants spanning the scalar domain over the rationals.
+    """The constants 1, c_1, c_2, c_1*c_2, c_3, ... derived by bitmask from
+    up to three roots (name, value, square), with their names, float values
+    and squares.  A product of roots named sqrt<k> is named sqrt<n>, any
+    other by its factors' names joined with "_"."""
 
-    The first constant is always ``one`` with value 1.  Optional product
-    declarations record that the real product of two non-unit constants is a
-    known element of the span; they are what make the basis a ring (ring).
-    """
+    __slots__ = ("roots", "names", "float_values", "squares", "_index", "_one", "_ring")
 
-    __slots__ = ("names", "float_values", "_index", "_products", "_one", "_ring")
-
-    def __init__(
-        self,
-        names: Sequence[str] = ("one",),
-        float_values: Sequence[float] = (1.0,),
-    ):
-        names = tuple(names)
-        float_values = tuple(float(v) for v in float_values)
-        if len(names) != len(float_values):
-            raise ScalarError("names and float_values must have equal length")
-        if not names or names[0] != "one" or float_values[0] != 1.0:
-            raise ScalarError('first constant must be "one" with value 1.0')
+    def __init__(self, roots: Sequence[tuple[str, float, RationalLike]] = ()):
+        roots = tuple(roots)
+        if len(roots) > 3:
+            raise ScalarError("at most three square roots can be declared")
+        names, values, squares, checked = ["one"], [1.0], [Fraction(1)], []
+        for k, (name, value, square) in enumerate(roots):
+            # a zero constant depends on 1, and no sign rule applies to nan
+            if not _is_positive_number(abs(value)):
+                raise ScalarError(f"{name} needs a finite nonzero value")
+            if not _is_positive_number(square):
+                raise ScalarError(f"{name}: square must be a positive number")
+            value, square = float(value), Fraction(square)
+            checked.append((name, value, square))
+            for i in range(1 << k):
+                sqrt_names = names[i] == f"sqrt{squares[i]}" and name == f"sqrt{square}"
+                names.append(name if i == 0 else f"sqrt{squares[i] * square}" if sqrt_names
+                             else f"{names[i]}_{name}")
+                values.append(values[i] * value)
+                squares.append(squares[i] * square)
+            # the subsets of roots holding this one, in bitmask order
+            for mask in range(1 << k, 2 << k):
+                q = squares[mask]
+                if all(isqrt(x) ** 2 == x for x in (q.numerator, q.denominator)):
+                    factors = "*".join(r[0] for i, r in enumerate(checked) if mask >> i & 1)
+                    raise ScalarError(f"{factors} has the rational square {q}, "
+                                      "so the square roots are not independent")
         if len(set(names)) != len(names):
             raise ScalarError("constant names must be distinct")
-        for name, value in zip(names[1:], float_values[1:]):
-            # a zero constant depends on 1, and no sign rule applies to nan
-            if not isfinite(value) or value == 0:
-                raise ScalarError(f"constant {name!r} needs a finite nonzero value")
-        self.names = names
-        self.float_values = float_values
+        self.roots = tuple(checked)
+        self.names, self.float_values, self.squares = tuple(names), tuple(values), tuple(squares)
         self._index = {n: i for i, n in enumerate(names)}
-        self._products: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         self._one = ExtScalar(self, (Fraction(1),) + (Fraction(0),) * (len(names) - 1))
         self._ring = None
 
@@ -79,48 +95,15 @@ class ConstantBasis:
         except KeyError:
             raise ScalarError(f"unknown constant {name!r}") from None
 
-    def declare_product(self, a: str, b: str, coeffs: Sequence[RationalLike]) -> None:
-        """Record that the real product a*b equals the span element `coeffs`.
-
-        A rational square a*a must be positive and not the square of a
-        rational: a would then be rational, and not independent of 1, while
-        exact elimination and rationality tests treat it as irrational."""
-        i, j = self.index_of(a), self.index_of(b)
-        if i == 0 or j == 0:
-            raise ScalarError("products with the unit need no declaration")
-        value = _canon(coeffs, self.size)
-        if i == j and not any(value[1:]):
-            q = value[0]
-            if q <= 0:
-                raise ScalarError(f"declared square {q} of {a} is not positive")
-            if all(isqrt(x) ** 2 == x for x in (q.numerator, q.denominator)):
-                raise ScalarError(f"declared square {q} of {a} is a rational square, "
-                                  f"so {a} would be rational")
-        self._products[(i, j)] = value
-        self._products[(j, i)] = value
-        self._ring = None
-
-    def product(self, i: int, j: int) -> tuple[Fraction, ...] | None:
-        return self._products.get((i, j))
-
     def ring(self) -> "_SurdRing":
-        """The basis as Z[s_1..s_k] (_SurdRing), kept until a product is
-        declared; raises UnsupportedScalarOperation naming the constant
-        outside it."""
+        """The basis as Z[s_1..s_k] (_SurdRing), built on first use."""
         if self._ring is None:
             self._ring = _SurdRing(self)
         return self._ring
 
-    def with_constant(
-        self, name: str, float_value: float, square: RationalLike | None = None
-    ) -> "ConstantBasis":
-        """Return a new basis extended by one constant, optionally with a
-        declared square (making it behave as a quadratic surd)."""
-        basis = ConstantBasis(self.names + (name,), self.float_values + (float_value,))
-        basis._products.update({ij: p + (Fraction(0),) for ij, p in self._products.items()})
-        if square is not None:
-            basis.declare_product(name, name, [square] + [0] * self.size)
-        return basis
+    def with_root(self, name: str, value: float, square: RationalLike) -> "ConstantBasis":
+        """A new basis with one more root."""
+        return ConstantBasis(self.roots + ((name, value, square),))
 
     @staticmethod
     def rationals() -> "ConstantBasis":
@@ -128,8 +111,7 @@ class ConstantBasis:
 
     @staticmethod
     def with_sqrt(name: str = "sqrt2", radicand: RationalLike = 2) -> "ConstantBasis":
-        value = abs(float(radicand)) ** 0.5  # declare_product refuses a radicand <= 0
-        return ConstantBasis().with_constant(name, value, square=radicand)
+        return ConstantBasis([(name, abs(float(radicand)) ** 0.5, radicand)])
 
     def zero(self) -> "ExtScalar":
         return ExtScalar(self, (Fraction(0),) * self.size)
@@ -154,11 +136,7 @@ class ConstantBasis:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstantBasis):
             return NotImplemented
-        return (
-            self.names == other.names
-            and self.float_values == other.float_values
-            and self._products == other._products
-        )
+        return self.roots == other.roots
 
     def __hash__(self):
         return hash((self.names, self.float_values))
@@ -255,28 +233,14 @@ class ExtScalar:
     __rmul__ = __mul__
 
     def _mul_irrational(self, other: "ExtScalar") -> "ExtScalar":
-        size = self.basis.size
-        acc = [Fraction(0)] * size
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                ab = a * b
-                if i == 0:
-                    acc[j] += ab
-                elif j == 0:
-                    acc[i] += ab
-                else:
-                    prod = self.basis.product(i, j)
-                    if prod is None:
-                        raise UnsupportedScalarOperation(
-                            f"product {self.basis.names[i]}*{self.basis.names[j]} "
-                            "is not declared; the scalar domain is not a ring"
-                        )
-                    for t, p in enumerate(prod):
-                        acc[t] += ab * p
+        """The product by the bitmask rule c_t*c_u = squares[t & u]*c_(t ^ u)."""
+        squares = self.basis.squares
+        acc = [Fraction(0)] * len(squares)
+        for t, a in enumerate(self.coeffs):
+            if a:
+                for u, b in enumerate(other.coeffs):
+                    if b:
+                        acc[t ^ u] += a * b * squares[t & u] if t & u else a * b
         return ExtScalar(self.basis, tuple(acc))
 
     def __truediv__(self, other):
@@ -297,8 +261,9 @@ class ExtScalar:
         )
 
     def sign(self) -> int:
-        """Exact sign: a single constant has the sign of its declared value,
-        and any other irrational scalar is signed in the basis's ring."""
+        """Exact sign: a single constant has the sign of its float value, the
+        product of its roots', and any other irrational scalar is signed in
+        the basis's ring."""
         nonzero = [i for i, c in enumerate(self.coeffs) if c != 0]
         if len(nonzero) > 1:
             ring = self.basis.ring()
@@ -510,47 +475,23 @@ def _up(xs: Sequence[int], floors: Sequence[tuple[int, bool]]):
 
 
 class _SurdRing:
-    """Z[s_1..s_k] for a basis of the 2^k products of k <= 3 roots c_i with
-    declared squares n_i/m_i, listed by bitmask (1, c_1, c_2, c_1*c_2, c_3,
-    ...) with every product declared, where s_i = m_i*c_i and s_i*s_i =
-    n_i*m_i.  An element is a pair (a, b) meaning a + b*s_k, a and b in
-    K_(k-1) = Z[s_1..s_(k-1)]: ints for k = 1, _Surd above; the arithmetic
-    is written once, with Python operators, for both.  An element's integer
-    coordinates are its coefficients on the monomials, the products of the
-    s_i, by bitmask too.  Every declared product is checked against the
-    ring's, and every constant's declared value against the ring's sign."""
+    """Z[s_1..s_k] for a basis of k <= 3 roots c_i with squares n_i/m_i,
+    where s_i = m_i*c_i and s_i*s_i = n_i*m_i.  An element is a pair (a, b)
+    meaning a + b*s_k, a and b in K_(k-1) = Z[s_1..s_(k-1)]: ints for k = 1,
+    _Surd above; the arithmetic is written once, with Python operators, for
+    both.  An element's integer coordinates are its coefficients on the
+    monomials, the products of the s_i, listed by bitmask as the basis lists
+    its constants."""
 
     def __init__(self, basis: ConstantBasis):
-        names, n = basis.names, basis.size
-        if n == 1:
-            raise UnsupportedScalarOperation("the rationals have no roots; Z is their ring")
-        # constant t is the product of the roots h in its bitmask, whose
-        # squares multiply to squares[t] and their m_i to scale[t]
-        squares, scale, negative = [Fraction(1)] * n, [1] * n, [False] * n
-        for t in range(1, n):
-            h, sq = 1 << t.bit_length() - 1, basis.product(t, t)
-            if sq is None or any(sq[1:]) or t == 8:
-                raise UnsupportedScalarOperation(
-                    f"constant {names[t]} is outside the ring of at most three square "
-                    "roots with declared rational squares and their declared products")
-            if t == h:
-                squares[t], scale[t] = sq[0], sq[0].denominator
-            else:
-                squares[t], scale[t] = squares[h] * squares[t - h], scale[h] * scale[t - h]
-            negative[t] = basis.float_values[t] < 0
-            if t != h and negative[t] != (negative[h] != negative[t - h]):
-                raise UnsupportedScalarOperation(
-                    f"declared value of {names[t]} has not the sign of its roots' product")
-        for t in range(1, n):
-            for u in range(t, n):
-                if t ^ u >= n or basis.product(t, u) != tuple(
-                        squares[t & u] if j == t ^ u else 0 for j in range(n)):
-                    raise UnsupportedScalarOperation(
-                        f"declared product {names[t]}*{names[u]} is not a product of the "
-                        "square roots, so the basis is not a ring")
-        # one floor K_i = K_(i-1)[s] per root: (s*s, whether s is positive)
-        floors = [(squares[h].numerator * scale[h], not negative[h])
-                  for h in (1 << i for i in range(n.bit_length() - 1))]
+        n = basis.size
+        # one floor K_i = K_(i-1)[s_i] per root: (s_i*s_i, whether s_i is
+        # positive); constant t is monomial t over scale[t], the product of
+        # the m_i of its roots
+        floors, scale = [], [1]
+        for _, value, square in basis.roots:
+            floors.append((square.numerator * square.denominator, value > 0))
+            scale += [m * square.denominator for m in scale]
         below, h = floors[:-1], n // 2
         self.basis, (self.s2, self.positive), self._scale = basis, floors[-1], scale
         self._into = None if scale[-1] == 1 else [Fraction(1, m) for m in scale]
@@ -584,7 +525,7 @@ class _SurdRing:
         return self._pairs(_clear_denominators(values)[0])
 
     def sign(self, x) -> int:
-        """Exact sign, each root with the sign of its declared value."""
+        """Exact sign, each root with the sign of its value."""
         return _surd_sign(x[0], x[1] if self.positive else -x[1], self.s2)
 
     def dot(self, a, v):
@@ -707,10 +648,9 @@ _Z = _Domain(
 def _domain(basis: ConstantBasis, rows: Sequence[Sequence[ExtScalar]]) -> _Domain:
     """The number domain for vectors like `rows`, the package's one choice:
     Z for all-rational rows, each cleared of its denominators, else the
-    basis's ring Z[s_1..s_k] (ConstantBasis.ring), which raises naming a
-    constant outside it.  A row's integer coefficient rows, one per constant
-    of the domain (1; the 2^k monomials), span the smallest rational
-    subspace containing it.  `canon` and `prim` give a row's representative
+    basis's ring Z[s_1..s_k] (ConstantBasis.ring).  A row's integer
+    coefficient rows, one per constant of the domain (1; the 2^k monomials),
+    span the smallest rational subspace containing it.  `canon` and `prim` give a row's representative
     up to positive and to nonzero scaling: primitive, first nonzero entry
     an integer."""
     if all(not any(e.coeffs[1:]) for row in rows for e in row):

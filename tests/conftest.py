@@ -6,7 +6,6 @@ import pytest
 from momentlab.scalars import (
     ConstantBasis,
     ScalarError,
-    UnsupportedScalarOperation,
     _Z,
     _clear_denominators,
     _eliminate,
@@ -24,14 +23,9 @@ def sqrt2_basis():
 
 
 def three_surds():
-    """{1, sqrt2, sqrt3, sqrt6} with every product declared: exact layers
-    run on Z[sqrt2, sqrt3], a tower of two square roots."""
-    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
-             .with_constant("sqrt6", 6 ** 0.5, square=6))
-    basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
-    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
-    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
-    return basis
+    """{1, sqrt2, sqrt3, sqrt6}, the products of two roots: exact layers run
+    on Z[sqrt2, sqrt3], a tower of two square roots."""
+    return ConstantBasis([("sqrt2", 2 ** 0.5, 2), ("sqrt3", 3 ** 0.5, 3)])
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +40,7 @@ DOMAIN_BASES = {
     "q": ConstantBasis.rationals(),
     "sqrt2": ConstantBasis.with_sqrt("sqrt2", 2),
     "sqrt3/2": ConstantBasis.with_sqrt("c", Fraction(3, 2)),
-    "-sqrt2": ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2),
+    "-sqrt2": ConstantBasis([("c", -(2 ** 0.5), 2)]),
     "three": three_surds(),
 }
 
@@ -95,24 +89,17 @@ def ray_meets_rational_span(vec, generators) -> bool:
     the generators: the scalar route of the facet test of
     polyhedra.is_rational_polyhedral, kept as its reference.
 
-    The multipliers range over the rational span of the constants whose
-    products with vec's constants are declared (the rational multiplier is
-    always available).  In the rational columns [generators | scaled copies
-    of vec], such a multiple exists iff some scaled copy depends on the
-    generators and the copies before it: iff fewer than all the copies are
-    pivot columns.
+    The multipliers range over the rational span of the constants.  In the
+    rational columns [generators | scaled copies of vec], such a multiple
+    exists iff some scaled copy depends on the generators and the copies
+    before it: iff fewer than all the copies are pivot columns.
     """
     m = len(vec)
     if m == 0:
         return False
     basis = vec[0].basis
     size = basis.size
-    scaled = []
-    for name in basis.names:
-        try:
-            scaled.append([basis.constant(name) * vi for vi in vec])
-        except UnsupportedScalarOperation:
-            continue
+    scaled = [[basis.constant(name) * vi for vi in vec] for name in basis.names]
     n_t = len(generators)
     rows = [
         tuple(g[i].coeffs[t] for g in generators) + tuple(w[i].coeffs[t] for w in scaled)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -672,13 +671,31 @@ def test_dependent_or_too_many_square_roots_exit_2(tmp_path, capsys, constants, 
     assert f"field 'constants': {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("constants, message", [
+    ({"sqrt2": -(2 ** 0.5)}, "sqrt2: value -1.4142135623730951 does not match sqrt(2)"),
+    ({"c": {"value": 1.5, "square": 2}}, "c: value 1.5 does not match sqrt(2)"),
+    ({"c": {"value": 1.5, "square": "2.25"}}, "c: square must be a positive number"),
+    ({"c": {"value": 1.5, "square": 0}}, "c: square must be a positive number"),
+], ids=["negative-root", "wrong-root", "square-as-text", "zero-square"])
+def test_root_not_matching_a_positive_square_exits_2(tmp_path, capsys, constants, message):
+    """A scenario's root is the positive root of a positive number: the
+    library builds a negative root, but a scenario's value must match the
+    square's positive root within 1e-6."""
+    raw = {"constants": constants, "torus_rank": 2, "lambda": ["1", "0"],
+           "direction_normals": [["1", "1"]], "analyses": ["slice-report"]}
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    assert f"field 'constants': {message}" in capsys.readouterr().err
+
+
 def test_square_roots_are_closed_under_products():
     """The basis lists the products of the roots by bitmask, a product of
     sqrt<k> constants named sqrt<n>, any other by its factors' names."""
     b = _build_basis({"constants": {f"sqrt{k}": k ** 0.5 for k in (2, 3, 5)}})
     assert b.names == ("one", "sqrt2", "sqrt3", "sqrt6", "sqrt5", "sqrt10", "sqrt15", "sqrt30")
-    assert b.product(b.index_of("sqrt6"), b.index_of("sqrt10")) == tuple(
-        Fraction(2) if n == "sqrt15" else 0 for n in b.names)
+    assert b.squares == (1, 2, 3, 6, 5, 10, 15, 30)
+    assert b.constant("sqrt6") * b.constant("sqrt10") == b.constant("sqrt15").scale(2)
     assert b.ring().domain is b.ring().domain
     b = _build_basis({"constants": {"a": {"value": 1.5 ** 0.5, "square": 1.5}, "sqrt2": 2 ** 0.5}})
     assert b.names == ("one", "a", "sqrt2", "a_sqrt2")
@@ -713,6 +730,18 @@ def test_two_roots_report_matches_golden_copy(tmp_path):
     assert report == (TWO_ROOTS.parent / "two_roots_report.txt").read_text()
     assert "constants: sqrt2=1.41421356237, sqrt3=1.73205080757, sqrt6=2.44948974278" in report
     assert "rank: 3 of expected 2" in report and "rational: no" in report
+
+
+def test_three_roots_report_matches_golden_copy(tmp_path):
+    """Three square roots run end to end on Z[sqrt2, sqrt3, sqrt5]; the
+    constants are the seven products of the roots, named sqrt<n> up to
+    sqrt30, and the report matches the golden copy byte for byte."""
+    scenario = TWO_ROOTS.parent / "three_roots.json"
+    assert validate_scenario(scenario) == 0
+    assert run_scenario(scenario, out_dir=tmp_path) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert report == (TWO_ROOTS.parent / "three_roots_report.txt").read_text()
+    assert "sqrt10=3.16227766017, sqrt15=3.87298334621, sqrt30=5.47722557505" in report
 
 
 @pytest.mark.parametrize("field", ["t_max", "constants"])

@@ -30,13 +30,8 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 def three_surds():
-    """{1, sqrt2, sqrt3, sqrt6} with every product declared."""
-    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
-             .with_constant("sqrt6", 6 ** 0.5, square=6))
-    basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
-    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
-    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
-    return basis
+    """{1, sqrt2, sqrt3, sqrt6}, the products of two roots."""
+    return ConstantBasis([("sqrt2", 2 ** 0.5, 2), ("sqrt3", 3 ** 0.5, 3)])
 
 
 def field(*radicals):
@@ -47,7 +42,7 @@ def field(*radicals):
 
 THREE_SURDS = three_surds()
 # c is the negative root of c*c = 2: DD runs on Z[s], signs flipped with c's
-NEGATIVE_ROOT = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
+NEGATIVE_ROOT = ConstantBasis([("c", -(2 ** 0.5), 2)])
 FIELDS = {
     RATIONALS: field(),
     SQRT2_BASIS: field(SQRT2),
@@ -176,7 +171,7 @@ def test_vertices_over_three_surds_match_brute_force(data):
 def test_negative_declared_square_keeps_its_vrep():
     # c is the negative root of c*c = 2: the integer quadratic sign rule
     # takes c's sign from its declared value
-    basis = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
+    basis = ConstantBasis([("c", -(2 ** 0.5), 2)])
     c = basis.constant("c")
     P = intersect_halfspaces(basis, 1, [([c], 1)])
     assert [[str(e) for e in v] for v in P.vrep.vertices] == [["1/2*c"]]
@@ -186,7 +181,7 @@ def test_negative_declared_square_keeps_its_vrep():
 
 def test_negative_declared_square_decides_mixed_signs():
     # (c + 1) x >= 1 with c = -sqrt2 needs the sign of 1 - sqrt2
-    basis = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
+    basis = ConstantBasis([("c", -(2 ** 0.5), 2)])
     c = basis.constant("c")
     P = intersect_halfspaces(basis, 1, [([c + 1], 1)])
     (vertex,), rays = P.vrep.vertices, P.vrep.rays

@@ -3,9 +3,8 @@
 rref, rank, kernel, solve over several targets, basis extension, containment
 and the Zassenhaus meet of subspaces over Q, Q(sqrt2) and Q(sqrt(3/2)) (a
 declared square that is not an integer), and conjugate division are compared
-with sympy's exact linear algebra, and exact signs with sympy's.  Containment
-is also compared over three surds.  Bases without
-declared products must keep raising UnsupportedScalarOperation.  Matrix-vector
+with sympy's exact linear algebra, and exact signs and products with
+sympy's.  Containment is also compared over three surds.  Matrix-vector
 products, sigma-orthogonals and Gram restrictions are compared with plain
 scalar arithmetic, also over a negative declared root and over three surds.
 """
@@ -21,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from momentlab import linalg
 from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace, sigma_orthogonal
-from momentlab.scalars import ConstantBasis, UnsupportedScalarOperation
+from momentlab.scalars import ConstantBasis
 
 SQUARES = (2, Fraction(3, 2))
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -37,12 +36,7 @@ def basis_for(square):
 def three_surds():
     """Q(sqrt2, sqrt3) on the basis {1, sqrt2, sqrt3, sqrt6}: two square roots,
     so elimination runs on the tower Z[sqrt2, sqrt3]."""
-    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
-             .with_constant("sqrt6", 6 ** 0.5, square=6))
-    basis.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
-    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
-    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
-    return basis
+    return ConstantBasis([("sqrt2", 2 ** 0.5, 2), ("sqrt3", 3 ** 0.5, 3)])
 
 
 def rational(q):
@@ -226,12 +220,13 @@ CONTAINMENT_BASES = (ConstantBasis.rationals(), basis_for(2), basis_for(Fraction
 
 
 def sympy_scalar(x):
-    """x in sympy: each constant is the root of its declared square, with the
-    sign of its declared value."""
-    value = rational(x.coeffs[0])
-    for i in range(1, x.basis.size):
-        root = sympy.sqrt(rational(x.basis.product(i, i)[0]))
-        value += rational(x.coeffs[i]) * (root if x.basis.float_values[i] > 0 else -root)
+    """x in sympy: constant t is the root of its square, with the sign of the
+    product of its roots, each signed by its value."""
+    signs = [1 if value > 0 else -1 for _, value, _ in x.basis.roots]
+    value = 0
+    for t, (c, square) in enumerate(zip(x.coeffs, x.basis.squares)):
+        sign = sympy.prod(s for i, s in enumerate(signs) if t >> i & 1)
+        value += rational(c) * sign * sympy.sqrt(rational(square))
     return value
 
 
@@ -351,25 +346,6 @@ def test_conjugate_division_matches_sympy(square, a, b, e, f):
     assert (num / den) * den == num
 
 
-def test_undeclared_basis_still_raises():
-    """tau has no declared square, so no ring holds it: every exact operation
-    on irrational rows is refused with tau named, also those that would need
-    no product, such as dividing a multiple of tau by tau."""
-    basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
-    tau, one = basis.constant("tau"), basis.one()
-    zero = basis.zero()
-    for rows in ([(one, tau), (tau, one)], [(tau, tau), (tau, one)], [(tau,)],
-                 [(tau, one), (one, zero)]):
-        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
-            linalg.rref(rows)
-    for num, den in ((one, tau), (one + tau, one - tau), (tau, tau)):
-        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
-            num / den
-    # rational matrices need no products and still reduce
-    reduced, pivots = linalg.rref([(one, one.scale(2)), (one.scale(2), one)])
-    assert pivots == [0, 1] and reduced == [(one, zero), (zero, one)]
-
-
 def test_division_by_multiple_constants_solves_rational_system():
     basis = three_surds()
     x = basis.scalar([1, 2, -1, Fraction(1, 2)])
@@ -378,13 +354,6 @@ def test_division_by_multiple_constants_solves_rational_system():
     one, zero = basis.one(), basis.zero()
     assert linalg.rref([(x, y), (y, x + 1)]) == ([(one, zero), (zero, one)], [0, 1])
     assert linalg.rref([(x, y), (x.scale(2), y.scale(2))]) == ([(one, y / x)], [0])
-    # a constant without a declared square keeps the basis from being a
-    # ring: the surd alone no longer divides either, and tau is named
-    partial = ConstantBasis.with_sqrt("sqrt2", 2).with_constant("tau", 6.2831853)
-    one, s2, tau = partial.one(), partial.constant("sqrt2"), partial.constant("tau")
-    for den in (s2, s2 + tau):
-        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
-            one / den
 
 
 @st.composite
@@ -417,7 +386,7 @@ def test_sign_matches_sympy(data):
 def test_sign_on_a_negative_declared_root_matches_sympy(data):
     # c is declared as the negative root of c*c = q
     square, a, b = data
-    basis = ConstantBasis.rationals().with_constant("c", -float(square) ** 0.5, square=square)
+    basis = ConstantBasis([("c", -float(square) ** 0.5, square)])
     x = basis.scalar([a, b])
     root = sympy.sqrt(rational(square))
     expected = int(sympy.sign(rational(a) - rational(b) * root))
@@ -437,25 +406,15 @@ def test_three_surd_sign_near_a_float_tie_is_exact():
 
 
 def negative_roots():
-    """{1, c, sqrt3, d} with c = -sqrt2 and d = c*sqrt3 = -sqrt6, every
-    product declared: a tower whose first root and product are negative."""
-    basis = (ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
-             .with_constant("sqrt3", 3 ** 0.5, square=3).with_constant("d", -(6 ** 0.5), square=6))
-    basis.declare_product("c", "sqrt3", [0, 0, 0, 1])
-    basis.declare_product("c", "d", [0, 0, 2, 0])
-    basis.declare_product("sqrt3", "d", [0, 3, 0, 0])
-    return basis
+    """{1, c, sqrt3, c_sqrt3} with c = -sqrt2, so c_sqrt3 = -sqrt6: a tower
+    whose first root and product are negative."""
+    return ConstantBasis([("c", -(2 ** 0.5), 2), ("sqrt3", 3 ** 0.5, 3)])
 
 
 def fractional_square():
-    """{1, sqrt2, c, sqrt3} with c = sqrt(3/2) and sqrt2*c = sqrt3: a tower
+    """{1, sqrt2, c, sqrt2_c} with c = sqrt(3/2), so sqrt2_c = sqrt3: a tower
     whose second root has a square with a denominator, so s2 = 2c."""
-    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("c", 1.5 ** 0.5, square=Fraction(3, 2))
-             .with_constant("sqrt3", 3 ** 0.5, square=3))
-    basis.declare_product("sqrt2", "c", [0, 0, 0, 1])
-    basis.declare_product("sqrt2", "sqrt3", [0, 0, 2, 0])
-    basis.declare_product("c", "sqrt3", [0, Fraction(3, 2), 0, 0])
-    return basis
+    return ConstantBasis([("sqrt2", 2 ** 0.5, 2), ("c", 1.5 ** 0.5, Fraction(3, 2))])
 
 
 TOWERS = (three_surds(), negative_roots(), fractional_square())
@@ -466,11 +425,22 @@ TOWERS = (three_surds(), negative_roots(), fractional_square())
 def test_tower_division_inverts_multiplication(num, den):
     """Division by an irrational scalar runs in the tower (times the other
     conjugates of the divisor, over its norm); multiplying back by the
-    declared products, with no ring, gives the dividend."""
+    bitmask rule, with no ring, gives the dividend."""
     for basis in TOWERS:
         x, y = basis.scalar(num), basis.scalar(den)
         if not y.is_zero():
             assert (x / y) * y == x
+
+
+@given(st.lists(small, min_size=4, max_size=4), st.lists(small, min_size=4, max_size=4))
+@settings(deadline=None, max_examples=40)
+def test_products_match_sympy(u, v):
+    """x * y by the bitmask rule c_t*c_u = squares[t & u]*c_(t ^ u) against
+    sympy's product, over sqrt2 and the towers: negative roots and a square
+    with a denominator included."""
+    for basis in (ConstantBasis.with_sqrt("sqrt2", 2), *TOWERS):
+        x, y = basis.scalar(u[:basis.size]), basis.scalar(v[:basis.size])
+        assert sympy.expand(sympy_scalar(x * y) - sympy_scalar(x) * sympy_scalar(y)) == 0
 
 
 @given(st.lists(st.integers(-10**20, 10**20), min_size=3, max_size=3), st.integers(-1, 2),
@@ -499,7 +469,7 @@ PRODUCT_BASES = (
     ConstantBasis.rationals(),
     basis_for(2),
     basis_for(Fraction(3, 2)),
-    ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2),  # c = -sqrt2
+    ConstantBasis([("c", -(2 ** 0.5), 2)]),  # c = -sqrt2
     three_surds(),
 )
 

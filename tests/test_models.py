@@ -927,6 +927,39 @@ def test_off_slice_point_rejected(sqrt2_basis):
         local_cone(s, off)
 
 
+def test_point_facts_are_computed_once(sqrt2_basis, monkeypatch):
+    """At one point of a slice, the on-slice check (one moment covector) runs
+    once across tangent, dphi_kernel_image and local_cone, and the leaf
+    tangent (one sigma-orthogonal) once across cleanness_at and
+    leaf_stabilizer_algebra.  A point off the slice is never kept: every
+    call checks it again and refuses it."""
+    calls = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(models, "moment_quadratic",
+                        counting("moment", models.moment_quadratic))
+    monkeypatch.setattr(presymlin, "sigma_orthogonal",
+                        counting("sigma", presymlin.sigma_orthogonal))
+    s = quasifold_slice(sqrt2_basis)
+    x = ModelPoint.from_coordinates(sqrt2_basis, [("sqrt2", 0), (0, 0)])
+    s.tangent(x)
+    dphi_kernel_image(s, x)
+    local_cone(s, x)
+    leaf = leaf_stabilizer_algebra(s, x)
+    assert cleanness_at(s, x).leaf_stabilizer == leaf
+    assert calls == {"moment": 1, "sigma": 1}
+    off = ModelPoint.from_coordinates(sqrt2_basis, [(2, 0), (0, 0)])
+    for check in (s.tangent, lambda p: dphi_kernel_image(s, p), lambda p: local_cone(s, p)):
+        with pytest.raises(ModelError, match="point does not lie on the slice"):
+            check(off)
+    assert calls["moment"] == 4
+
+
 # -- slice data --------------------------------------------------------------------
 
 

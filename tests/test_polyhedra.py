@@ -252,7 +252,7 @@ def test_h_v_round_trip_random(sqrt2_basis):
 ORACLE_BASES = {
     "q": ConstantBasis.rationals(),
     "sqrt2": ConstantBasis.with_sqrt("sqrt2", 2),
-    "negative_root": ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2),
+    "negative_root": ConstantBasis([("c", -(2 ** 0.5), 2)]),
 }
 
 
@@ -575,7 +575,7 @@ def test_contains_validates_the_point_first(sqrt2_basis, empty):
     assert not P.contains([2, 2])
     with pytest.raises(PolyhedronError):
         P.contains([0, 0, 0, 0, 0])
-    other = ConstantBasis.rationals().with_constant("c", 3 ** 0.5, square=3)
+    other = ConstantBasis([("c", 3 ** 0.5, 3)])
     with pytest.raises(BasisMismatchError):
         P.contains([other.constant("c"), 0])
 
@@ -584,12 +584,8 @@ def recorded_polyhedra():
     """Polyhedra whose canonical H-representation is pinned below."""
     Q = ConstantBasis.rationals()
     S = ConstantBasis.with_sqrt("sqrt2", 2)
-    N = ConstantBasis.rationals().with_constant("c", -(2 ** 0.5), square=2)
-    T = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
-         .with_constant("sqrt6", 6 ** 0.5, square=6))
-    T.declare_product("sqrt2", "sqrt3", [0, 0, 0, 1])
-    T.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
-    T.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
+    N = ConstantBasis([("c", -(2 ** 0.5), 2)])
+    T = ConstantBasis([("sqrt2", 2 ** 0.5, 2), ("sqrt3", 3 ** 0.5, 3)])
     c = N.constant("c")
     return {
         "rational_hull": from_generators(

@@ -9,7 +9,6 @@ from momentlab.scalars import (
     BasisMismatchError,
     ConstantBasis,
     ScalarError,
-    UnsupportedScalarOperation,
     parse_scalar,
 )
 
@@ -51,13 +50,6 @@ def test_declared_square_product(sqrt2_basis):
     assert x * x == pair(sqrt2_basis, 3, 2)
 
 
-def test_undeclared_product_raises():
-    basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
-    t = basis.constant("tau")
-    with pytest.raises(UnsupportedScalarOperation):
-        _ = t * t
-
-
 def test_division_by_surd(sqrt2_basis):
     s2 = sqrt2_basis.constant("sqrt2")
     assert sqrt2_basis.one() / s2 == pair(sqrt2_basis, 0, Fraction(1, 2))
@@ -65,70 +57,59 @@ def test_division_by_surd(sqrt2_basis):
     assert (x / s2) * s2 == x
 
 
-def two_roots(sqrt6_value=6 ** 0.5, sqrt2_times_sqrt3=(0, 0, 0, 1)):
-    basis = (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
-             .with_constant("sqrt6", sqrt6_value, square=6))
-    basis.declare_product("sqrt2", "sqrt3", list(sqrt2_times_sqrt3))
-    basis.declare_product("sqrt2", "sqrt6", [0, 0, 2, 0])
-    basis.declare_product("sqrt3", "sqrt6", [0, 3, 0, 0])
-    return basis
-
-
-@pytest.mark.parametrize("basis, message", [
-    (two_roots(), None),
-    (two_roots(sqrt6_value=-(6 ** 0.5)), "declared value of sqrt6 has not the sign"),
-    (two_roots(sqrt2_times_sqrt3=(0, 0, 0, 2)), "declared product sqrt2\\*sqrt3 is not"),
-    (two_roots().with_constant("sqrt5", 5 ** 0.5, square=5), "product sqrt2\\*sqrt5 is not"),
-    (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3),
-     "product sqrt2\\*sqrt3 is not"),
-    (ConstantBasis.with_sqrt("sqrt2", 2).with_constant("sqrt3", 3 ** 0.5, square=3)
-     .with_constant("tau", 6.2831853), "constant tau is outside"),
-], ids=["ring", "wrong-sign", "wrong-product", "undeclared-products", "no-product-constant",
-        "opaque-product-constant"])
-def test_the_ring_checks_every_declared_product_and_sign(basis, message):
-    """A basis is the ring of its roots only if every declared product is
-    the ring's product and every constant has the sign of its roots'
-    product; otherwise exact layers refuse it, naming the constants."""
+@pytest.mark.parametrize("basis", [ConstantBasis([("sqrt2", 2 ** 0.5, 2), ("sqrt3", 3 ** 0.5, 3)])],
+                         ids=["ring"])
+def test_the_ring_checks_every_declared_product_and_sign(basis):
+    """A basis of two roots is the ring Z[s1, s2], built once, and signs a
+    scalar of three constants in it."""
     x = basis.one() + basis.constant("sqrt2") - basis.constant("sqrt3")
-    if message is None:
-        assert x.sign() == 1 and basis.ring().domain is basis.ring().domain
-        return
-    with pytest.raises(UnsupportedScalarOperation, match=message):
-        x.sign()
+    assert x.sign() == 1 and basis.ring().domain is basis.ring().domain
 
 
 def test_three_roots_make_a_ring_and_a_fourth_is_outside_it():
     """Up to three roots make the ring Z[s1, s2, s3]; a fourth root is
-    outside it, and the rationals alone have no roots to make one."""
+    refused when the basis is built."""
     three = _build_basis({"constants": {f"sqrt{k}": k ** 0.5 for k in (2, 3, 5)}})
     assert (three.constant("sqrt30") - three.constant("sqrt2").scale(3)).sign() == 1
     assert (three.constant("sqrt15") - three.constant("sqrt6").scale(Fraction(3, 2))).sign() == 1
-    four = three.with_constant("sqrt7", 7 ** 0.5, square=7)
-    with pytest.raises(UnsupportedScalarOperation, match="constant sqrt7 is outside"):
-        four.ring()
-    with pytest.raises(UnsupportedScalarOperation, match="no roots"):
-        ConstantBasis.rationals().ring()
+    with pytest.raises(ScalarError, match="at most three square roots can be declared"):
+        three.with_root("sqrt7", 7 ** 0.5, 7)
 
 
-def test_division_undeclared_raises():
-    basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
-    with pytest.raises(UnsupportedScalarOperation):
-        basis.one() / basis.constant("tau")
+@pytest.mark.parametrize("roots, message", [
+    ([("sqrt2", 2 ** 0.5, 2), ("sqrt8", 8 ** 0.5, 8)],
+     "sqrt2\\*sqrt8 has the rational square 16, so the square roots are not independent"),
+    ([("sqrt2", 2 ** 0.5, 2), ("sqrt3", 3 ** 0.5, 3), ("sqrt6", 6 ** 0.5, 6)],
+     "sqrt2\\*sqrt3\\*sqrt6 has the rational square 36"),
+    ([("sqrt2", 2 ** 0.5, 2), ("sqrt3", 3 ** 0.5, 3), ("sqrt6", 7 ** 0.5, 7)],
+     "constant names must be distinct"),
+    ([("a", 2 ** 0.5, 2), ("a", 3 ** 0.5, 3)], "constant names must be distinct"),
+], ids=["dependent-pair", "dependent-triple", "root-named-as-a-product", "repeated-root"])
+def test_dependent_or_clashing_roots_are_refused_when_built(roots, message):
+    """Every subset of the roots, in bitmask order, must multiply to a
+    non-square, and the derived names must be distinct; both are checked as
+    each root is added, whether the roots come at once or one by one."""
+    with pytest.raises(ScalarError, match=message):
+        ConstantBasis(roots)
+    with pytest.raises(ScalarError, match=message):
+        ConstantBasis(roots[:-1]).with_root(*roots[-1])
 
 
-@pytest.mark.parametrize("surd_first", [True, False])
-def test_division_refuses_a_constant_without_products(surd_first):
-    """A declared constant c with no square and no products keeps the basis
-    from being a ring, wherever c stands in it: a division is refused, with
-    c named, even one that needs only sqrt2."""
-    rationals = ConstantBasis.rationals()
-    basis = (rationals.with_constant("sqrt2", 2 ** 0.5, square=2).with_constant("c", 0.5)
-             if surd_first else
-             rationals.with_constant("c", 0.5).with_constant("sqrt2", 2 ** 0.5, square=2))
-    one, s2, c = basis.one(), basis.constant("sqrt2"), basis.constant("c")
-    for den in (one + s2, one + s2 + c):
-        with pytest.raises(UnsupportedScalarOperation, match="constant c "):
-            one / den
+def test_a_basis_is_derived_from_its_roots():
+    """Names, float values and squares follow from the roots by bitmask, a
+    constant negative when an odd number of its roots are, and a basis built
+    root by root equals one built at once."""
+    roots = [("a", -(1.5 ** 0.5), Fraction(3, 2)), ("sqrt2", 2 ** 0.5, 2), ("sqrt5", 5 ** 0.5, 5)]
+    basis = ConstantBasis(roots)
+    assert basis.names == ("one", "a", "sqrt2", "a_sqrt2", "sqrt5", "a_sqrt5", "sqrt10",
+                           "a_sqrt2_sqrt5")
+    assert basis.squares == (1, Fraction(3, 2), 2, 3, 5, Fraction(15, 2), 10, 15)
+    assert [v < 0 for v in basis.float_values] == [False, True] * 4
+    assert all(abs(v * v - float(q)) < 1e-12 for v, q in zip(basis.float_values, basis.squares))
+    stepwise = ConstantBasis.rationals()
+    for root in roots:
+        stepwise = stepwise.with_root(*root)
+    assert stepwise == basis and hash(stepwise) == hash(basis)
 
 
 def test_float_eval_examples(sqrt2_basis):
@@ -152,18 +133,9 @@ def test_sign_quadratic_cases(sqrt2_basis):
 
 
 def test_sign_single_opaque_constant():
-    basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
-    assert basis.constant("tau").scale(-3).sign() == -1
-
-
-def test_multi_term_sign_refuses_a_constant_without_square():
-    """tau has no declared square, so no ring holds tau - 6: its sign is
-    refused, with tau named, however far its declared value is from a tie."""
-    basis = ConstantBasis.rationals().with_constant("tau", 6.2831853)
-    t = basis.constant("tau")
-    for x in (t - 6, t - 7, basis.scalar([Fraction(6.2831853), Fraction(-1)])):
-        with pytest.raises(UnsupportedScalarOperation, match="constant tau "):
-            x.sign()
+    """A single constant has the sign of its value: c is the negative root of 2."""
+    c = ConstantBasis([("c", -(2 ** 0.5), 2)]).constant("c")
+    assert c.scale(-3).sign() == 1 and c.scale(3).sign() == -1
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
@@ -172,21 +144,22 @@ def test_constant_needs_a_finite_nonzero_value(value, square):
     """nan compares false with everything, so a sign rule would read it as
     either sign; a zero constant depends on 1."""
     with pytest.raises(ScalarError, match="finite nonzero"):
-        ConstantBasis.rationals().with_constant("c", value, square=square)
+        ConstantBasis([("c", value, square)])
 
 
 @pytest.mark.parametrize("value, square, message", [
     (2.0, 4, "rational square"), (1.5, Fraction(9, 4), "rational square"),
-    (1.0, 1, "rational square"), (1.0, -1, "not positive"), (1.0, 0, "not positive"),
+    (1.0, 1, "rational square"), (1.0, -1, "square must be a positive number"),
+    (1.0, 0, "square must be a positive number"),
 ], ids=["4", "9/4", "1", "-1", "0"])
 def test_declared_square_must_be_positive_and_irrational(value, square, message):
     """A declared square q <= 0 has no real root, and one that is the square
     of a rational makes the constant rational, so 1 and it are dependent
     while Z[s] and the rationality tests treat them as independent."""
     with pytest.raises(ScalarError, match=message):
-        ConstantBasis.rationals().with_constant("c", value, square=square)
+        ConstantBasis([("c", value, square)])
     with pytest.raises(ScalarError, match=message):
-        ConstantBasis.rationals().with_constant("c", value).declare_product("c", "c", [square, 0])
+        ConstantBasis.with_sqrt("sqrt2", 2).with_root("c", value, square)
     if square > 0:
         with pytest.raises(ScalarError, match=message):
             ConstantBasis.with_sqrt("r", square)
@@ -194,10 +167,7 @@ def test_declared_square_must_be_positive_and_irrational(value, square, message)
 
 def test_irrational_declared_squares_are_accepted():
     for square in (Fraction(2, 9), Fraction(9, 2), 8):
-        assert ConstantBasis.with_sqrt("r", square).product(1, 1) == (square, 0)
-    basis = ConstantBasis.with_sqrt("r", 3).with_constant("c", 0.5)
-    basis.declare_product("r", "c", [0, 0, 1])  # a non-square product is not checked
-    basis.declare_product("c", "c", [0, 1, 0])  # nor a square with an irrational part
+        assert ConstantBasis.with_sqrt("r", square).squares == (1, square)
 
 
 def test_parse_and_format_round_trip(sqrt2_basis):
