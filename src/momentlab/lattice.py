@@ -36,7 +36,9 @@ def _coefficient_rows(D: _Domain, rows) -> list:
 def rational_rank(D: _Domain, rows) -> int:
     """The dimension of the smallest rational subspace containing the rows,
     vectors of the number domain D: the rank of their coefficient rows."""
-    return len(_eliminate(_Z, _coefficient_rows(D, rows))[1])
+    coefficient_rows = _coefficient_rows(D, rows)
+    ncols = len(coefficient_rows[0]) if coefficient_rows else 0
+    return len(_eliminate(_Z, coefficient_rows, ncols)[1])
 
 
 def rational_fan(D: _Domain, normals: list, facet_normals: list) -> bool:

@@ -5,11 +5,12 @@ or the basis's ring Z[s_1..s_k], which scalars._domain picks once, when
 scalars come in.  Each kept row is a positive multiple of its scalar row.
 The block routines (_rref, _kernel, _pivots, _mat_vecs) take such rows and
 return such rows; Subspace and PresympForm keep theirs between calls.  Every
-reduction is scalars._eliminate, fraction-free in the domain.  A reduced
-basis is kept canonical, each row by its representative up to scaling
-(D.prim), so its scalar row is the row divided by its pivot entry.  The
-public functions below convert scalar input once and divide canonical rows
-back into scalars once, at the end.
+reduction is scalars._eliminate, fraction-free in the domain; _pivots
+freezes every row, with no back-substitution.  A reduced basis is kept
+canonical, each row by its representative up to scaling (D.prim), so its
+scalar row is the row divided by its pivot entry.  The public functions
+below convert scalar input once and divide canonical rows back into scalars
+once, at the end.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _rref(D: _Domain, rows: list) -> tuple[list, list[int], _Domain]:
 
 
 def _pivots(D: _Domain, rows: list) -> list[int]:
-    return _eliminate(D, rows)[1]
+    return _eliminate(D, rows, len(rows[0]) if rows else 0)[1]
 
 
 def _kernel(D: _Domain, rows: list, ncols: int) -> tuple[list, list[int], _Domain]:

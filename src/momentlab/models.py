@@ -419,7 +419,7 @@ class AffineSlice:
 
 
 def _column_rank(D: _Domain, rows, columns: Sequence[int]) -> int:
-    return len(_eliminate(D, [[r[j] for j in columns] for r in rows])[1])
+    return len(_eliminate(D, [[r[j] for j in columns] for r in rows], len(columns))[1])
 
 
 def _with_support_masks(D: _Domain, d: int, pairs) -> tuple[tuple, list[int]]:

@@ -452,7 +452,7 @@ def homogenize(P: Polyhedron) -> Polyhedron:
     _check_scale(dim + 2, 1 + len(P._vertices) + len(P._rays) + 2 * len(P._lines))
     up = lambda v: v + (D.zero,)
     facets = tuple(map(up, P._facets))
-    if len(_eliminate(D, [r[:dim] for r in P._rays + P._lines])[1]) == dim - len(P._eqs):
+    if len(_eliminate(D, [r[:dim] for r in P._rays + P._lines], dim)[1]) == dim - len(P._eqs):
         facets += (D.unit(dim + 2, dim),)
     return Polyhedron(basis, dim + 1, D, tuple(map(up, P._eqs)), facets,
                       (D.unit(dim + 2, dim + 1),), tuple(map(up, P._vertices + P._rays)),

@@ -114,7 +114,7 @@ class Subspace:
         D, lift, lift_other = _common(self._D, other._D)
         zero = (D.zero,) * n
         reduced, pivots, _ = linalg._eliminate(D, [u + u for u in map(lift, self._rows)]
-                                               + [v + zero for v in map(lift_other, other._rows)])
+                                               + [v + zero for v in map(lift_other, other._rows)], n)
         r = sum(p < n for p in pivots)
         return Subspace(self.scalar_basis, n, [D.prim(row[n:]) for row in reduced[r:]],
                         [p - n for p in pivots[r:]], D)

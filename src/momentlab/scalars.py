@@ -13,6 +13,7 @@ rational rows, and Z[s_1..s_k] (_SurdRing) for the others.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -111,7 +112,9 @@ class ConstantBasis:
 
     @staticmethod
     def with_sqrt(name: str = "sqrt2", radicand: RationalLike = 2) -> "ConstantBasis":
-        return ConstantBasis([(name, abs(float(radicand)) ** 0.5, radicand)])
+        if not _is_positive_number(radicand):  # before its root overflows a float
+            raise ScalarError(f"{name}: square must be a positive number")
+        return ConstantBasis([(name, float(radicand) ** 0.5, radicand)])
 
     def zero(self) -> "ExtScalar":
         return ExtScalar(self, (Fraction(0),) * self.size)
@@ -329,7 +332,7 @@ def _divide(num: ExtScalar, den: ExtScalar) -> ExtScalar:
 # -- the elimination kernel ------------------------------------------------------
 
 
-def _eliminate(D: "_Domain", rows: list[list]):
+def _eliminate(D: "_Domain", rows: list[list], start: int = 0):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over the
     integral domain D; the one elimination loop of the package.
 
@@ -342,29 +345,51 @@ def _eliminate(D: "_Domain", rows: list[list]):
     reduced row-echelon form.  D.step does one row update.  `rows` is
     consumed.
 
+    A row with f = 0 would only be scaled by p/prev, so it is left stale and
+    keeps den, the pivot it was last brought to.  The skipped factors
+    telescope, p_k/p_(k-1) * ... * p_(j+1)/p_j = p_k/den, so its next update
+    (p*row - f*pivot_row) / den gives the same row; a pivot row is brought
+    up to date first, and each stale row kept is multiplied by last/den at
+    the end.
+
+    A row whose pivot column is before `start` is frozen: it clears only the
+    rows below it and is never updated after its own step.  Those rows come
+    back in echelon form, each carrying its own pivot; only the rows with
+    pivots at or after `start` are reduced as above and carry the last
+    pivot.  The pivots and the last pivot do not depend on `start`; a caller
+    reading only them passes the number of columns.
+
     Returns the nonzero rows, their pivot columns and the last pivot.
     """
-    nonzero, combine = D.nonzero, D.step
+    nonzero, step, zero = D.nonzero, D.step, D.zero
     n = len(rows)
     ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    prev = D.one
-    r = 0
+    den, pivots, prev = [D.one] * n, [], D.one  # den[i]: the pivot rows[i] was brought to
+    r = frozen = 0  # rows[:frozen] are frozen
     for c in range(ncols):
         pr = next((i for i in range(r, n) if nonzero(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
+        den[r], den[pr] = den[pr], den[r]
         prow = rows[r]
-        p = prow[c]
-        for i in range(n):
-            if i != r:
-                rows[i] = combine(rows[i], prow, p, rows[i][c], prev)
+        if den[r] is not prev:
+            prow = rows[r] = step(prow, prow, prev, zero, den[r])
+        p = den[r] = prow[c]
+        for i in range(frozen if c >= start else r + 1, n):
+            f = rows[i][c]
+            if i != r and nonzero(f):
+                rows[i], den[i] = step(rows[i], prow, p, f, den[i]), p
         prev = p
         pivots.append(c)
         r += 1
+        if c < start:
+            frozen = r
         if r == n:
             break
+    for i in range(frozen, r):
+        if den[i] is not prev:
+            rows[i] = step(rows[i], rows[i], prev, zero, den[i])
     return rows[:r], pivots, prev
 
 
@@ -556,17 +581,28 @@ class _SurdRing:
 
     def step(self, row, prow, p, f, prev) -> list[tuple]:
         """The Bareiss update (p*row - f*prow) / prev: multiply by the product
-        of the other conjugates of prev, then divide by its norm, an integer."""
+        of the other conjugates of prev, then divide by its norm, an integer.
+        With one root, p*row - f*prow is formed in the same pass, and an
+        integer prev divides it directly."""
         (c0, c1), s2 = prev, self.s2
-        norm = c0 * c0 - c1 * c1 * s2
-        if type(norm) is int:  # one root: the conjugate of prev
-            c1 = -c1
-        else:
+        if type(c0) is not int:  # a tower
             (c0, c1), norm = _conj_norm(c0, c1, s2)
-        return [
-            ((x0 * c0 + x1 * c1 * s2) // norm, (x1 * c0 + x0 * c1) // norm)
-            for x0, x1 in self._msub(p, row, f, prow)
-        ]
+            return [((x0 * c0 + x1 * c1 * s2) // norm, (x1 * c0 + x0 * c1) // norm)
+                    for x0, x1 in self._msub(p, row, f, prow)]
+        (p0, p1), (f0, f1) = p, f
+        if c1:
+            norm, c1s2 = c0 * c0 - c1 * c1 * s2, c1 * s2
+            return [((x0 * c0 - x1 * c1s2) // norm, (x1 * c0 - x0 * c1) // norm)
+                    for (a0, a1), (b0, b1) in zip(row, prow)
+                    for x0 in [p0 * a0 - f0 * b0 + (p1 * a1 - f1 * b1) * s2]
+                    for x1 in [p0 * a1 + p1 * a0 - f0 * b1 - f1 * b0]]
+        if c0 == 1:
+            return [(p0 * a0 - f0 * b0 + (p1 * a1 - f1 * b1) * s2,
+                     p0 * a1 + p1 * a0 - f0 * b1 - f1 * b0)
+                    for (a0, a1), (b0, b1) in zip(row, prow)]
+        return [((p0 * a0 - f0 * b0 + (p1 * a1 - f1 * b1) * s2) // c0,
+                 (p0 * a1 + p1 * a0 - f0 * b1 - f1 * b0) // c0)
+                for (a0, a1), (b0, b1) in zip(row, prow)]
 
     def canon(self, v: tuple) -> tuple:
         """v times the positive multiple of the other conjugates of its first
@@ -638,7 +674,7 @@ _Z = _Domain(
     conv=lambda row: tuple(_clear_denominators([e.coeffs[0] for e in row])[0]),
     one=1, zero=0, unit=lambda n, i: tuple(int(j == i) for j in range(n)),
     nonzero=bool, step=_z_step,
-    dot=lambda a, v: sum(x * y for x, y in zip(a, v)),
+    dot=lambda a, v: sum(map(operator.mul, a, v)),
     sign=lambda x: (x > 0) - (x < 0), comb=_z_comb, canon=lambda v: v,
     neg=lambda v: tuple(-x for x in v),
     div=None, coeff_rows=lambda v: [v], prim=_z_prim, ints=tuple,

@@ -8,6 +8,7 @@ from momentlab.scalars import (
     ScalarError,
     _Z,
     _clear_denominators,
+    _conj_norm,
     _eliminate,
 )
 
@@ -43,6 +44,42 @@ DOMAIN_BASES = {
     "-sqrt2": ConstantBasis([("c", -(2 ** 0.5), 2)]),
     "three": three_surds(),
 }
+
+
+def _reference_step(D, row, prow, p, f, prev):
+    """(p*row - f*prow) / prev, written apart from D.step: over Z directly,
+    in a ring through its x*u - y*v, times the other conjugates of prev,
+    over the norm of prev."""
+    if D.step is _Z.step:
+        return [(p * a - f * b) // prev for a, b in zip(row, prow)]
+    ring = D.step.__self__  # the _SurdRing whose update D.step is
+    conj, norm = _conj_norm(*prev, ring.s2)
+    return [(a // norm, b // norm) for a, b in ring._times(conj, ring._msub(p, row, f, prow))]
+
+
+def _eliminate_reference(D, rows):
+    """The textbook loop scalars._eliminate reproduces: at each pivot p,
+    every other row becomes (p*row - f*pivot_row) / prev, and no row is left
+    stale or frozen.  `rows` is consumed."""
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots, prev, r = [], D.one, 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, n) if D.nonzero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(n):
+            if i != r:
+                rows[i] = _reference_step(D, rows[i], prow, p, rows[i][c], prev)
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows[:r], pivots, prev
 
 
 def _eliminate_rational(rows):

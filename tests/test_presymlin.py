@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +321,28 @@ def block_cases(draw):
             matrix[i][j] = scalar(irrational)
             matrix[j][i] = -matrix[i][j]
     return name, basis, n, us, vs, matrix
+
+
+@given(block_cases())
+@settings(deadline=None, max_examples=30)
+def test_intersect_freezes_exactly_the_rows_it_drops(case):
+    """The Zassenhaus meet keeps the reduced rows with pivots at or after n,
+    so it freezes the rows with pivots before n (start = n) and no other:
+    a dropped row is never updated after its own step, and every kept row
+    is fully reduced."""
+    _, basis, n, us, vs, _ = case
+    U, V = Subspace.from_vectors(basis, n, us), Subspace.from_vectors(basis, n, vs)
+    eliminate, seen = linalg._eliminate, []
+
+    def spy(D, rows, start=0):
+        out = eliminate(D, rows, start)
+        seen.append((start, out[1]))
+        return out
+
+    with mock.patch.object(linalg, "_eliminate", spy):
+        U.intersect(V)
+    ((start, pivots),) = seen
+    assert [p < start for p in pivots] == [p < n for p in pivots]
 
 
 @given(block_cases())

@@ -9,10 +9,12 @@ from momentlab.scalars import (
     BasisMismatchError,
     ConstantBasis,
     ScalarError,
+    _Z,
+    _eliminate,
     parse_scalar,
 )
 
-from conftest import is_rational_direction, random_fraction
+from conftest import DOMAIN_BASES, _eliminate_reference, is_rational_direction, random_fraction
 
 fractions = st.fractions(max_denominator=50)
 
@@ -274,3 +276,55 @@ def test_rational_direction_scaling_invariance(sqrt2_basis):
             c = random_fraction(rng)
         scaled = [x.scale(c) for x in v]
         assert is_rational_direction(v) == is_rational_direction(scaled)
+
+
+def test_with_sqrt_refuses_a_radicand_beyond_the_float_range():
+    """The radicand is checked before its float root is taken."""
+    with pytest.raises(ScalarError, match="r: square must be a positive number"):
+        ConstantBasis.with_sqrt("r", 10**400)
+
+
+small_coefficients = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3,
+                                                         max_denominator=3))
+
+
+@st.composite
+def elimination_cases(draw):
+    """A basis's domain (its ring, even for rational rows), 0-7 rows of 0-10
+    columns with zero columns, zero rows and repeated rows, and a start."""
+    basis = DOMAIN_BASES[draw(st.sampled_from(sorted(DOMAIN_BASES)))]
+    D = basis.ring().domain if basis.size > 1 else _Z
+    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 10))
+    zero_columns = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("row", "zero", "repeat")))
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(tuple(
+                basis.zero() if kind == "zero" or j in zero_columns
+                else basis.scalar([draw(small_coefficients) for _ in range(basis.size)])
+                for j in range(m)))
+    start = draw(st.sampled_from((0, draw(st.integers(0, m)), m)))
+    return D, [D.conv(row) for row in rows], start
+
+
+@given(elimination_cases())
+@settings(deadline=None, max_examples=300)
+def test_eliminate_matches_the_every_row_reference(case):
+    """Stale rows and frozen rows change no row a caller keeps: the pivots
+    and the last pivot are the reference's, so are the rows with pivots at
+    or after start, entry for entry, and the frozen rows before them are in
+    echelon form and lie in the row space."""
+    D, rows, start = case
+    expected, expected_pivots, expected_last = _eliminate_reference(D, list(rows))
+    reduced, pivots, last = _eliminate(D, list(rows), start)
+    assert pivots == expected_pivots and last == expected_last
+    frozen = sum(p < start for p in pivots)
+    for got, want in zip(reduced[frozen:], expected[frozen:]):
+        assert list(got) == list(want)
+    for row, p in zip(reduced[:frozen], pivots):
+        assert D.nonzero(row[p]) and not any(map(D.nonzero, row[:p]))
+    together = [list(r) for r in reduced[:frozen] + expected]
+    assert len(_eliminate_reference(D, together)[1]) == len(pivots)
