@@ -350,12 +350,8 @@ def _slice_report(sc: Scenario, lines: list[str]) -> None:
             lines.append(f"  support {list(s.support)} (representative moment "
                          f"value ({', '.join(apex)})):")
             lines.append(fmt_polyhedron(cone, indent="    "))
-        # cut_out_by's precondition: the pooled system holds on P, which
-        # spans the plane
-        lines.append(
-            "intersection of local cones equals moment polytope: "
-            + yesno(polyhedra.cut_out_by(rep.polytope, *models.local_cone_rows(sc.slice_)))
-        )
+        lines.append("intersection of local cones equals moment polytope: "
+                     + yesno(models.local_cones_cut_out(sc.slice_)))
 
         _section(lines, "slice data",
                  "symplectic and null slice invariants of the local normal form")

@@ -257,7 +257,7 @@ def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
 
 def _at_point(model, point: ModelPoint) -> dict:
     """The facts computed at the point, kept on the model instance, outside
-    its fields, as AffineSlice keeps its plane rows."""
+    its fields, as AffineSlice keeps its domain rows."""
     return vars(model).setdefault("_at_points", {}).setdefault(point, {})
 
 
@@ -317,11 +317,11 @@ class AffineSlice:
     """Preimage of an affine subspace lambda + W under the standard moment
     map: a coisotropic model whose null ideal is the annihilator of W.
 
-    Its plane rows, its direction, ideal and plane rows in their number
-    domain, moment polytope, support strata and, per point, its on-slice
-    check, tangent space, leaf tangent and tangent model are computed on
-    first read and kept on the instance, outside the fields, so equality and
-    hash see the four fields alone."""
+    Its direction, ideal and plane rows in one number domain (the plane
+    rows: the system its polytope, local cones and on-slice check read),
+    moment polytope, strata and, per point, on-slice check, tangent space,
+    leaf tangent and tangent model are computed on first read and kept
+    outside the fields, so equality and hash see the four fields alone."""
 
     module: WeightedModule
     lam: Vector
@@ -352,12 +352,6 @@ class AffineSlice:
         return self._polytope
 
     @cached_property
-    def plane_rows(self) -> tuple[tuple[Vector, ExtScalar], ...]:
-        """The equalities <a, x> = <a, lambda> of lambda + W, one per ideal row."""
-        ideal = self.ideal.rows
-        return tuple(zip(ideal, linalg.mat_vecs(ideal, [self.lam], self.scalar_basis)[0]))
-
-    @cached_property
     def _domain_rows(self) -> tuple[_Domain, tuple, tuple, tuple]:
         """The direction rows, the ideal rows and the plane's rows
         (a, -<a, lambda>), one per ideal row a, in one number domain, each a
@@ -386,9 +380,7 @@ class AffineSlice:
 
     @cached_property
     def _polytope(self) -> Polyhedron:
-        basis, d = self.scalar_basis, self.torus_rank
-        return polyhedra.intersect_halfspaces(
-            basis, d, [(linalg.unit(basis, d, j), 0) for j in range(d)], self.plane_rows)
+        return _plane_cut(self, range(self.torus_rank))
 
     @cached_property
     def _strata(self) -> tuple["SupportStratum", ...]:
@@ -416,6 +408,20 @@ class AffineSlice:
             if covered == inside:
                 out.append(SupportStratum(tuple(S), tuple(fv), tuple(fr), self.scalar_basis, d))
         return tuple(out)
+
+
+def _orthant_rows(slice_: AffineSlice, coords) -> tuple[_Domain, list, list]:
+    """The slice's domain, the rows x_j >= 0, the units (e_j, 0), for j in
+    coords, and the plane's rows."""
+    D, _, _, plane = slice_._domain_rows
+    return D, [D.unit(slice_.torus_rank + 1, j) for j in coords], list(plane)
+
+
+def _plane_cut(slice_: AffineSlice, coords) -> Polyhedron:
+    """The plane lambda + W cut by x_j >= 0 for j in coords, one double
+    description of the slice's domain rows."""
+    D, units, plane = _orthant_rows(slice_, coords)
+    return polyhedra._build(slice_.scalar_basis, D, slice_.torus_rank, plane, units)
 
 
 def _column_rank(D: _Domain, rows, columns: Sequence[int]) -> int:
@@ -492,10 +498,13 @@ def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
     at = _at_point(slice_, point)
     if "on_slice" in at:
         return
-    phi = moment_quadratic(slice_.module, point)
-    for a, c in slice_.plane_rows:
-        if not (linalg.dot(a, phi) - c).is_zero():
-            raise ModelError("point does not lie on the slice")
+    # every plane row (a, -<a, lambda>) vanishes on (phi, 1), in one domain
+    basis, phi = slice_.scalar_basis, moment_quadratic(slice_.module, point)
+    E = _domain(basis, [phi])
+    D, lift, lift_phi = _common(slice_._domain_rows[0], E)
+    x = lift_phi(E.conv((*phi, basis.one())))
+    if any(D.nonzero(D.dot(lift(a), x)) for a in slice_._domain_rows[3]):
+        raise ModelError("point does not lie on the slice")
     for m in point.mu:
         if m.sign() < 0:
             raise ModelError("point has negative moment value")
@@ -565,7 +574,7 @@ def moment_image(slice_: AffineSlice) -> MomentImageReport:
     """The exact moment polytope together with the three verdicts: its affine
     span is lambda + the annihilator of the null ideal, it equals the ambient
     image cut by that affine plane, and it is rational precisely when the
-    null subgroup is closed."""
+    null subgroup is closed; the cut is read off the rows P was built from."""
     P = slice_.moment_polytope()
     if P.is_empty:
         raise SliceValidationError("slice misses moment image")
@@ -574,11 +583,9 @@ def moment_image(slice_: AffineSlice) -> MomentImageReport:
         direction == slice_.ideal.annihilator()
         and slice_.direction.contains(linalg.vec_sub(base, slice_.lam))
     )
-    # cut_out_by's precondition: build_affine_slice checked that the plane
-    # meets the open orthant; the rows x_j >= 0 are the units (e_j, 0)
-    D, _, _, plane = slice_._domain_rows
-    orthant = [D.unit(P.dim + 1, j) for j in range(P.dim)]
-    sympl_ok = polyhedra._cut_out(P, D, orthant, list(plane))
+    # _cut_out's precondition: build_affine_slice checked that the plane
+    # meets the open orthant
+    sympl_ok = polyhedra._cut_out(P, *_orthant_rows(slice_, range(P.dim)))
     rational = polyhedra.is_rational_polyhedral(P)
     closed = lattice.null_subgroup_closed(slice_)
     return MomentImageReport(
@@ -594,38 +601,28 @@ def local_cone(slice_: AffineSlice, point: ModelPoint) -> Polyhedron:
     """Cone with apex at the moment value of the point: free in supported
     coordinates, nonnegative in the others, inside the affine plane."""
     _require_on_slice(slice_, point)
-    basis = slice_.scalar_basis
-    d = slice_.torus_rank
-    hs = [
-        (linalg.unit(basis, d, j), 0)
-        for j in range(d)
-        if j not in point.support
-    ]
-    return polyhedra.intersect_halfspaces(basis, d, hs, slice_.plane_rows)
+    return _plane_cut(slice_, [j for j in range(slice_.torus_rank) if j not in point.support])
 
 
-def local_cone_rows(slice_: AffineSlice) -> tuple[list, list]:
-    """The local cones over one representative per support stratum, pooled
-    into one exact system: the half-spaces x_j >= 0 for each coordinate
-    outside some stratum's support, and the plane's equalities."""
-    basis = slice_.scalar_basis
-    d = slice_.torus_rank
-    hs = []
-    seen = set()
-    for stratum in support_strata(slice_):
-        for j in range(d):
-            if j not in stratum.support and j not in seen:
-                seen.add(j)
-                hs.append((linalg.unit(basis, d, j), 0))
-    return hs, slice_.plane_rows
+def _pooled_coords(slice_: AffineSlice) -> list[int]:
+    """The j outside some stratum's support: the local cones over one point
+    per stratum, pooled, are the plane cut by x_j >= 0 for these j."""
+    strata = support_strata(slice_)
+    return [j for j in range(slice_.torus_rank) if any(j not in s.support for s in strata)]
 
 
 def local_cones_intersection(slice_: AffineSlice) -> Polyhedron:
     """Intersection of the local cones over one representative per support
     stratum, from their pooled system."""
-    return polyhedra.intersect_halfspaces(
-        slice_.scalar_basis, slice_.torus_rank, *local_cone_rows(slice_)
-    )
+    return _plane_cut(slice_, _pooled_coords(slice_))
+
+
+def local_cones_cut_out(slice_: AffineSlice) -> bool:
+    """Whether the local cones' pooled system cuts out the moment polytope,
+    read off P's representations with no double description.  _cut_out's
+    precondition: the pooled system holds on P, which spans the plane."""
+    return polyhedra._cut_out(slice_.moment_polytope(),
+                              *_orthant_rows(slice_, _pooled_coords(slice_)))
 
 
 # -- slice data (symplectic and null slices) -------------------------------------------

@@ -286,8 +286,8 @@ def moment_of_lift(x: np.ndarray) -> np.ndarray:
 @_overflow_quiet
 def distance_to_image(spec: CurveSpec) -> Callable:
     """Distance function to (curve intersect orthant): exact projection for
-    affine pieces and circles (with a dense fallback near the arc ends),
-    dense polyline for the other kinds."""
+    affine pieces and circles, dense polyline for the other kinds and for a
+    circle's first point when no axis crossing lies in the orthant."""
     if spec.kind == "affine":
         lo, hi = _param_domain(spec)
         b = np.asarray(spec.params["basepoint"])
@@ -303,17 +303,12 @@ def distance_to_image(spec: CurveSpec) -> Callable:
             return np.linalg.norm(pts - proj, axis=1)
 
         return dist_affine
-    dense_t = np.linspace(*_param_domain(spec), _N_DENSE)
-    dense = evaluate(spec, dense_t)
-    dense = dense[np.all(dense >= 0.0, axis=1)]
-    if len(dense) == 0:
-        raise SamplerError("curve misses the orthant")
     if spec.kind == "circle":
         c = np.asarray(spec.params["center"])
         r = spec.params["radius"]
-        # axis crossings bound the arc components inside the orthant; when
-        # the radial projection leaves the orthant the nearest arc point is
-        # one of them
+        # axis crossings bound the arc components inside the orthant (with
+        # none the arc is the whole circle or empty); when the radial
+        # projection leaves the orthant the nearest arc point is one of them
         ends = []
         for axis in (0, 1):
             disc = r * r - c[axis] ** 2
@@ -324,7 +319,7 @@ def distance_to_image(spec: CurveSpec) -> Callable:
                     q[1 - axis] = c[1 - axis] + sign * np.sqrt(disc)
                     if np.all(q >= -1e-12):
                         ends.append(q)
-        endpoints = np.array(ends) if ends else dense[:1]
+        endpoints = np.array(ends) if ends else _dense_polyline(spec)[:1]
 
         @_overflow_quiet
         def dist_circle(pts: np.ndarray) -> np.ndarray:
@@ -349,12 +344,22 @@ def distance_to_image(spec: CurveSpec) -> Callable:
             return np.where(inside, np.minimum(radial, to_ends), to_ends)
 
         return dist_circle
+    dense = _dense_polyline(spec)
 
     @_overflow_quiet
     def dist_dense(pts: np.ndarray) -> np.ndarray:
         return _min_dist_chunked(np.atleast_2d(pts), dense)
 
     return dist_dense
+
+
+def _dense_polyline(spec: CurveSpec) -> np.ndarray:
+    """The curve's points in the orthant at _N_DENSE even parameters, or raise."""
+    dense = evaluate(spec, np.linspace(*_param_domain(spec), _N_DENSE))
+    dense = dense[np.all(dense >= 0.0, axis=1)]
+    if len(dense) == 0:
+        raise SamplerError("curve misses the orthant")
+    return dense
 
 
 @_overflow_quiet

@@ -510,6 +510,19 @@ def test_bad_curve_parameter_exits_2(tmp_path, capsys, curve):
     assert "field 'curve'" in err and "internal error" not in err
 
 
+def test_circle_touching_the_orthant_at_the_origin_exits_2(tmp_path, capsys):
+    """A circle that meets the orthant only at the origin validates, and its
+    run exits 2 at sampling, before any distance is measured."""
+    raw = json.loads((SCENARIOS / "circle_nonconvex.json").read_text())
+    raw["curve"] = {"kind": "circle", "center": [-1.0, -1.0], "radius": 2 ** 0.5}
+    raw["samples"] = 100
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 0
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: curve misses the orthant\n"
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 @pytest.mark.parametrize(
     "curve",
     [

@@ -176,13 +176,13 @@ def test_build_affine_slice_examples(sqrt2_basis):
 
 def test_affine_slice_equality_and_hash_ignore_computed_facts(sqrt2_basis):
     """A built slice and a hand-built one with the same data stay equal, with
-    the same hash, as their plane rows, polytope and strata are computed."""
+    the same hash, as their domain rows, polytope and strata are computed."""
     s = build_affine_slice(sqrt2_basis, 3, [1, 1, 1], direction_normals=[[1, "sqrt2", 1]])
     t = models.AffineSlice(s.module, s.lam, s.direction, s.ideal)
     before = hash(s)
     assert s == t and hash(t) == before
     for compute in (lambda x: x.moment_polytope(), models.support_strata,
-                    lambda x: x.plane_rows):
+                    lambda x: x._domain_rows):
         compute(s)
         assert s == t and hash(s) == before == hash(t)
         assert s == models.AffineSlice(s.module, s.lam, s.direction, s.ideal)
@@ -191,10 +191,11 @@ def test_affine_slice_equality_and_hash_ignore_computed_facts(sqrt2_basis):
 
 
 def test_slice_facts_are_computed_once(sqrt2_basis, monkeypatch):
-    """Across build_affine_slice, moment_image, local_cone_rows and
-    support_strata, the moment polytope is intersected once and the plane
-    rows' offsets are one product of the ideal rows with lambda."""
-    calls = {"intersect": 0, "mat_vecs": 0}
+    """Across build_affine_slice, moment_image, local_cones_cut_out and
+    support_strata, the moment polytope is one double description of the
+    slice's domain rows, and no scalar route is taken: no
+    intersect_halfspaces and no product of the ideal rows with lambda."""
+    calls = Counter()
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -202,16 +203,16 @@ def test_slice_facts_are_computed_once(sqrt2_basis, monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(polyhedra, "intersect_halfspaces",
-                        counting("intersect", polyhedra.intersect_halfspaces))
+    for name in ("_build", "intersect_halfspaces"):
+        monkeypatch.setattr(polyhedra, name, counting(name, getattr(polyhedra, name)))
     monkeypatch.setattr(linalg, "mat_vecs", counting("mat_vecs", linalg.mat_vecs))
     s = build_affine_slice(sqrt2_basis, 4, [1, 2, 1, 1],
                            direction_normals=[[1, "sqrt2", 1, 0], [0, 1, 1, 1]])
     rep = models.moment_image(s)
-    _, plane = models.local_cone_rows(s)
+    assert models.local_cones_cut_out(s)
     strata = models.support_strata(s)
-    assert s.ideal.dim == 2 and calls == {"intersect": 1, "mat_vecs": 1}
-    assert rep.polytope is s.moment_polytope() and plane is s.plane_rows
+    assert s.ideal.dim == 2 and calls == {"_build": 1}
+    assert rep.polytope is s.moment_polytope()
     assert models.support_strata(s) is strata and len(strata) > 1
 
 
@@ -834,12 +835,33 @@ def test_local_cones_intersection_is_polytope(sqrt2_basis):
         assert polyhedra.poly_equal(models.local_cones_intersection(s), P)
 
 
+def scalar_plane_rows(s):
+    """The plane lambda + W as scalar equalities <a, x> = <a, lambda>, one per
+    ideal row."""
+    return [(a, linalg.dot(a, s.lam)) for a in s.ideal.rows]
+
+
+def scalar_plane_cut(s, coords):
+    """Reference: the plane cut by x_j >= 0 for j in coords, the scalar route
+    through intersect_halfspaces the slice's polyhedra once took."""
+    basis, d = s.scalar_basis, s.torus_rank
+    units = [(linalg.unit(basis, d, j), 0) for j in coords]
+    return polyhedra.intersect_halfspaces(basis, d, units, scalar_plane_rows(s))
+
+
+def pooled_coords(strata, d):
+    """The coordinates outside some stratum's support, in the order the
+    strata first leave them free."""
+    return list(dict.fromkeys(j for st in strata for j in range(d) if j not in st.support))
+
+
 @pytest.mark.parametrize("field", ["q", "sqrt2"])
 def test_local_cones_cut_out_matches_double_description(field, rat_basis, sqrt2_basis,
                                                         monkeypatch):
-    """The report's local-cones line, cut_out_by on the pooled system,
-    against the double-description reference on random slices: once with
-    every stratum and once with each stratum dropped in turn."""
+    """The report's local-cones line, local_cones_cut_out, against the
+    double-description reference on the scalar pooled system, on random
+    slices: once with every stratum and once with each stratum dropped in
+    turn."""
     basis = sqrt2_basis if field == "sqrt2" else rat_basis
     support_strata = models.support_strata
     rng = random.Random(31)
@@ -849,16 +871,72 @@ def test_local_cones_cut_out_matches_double_description(field, rat_basis, sqrt2_
         if s is None:
             continue
         slices += 1
-        P, strata = s.moment_polytope(), support_strata(s)
+        P, strata, d = s.moment_polytope(), support_strata(s), s.torus_rank
+        eqs = scalar_plane_rows(s)
         for dropped in [None, *range(len(strata))]:
             kept = tuple(st for i, st in enumerate(strata) if i != dropped)
             monkeypatch.setattr(models, "support_strata", lambda slice_: kept)
-            hs, eqs = models.local_cone_rows(s)
-            got = polyhedra.cut_out_by(P, hs, eqs)
+            hs = [(linalg.unit(basis, d, j), 0) for j in pooled_coords(kept, d)]
+            got = models.local_cones_cut_out(s)
             assert got == cut_out_by_double_description(P, hs, eqs)
+            assert got == polyhedra.cut_out_by(P, hs, eqs)
             assert got or dropped is not None
             verdicts[got] += 1
     assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2", "three_surds"])
+def test_slice_polyhedra_match_the_scalar_route(field, rat_basis, sqrt2_basis,
+                                                three_surds_basis):
+    """The moment polytope, every stratum's local cone and the local cones'
+    intersection, built from the slice's domain rows, equal (==, and the same
+    V-rep) the scalar route: intersect_halfspaces on the orthant's units and
+    the scalar plane rows.  Each random slice runs as drawn and with lambda
+    scaled, which scales the polytope: by 3 over Q, else by 1 + sqrt2/2,
+    which makes the plane's offsets irrational.  The on-slice check refuses each stratum's
+    representative, and the representative with one supported moment value
+    doubled, exactly when a scalar plane row fails on it."""
+    basis = {"q": rat_basis, "sqrt2": sqrt2_basis, "three_surds": three_surds_basis}[field]
+    # two roots are slow: fewer slices there
+    count = 6 if field == "three_surds" else 12
+    rng = random.Random(7)
+    slices, moved = 0, Counter()
+    while slices < count:
+        drawn = _random_slice(rng, basis, "q" if field == "q" else "sqrt2")
+        if drawn is None:
+            continue
+        slices += 1
+        factor = (basis.from_rational(3) if field == "q"
+                  else basis.one() + basis.constant("sqrt2").scale(Fraction(1, 2)))
+        scaled = build_affine_slice(basis, drawn.torus_rank, [x * factor for x in drawn.lam],
+                                    direction_vectors=drawn.direction.rows)
+        for s in (drawn, scaled):
+            d, strata = s.torus_rank, models.support_strata(s)
+            # the on-slice check first, before local_cone keeps any point
+            for st in strata:
+                points, mu = [st.representative], st.representative.mu
+                for j in st.support[-1:]:
+                    points.append(ModelPoint(st.support, mu[:j] + (mu[j].scale(2),) + mu[j + 1:]))
+                for point in points:
+                    phi = moment_quadratic(s.module, point)
+                    on = all((linalg.dot(a, phi) - c).is_zero() for a, c in scalar_plane_rows(s))
+                    try:
+                        models._require_on_slice(s, point)
+                        refused = False
+                    except ModelError as e:
+                        assert "does not lie on the slice" in str(e)
+                        refused = True
+                    assert refused != on
+                    moved[refused] += 1
+            pairs = [(s.moment_polytope(), scalar_plane_cut(s, range(d)))]
+            for st in strata:
+                pairs.append((local_cone(s, st.representative), scalar_plane_cut(
+                    s, [j for j in range(d) if j not in st.support])))
+            pairs.append((models.local_cones_intersection(s),
+                          scalar_plane_cut(s, pooled_coords(strata, d))))
+            for got, want in pairs:
+                assert got == want and got.vrep == want.vrep
+    assert moved[True] and moved[False]
 
 
 def test_pooled_intersection_matches_cone_by_cone(sqrt2_basis):

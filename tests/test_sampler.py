@@ -476,3 +476,37 @@ def test_dist_circle_matches_array_reference(case):
     ])
     got = distance_to_image(spec)(pts)
     assert got.tobytes() == reference(pts).tobytes()
+
+
+def test_circle_builds_its_polyline_only_without_crossings(monkeypatch):
+    """A circle reads the dense polyline only for its first point, when no
+    axis crossing lies in the orthant."""
+    calls = []
+    polyline = sampler._dense_polyline
+    monkeypatch.setattr(sampler, "_dense_polyline",
+                        lambda spec: calls.append(spec) or polyline(spec))
+    for name in ("four-crossings", "two-crossings", "tangent-to-axis"):
+        distance_to_image(CIRCLES[name][0])
+    assert calls == []
+    distance_to_image(CIRCLES["inside-orthant"][0])
+    assert calls == [CIRCLES["inside-orthant"][0]]
+
+
+def test_circle_touching_the_orthant_only_at_the_origin():
+    """The circle about (-1, -1) through the origin meets the closed orthant
+    there alone.  Its axis crossings at the origin (within rounding) lie in
+    the orthant, so distance_to_image measures to them, although no point of
+    the polyline does; sample_image draws no point there and raises."""
+    spec = circle_spec([-1.0, -1.0], np.sqrt(2.0))
+    reference, ends = reference_dist_circle(spec)
+    assert ends == 2
+    with pytest.raises(SamplerError, match="misses the orthant"):
+        sampler._dense_polyline(spec)
+    rng = np.random.default_rng(2)
+    pts = np.concatenate([rng.uniform(-3.0, 3.0, (2000, 2)),
+                          [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [-1.0, -1.0]]])
+    got = distance_to_image(spec)(pts)
+    assert got.tobytes() == reference(pts).tobytes()
+    assert got[-4] < 1e-15 and abs(got[-2] - 2.0) < 1e-15
+    with pytest.raises(SamplerError, match="misses the orthant"):
+        sample_image(spec, 100, seed=7)
