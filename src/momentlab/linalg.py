@@ -1,16 +1,19 @@
-"""Exact vector and matrix helpers over the extended scalar domain.
+"""Exact vectors over the extended scalar domain, and the block routines
+every elimination goes through.
 
-Matrices live as blocks of rows in one number domain (scalars._Domain): Z
-or the basis's ring Z[s_1..s_k], which scalars._domain picks once, when
-scalars come in.  Each kept row is a positive multiple of its scalar row.
-The block routines (_rref, _kernel, _pivots, _mat_vecs) take such rows and
-return such rows; Subspace and PresympForm keep theirs between calls.  Every
-reduction is scalars._eliminate, fraction-free in the domain; _pivots
-freezes every row, with no back-substitution.  A reduced basis is kept
-canonical, each row by its representative up to scaling (D.prim), so its
-scalar row is the row divided by its pivot entry.  The public functions
-below convert scalar input once and divide canonical rows back into scalars
-once, at the end.
+The public surface is the scalar vector vocabulary: reading entries
+(as_vector, which refuses a scalar of another basis), zeros, units, sums,
+scalings, dots and printing.  Matrices live as blocks of rows in one number
+domain (scalars._Domain): Z or the basis's ring Z[s_1..s_k], which
+scalars._domain picks once, when scalars come in.  Each kept row is a
+positive multiple of its scalar row.  The block routines (_rref, _kernel,
+_pivots, _mat_vecs) take such rows and return such rows; Subspace and
+PresympForm keep theirs between calls, and reductions, kernels and ranks of
+scalar vectors go through them.  Every reduction is scalars._eliminate,
+fraction-free in the domain; _pivots freezes every row, with no
+back-substitution.  A reduced basis is kept canonical, each row by its
+representative up to scaling (D.prim), so its scalar row is the row divided
+by its pivot entry.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import (
+    BasisMismatchError,
     ConstantBasis,
     ExtScalar,
     RationalLike,
@@ -44,11 +48,13 @@ def unit(basis: ConstantBasis, n: int, i: int) -> Vector:
 
 def as_vector(basis: ConstantBasis, entries: Sequence) -> Vector:
     """Scalars, strings like "1 + 1/2*sqrt2", integers and fractions read
-    exactly; a float only when it is a small exact rational.  Booleans are
-    rejected."""
+    exactly; a float only when it is a small exact rational.  Booleans and
+    scalars of another basis are rejected."""
     out = []
     for e in entries:
         if isinstance(e, ExtScalar):
+            if e.basis is not basis and e.basis != basis:
+                raise BasisMismatchError("scalar uses a different constant basis")
             out.append(e)
         elif isinstance(e, (str, float)):
             out.append(parse_scalar(e, basis))
@@ -90,57 +96,8 @@ def dot(u: Vector, v: Vector) -> ExtScalar:
     return acc
 
 
-def mat_vecs(m: Sequence[Vector], vectors: Sequence[Vector], basis: ConstantBasis) -> Matrix:
-    """The products m v for each of the vectors.
-
-    They run in the number domain scalars._domain picks for the matrix and
-    the vectors together.  The matrix is converted with one multiplier
-    common to all its entries (one per row would rescale the entries of m v
-    against each other), each vector with its own, and each image is divided
-    back by the product of the two.
-    """
-    if not vectors:
-        return []
-    ncols = len(vectors[0])
-    if any(len(x) != ncols for x in (*m, *vectors)):
-        raise ScalarError("dimension mismatch in matrix-vector product")
-    D = _domain(basis, [*m, *vectors])
-    rows, mm = _matrix(D, basis, m, ncols)
-    out = []
-    for v in vectors:
-        w, mv = _scaled(D, basis, v)
-        out.append(D.div(tuple(D.dot(row, w) for row in rows), _times(D, mm, (mv,))[0]))
-    return out
-
-
 def format_matrix(rows: Iterable[Vector]) -> str:
     return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in rows)
-
-
-def rref(rows: Sequence[Vector]) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form with pivots normalized to 1: the nonzero
-    rows and their pivot columns, from one reduction in the number domain
-    scalars._domain picks for the rows."""
-    if not rows or not rows[0]:
-        return [], []
-    reduced, pivots, D = _rref(*_block(rows[0][0].basis, rows))
-    return _scalar_rows(D, reduced, pivots), pivots
-
-
-def _scalar_pivots(rows: Sequence[Vector]) -> list[int]:
-    """The pivot columns of rref(rows), with no row divided back."""
-    return _pivots(*_block(rows[0][0].basis, rows)) if rows and rows[0] else []
-
-
-def rank(rows: Sequence[Vector]) -> int:
-    return len(_scalar_pivots(rows))
-
-
-def kernel(rows: Sequence[Vector], basis: ConstantBasis, ncols: int) -> tuple[Matrix, list[int]]:
-    """The canonical basis of {v : A v = 0}, as rref would give it, and its
-    pivots (_kernel)."""
-    null, pivots, D = _kernel(*_block(basis, rows), ncols)
-    return _scalar_rows(D, null, pivots), pivots
 
 
 # -- blocks: rows in a number domain -----------------------------------------------
@@ -196,39 +153,3 @@ def _mat_vecs(D: _Domain, m, vectors) -> list[tuple]:
     """The products m v in D: positive multiples of the scalar products when
     m has one multiplier for all entries."""
     return [tuple(D.dot(row, v) for row in m) for v in vectors]
-
-
-def solve(columns: Sequence[Vector], targets: Sequence[Vector], basis: ConstantBasis):
-    """For each target t, coefficients x with sum(x_i * columns_i) = t, or
-    None when t is outside the span of the columns.
-
-    One reduction of [columns | targets] (as columns): a target is in the
-    span iff its column vanishes in every row whose pivot is a target column,
-    and then the rows with column pivots give x, free coefficients zero.
-    """
-    if not columns or not targets:
-        return [[] if vec_is_zero(t) else None for t in targets]
-    k = len(columns)
-    reduced, pivots = rref(list(zip(*columns, *targets)))
-    r = sum(p < k for p in pivots)
-    out = []
-    for j in range(k, k + len(targets)):
-        if any(not row[j].is_zero() for row in reduced[r:]):
-            out.append(None)
-            continue
-        x = [basis.zero()] * k
-        for row, p in zip(reduced, pivots[:r]):
-            x[p] = row[j]
-        out.append(x)
-    return out
-
-
-def extend_basis(rows: Sequence[Vector], candidates: Sequence[Vector]) -> list[Vector]:
-    """The candidates that a greedy pass adds to the span of `rows`: each one
-    not in the span of the rows and the candidates before it.
-
-    Those are the candidates whose columns are pivots, at or after column
-    len(rows), when [rows | candidates] (as columns) is reduced.
-    """
-    k = len(rows)
-    return [candidates[p - k] for p in _scalar_pivots(list(zip(*rows, *candidates))) if p >= k]

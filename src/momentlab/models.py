@@ -82,16 +82,6 @@ class WeightedModule:
         """The whole space: every point of a module is admissible."""
         return Subspace.full(self.scalar_basis, 2 * self.n_coords)
 
-    def sigma(self) -> PresympForm:
-        return PresympForm.standard(self.scalar_basis, self.n_coords, sorted(self.masked))
-
-    def weight_pairing(self, j: int, xi: Vector) -> ExtScalar:
-        acc = self.scalar_basis.zero()
-        for k, a in enumerate(self.weights[j]):
-            if a:
-                acc = acc + xi[k].scale(a)
-        return acc
-
     def null_ideal(self) -> Subspace:
         """Kernel of the action on the symplectic part: all xi pairing to
         zero with every unmasked weight."""
@@ -250,9 +240,21 @@ def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
     module = slice_.module
     basis = module.scalar_basis
     n = 2 * module.n_coords
-    # D phi^T a for each row a of the ideal
-    rows = linalg.mat_vecs(list(zip(*_dphi_rows(module, point))), slice_.ideal.rows, basis)
-    return Subspace.kernel_of(basis, n, rows)
+    # D phi^T a for each ideal row a of the slice's domain: D phi^T with one
+    # multiplier for all entries, so each product is a positive multiple of
+    # its scalar product
+    dphi_t = list(zip(*_dphi_rows(module, point)))
+    E = _domain(basis, dphi_t)
+    M, _ = linalg._matrix(E, basis, dphi_t, module.torus_rank)
+    D, lift, lift_ideal = _common(E, slice_._domain_rows[0])
+    rows = linalg._mat_vecs(D, list(map(lift, M)), list(map(lift_ideal, slice_._domain_rows[2])))
+    # the products read the ideal only on the support, so they are often
+    # rational on an irrational slice: then the space, and all that is built
+    # on it at the point, runs over Z, the domain their scalars would pick
+    coeffs = [D.coeff_rows(r) for r in rows]
+    if all(not any(map(any, c[1:])) for c in coeffs):
+        D, rows = _domain(basis, ()), [c[0] for c in coeffs]
+    return Subspace(basis, n, *linalg._kernel(D, rows, n))
 
 
 def _at_point(model, point: ModelPoint) -> dict:
@@ -538,12 +540,6 @@ class SupportStratum:
                 coeffs.append(Fraction(sum(ints), den * k))
             mu.append(ExtScalar(self.scalar_basis, tuple(coeffs)))
         return ModelPoint(support=self.support, mu=tuple(mu))
-
-    def face_affine_dim(self) -> int:
-        base = self.face_vertices[0]
-        rows = [linalg.vec_sub(v, base) for v in self.face_vertices[1:]]
-        rows += list(self.face_rays)
-        return linalg.rank(rows)
 
 
 def support_strata(slice_: AffineSlice) -> tuple[SupportStratum, ...]:

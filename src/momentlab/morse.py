@@ -16,7 +16,7 @@ from typing import Sequence
 from . import linalg, models, polyhedra
 from .linalg import Vector
 from .models import AffineSlice, NotApplicableError, SupportStratum
-from .scalars import ExtScalar, ScalarError
+from .scalars import ExtScalar, ScalarError, _common, _domain, _eliminate
 
 
 class MorseError(ScalarError):
@@ -53,35 +53,37 @@ class VertexCheck:
         return all(count == 1 for _, count in self.vertex_fibre_counts)
 
 
-def _projected_ideal_columns(slice_: AffineSlice, support: Sequence[int]):
-    return [tuple(a[j] for j in support) for a in slice_.ideal.rows]
+def _eta(slice_: AffineSlice, xi: Vector, support: Sequence[int]) -> Vector | None:
+    """eta = xi - zeta for the zeta in the ideal that agrees with xi on the
+    support S, or None when there is none (the stratum is not critical).
 
-
-def _decompose(slice_: AffineSlice, xi: Vector, support: Sequence[int]):
-    """xi = eta + zeta with eta vanishing on the support and zeta in the
-    ideal; None when no such zeta exists (the stratum is not critical)."""
+    The ideal is the annihilator of the direction W, so eta is the covector
+    that vanishes on S with <eta, w> = <xi, w> for every direction row w: one
+    elimination of the rows [w at the coordinates T off S | <w, x>], x a
+    positive multiple mult * xi, in the slice's domain.  The stratum is
+    critical iff column |T| is not a pivot.  Transversality gives W's columns
+    T full rank, so eta is unique; the rows then carry the last pivot at
+    their own column, and eta at T is the last column over mult * last."""
     basis = slice_.scalar_basis
-    support = list(support)
-    target = tuple(xi[j] for j in support)
-    columns = _projected_ideal_columns(slice_, support)
-    if support:
-        coeffs = linalg.solve(columns, [target], basis)[0]
-        if coeffs is None:
-            return None
-    else:
-        coeffs = [basis.zero()] * slice_.ideal.dim
-    zeta = linalg.zeros(basis, slice_.torus_rank)
-    for c, a in zip(coeffs, slice_.ideal.rows):
-        zeta = linalg.vec_add(zeta, linalg.vec_scale(a, c))
-    eta = linalg.vec_sub(xi, zeta)
-    for j in support:
-        if not eta[j].is_zero():
-            raise AssertionError("decomposition left the stabilizer")
-    return eta, zeta
+    T = [j for j in range(slice_.torus_rank) if j not in support]
+    E = _domain(basis, [xi])
+    D, lift, lift_x = _common(slice_._domain_rows[0], E)
+    *x, mult = lift_x(E.conv((*xi, basis.one())))
+    rows = [[w[j] for j in T] + [D.dot(w, x)] for w in map(lift, slice_._domain_rows[1])]
+    reduced, pivots, last = _eliminate(D, rows)
+    if len(T) in pivots:
+        return None
+    if pivots != list(range(len(T))):
+        raise AssertionError("ambiguous critical decomposition")
+    eta = dict(zip(T, D.div([row[-1] for row in reduced], D.dot((mult,), (last,)))))
+    return tuple(eta.get(j, basis.zero()) for j in range(slice_.torus_rank))
 
 
-def _stratum_dimension(stratum: SupportStratum) -> int:
-    return stratum.face_affine_dim() + len(stratum.support)
+def _stratum_dimension(slice_: AffineSlice, stratum: SupportStratum) -> int:
+    """The face over S has a relative-interior point positive on S, so its
+    affine hull is (lambda + W) meet {x_T = 0}; the stratum adds |S| angles."""
+    T = [j for j in range(slice_.torus_rank) if j not in stratum.support]
+    return slice_.direction.dim - slice_.direction_rank(T) + len(stratum.support)
 
 
 def _as_xi(slice_: AffineSlice, xi: Sequence) -> Vector:
@@ -97,11 +99,9 @@ def critical_set(slice_: AffineSlice, xi: Sequence) -> tuple[CriticalStratum, ..
     xi_v = _as_xi(slice_, xi)
     out = []
     for stratum in models.support_strata(slice_):
-        dec = _decompose(slice_, xi_v, stratum.support)
-        if dec is None:
+        eta = _eta(slice_, xi_v, stratum.support)
+        if eta is None:
             continue
-        eta, _ = dec
-        _check_unique(slice_, stratum.support)
         pairings = tuple(
             (j, eta[j]) for j in range(slice_.torus_rank) if j not in stratum.support
         )
@@ -111,7 +111,7 @@ def critical_set(slice_: AffineSlice, xi: Sequence) -> tuple[CriticalStratum, ..
         out.append(
             CriticalStratum(
                 support=stratum.support,
-                dimension=_stratum_dimension(stratum),
+                dimension=_stratum_dimension(slice_, stratum),
                 eta=eta,
                 normal_weights=pairings,
                 index=index,
@@ -120,14 +120,6 @@ def critical_set(slice_: AffineSlice, xi: Sequence) -> tuple[CriticalStratum, ..
             )
         )
     return tuple(out)
-
-
-def _check_unique(slice_: AffineSlice, support: Sequence[int]) -> None:
-    # transversality makes the stabilizer meet the ideal trivially on
-    # realized strata, so eta is well defined; the meet has dimension
-    # ideal.dim minus the rank of the ideal's rows on the support
-    if slice_.ideal_rank(support) != slice_.ideal.dim:
-        raise AssertionError("ambiguous critical decomposition")
 
 
 @dataclass(frozen=True)
@@ -183,10 +175,11 @@ def full_critical_set(
             continue
         if len(stratum.face_vertices) != 1 or stratum.face_rays:
             raise AssertionError("fixed-leaf stratum image not a point")
+        # the face is a point: the stratum is its torus orbit
         out.append(
             GCriticalStratum(
                 support=stratum.support,
-                dimension=_stratum_dimension(stratum),
+                dimension=len(stratum.support),
                 image=stratum.face_vertices[0],
             )
         )

@@ -167,8 +167,6 @@ class Polyhedron:
         v = linalg.as_vector(basis, point)
         if len(v) != self.dim:
             raise PolyhedronError("point has wrong dimension")
-        if any(e.basis != basis for e in v):
-            raise BasisMismatchError("point uses a different constant basis")
         if self.is_empty:
             return False
         h = v + (basis.one(),)

@@ -30,8 +30,8 @@ class DimensionMismatchError(ScalarError):
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Exact linear subspace with a canonical reduced row-echelon basis, kept
-    as its rows in the number domain _D.  Made from canonical scalar rows, as
-    rref gives them, when no domain is given.
+    as its rows in the number domain _D.  Made from canonical scalar rows
+    (reduced, each pivot entry 1) when no domain is given.
 
     Two subspaces are equal iff their canonical bases are identical, which
     makes equality a syntactic check on the domain rows.
@@ -67,7 +67,9 @@ class Subspace:
     @staticmethod
     def kernel_of(scalar_basis: ConstantBasis, ambient_dim: int,
                   rows: Sequence[Vector]) -> "Subspace":
-        """{v : A v = 0} for the rows of A, in linalg.kernel's canonical basis."""
+        """{v : A v = 0} for the rows of A, read as from_vectors reads its
+        vectors, in its canonical basis (linalg._kernel)."""
+        rows = [linalg.as_vector(scalar_basis, r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatchError(f"matrix row length is not {ambient_dim}")
         return Subspace(scalar_basis, ambient_dim,
@@ -184,13 +186,6 @@ class PresympForm:
         return form
 
     @staticmethod
-    def standard(scalar_basis: ConstantBasis, n_complex: int,
-                 masked: Sequence[int] = ()) -> "PresympForm":
-        """Standard form on n complex lines; masked lines carry the zero form."""
-        return PresympForm._blocks(scalar_basis, [None if j in masked else scalar_basis.one()
-                                                  for j in range(n_complex)])
-
-    @staticmethod
     def _blocks(scalar_basis: ConstantBasis, scales: Sequence) -> "PresympForm":
         """The form pairing line j's y with its x by scales[j] (x with y by
         its negative), zero on the line where scales[j] is None."""
@@ -299,8 +294,9 @@ def natural_quotient(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     degenerate = domain.intersect(sigma_orthogonal(sigma, domain))
-    # linalg.extend_basis of domain's rows on degenerate's: positive column
-    # scalings keep the pivots
+    # the rows of domain a greedy pass adds to degenerate's: the pivots at or
+    # after column k of [degenerate | domain] as columns, which positive
+    # column scalings keep
     D, lift, lift_domain = _common(degenerate._D, domain._D)
     columns = list(zip(*map(lift, degenerate._rows), *map(lift_domain, domain._rows)))
     k = degenerate.dim

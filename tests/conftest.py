@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from momentlab.presymlin import PresympForm, Subspace
 from momentlab.scalars import (
     ConstantBasis,
     ScalarError,
@@ -144,3 +145,114 @@ def ray_meets_rational_span(vec, generators) -> bool:
         for t in range(size)
     ]
     return sum(1 for c in _eliminate_rational(rows)[1] if c >= n_t) < len(scaled)
+
+
+# -- scalar references for the elimination the package does on domain rows -------
+
+
+def reference_rref(rows, n):
+    """Gauss-Jordan on ExtScalars, dividing by each pivot: the canonical rows
+    and pivots of the span."""
+    rows, pivots = [list(r) for r in rows], []
+    for c in range(n):
+        p = next((i for i in range(len(pivots), len(rows)) if not rows[i][c].is_zero()), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(r) for r in rows[:len(pivots)]], pivots
+
+
+def reference_kernel(rows, basis, n):
+    """One kernel vector per free column of reference_rref, then reduced."""
+    reduced, pivots = reference_rref(rows, n)
+    null = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = [basis.zero()] * n
+        v[f] = basis.one()
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        null.append(v)
+    return reference_rref(null, n)
+
+
+def reference_rank(rows, n):
+    return len(reference_rref(rows, n)[1])
+
+
+def reference_product(matrix, v, basis):
+    out = []
+    for row in matrix:
+        acc = basis.zero()
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_solve(columns, targets, basis):
+    """For each target t, the coefficients x with sum(x_i * columns_i) = t,
+    free coefficients zero, or None when t is outside the span of the
+    columns: read off reference_rref of [columns | t] (as columns)."""
+    k = len(columns)
+    out = []
+    for t in targets:
+        if not columns:
+            out.append([] if all(e.is_zero() for e in t) else None)
+            continue
+        reduced, pivots = reference_rref(list(zip(*columns, t)), k + 1)
+        if k in pivots:
+            out.append(None)
+            continue
+        x = [basis.zero()] * k
+        for row, p in zip(reduced, pivots):
+            x[p] = row[k]
+        out.append(x)
+    return out
+
+
+def in_span(span, v):
+    """Containment by reduction in scalar arithmetic: clear v's entry at each
+    pivot of the canonical rows, then test for zero."""
+    for row, p in zip(span.rows, span.pivots):
+        if not v[p].is_zero():
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    return all(a.is_zero() for a in v)
+
+
+def greedy_extension(basis, m, rows, candidates):
+    """The reference: keep each candidate not yet in the span."""
+    span = Subspace.from_vectors(basis, m, rows)
+    chosen = []
+    for v in candidates:
+        if not in_span(span, v):
+            chosen.append(v)
+            span = span.add(Subspace.from_vectors(basis, m, [v]))
+    return chosen
+
+
+def standard_form(basis, n_complex, masked=()):
+    """The standard form on n complex lines, each x paired with its y;
+    masked lines carry the zero form."""
+    n = 2 * n_complex
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n_complex):
+        if j not in masked:
+            rows[2 * j][2 * j + 1], rows[2 * j + 1][2 * j] = -1, 1
+    return PresympForm.from_rows(basis, rows)
+
+
+def weight_pairing(module, j, xi):
+    """<alpha_j, xi> for the weight alpha_j of coordinate j."""
+    acc = module.scalar_basis.zero()
+    for k, a in enumerate(module.weights[j]):
+        if a:
+            acc = acc + xi[k].scale(a)
+    return acc

@@ -745,6 +745,23 @@ def test_two_roots_report_matches_golden_copy(tmp_path):
     assert "rank: 3 of expected 2" in report and "rational: no" in report
 
 
+def test_irrational_xi_report_matches_golden_copy(tmp_path):
+    """The two_roots slice with the irrational Morse direction
+    xi = (sqrt3, -1, 1/2*sqrt2): eta, its normal pairings and the indices
+    match the golden copy byte for byte.  By hand, on support [0] eta
+    vanishes at 0 and agrees with xi on the direction rows (1, 0, -1/3*sqrt3)
+    and (0, 1, -1/3*sqrt6), so eta = (0, -1 - sqrt6, -3 + 1/2*sqrt2): both
+    pairings negative, index 4."""
+    scenario = TWO_ROOTS.parent / "irrational_xi.json"
+    assert validate_scenario(scenario) == 0
+    assert run_scenario(scenario, out_dir=tmp_path) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert report == (TWO_ROOTS.parent / "irrational_xi_report.txt").read_text()
+    assert [line.split(",")[1] for line in report.splitlines() if "index" in line] == [
+        " index 4", " index 0", " index 2"]
+    assert "eta (0, -1 - sqrt6, -3 + 1/2*sqrt2)" in report
+
+
 def test_three_roots_report_matches_golden_copy(tmp_path):
     """Three square roots run end to end on Z[sqrt2, sqrt3, sqrt5]; the
     constants are the seven products of the roots, named sqrt<n> up to

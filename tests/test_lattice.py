@@ -164,7 +164,7 @@ def ray_meets_by_kernel(vec, generators) -> bool:
         for i in range(len(vec))
         for t in range(size)
     ]
-    null, _ = linalg.kernel(rows, q, len(scaled) + len(generators))
+    null = Subspace.kernel_of(q, len(scaled) + len(generators), rows).rows
     return any(not linalg.vec_is_zero(sol[:len(scaled)]) for sol in null)
 
 

@@ -1,12 +1,13 @@
 """Differential tests of the elimination kernel against sympy.
 
-rref, rank, kernel, solve over several targets, basis extension, containment
-and the Zassenhaus meet of subspaces over Q, Q(sqrt2) and Q(sqrt(3/2)) (a
+Reduced rows, pivots and dimensions of Subspace.from_vectors, kernels
+(Subspace.kernel_of), the greedy basis extension reference, containment and
+the Zassenhaus meet of subspaces over Q, Q(sqrt2) and Q(sqrt(3/2)) (a
 declared square that is not an integer), and conjugate division are compared
 with sympy's exact linear algebra, and exact signs and products with
-sympy's.  Containment is also compared over three surds.  Matrix-vector
-products, sigma-orthogonals and Gram restrictions are compared with plain
-scalar arithmetic, also over a negative declared root and over three surds.
+sympy's.  Containment is also compared over three surds.  Kernels,
+sigma-orthogonals and Gram restrictions are compared with plain scalar
+arithmetic, also over a negative declared root and over three surds.
 """
 
 import functools
@@ -21,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from momentlab import linalg
 from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace, sigma_orthogonal
 from momentlab.scalars import ConstantBasis
+
+from conftest import greedy_extension, reference_kernel, reference_product
 
 SQUARES = (2, Fraction(3, 2))
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -90,14 +93,15 @@ def matrices(draw, irrational):
 
 
 def check_against_sympy(basis, square, m, rows):
-    reduced, pivots = linalg.rref(rows)
+    span = Subspace.from_vectors(basis, m, rows)
+    reduced, pivots = span.rows, list(span.pivots)
     M = sympy_matrix(rows, square)
     expected, expected_pivots = sympy_rref(M)
     assert pivots == expected_pivots
     assert same(sympy_matrix(reduced, square) if reduced else sympy.zeros(0, m),
                 expected[: len(expected_pivots), :])
-    assert linalg.rank(rows) == M.rank()
-    null, _ = linalg.kernel(rows, basis, m)
+    assert span.dim == M.rank()
+    null = Subspace.kernel_of(basis, m, rows).rows
     assert len(null) == m - len(expected_pivots)
     if null:
         K = sympy_matrix(null, square)
@@ -162,37 +166,6 @@ def test_intersect_matches_sympy(data):
                 expected_rows)
 
 
-def in_span(span, v):
-    """Containment by reduction in scalar arithmetic: clear v's entry at each
-    pivot of the canonical rows, then test for zero."""
-    for row, p in zip(span.rows, span.pivots):
-        if not v[p].is_zero():
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(a.is_zero() for a in v)
-
-
-def greedy_extension(basis, m, rows, candidates):
-    """The reference: keep each candidate not yet in the span."""
-    span = Subspace.from_vectors(basis, m, rows)
-    chosen = []
-    for v in candidates:
-        if not in_span(span, v):
-            chosen.append(v)
-            span = span.add(Subspace.from_vectors(basis, m, [v]))
-    return chosen
-
-
-@given(vector_lists(2))
-@settings(deadline=None, max_examples=60)
-def test_extend_basis_matches_greedy_choice(data):
-    basis, square, m, (rows, vectors) = data
-    candidates = vectors + [linalg.unit(basis, m, i) for i in range(m)]
-    chosen = linalg.extend_basis(rows, candidates)
-    assert chosen == greedy_extension(basis, m, rows, candidates)
-    assert sympy_rank(rows + chosen, square) == m
-
-
 def sympy_greedy_extension(rows, candidates, square):
     """Each candidate that raises the sympy rank of the rows and the
     candidates kept before it."""
@@ -208,11 +181,11 @@ def sympy_greedy_extension(rows, candidates, square):
 def test_pivot_only_rank_and_extension_match_sympy(data):
     # either list may be empty
     basis, square, m, (rows, candidates) = data
-    assert linalg.rank(rows) == sympy_rank(rows, square)
-    assert linalg.rank(rows + candidates) == sympy_rank(rows + candidates, square)
-    chosen = linalg.extend_basis(rows, candidates)
+    assert Subspace.from_vectors(basis, m, rows).dim == sympy_rank(rows, square)
+    assert (Subspace.from_vectors(basis, m, rows + candidates).dim
+            == sympy_rank(rows + candidates, square))
+    chosen = greedy_extension(basis, m, rows, candidates)
     assert chosen == sympy_greedy_extension(rows, candidates, square)
-    assert chosen == greedy_extension(basis, m, rows, candidates)
 
 
 CONTAINMENT_BASES = (ConstantBasis.rationals(), basis_for(2), basis_for(Fraction(3, 2)),
@@ -297,39 +270,14 @@ def test_contains_on_zero_and_empty_spaces(basis):
 def test_pivot_only_paths_on_empty_inputs(square):
     basis = basis_for(square)
     v, zero = (basis.one(), basis.zero()), linalg.zeros(basis, 2)
-    assert linalg.rank([]) == 0
-    assert linalg.rank([(), ()]) == 0
-    assert linalg.rank([zero]) == 0
-    assert linalg.extend_basis([], []) == []
-    assert linalg.extend_basis([v], []) == []
-    assert linalg.extend_basis([], [v]) == [v]
-    assert linalg.extend_basis([], [zero, v, v]) == [v]
-    assert linalg.extend_basis([v], [v, zero]) == []
-
-
-@given(vector_lists(2))
-@settings(deadline=None, max_examples=60)
-def test_solve_several_targets_matches_sympy(data):
-    basis, square, m, (columns, vectors) = data
-    # the units lie outside the span whenever the columns do not span
-    targets = vectors + [linalg.unit(basis, m, i) for i in range(m)] + [linalg.zeros(basis, m)]
-    solutions = linalg.solve(columns, targets, basis)
-    assert len(solutions) == len(targets)
-    k = len(columns)
-    for t, x in zip(targets, solutions):
-        if not columns:
-            assert x == ([] if linalg.vec_is_zero(t) else None)
-            continue
-        A = sympy_matrix(columns, square).T
-        reduced, pivots = sympy_rref(A.row_join(sympy_matrix([t], square).T))
-        if k in pivots:
-            assert x is None
-            continue
-        expected = [0] * k
-        for i, p in enumerate(pivots):
-            expected[p] = reduced[i, k]
-        assert same(sympy.Matrix([to_sympy(e, square) for e in x]), sympy.Matrix(expected))
-        assert same(A * sympy.Matrix([to_sympy(e, square) for e in x]), sympy_matrix([t], square).T)
+    assert Subspace.from_vectors(basis, 2, []).dim == 0
+    assert Subspace.from_vectors(basis, 0, [(), ()]).dim == 0
+    assert Subspace.from_vectors(basis, 2, [zero]).dim == 0
+    assert greedy_extension(basis, 2, [], []) == []
+    assert greedy_extension(basis, 2, [v], []) == []
+    assert greedy_extension(basis, 2, [], [v]) == [v]
+    assert greedy_extension(basis, 2, [], [zero, v, v]) == [v]
+    assert greedy_extension(basis, 2, [v], [v, zero]) == []
 
 
 @given(st.sampled_from(SQUARES), small, small, small, small)
@@ -352,8 +300,10 @@ def test_division_by_multiple_constants_solves_rational_system():
     y = basis.scalar([3, -1, 1, 1])
     assert (x / y) * y == x
     one, zero = basis.one(), basis.zero()
-    assert linalg.rref([(x, y), (y, x + 1)]) == ([(one, zero), (zero, one)], [0, 1])
-    assert linalg.rref([(x, y), (x.scale(2), y.scale(2))]) == ([(one, y / x)], [0])
+    full = Subspace.from_vectors(basis, 2, [(x, y), (y, x + 1)])
+    assert (full.rows, full.pivots) == (((one, zero), (zero, one)), (0, 1))
+    line = Subspace.from_vectors(basis, 2, [(x, y), (x.scale(2), y.scale(2))])
+    assert (line.rows, line.pivots) == (((one, y / x),), (0,))
 
 
 @st.composite
@@ -462,7 +412,7 @@ def test_three_surd_sign_matches_sympy(irrational, shift, den):
         assert ring.sign(pair) == expected
 
 
-# -- matrix-vector products against plain scalar arithmetic ------------------------
+# -- kernels and forms against plain scalar arithmetic -----------------------------
 
 
 PRODUCT_BASES = (
@@ -490,22 +440,19 @@ def over_product_bases(coefficient_rows):
 
 
 @st.composite
-def coefficients(draw, square=False):
-    """Coefficient lists for a matrix of 0..4 rows of length 1..5 (square:
-    a skew n x n matrix, n = 1..4) and 0..3 vectors, some zero; each entry has
-    a coefficient for 1 and for each of up to three constants."""
+def skew_coefficients(draw):
+    """Coefficient lists for a skew n x n matrix, n = 1..4, and 0..3 vectors,
+    some zero; each entry has a coefficient for 1 and for each of up to
+    three constants."""
     def scalar(zero=False):
         return [Fraction(0)] * 4 if zero else [draw(entry)] + [draw(small) for _ in range(3)]
 
-    m = draw(st.integers(1, 4 if square else 5))
-    if square:
-        rows = [[scalar(zero=True) for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                rows[i][j] = scalar()
-                rows[j][i] = [-x for x in rows[i][j]]
-    else:
-        rows = [[scalar() for _ in range(m)] for _ in range(draw(st.integers(0, 4)))]
+    m = draw(st.integers(1, 4))
+    rows = [[scalar(zero=True) for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = scalar()
+            rows[j][i] = [-x for x in rows[i][j]]
     vectors = []
     for _ in range(draw(st.integers(0, 3))):
         zero = draw(st.booleans()) and draw(st.booleans())  # one vector in four
@@ -517,7 +464,8 @@ def two_step_kernel(rows, basis, ncols):
     """The reference route to a canonical kernel basis: reduce the rows,
     read one kernel vector per free column off the reduced rows, and reduce
     those vectors again, as Subspace.from_vectors does."""
-    reduced, pivots = linalg.rref(rows)
+    span = Subspace.from_vectors(basis, ncols, rows)
+    reduced, pivots = span.rows, span.pivots
     null = []
     for f in range(ncols):
         if f in pivots:
@@ -527,7 +475,8 @@ def two_step_kernel(rows, basis, ncols):
         for row, p in zip(reduced, pivots):
             v[p] = -row[f]
         null.append(tuple(v))
-    return linalg.rref(null)
+    kernel = Subspace.from_vectors(basis, ncols, null)
+    return list(kernel.rows), list(kernel.pivots)
 
 
 @st.composite
@@ -561,60 +510,45 @@ def test_kernel_is_the_canonical_basis(data):
             rows = [tuple(basis.scalar(c[:basis.size] if irrational
                                        else c[:1] + [0] * (basis.size - 1)) for c in row)
                     for row in coefficient_rows]
-            null, pivots = linalg.kernel(rows, basis, ncols)
-            assert (null, pivots) == two_step_kernel(rows, basis, ncols)
-            assert Subspace.kernel_of(basis, ncols, rows) == Subspace(
-                basis, ncols, tuple(null), tuple(pivots))
+            kernel = Subspace.kernel_of(basis, ncols, rows)
+            null, pivots = two_step_kernel(rows, basis, ncols)
+            assert (list(kernel.rows), list(kernel.pivots)) == (null, pivots)
+            assert kernel == Subspace(basis, ncols, tuple(null), tuple(pivots))
 
 
 @pytest.mark.parametrize("basis", PRODUCT_BASES, ids=["q", "sqrt2", "sqrt3/2", "-sqrt2", "three"])
 def test_kernel_of_empty_and_zero_matrices(basis):
     units = [linalg.unit(basis, 3, i) for i in range(3)]
-    assert linalg.kernel([], basis, 3) == (units, [0, 1, 2])
-    assert linalg.kernel([linalg.zeros(basis, 3)], basis, 3) == (units, [0, 1, 2])
-    assert linalg.kernel([], basis, 0) == ([], [])
-    assert linalg.kernel([(), ()], basis, 0) == ([], [])
-    assert linalg.kernel(units, basis, 3) == ([], [])
+
+    def kernel(rows, ncols):
+        K = Subspace.kernel_of(basis, ncols, rows)
+        return list(K.rows), list(K.pivots)
+
+    assert kernel([], 3) == (units, [0, 1, 2])
+    assert kernel([linalg.zeros(basis, 3)], 3) == (units, [0, 1, 2])
+    assert kernel([], 0) == ([], [])
+    assert kernel([(), ()], 0) == ([], [])
+    assert kernel(units, 3) == ([], [])
     assert Subspace.kernel_of(basis, 3, []) == Subspace.full(basis, 3)
     assert Subspace.kernel_of(basis, 3, units) == Subspace.zero(basis, 3)
 
 
-def reference_mat_vec(rows, v, basis):
-    """m v entry by entry in scalar arithmetic."""
-    out = []
-    for row in rows:
-        acc = basis.zero()
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return tuple(out)
-
-
-@given(coefficients())
-@settings(deadline=None, max_examples=30)
-def test_mat_vecs_match_scalar_arithmetic(data):
-    for basis, rows, vectors in over_product_bases(data):
-        assert linalg.mat_vecs(rows, vectors, basis) == [
-            reference_mat_vec(rows, v, basis) for v in vectors
-        ]
-
-
-@given(coefficients(square=True))
+@given(skew_coefficients())
 @settings(deadline=None, max_examples=15)
 def test_sigma_orthogonal_matches_scalar_arithmetic(data):
     for basis, matrix, vectors in over_product_bases(data):
         form = PresympForm.from_rows(basis, matrix)
         F = Subspace.from_vectors(basis, form.dim, vectors)
-        constraints = [reference_mat_vec(form.matrix, f, basis) for f in F.rows]
-        null, _ = linalg.kernel(constraints, basis, form.dim)
+        constraints = [reference_product(form.matrix, f, basis) for f in F.rows]
+        null, _ = reference_kernel(constraints, basis, form.dim)
         assert sigma_orthogonal(form, F) == Subspace.from_vectors(basis, form.dim, null)
 
 
-@given(coefficients(square=True))
+@given(skew_coefficients())
 @settings(deadline=None, max_examples=15)
 def test_restrict_matches_scalar_arithmetic(data):
     for basis, matrix, vectors in over_product_bases(data):
         form = PresympForm.from_rows(basis, matrix)
-        gram = [[reference_mat_vec([u], reference_mat_vec(form.matrix, v, basis), basis)[0]
+        gram = [[reference_product([u], reference_product(form.matrix, v, basis), basis)[0]
                  for v in vectors] for u in vectors]
         assert form.restrict(vectors) == PresympForm.from_rows(basis, gram)

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from momentlab import linalg, models, polyhedra
 from momentlab.models import NotApplicableError
+from momentlab.presymlin import Subspace
+from momentlab.scalars import _Z
 from momentlab.morse import (
     MorseError,
     critical_set,
@@ -12,7 +15,7 @@ from momentlab.morse import (
     morse_bott_check,
 )
 
-from conftest import random_fraction
+from conftest import random_fraction, reference_kernel, reference_product, reference_rank, reference_solve
 from test_models import (
     _random_bounded_slice,
     hessian_quadratic,
@@ -278,3 +281,122 @@ def test_fixed_leaf_stratum_image_must_be_a_point(fault, monkeypatch, sqrt2_basi
     monkeypatch.setattr(models, "support_strata", lambda slice_: (bad,))
     with pytest.raises(AssertionError, match="fixed-leaf stratum image not a point"):
         full_critical_set(s)
+
+
+# -- the domain-row routes against the scalar routes they replaced --------------------
+
+
+def random_bounded_slice(rng, basis, d):
+    """A slice whose direction lies in the sum-zero hyperplane (a bounded
+    polytope); direction entries carry each of the basis's constants, and a
+    lambda entry sometimes one; retries until the validator accepts."""
+    consts = [basis.constant(name) for name in basis.names[1:]]
+    for _ in range(60):
+        vecs = []
+        for _ in range(d - rng.randint(1, d - 1)):
+            row = [basis.from_rational(random_fraction(rng, 3)) for _ in range(d - 1)]
+            if consts and rng.random() < 0.6:
+                j = rng.randrange(d - 1)
+                row[j] = row[j] + rng.choice(consts).scale(random_fraction(rng, 2))
+            row.append(-sum(row, basis.zero()))
+            vecs.append(row)
+        lam = [basis.from_rational(rng.randint(1, 4)) for _ in range(d)]
+        if consts and rng.random() < 0.3:
+            lam[0] = lam[0] + rng.choice(consts)
+        try:
+            return models.build_affine_slice(basis, d, lam, direction_vectors=vecs)
+        except models.SliceValidationError:
+            continue
+    return None
+
+
+def critical_set_by_solve(slice_, xi):
+    """The scalar route critical_set took before: xi on the support solved
+    against the ideal rows' columns there, zeta their combination, eta the
+    rest; the dimension the scalar rank of the face's vertex differences and
+    rays, plus the support size.  (support, eta, pairings, index, dimension)
+    for each critical stratum."""
+    basis, d = slice_.scalar_basis, slice_.torus_rank
+    out = []
+    for stratum in models.support_strata(slice_):
+        S = stratum.support
+        columns = [tuple(a[j] for j in S) for a in slice_.ideal.rows]
+        coeffs = (reference_solve(columns, [tuple(xi[j] for j in S)], basis)[0] if S
+                  else [basis.zero()] * slice_.ideal.dim)
+        if coeffs is None:
+            continue
+        zeta = linalg.zeros(basis, d)
+        for c, a in zip(coeffs, slice_.ideal.rows):
+            zeta = linalg.vec_add(zeta, linalg.vec_scale(a, c))
+        eta = linalg.vec_sub(xi, zeta)
+        assert all(eta[j].is_zero() for j in S)
+        base = stratum.face_vertices[0]
+        spread = [linalg.vec_sub(v, base) for v in stratum.face_vertices[1:]]
+        dimension = reference_rank(spread + list(stratum.face_rays), d) + len(S)
+        pairings = tuple((j, eta[j]) for j in range(d) if j not in S)
+        index = 2 * sum(p.sign() < 0 for _, p in pairings)
+        out.append((S, eta, pairings, index, dimension))
+    return out
+
+
+def tangent_space_by_products(slice_, x):
+    """The kernel of the products D phi^T a, entry by entry in scalar
+    arithmetic, for the ideal's scalar rows a, and whether every product is
+    rational; D phi^T has the entry 2 mu_j alpha_jk in row 2j (the radial
+    slot) for j in the support."""
+    module, basis = slice_.module, slice_.scalar_basis
+    n = 2 * module.n_coords
+    dphi_t = [[basis.zero()] * module.torus_rank for _ in range(n)]
+    for j in x.support:
+        for k, a in enumerate(module.weights[j]):
+            dphi_t[2 * j][k] = x.mu[j].scale(2 * a)
+    products = [reference_product(dphi_t, a, basis) for a in slice_.ideal.rows]
+    rational = all(e.is_rational() for p in products for e in p)
+    return Subspace.from_vectors(basis, n, reference_kernel(products, basis, n)[0]), rational
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2", "three_surds"])
+def test_domain_routes_match_the_scalar_routes(field, rat_basis, sqrt2_basis,
+                                               three_surds_basis):
+    """critical_set (eta from one elimination of the direction rows in the
+    slice's domain, the dimension from one column rank), full_critical_set's
+    dimensions and tangent_space (products of the ideal's domain rows)
+    against the scalar routes, on random bounded slices, for rational and
+    irrational xi and for xi in the ideal."""
+    basis = {"q": rat_basis, "sqrt2": sqrt2_basis, "three_surds": three_surds_basis}[field]
+    consts = [basis.constant(name) for name in basis.names[1:]]
+    rng = random.Random(2236)
+    seen = Counter()
+    for _ in range(12 if field == "three_surds" else 20):
+        d = rng.randint(2, 4)
+        s = random_bounded_slice(rng, basis, d)
+        if s is None:
+            continue
+        rational = [basis.from_rational(random_fraction(rng)) for _ in range(d)]
+        coeffs = [random_fraction(rng) for _ in s.ideal.rows]
+        xis = {"rational": rational,
+               "ideal": [sum((a[k].scale(c) for c, a in zip(coeffs, s.ideal.rows)),
+                             basis.zero()) for k in range(d)]}
+        if consts:
+            xis["irrational"] = [e + rng.choice(consts).scale(random_fraction(rng))
+                                 for e in rational]
+        for kind, xi in xis.items():
+            got = [(st.support, st.eta, st.normal_weights, st.index, st.dimension)
+                   for st in critical_set(s, xi)]
+            want = critical_set_by_solve(s, tuple(xi))
+            assert got == want
+            if kind == "ideal":
+                assert len(got) == len(models.support_strata(s))
+            seen[kind] += len(got)
+            seen["not critical"] += len(models.support_strata(s)) - len(got)
+            seen["positive-dimensional face"] += sum(dim > len(S) for S, *_, dim in want)
+        dims = {S: dim for S, *_, dim in critical_set_by_solve(s, (basis.zero(),) * d)}
+        for g in full_critical_set(s)[0]:
+            assert g.dimension == dims[g.support] == len(g.support)
+        for stratum in models.support_strata(s):
+            T, rational = tangent_space_by_products(s, stratum.representative)
+            got = models.tangent_space(s, stratum.representative)
+            # rational products run over Z, as their scalars would
+            assert got == T and (got._D.step is _Z.step) == rational
+            seen["tangent over Z" if rational else "tangent over the ring"] += 1
+    assert min(seen.values()) >= 5, seen

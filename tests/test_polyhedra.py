@@ -26,7 +26,14 @@ from momentlab.scalars import (
     _eliminate,
 )
 
-from conftest import DOMAIN_BASES, _eliminate_rational, is_rational_direction, random_fraction, ray_meets_rational_span
+from conftest import (
+    DOMAIN_BASES,
+    _eliminate_rational,
+    is_rational_direction,
+    random_fraction,
+    ray_meets_rational_span,
+    reference_product,
+)
 
 
 # -- oracle constructors: a polyhedron from generators, and projection -------------
@@ -1115,7 +1122,8 @@ def rational_fan_by_scalars(P):
     if direction.dim == 0:
         return True, "point"
     gens = lattice.quasilattice(cutting)
-    pairings = linalg.mat_vecs([h.normal for h in P.halfspaces], direction.rows, P.scalar_basis)
+    pairings = [reference_product([h.normal for h in P.halfspaces], b, P.scalar_basis)
+                for b in direction.rows]
     for coords in zip(*pairings):
         if not all(e.is_zero() for e in coords) and not ray_meets_rational_span(
                 coords, gens.generators):

@@ -14,7 +14,18 @@ from momentlab.presymlin import (
 )
 from momentlab.scalars import ScalarError
 
-from conftest import DOMAIN_BASES, form_pairing, random_fraction, random_scalar
+from conftest import (
+    DOMAIN_BASES,
+    form_pairing,
+    greedy_extension,
+    random_fraction,
+    random_scalar,
+    reference_kernel,
+    reference_product,
+    reference_rref,
+    reference_solve,
+    standard_form,
+)
 
 
 def random_skew_form(rng, basis, dim, irrational_chance=0.0):
@@ -43,9 +54,7 @@ def brute_force_orthogonal(form, F):
     for f in F.rows:
         row = [form_pairing(form, linalg.unit(basis, form.dim, i), f) for i in range(form.dim)]
         rows.append(tuple(row))
-    return Subspace.from_vectors(
-        basis, form.dim, linalg.kernel(rows, basis, form.dim)[0]
-    )
+    return Subspace.from_vectors(basis, form.dim, reference_kernel(rows, basis, form.dim)[0])
 
 
 def test_canonical_basis_is_presentation_independent(sqrt2_basis):
@@ -93,7 +102,7 @@ def test_annihilator_is_kept_and_paired(rat_basis, sqrt2_basis):
 
 
 def test_sigma_orthogonal_standard_pairs(sqrt2_basis):
-    form = PresympForm.standard(sqrt2_basis, 2)
+    form = standard_form(sqrt2_basis, 2)
     F = Subspace.from_vectors(sqrt2_basis, 4, [[1, 0, 0, 0]])
     orth = sigma_orthogonal(form, F)
     expected = Subspace.from_vectors(
@@ -143,7 +152,7 @@ def test_double_orthogonal_is_sum_with_kernel(sqrt2_basis):
 
 
 def test_natural_quotient_whole_plane(sqrt2_basis):
-    form = PresympForm.standard(sqrt2_basis, 1)
+    form = standard_form(sqrt2_basis, 1)
     F = Subspace.full(sqrt2_basis, 2)
     red = natural_quotient(form, F, "sub")
     assert red.quotient_dim == 2
@@ -203,8 +212,8 @@ def completed_basis_symplectization(form, F):
     ker = form.kernel()
     k = ker.dim
     units = [linalg.unit(basis, n, i) for i in range(n)]
-    full = list(ker.rows) + linalg.extend_basis(ker.rows, units)
-    unit_coords = linalg.solve(full, units, basis)
+    full = list(ker.rows) + greedy_extension(basis, n, ker.rows, units)
+    unit_coords = reference_solve(full, units, basis)
     zero = basis.zero()
     rows = [list(r) + [zero] * k for r in form.matrix] + [[zero] * (n + k) for _ in range(k)]
     for a in range(k):
@@ -236,48 +245,6 @@ def test_symplectization_slice_independent_of_ker_complement(sqrt2_basis):
 
 
 # -- the block route against entry-by-entry scalar arithmetic -----------------------
-
-
-def reference_rref(rows, n):
-    """Gauss-Jordan on ExtScalars, dividing by each pivot: the canonical rows
-    and pivots of the span."""
-    rows, pivots = [list(r) for r in rows], []
-    for c in range(n):
-        p = next((i for i in range(len(pivots), len(rows)) if not rows[i][c].is_zero()), None)
-        if p is None:
-            continue
-        r = len(pivots)
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return [tuple(r) for r in rows[:len(pivots)]], pivots
-
-
-def reference_kernel(rows, basis, n):
-    """One kernel vector per free column of reference_rref, then reduced."""
-    reduced, pivots = reference_rref(rows, n)
-    null = []
-    for f in (f for f in range(n) if f not in pivots):
-        v = [basis.zero()] * n
-        v[f] = basis.one()
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        null.append(v)
-    return reference_rref(null, n)
-
-
-def reference_product(matrix, v, basis):
-    out = []
-    for row in matrix:
-        acc = basis.zero()
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return tuple(out)
 
 
 def assert_matches(S, expected):

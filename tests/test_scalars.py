@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentlab.cli import _build_basis
+from momentlab.models import build_affine_slice
+from momentlab.morse import critical_set
+from momentlab.polyhedra import intersect_halfspaces, slice_at_level
+from momentlab.presymlin import PresympForm, Subspace
 from momentlab.scalars import (
     BasisMismatchError,
     ConstantBasis,
@@ -42,6 +46,40 @@ def test_negation(sqrt2_basis):
 def test_basis_mismatch_raises(sqrt2_basis, rat_basis):
     with pytest.raises(BasisMismatchError):
         sqrt2_basis.one() + rat_basis.one()
+
+
+# each public entry point that reads scalars, fed r3, a scalar of another
+# basis of the same size, which a blind read would take for sqrt2
+FOREIGN_ENTRY_POINTS = {
+    "from_vectors": lambda b2, r3: Subspace.from_vectors(b2, 2, [[r3, 1]]),
+    "contains": lambda b2, r3: Subspace.from_vectors(b2, 2, [["sqrt2", 1]]).contains([r3, 1]),
+    "kernel_of": lambda b2, r3: Subspace.kernel_of(b2, 2, [[r3, 1]]),
+    "intersect_halfspaces": lambda b2, r3: intersect_halfspaces(b2, 1, [([1], r3)]),
+    "slice_at_level": lambda b2, r3: slice_at_level(
+        intersect_halfspaces(b2, 2, [([1, 0], 0), ([0, 1], 0), ([-1, -1], -1)]), 0, r3),
+    "build_affine_slice": lambda b2, r3: build_affine_slice(
+        b2, 2, [r3, 0], direction_normals=[[1, 1]]),
+    "from_rows": lambda b2, r3: PresympForm.from_rows(b2, [[0, r3], [-r3, 0]]),
+    "critical_set": lambda b2, r3: critical_set(
+        build_affine_slice(b2, 2, [1, 0], direction_normals=[[1, 1]]), [r3, 0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FOREIGN_ENTRY_POINTS))
+def test_scalars_of_another_basis_are_refused_at_the_input_edge(entry, sqrt2_basis):
+    """sqrt3 from a basis {1, sqrt3} has the coefficients of sqrt2 in
+    {1, sqrt2}; every entry point refuses it instead of reading it as sqrt2."""
+    r3 = ConstantBasis.with_sqrt("sqrt3", 3).constant("sqrt3")
+    with pytest.raises(BasisMismatchError):
+        FOREIGN_ENTRY_POINTS[entry](sqrt2_basis, r3)
+
+
+def test_kernel_of_reads_rows_as_from_vectors_does(sqrt2_basis):
+    """Integers, fractions and strings are read like from_vectors' entries."""
+    assert Subspace.kernel_of(sqrt2_basis, 2, [[1, 2]]) == Subspace.from_vectors(
+        sqrt2_basis, 2, [[-2, 1]])
+    assert Subspace.kernel_of(sqrt2_basis, 2, [["sqrt2", Fraction(1, 2)]]) == (
+        Subspace.from_vectors(sqrt2_basis, 2, [[1, "-2*sqrt2"]]))
 
 
 def test_declared_square_product(sqrt2_basis):
