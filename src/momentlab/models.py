@@ -2,12 +2,12 @@
 slices, null ideals, cleanness tests, exact moment images, local cones and
 symplectic and null slice data.
 
-Pointwise linear algebra runs in an adapted frame with two slots per complex
-coordinate: on a supported coordinate the slots are the radial and angular
-directions through the point, on an unsupported coordinate the real and
-imaginary axes.  In that frame every matrix entry is the coordinate's moment
-value times an integer, so kernels and orthogonals stay exact without ever
-multiplying two irrational coordinates.
+Stabilizers, cleanness and slice data are kernels and ranks of the integer
+weights on a point's support, in the torus dimension.  Tangent, dphi and
+orbit objects run in an adapted frame with two slots per complex coordinate:
+radial and angular through the point on a supported coordinate, the real and
+imaginary axes off it.  There every entry is a moment value times an integer,
+so no two irrational coordinates are ever multiplied.
 """
 
 from __future__ import annotations
@@ -131,11 +131,27 @@ class ModelPoint:
         return ModelPoint(support, mu)
 
 
+def _require_length(module: WeightedModule, point: ModelPoint) -> None:
+    """Raise unless the point has one moment value per coordinate."""
+    if len(point.mu) != module.n_coords:
+        raise ModelError(f"point has {len(point.mu)} coordinates, "
+                         f"the model has {module.n_coords}")
+
+
+def _require_point(model, point: ModelPoint) -> None:
+    """Raise unless the point has the model's length and, on a slice, lies on it."""
+    if isinstance(model, AffineSlice):
+        _require_on_slice(model, point)
+    else:
+        _require_length(model, point)
+
+
 # -- moment map and derivatives ---------------------------------------------------
 
 
 def moment_quadratic(module: WeightedModule, e: ModelPoint) -> Vector:
     """The moment covector: sum over unmasked coordinates of mu_j * alpha_j."""
+    _require_length(module, e)
     basis = module.scalar_basis
     out = list(linalg.zeros(basis, module.torus_rank))
     for j in range(module.n_coords):
@@ -157,6 +173,7 @@ def adapted_form(module: WeightedModule, point: ModelPoint) -> PresympForm:
     """The form in the adapted frame at the point: each unmasked coordinate
     contributes a standard block scaled by |z_j|^2 = 2 mu_j on the support
     and by 1 off it; masked coordinates contribute zero blocks."""
+    _require_length(module, point)
     basis = module.scalar_basis
     return PresympForm._blocks(basis, [
         None if j in module.masked else point.mu[j].scale(2) if j in point.support else basis.one()
@@ -167,6 +184,7 @@ def adapted_form(module: WeightedModule, point: ModelPoint) -> PresympForm:
 def orbit_tangent(module: WeightedModule, point: ModelPoint) -> Subspace:
     """Tangent space of the torus orbit in the adapted frame: the angular
     slots of the supported coordinates, weighted by the integer weights."""
+    _require_length(module, point)
     basis = module.scalar_basis
     n = 2 * module.n_coords
     rows = []
@@ -205,9 +223,7 @@ def _dphi_rows(module: WeightedModule, point: ModelPoint) -> list[Vector]:
 def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
     """Exact kernel (in the adapted frame) and image (in the dual of the Lie
     algebra) of the moment differential at the point."""
-    on_slice = isinstance(model, AffineSlice)
-    if on_slice:
-        _require_on_slice(model, point)
+    _require_point(model, point)
     module = model.module
     basis = module.scalar_basis
     n = 2 * module.n_coords
@@ -221,22 +237,28 @@ def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
             if j not in module.masked
         ],
     )
-    if on_slice:
+    if isinstance(model, AffineSlice):
         # the slice restricts tangent vectors to those mapping into W
         image = image.intersect(model.direction)
     return kernel, image
 
 
+def _weight_kernel(module: WeightedModule, coords) -> Subspace:
+    """All xi pairing to zero with the weights alpha_j, j in coords."""
+    return Subspace.kernel_of(module.scalar_basis, module.torus_rank,
+                              [module.weights[j] for j in coords])
+
+
 def stabilizer_algebra(model, point: ModelPoint) -> Subspace:
-    module = model.module
-    basis = module.scalar_basis
-    rows = [linalg.as_vector(basis, module.weights[j]) for j in point.support]
-    return Subspace.kernel_of(basis, module.torus_rank, rows)
+    """ker A_S: all xi pairing to zero with every weight on the support S."""
+    _require_point(model, point)
+    return _weight_kernel(model.module, point.support)
 
 
 def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
     """Tangent space of the slice at the point, in the adapted frame: vectors
     whose moment derivative lies in the slice direction."""
+    _require_on_slice(slice_, point)
     module = slice_.module
     basis = module.scalar_basis
     n = 2 * module.n_coords
@@ -263,33 +285,19 @@ def _at_point(model, point: ModelPoint) -> dict:
     return vars(model).setdefault("_at_points", {}).setdefault(point, {})
 
 
-def leaf_tangent(model, point: ModelPoint) -> Subspace:
-    """Tangent space of the null foliation at the point, computed from the
-    form: the kernel of the restriction of the form to the model's tangent
-    space; kept per point."""
-    at = _at_point(model, point)
-    if "leaf" not in at:
-        T = model.tangent(point)
-        form = adapted_form(model.module, point)
-        at["leaf"] = T.intersect(presymlin.sigma_orthogonal(form, T))
-    return at["leaf"]
-
-
 def leaf_stabilizer_algebra(model, point: ModelPoint) -> Subspace:
     """All xi whose induced tangent vector at the point is tangent to the
-    null foliation, computed directly from the tangency condition."""
+    null foliation: the null ideal plus ker A_{S∩U}, for S the support and U
+    the unmasked coordinates.  In the adapted frame the form is one 2x2
+    block per unmasked coordinate and xi moves the angular slot j in S by
+    <alpha_j, xi>.  On a module the leaf tangent is the masked slots.  On a
+    slice (nothing masked) T constrains only the radial slots of S, so T^σ
+    lies in T: the leaf tangent is the angular vectors on S orthogonal to
+    W ∩ R^S, which xi hits iff it lies in the null ideal plus ker A_S."""
+    _require_point(model, point)
     module = model.module
-    functionals = leaf_tangent(model, point).annihilator()
-    # action vector of xi in the adapted frame: angular slot j carries
-    # <alpha_j, xi> on the support, so phi pairs with it as the row
-    # sum_j phi[2j + 1] alpha_j, read off phi's domain row
-    D = functionals._D
-    columns = [D.ints([module.weights[j][k] for j in point.support])
-               for k in range(module.torus_rank)]
-    rows = [[D.dot([phi[2 * j + 1] for j in point.support], col) for col in columns]
-            for phi in functionals._rows]
-    return Subspace(module.scalar_basis, module.torus_rank,
-                    *linalg._kernel(D, rows, module.torus_rank))
+    unmasked = [j for j in point.support if j not in module.masked]
+    return model.null_ideal().add(_weight_kernel(module, unmasked))
 
 
 @dataclass(frozen=True)
@@ -321,9 +329,9 @@ class AffineSlice:
 
     Its direction, ideal and plane rows in one number domain (the plane
     rows: the system its polytope, local cones and on-slice check read),
-    moment polytope, strata and, per point, on-slice check, tangent space,
-    leaf tangent and tangent model are computed on first read and kept
-    outside the fields, so equality and hash see the four fields alone."""
+    moment polytope, strata and, per point, on-slice check and tangent
+    space are computed on first read and kept outside the fields, so
+    equality and hash see the four fields alone."""
 
     module: WeightedModule
     lam: Vector
@@ -346,7 +354,6 @@ class AffineSlice:
         per point."""
         at = _at_point(self, point)
         if "tangent" not in at:
-            _require_on_slice(self, point)
             at["tangent"] = tangent_space(self, point)
         return at["tangent"]
 
@@ -495,8 +502,9 @@ def _subsets(items) -> list[tuple]:
 
 
 def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
-    """Raise unless the point lies on the slice; a point that passes is
-    kept, and checked once."""
+    """Raise unless the point has the slice's length and lies on it; a point
+    that passes is kept, and checked once."""
+    _require_length(slice_.module, point)
     at = _at_point(slice_, point)
     if "on_slice" in at:
         return
@@ -633,58 +641,43 @@ class SliceData:
 
 def _tangent_model(model, point: ModelPoint) -> tuple[PresympForm, Subspace]:
     """The form restricted to the model's tangent space T at the point, and
-    the orbit tangent in T's coordinates, kept per point."""
-    at = _at_point(model, point)
-    if "model" not in at:
-        module = model.module
-        T = model.tangent(point)
-        restricted = adapted_form(module, point).restrict(T)
-        # the orbit lies in T, since dphi reads only radial slots and the
-        # orbit only angular ones, and T's rows are canonical: an orbit row's
-        # coordinates in T are its entries at T's pivots
-        orbit = orbit_tangent(module, point)
-        at["model"] = restricted, Subspace(module.scalar_basis, T.dim, *linalg._rref(
-            orbit._D, [[v[p] for p in T.pivots] for v in orbit._rows]))
-    return at["model"]
+    the orbit tangent in T's coordinates."""
+    module = model.module
+    T = model.tangent(point)
+    # the orbit lies in T, since dphi reads only radial slots and the orbit
+    # only angular ones, and T's rows are canonical: an orbit row's
+    # coordinates in T are its entries at T's pivots
+    orbit = orbit_tangent(module, point)
+    F = Subspace(module.scalar_basis, T.dim,
+                 *linalg._rref(orbit._D, [[v[p] for p in T.pivots] for v in orbit._rows]))
+    return adapted_form(module, point).restrict(T), F
 
 
 def slices_at(model, point: ModelPoint) -> SliceData:
     """Dimensions and weight labels of the symplectic slice (the reduction of
     the orbit's form-orthogonal D) and of the null slice (leaf directions
-    transverse to the orbit).
-
-    The symplectic slice is D/(D ∩ D^σ); D ∩ D^σ is the radical of σ on D,
-    so its dimension is the rank of σ restricted to D."""
-    restricted, F = _tangent_model(model, point)
-    D = presymlin.sigma_orthogonal(restricted, F)
-    symplectic_dim = restricted.restricted_rank(D)
-    null_dim = F.add(restricted.kernel()).dim - F.dim
+    transverse to the orbit), with M the masked set, U its complement, S the
+    support and r_X the rank of the weights alpha_j, j in X.  The symplectic
+    slice is the lines of U∖S, whole blocks σ-orthogonal to the orbit, plus
+    the radial slots of S∩U off the orbit's image, paired with as many
+    angular ones: dimension 2|U∖S| + 2(|S∩U| - r_{S∩U}), with the weights
+    of U∖S when r_{S∩U} = |S∩U|.  The null slice is the masked slots less
+    the orbit directions among them: 2|M| - r_S + r_{S∩U}.  On a slice M is
+    empty and T^σ lies in T (leaf_stabilizer_algebra): the same counts."""
+    _require_point(model, point)
+    module = model.module
+    unmasked = [j for j in range(module.n_coords) if j not in module.masked]
+    free = [j for j in unmasked if j not in point.support]
+    moving = len(unmasked) - len(free)
+    d = module.torus_rank
+    rank_moving = d - _weight_kernel(module, set(point.support) - module.masked).dim
+    rank_support = d - _weight_kernel(module, point.support).dim
     return SliceData(
-        symplectic_dim=symplectic_dim,
-        symplectic_weights=_identify_line_weights(model.module, point, symplectic_dim),
-        null_dim=null_dim,
+        symplectic_dim=2 * len(free) + 2 * (moving - rank_moving),
+        symplectic_weights=(tuple(tuple(module.weights[j]) for j in free)
+                            if rank_moving == moving else None),
+        null_dim=2 * len(module.masked) - rank_support + rank_moving,
     )
-
-
-def _identify_line_weights(module: WeightedModule, point: ModelPoint, expected_dim: int):
-    """Match the symplectic slice with whole unsupported unmasked coordinate
-    lines: their weights, or None when their slots do not number its
-    dimension.  The count is the whole test.
-
-    In the adapted frame these slots lie in the tangent space, whose
-    constraints touch only radial slots of the support, and are σ-orthogonal
-    to the orbit tangent, since σ is block-diagonal by coordinate and the
-    orbit lives on angular slots of the support: so they lie in D.  Their
-    Gram matrix is a direct sum of standard 2×2 blocks, of full rank, so they
-    map injectively into D/(D ∩ D^σ), and onto it when the count matches."""
-    candidates = [
-        j
-        for j in range(module.n_coords)
-        if j not in point.support and j not in module.masked
-    ]
-    if 2 * len(candidates) != expected_dim:
-        return None
-    return tuple(tuple(module.weights[j]) for j in candidates)
 
 
 def symplectization_slice_dim(model, point: ModelPoint) -> int:
@@ -694,6 +687,7 @@ def symplectization_slice_dim(model, point: ModelPoint) -> int:
     The slice is D/(D ∩ D^σ) for D the σ-orthogonal of the enlarged orbit
     tangent; D ∩ D^σ is the radical of σ on D, so its dimension is the rank
     of σ restricted to D."""
+    _require_point(model, point)
     restricted, F = _tangent_model(model, point)
     big_form, big_F = presymlin.symplectization(restricted, F)
     D = presymlin.sigma_orthogonal(big_form, big_F)

@@ -774,6 +774,40 @@ def test_three_roots_report_matches_golden_copy(tmp_path):
     assert "sqrt10=3.16227766017, sqrt15=3.87298334621, sqrt30=5.47722557505" in report
 
 
+def test_masked_points_report_matches_golden_copy(tmp_path):
+    """Explicit points of a rank-3 module with masked coordinates 3 and 4,
+    weights e0, e1, e0 + e1, e2 and e0 - e1 + e2, byte for byte.  By hand:
+
+    - point 1 has support [0, 1, 2], whose weights are unmasked and of rank
+      2: symplectic slice dim 2 * (3 - 2) = 2, and null slice dim
+      2 * 2 - 2 + 2 = 4, the masked slots;
+    - point 2 has support [3, 4], masked only: the leaf stabilizer is all of
+      R^3, while stabilizer + null ideal is ker{e2, e0 - e1 + e2} + R e2,
+      spanned by (1, 1, 0) and (0, 0, 1), so the point is not clean.
+    """
+    scenario = TWO_ROOTS.parent / "masked_points.json"
+    assert validate_scenario(scenario) == 0
+    assert run_scenario(scenario, out_dir=tmp_path) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert report == (TWO_ROOTS.parent / "masked_points_report.txt").read_text()
+    assert "point 2 (support [3, 4]): clean=no" in report
+    assert "symplectic slice dim 2, null slice dim 4, symplectization slice dim 10" in report
+
+
+def test_slice_points_report_matches_golden_copy(tmp_path):
+    """Explicit points on the two_roots slice <(1, sqrt2, sqrt3), x> = 1,
+    with irrational moment values, byte for byte.  By hand, point 1 has
+    moment value (1 - 1/2*sqrt2, 1/2, 0) and support [0, 1]: its leaf
+    stabilizer is the null ideal plus ker{e0, e1}, spanned by (1, sqrt2, 0)
+    and (0, 0, 1), and its symplectic slice is the one unsupported line."""
+    scenario = TWO_ROOTS.parent / "slice_points.json"
+    assert validate_scenario(scenario) == 0
+    assert run_scenario(scenario, out_dir=tmp_path) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert report == (TWO_ROOTS.parent / "slice_points_report.txt").read_text()
+    assert "    (1, sqrt2, 0)\n    (0, 0, 1)\n  stabilizer + null ideal:" in report
+
+
 @pytest.mark.parametrize("field", ["t_max", "constants"])
 def test_integer_beyond_double_range_exits_2(tmp_path, capsys, field):
     """JSON integers are unbounded; one past the double range used to reach

@@ -6,6 +6,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from momentlab import lattice, linalg, models, polyhedra, presymlin
 from momentlab.models import (
@@ -1009,18 +1010,43 @@ def test_masked_index_range_boundary(rat_basis):
 
 
 def test_off_slice_point_rejected(sqrt2_basis):
+    """Every per-point entry point refuses a point off the slice, the closed
+    forms too, which never build its tangent space."""
     s = segment_slice(sqrt2_basis)
     off = ModelPoint.from_coordinates(sqrt2_basis, [(2, 0), (0, 0)])
-    with pytest.raises(ModelError):
-        local_cone(s, off)
+    for entry in (local_cone, cleanness_at, leaf_stabilizer_algebra, slices_at,
+                  symplectization_slice_dim, lambda model, p: model.tangent(p)):
+        with pytest.raises(ModelError, match="point does not lie on the slice"):
+            entry(s, off)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_point_of_wrong_length_rejected(length, sqrt2_basis):
+    """A point with one coordinate too few or too many is refused, naming
+    both counts, by every per-point entry point, on the three-coordinate
+    product module and on a three-coordinate slice, where it used to get
+    answers or an IndexError."""
+    pm = product_model(sqrt2_basis)
+    s = build_affine_slice(sqrt2_basis, 3, [1, 0, 0], direction_normals=[[1, 1, 1]])
+    x = ModelPoint.from_coordinates(sqrt2_basis, [1] + [0] * (length - 1))
+    on_modules = (moment_quadratic, models.adapted_form, models.orbit_tangent)
+    on_models = (dphi_kernel_image, stabilizer_algebra, leaf_stabilizer_algebra, cleanness_at,
+                 slices_at, symplectization_slice_dim)
+    on_slices = (models.tangent_space, local_cone, lambda model, p: model.tangent(p))
+    cases = ([(f, pm) for f in on_modules + on_models]
+             + [(f, s.module) for f in on_modules] + [(f, s) for f in on_models + on_slices])
+    for entry, model in cases:
+        with pytest.raises(ModelError, match=f"point has {length} coordinates, the model has 3"):
+            entry(model, x)
 
 
 def test_point_facts_are_computed_once(sqrt2_basis, monkeypatch):
     """At one point of a slice, the on-slice check (one moment covector) runs
-    once across tangent, dphi_kernel_image and local_cone, and the leaf
-    tangent (one sigma-orthogonal) once across cleanness_at and
-    leaf_stabilizer_algebra.  A point off the slice is never kept: every
-    call checks it again and refuses it."""
+    once across cleanness_at, leaf_stabilizer_algebra, slices_at, tangent,
+    dphi_kernel_image and local_cone.  The first three read the weights on
+    the support: they build neither a sigma-orthogonal nor the tangent
+    space.  A point off the slice is never kept: every call checks it again
+    and refuses it."""
     calls = Counter()
 
     def counting(key, fn):
@@ -1033,14 +1059,18 @@ def test_point_facts_are_computed_once(sqrt2_basis, monkeypatch):
                         counting("moment", models.moment_quadratic))
     monkeypatch.setattr(presymlin, "sigma_orthogonal",
                         counting("sigma", presymlin.sigma_orthogonal))
+    monkeypatch.setattr(models.AffineSlice, "tangent",
+                        counting("tangent", models.AffineSlice.tangent))
     s = quasifold_slice(sqrt2_basis)
     x = ModelPoint.from_coordinates(sqrt2_basis, [("sqrt2", 0), (0, 0)])
+    leaf = leaf_stabilizer_algebra(s, x)
+    assert cleanness_at(s, x).leaf_stabilizer == leaf
+    slices_at(s, x)
+    assert calls == {"moment": 1}
     s.tangent(x)
     dphi_kernel_image(s, x)
     local_cone(s, x)
-    leaf = leaf_stabilizer_algebra(s, x)
-    assert cleanness_at(s, x).leaf_stabilizer == leaf
-    assert calls == {"moment": 1, "sigma": 1}
+    assert calls == {"moment": 1, "tangent": 1}
     off = ModelPoint.from_coordinates(sqrt2_basis, [(2, 0), (0, 0)])
     for check in (s.tangent, lambda p: dphi_kernel_image(s, p), lambda p: local_cone(s, p)):
         with pytest.raises(ModelError, match="point does not lie on the slice"):
@@ -1199,11 +1229,102 @@ def test_slices_at_matches_projection_reference(field, rat_basis, sqrt2_basis):
     assert strata >= 20
 
 
+@st.composite
+def small_scalars(draw, basis):
+    """a + b * r for small integers a, b and r one of the basis' constants."""
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    name = draw(st.sampled_from(basis.names))
+    return basis.from_rational(a) + (basis.one() if name == "one" else basis.constant(name)).scale(b)
+
+
+@st.composite
+def module_points(draw, basis):
+    """A weighted module with a masked set, and one of its points."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    # the weights shrink towards 1, not to the zero weight, which fixes every point
+    entries = st.sampled_from([1, -1, 2, -2, 0])
+    weights = tuple(tuple(draw(entries) for _ in range(d)) for _ in range(n))
+    masked = frozenset(j for j in range(n) if draw(st.booleans()))
+    coords = [(draw(small_scalars(basis)), draw(small_scalars(basis)))
+              if draw(st.booleans()) else 0 for _ in range(n)]
+    module = WeightedModule(basis, d, weights, masked)
+    return [(module, ModelPoint.from_coordinates(basis, coords))]
+
+
+@st.composite
+def slice_points(draw, basis):
+    """A validated bounded slice, its direction rows summing to zero and
+    lambda in the open orthant, and every stratum's representative."""
+    d = draw(st.integers(2, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, d - 1))):
+        row = [draw(small_scalars(basis)) for _ in range(d - 1)]
+        rows.append(row + [-sum(row, basis.zero())])
+    lam = [draw(st.integers(1, 3)) for _ in range(d)]
+    try:
+        s = build_affine_slice(basis, d, lam, direction_vectors=rows)
+    except SliceValidationError:
+        assume(False)
+    return [(s, st_.representative) for st_ in models.support_strata(s)]
+
+
+def two_d_leaf_stabilizer(model, x):
+    """The leaf stabilizer by the adapted frame in real dimension 2n: the
+    leaf tangent T ∩ T^σ, for T the model's tangent space, and the xi whose
+    action vector, <alpha_j, xi> in the angular slot of each supported j,
+    every functional vanishing on the leaf tangent kills."""
+    module, basis = model.module, model.scalar_basis
+    T = model.tangent(x)
+    leaf = T.intersect(presymlin.sigma_orthogonal(models.adapted_form(module, x), T))
+    rows = [[sum((phi[2 * j + 1].scale(module.weights[j][k]) for j in x.support), basis.zero())
+             for k in range(module.torus_rank)] for phi in leaf.annihilator().rows]
+    return Subspace.kernel_of(basis, module.torus_rank, rows)
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2", "three"])
+def test_closed_forms_match_the_2d_route(field):
+    """cleanness_at, leaf_stabilizer_algebra and slices_at, read off the
+    weights on the support, against the adapted frame in dimension 2n: the
+    leaf stabilizer through the leaf tangent, cleanness as its equality with
+    stabilizer + null ideal, the symplectic slice and its weights through
+    slice_reference's projection, and the null slice as the form's kernel
+    beyond the orbit in the tangent model.  The draws reach points that are
+    not clean and points whose slice weights are not named."""
+    basis, seen = DOMAIN_BASES[field], Counter()
+
+    def check(cases):
+        for model, x in cases:
+            report, sd = cleanness_at(model, x), slices_at(model, x)
+            leaf = two_d_leaf_stabilizer(model, x)
+            stab_ideal = Subspace.kernel_of(
+                basis, model.torus_rank, [model.module.weights[j] for j in x.support]
+            ).add(model.null_ideal())
+            assert leaf_stabilizer_algebra(model, x) == report.leaf_stabilizer == leaf
+            assert report.stabilizer_plus_ideal == stab_ideal
+            assert report.clean == (leaf == stab_ideal)
+            assert (sd.symplectic_dim, sd.symplectic_weights) == slice_reference(model, x)
+            restricted, F = models._tangent_model(model, x)
+            assert sd.null_dim == F.add(restricted.kernel()).dim - F.dim
+            seen["slice" if isinstance(model, models.AffineSlice) else "module"] += 1
+            seen["not clean"] += not report.clean
+            seen["no weights"] += sd.symplectic_weights is None
+
+    for draws, count in ((module_points(basis), 80), (slice_points(basis), 6)):
+        @given(draws)
+        @settings(max_examples=count, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+        def run(cases):
+            check(cases)
+
+        run()
+    assert all(seen[k] for k in ("slice", "module", "not clean", "no weights")), seen
+
+
 @pytest.mark.parametrize("field", ["rational", "sqrt2"])
 def test_line_slots_lie_in_d_and_pair_nondegenerately(field, rat_basis, sqrt2_basis):
-    """The premises that let slices_at name the slice weights from the count
-    alone: at every point of the model families, the unit vectors of the
-    unsupported unmasked slots lie in the tangent space, pair to zero with
+    """The premises of slices_at's closed form, which names the slice by the
+    unsupported unmasked lines: at every point of the model families, the
+    unit vectors of their slots lie in the tangent space, pair to zero with
     the orbit tangent under the adapted form, and have a Gram matrix of full
     rank."""
     basis = rat_basis if field == "rational" else sqrt2_basis
