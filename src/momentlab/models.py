@@ -4,10 +4,13 @@ symplectic and null slice data.
 
 Stabilizers, cleanness and slice data are kernels and ranks of the integer
 weights on a point's support, in the torus dimension.  Tangent, dphi and
-orbit objects run in an adapted frame with two slots per complex coordinate:
-radial and angular through the point on a supported coordinate, the real and
-imaginary axes off it.  There every entry is a moment value times an integer,
-so no two irrational coordinates are ever multiplied.
+orbit objects live in an adapted frame with two slots per complex
+coordinate: radial and angular through the point on a supported coordinate,
+the real and imaginary axes off it.  dphi reads only the radial slots of the
+supported unmasked coordinates and the orbit only the angular slots of the
+support, so each of these subspaces is assembled from a system with one
+column per supported coordinate, its rows placed in those slots, with a unit
+row on every slot the system leaves free.
 """
 
 from __future__ import annotations
@@ -64,9 +67,11 @@ class WeightedModule:
     masked: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for w in self.weights:
+        for j, w in enumerate(self.weights):
             if len(w) != self.torus_rank:
                 raise ModelError("weight vector has wrong length")
+            if not all(isinstance(a, int) and not isinstance(a, bool) for a in w):
+                raise ModelError(f"weight of coordinate {j} is not a vector of integers")
         if any(j < 0 or j >= len(self.weights) for j in self.masked):
             raise ModelError("masked index out of range")
 
@@ -181,65 +186,81 @@ def adapted_form(module: WeightedModule, point: ModelPoint) -> PresympForm:
     ])
 
 
+def _placed(basis: ConstantBasis, n: int, rows, pivots, D: _Domain, slots: Sequence[int],
+            units: Sequence[int] = ()) -> Subspace:
+    """The span in R^n of canonical rows of D over len(slots) columns, entry i
+    placed at slots[i] (increasing), and of the unit rows at `units`, slots
+    those rows leave zero: its canonical rows once sorted by pivot, since no
+    two of them share a column."""
+    placed = [(s, D.unit(n, s)) for s in units]
+    for row, p in zip(rows, pivots):
+        full = [D.zero] * n
+        for s, e in zip(slots, row):
+            full[s] = e
+        placed.append((slots[p], tuple(full)))
+    placed.sort(key=lambda sp: sp[0])
+    return Subspace(basis, n, [r for _, r in placed], [s for s, _ in placed], D)
+
+
 def orbit_tangent(module: WeightedModule, point: ModelPoint) -> Subspace:
-    """Tangent space of the torus orbit in the adapted frame: the angular
-    slots of the supported coordinates, weighted by the integer weights."""
+    """Tangent space of the torus orbit in the adapted frame: xi moves the
+    angular slot of each supported j by <alpha_j, xi>, so the orbit is the
+    row space of A_S^T, one column per supported coordinate, placed in those
+    slots."""
     _require_length(module, point)
-    basis = module.scalar_basis
-    n = 2 * module.n_coords
-    rows = []
-    for k in range(module.torus_rank):
-        row = [basis.zero()] * n
-        nonzero = False
-        for j in point.support:
-            a = module.weights[j][k]
-            if a:
-                row[2 * j + 1] = basis.from_rational(a)
-                nonzero = True
-        if nonzero:
-            rows.append(tuple(row))
-    return Subspace.from_vectors(basis, n, rows)
+    support = sorted(point.support)
+    D = _domain(module.scalar_basis, ())
+    columns = [tuple(module.weights[j][k] for j in support) for k in range(module.torus_rank)]
+    return _placed(module.scalar_basis, 2 * module.n_coords, *linalg._rref(D, columns),
+                   [2 * j + 1 for j in support])
 
 
-def _dphi_rows(module: WeightedModule, point: ModelPoint) -> list[Vector]:
-    """Rows of the moment differential in the adapted frame, one per torus
-    generator: d Phi_k (v) = sum over supported unmasked j of
-    alpha_jk * 2 mu_j * (radial slot of v)."""
-    basis = module.scalar_basis
-    n = 2 * module.n_coords
-    rows = []
-    for k in range(module.torus_rank):
-        row = [basis.zero()] * n
-        for j in point.support:
-            if j in module.masked:
-                continue
-            a = module.weights[j][k]
-            if a:
-                row[2 * j] = point.mu[j].scale(2 * a)
-        rows.append(tuple(row))
-    return rows
+def _dphi_annihilated(module: WeightedModule, point: ModelPoint, C: _Domain,
+                      covectors) -> Subspace:
+    """{v : <c, dphi(v)> = 0 for each covector c, rows of C}, in the adapted
+    frame.  <c, dphi(v)> is the sum over j in S∩U of 2 <c, alpha_j> mu_j
+    times v's radial slot of j, so every other slot is free and the radial
+    slots carry the kernel of the |S∩U|-column system (<c, alpha_j> mu_j)_j,
+    the weights as integers of the domain and one multiplier for every mu_j.
+    The system runs over Z when its entries are rational, as its scalars
+    would pick."""
+    basis, n = module.scalar_basis, 2 * module.n_coords
+    moving = [j for j in sorted(point.support) if j not in module.masked]
+    if not moving:
+        return Subspace.full(basis, n)
+    mu = [point.mu[j] for j in moving]
+    E = _domain(basis, [mu])
+    D, lift, lift_mu = _common(C, E)
+    columns = [linalg._times(D, m, D.ints(module.weights[j]))
+               for m, j in zip(lift_mu(E.conv(mu)), moving)]
+    rows = linalg._mat_vecs(D, columns, list(map(lift, covectors)))
+    coeffs = [D.coeff_rows(r) for r in rows]
+    if all(not any(map(any, c[1:])) for c in coeffs):
+        D, rows = _domain(basis, ()), [c[0] for c in coeffs]
+    radial = [2 * j for j in moving]
+    free = [s for s in range(n) if s not in radial]
+    return _placed(basis, n, *linalg._kernel(D, rows, len(moving)), radial, free)
 
 
 def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
     """Exact kernel (in the adapted frame) and image (in the dual of the Lie
-    algebra) of the moment differential at the point."""
+    algebra) of the moment differential at the point: the kernel is what
+    every unit covector annihilates, the image the span of the weights on
+    S∩U.  On a slice (the standard module, nothing masked) that span is R^S,
+    and the slice keeps the tangent vectors mapped into W: the image is
+    W ∩ R^S, the vectors on S that every ideal row annihilates."""
     _require_point(model, point)
     module = model.module
-    basis = module.scalar_basis
-    n = 2 * module.n_coords
-    kernel = Subspace.kernel_of(basis, n, _dphi_rows(module, point))
-    image = Subspace.from_vectors(
-        basis,
-        module.torus_rank,
-        [
-            linalg.as_vector(basis, module.weights[j])
-            for j in point.support
-            if j not in module.masked
-        ],
-    )
+    basis, d = module.scalar_basis, module.torus_rank
+    Z = _domain(basis, ())
+    kernel = _dphi_annihilated(module, point, Z, [Z.unit(d, k) for k in range(d)])
     if isinstance(model, AffineSlice):
-        # the slice restricts tangent vectors to those mapping into W
-        image = image.intersect(model.direction)
+        S, N = sorted(point.support), model.ideal
+        image = _placed(basis, d, *linalg._kernel(N._D, [[a[j] for j in S] for a in N._rows],
+                                                  len(S)), S)
+    else:
+        image = Subspace.from_vectors(basis, d, [module.weights[j] for j in point.support
+                                                 if j not in module.masked])
     return kernel, image
 
 
@@ -256,33 +277,12 @@ def stabilizer_algebra(model, point: ModelPoint) -> Subspace:
 
 
 def tangent_space(slice_: "AffineSlice", point: ModelPoint) -> Subspace:
-    """Tangent space of the slice at the point, in the adapted frame: vectors
-    whose moment derivative lies in the slice direction."""
+    """Tangent space of the slice at the point, in the adapted frame: the
+    vectors whose moment derivative lies in the slice direction W, those
+    every ideal row annihilates."""
     _require_on_slice(slice_, point)
-    module = slice_.module
-    basis = module.scalar_basis
-    n = 2 * module.n_coords
-    # D phi^T a for each ideal row a of the slice's domain: D phi^T with one
-    # multiplier for all entries, so each product is a positive multiple of
-    # its scalar product
-    dphi_t = list(zip(*_dphi_rows(module, point)))
-    E = _domain(basis, dphi_t)
-    M, _ = linalg._matrix(E, basis, dphi_t, module.torus_rank)
-    D, lift, lift_ideal = _common(E, slice_._domain_rows[0])
-    rows = linalg._mat_vecs(D, list(map(lift, M)), list(map(lift_ideal, slice_._domain_rows[2])))
-    # the products read the ideal only on the support, so they are often
-    # rational on an irrational slice: then the space, and all that is built
-    # on it at the point, runs over Z, the domain their scalars would pick
-    coeffs = [D.coeff_rows(r) for r in rows]
-    if all(not any(map(any, c[1:])) for c in coeffs):
-        D, rows = _domain(basis, ()), [c[0] for c in coeffs]
-    return Subspace(basis, n, *linalg._kernel(D, rows, n))
-
-
-def _at_point(model, point: ModelPoint) -> dict:
-    """The facts computed at the point, kept on the model instance, outside
-    its fields, as AffineSlice keeps its domain rows."""
-    return vars(model).setdefault("_at_points", {}).setdefault(point, {})
+    D, _, ideal, _ = slice_._domain_rows
+    return _dphi_annihilated(slice_.module, point, D, ideal)
 
 
 def leaf_stabilizer_algebra(model, point: ModelPoint) -> Subspace:
@@ -329,9 +329,9 @@ class AffineSlice:
 
     Its direction, ideal and plane rows in one number domain (the plane
     rows: the system its polytope, local cones and on-slice check read),
-    moment polytope, strata and, per point, on-slice check and tangent
-    space are computed on first read and kept outside the fields, so
-    equality and hash see the four fields alone."""
+    moment polytope, strata and the points found on it are computed on
+    first read and kept outside the fields, so equality and hash see the
+    four fields alone."""
 
     module: WeightedModule
     lam: Vector
@@ -350,12 +350,8 @@ class AffineSlice:
         return self.ideal
 
     def tangent(self, point: ModelPoint) -> Subspace:
-        """The slice's tangent space at a point checked to lie on it, kept
-        per point."""
-        at = _at_point(self, point)
-        if "tangent" not in at:
-            at["tangent"] = tangent_space(self, point)
-        return at["tangent"]
+        """The slice's tangent space at a point checked to lie on it."""
+        return tangent_space(self, point)
 
     def moment_polytope(self) -> Polyhedron:
         return self._polytope
@@ -505,8 +501,8 @@ def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
     """Raise unless the point has the slice's length and lies on it; a point
     that passes is kept, and checked once."""
     _require_length(slice_.module, point)
-    at = _at_point(slice_, point)
-    if "on_slice" in at:
+    checked = vars(slice_).setdefault("_on_slice", set())
+    if point in checked:
         return
     # every plane row (a, -<a, lambda>) vanishes on (phi, 1), in one domain
     basis, phi = slice_.scalar_basis, moment_quadratic(slice_.module, point)
@@ -518,7 +514,7 @@ def _require_on_slice(slice_: AffineSlice, point: ModelPoint) -> None:
     for m in point.mu:
         if m.sign() < 0:
             raise ModelError("point has negative moment value")
-    at["on_slice"] = True
+    checked.add(point)
 
 
 # -- support strata -----------------------------------------------------------------

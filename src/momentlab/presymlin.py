@@ -30,8 +30,7 @@ class DimensionMismatchError(ScalarError):
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Exact linear subspace with a canonical reduced row-echelon basis, kept
-    as its rows in the number domain _D.  Made from canonical scalar rows
-    (reduced, each pivot entry 1) when no domain is given.
+    as its rows in the number domain _D.
 
     Two subspaces are equal iff their canonical bases are identical, which
     makes equality a syntactic check on the domain rows.
@@ -41,15 +40,10 @@ class Subspace:
     ambient_dim: int
     _rows: tuple
     pivots: tuple[int, ...]
-    _D: _Domain = field(default=None, repr=False)
+    _D: _Domain = field(repr=False)
 
     def __post_init__(self):
-        rows = tuple(self._rows)
-        if self._D is None:
-            D = _domain(self.scalar_basis, rows)
-            vars(self).update(_D=D, rows=rows)
-            rows = tuple(D.prim(D.conv(r)) for r in rows)
-        vars(self).update(_rows=rows, pivots=tuple(self.pivots))
+        vars(self).update(_rows=tuple(self._rows), pivots=tuple(self.pivots))
 
     @staticmethod
     def from_vectors(

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import SamplerError
 
 RADIAL_TOL = 1e-6
+# the largest centroid-aligned Hausdorff distance deformation_scan calls a translate
+TRANSLATE_TOL = 1e-3
 # largest block of parameters sample_image draws and evaluates at once
 _MAX_BLOCK = 1 << 20
 # _hausdorff bounds each query's nearest distance by every _COARSE_STRIDE-th
@@ -458,11 +460,10 @@ def deformation_scan(
     family: Sequence[CurveSpec],
     n: int,
     seed: int,
-    tolerance: float = 1e-3,
 ) -> DeformationReport:
     """Samples each member with the same seed and tests every pair of images
-    for translate equivalence (centroid-aligned Hausdorff distance within the
-    tolerance)."""
+    for translate equivalence (centroid-aligned Hausdorff distance within
+    TRANSLATE_TOL)."""
     clouds = tuple(sample_image(spec, n, seed) for spec in family)
     pairs = []
     for a in range(len(clouds)):
@@ -470,7 +471,7 @@ def deformation_scan(
             A, B = clouds[a].points, clouds[b].points
             shift = B.mean(axis=0) - A.mean(axis=0)
             h = _hausdorff(A + shift, B)
-            pairs.append(PairVerdict(a, b, h <= tolerance, h))
+            pairs.append(PairVerdict(a, b, h <= TRANSLATE_TOL, h))
     return DeformationReport(tuple(pairs))
 
 

@@ -256,3 +256,32 @@ def weight_pairing(module, j, xi):
         if a:
             acc = acc + xi[k].scale(a)
     return acc
+
+
+def dphi_rows_reference(module, x):
+    """The moment differential in the adapted frame, 2n columns, one row per
+    torus generator k: 2 mu_j alpha_jk in the radial slot 2j of each
+    supported unmasked j."""
+    basis, n = module.scalar_basis, 2 * module.n_coords
+    rows = []
+    for k in range(module.torus_rank):
+        row = [basis.zero()] * n
+        for j in x.support:
+            if j not in module.masked:
+                row[2 * j] = x.mu[j].scale(2 * module.weights[j][k])
+        rows.append(row)
+    return rows
+
+
+def orbit_rows_reference(module, x):
+    """The orbit tangent's spanning rows in the adapted frame, 2n columns,
+    one per torus generator k: alpha_jk in the angular slot 2j + 1 of each
+    supported j."""
+    basis, n = module.scalar_basis, 2 * module.n_coords
+    rows = []
+    for k in range(module.torus_rank):
+        row = [basis.zero()] * n
+        for j in x.support:
+            row[2 * j + 1] = basis.from_rational(module.weights[j][k])
+        rows.append(row)
+    return rows

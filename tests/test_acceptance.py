@@ -211,11 +211,9 @@ def test_criterion_09_deformation_nontriviality():
         sampler.circle_spec([1.0, 1.0], 1.2),
         sampler.ellipse_spec([1.0, 1.0], 1.2, 0.9),
     ]
-    report = sampler.deformation_scan(family, n=2000, seed=11, tolerance=1e-3)
+    report = sampler.deformation_scan(family, n=2000, seed=11)
     assert report.presymplectically_nontrivial
-    constant = sampler.deformation_scan(
-        [family[0], family[0]], n=2000, seed=11, tolerance=1e-3
-    )
+    constant = sampler.deformation_scan([family[0], family[0]], n=2000, seed=11)
     assert not constant.presymplectically_nontrivial
     _pass(9, t0, "circle/ellipse family not translate equivalent; constant "
           "family equivalent")

@@ -513,7 +513,7 @@ def test_kernel_is_the_canonical_basis(data):
             kernel = Subspace.kernel_of(basis, ncols, rows)
             null, pivots = two_step_kernel(rows, basis, ncols)
             assert (list(kernel.rows), list(kernel.pivots)) == (null, pivots)
-            assert kernel == Subspace(basis, ncols, tuple(null), tuple(pivots))
+            assert kernel == Subspace.from_vectors(basis, ncols, null)
 
 
 @pytest.mark.parametrize("basis", PRODUCT_BASES, ids=["q", "sqrt2", "sqrt3/2", "-sqrt2", "three"])

@@ -27,12 +27,14 @@ from momentlab.models import (
 )
 from momentlab.morse import full_critical_set
 from momentlab.presymlin import DimensionMismatchError, Subspace
-from momentlab.scalars import ScalarError
+from momentlab.scalars import ScalarError, _Z
 
 from conftest import (
     DOMAIN_BASES,
+    dphi_rows_reference,
     form_pairing,
     greedy_extension,
+    orbit_rows_reference,
     random_fraction,
     reference_product,
     reference_rank,
@@ -550,6 +552,85 @@ def test_dphi_identities_random(sqrt2_basis):
             assert image == leaf_stab.annihilator()
 
 
+@pytest.mark.parametrize("field", ["q", "sqrt2", "three"])
+def test_dphi_kernel_and_orbit_match_the_2n_column_rows(field):
+    """The dphi kernel and the orbit tangent, assembled from systems with one
+    column per supported coordinate, against the kernel of the 2n-column
+    D phi rows and the span of the 2n-column orbit rows, on seeded modules
+    with masked sets and at every stratum of bounded slices.  The kernel runs
+    over Z exactly when those rows are rational, and a slice's image is the
+    span of the units on the support met with W."""
+    basis = DOMAIN_BASES[field]
+    consts = [basis.one()] + [basis.constant(name) for name in basis.names[1:]]
+    rng, seen = random.Random(3201), Counter()
+
+    def check(model, x):
+        module = model.module
+        n = 2 * module.n_coords
+        kernel, image = dphi_kernel_image(model, x)
+        rows = dphi_rows_reference(module, x)
+        assert kernel == Subspace.kernel_of(basis, n, rows)
+        rational = all(e.is_rational() for r in rows for e in r)
+        assert (kernel._D.step is _Z.step) == rational
+        assert models.orbit_tangent(module, x) == Subspace.from_vectors(
+            basis, n, orbit_rows_reference(module, x))
+        if isinstance(model, models.AffineSlice):
+            units = [[int(i == j) for i in range(model.torus_rank)] for j in x.support]
+            assert image == span(basis, model.torus_rank, units).intersect(model.direction)
+        seen["slice" if isinstance(model, models.AffineSlice) else "module"] += 1
+        seen["rational" if rational else "irrational"] += 1
+        seen["masked on the support"] += bool(module.masked & set(x.support))
+
+    def scalar():
+        if rng.random() < 0.2:
+            return 0
+        return basis.from_rational(random_fraction(rng)) + rng.choice(consts).scale(
+            random_fraction(rng))
+
+    for _ in range(60):
+        d, n = rng.randint(1, 3), rng.randint(1, 5)
+        weights = tuple(tuple(rng.choice([1, -1, 2, -2, 0]) for _ in range(d)) for _ in range(n))
+        masked = frozenset(j for j in range(n) if rng.random() < 0.4)
+        coords = [(scalar(), scalar()) for _ in range(n)]
+        check(WeightedModule(basis, d, weights, masked), ModelPoint.from_coordinates(basis, coords))
+    for _ in range(8):
+        s = _random_bounded_slice(rng, basis, rng.randint(2, 4),
+                                  irrational=field != "q" and rng.random() < 0.5)
+        for stratum in models.support_strata(s) if s is not None else ():
+            check(s, stratum.representative)
+    keys = ["module", "slice", "rational", "masked on the support"]
+    keys += ["irrational"] if field != "q" else []
+    assert all(seen[k] >= 5 for k in keys), seen
+
+
+def test_pointwise_subspaces_eliminate_at_most_the_support(sqrt2_basis, monkeypatch):
+    """At every stratum of a rank-6 slice over Q(sqrt2), tangent_space,
+    dphi_kernel_image and orbit_tangent hand scalars._eliminate no system
+    with more columns than the point's support has coordinates, and some
+    system with exactly that many."""
+    s = build_affine_slice(sqrt2_basis, 6, [1, 1, 1, 1, 1, "1 + sqrt2"],
+                           direction_normals=[[1] * 6, [1, -1, 0, 2, 0, "sqrt2"]])
+    strata = models.support_strata(s)
+    widths, real = [], linalg._eliminate
+
+    def eliminate(D, rows, *args):
+        widths.append(len(rows[0]) if rows else 0)
+        return real(D, rows, *args)
+
+    for module in (linalg, models):
+        monkeypatch.setattr(module, "_eliminate", eliminate)
+    full = 0
+    for stratum in strata:
+        x = stratum.representative
+        widths.clear()
+        models.tangent_space(s, x)
+        dphi_kernel_image(s, x)
+        models.orbit_tangent(s.module, x)
+        assert widths and max(widths) <= len(x.support), (x.support, widths)
+        full += max(widths) == len(x.support)
+    assert len(strata) == full == 49
+
+
 def _random_bounded_slice(rng, basis, d, irrational=False):
     """Random slice whose direction lies in the sum-zero hyperplane, so the
     moment polytope is bounded; retries until the validator accepts."""
@@ -997,6 +1078,16 @@ def test_local_cone_sampler_cross_validation(sqrt2_basis):
         for h in cone.equalities:
             normal = np.array([e.to_float() for e in h.normal])
             assert np.abs(near @ normal - h.offset.to_float()).max() < 1e-9
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, "1", True, Fraction(2)],
+                         ids=["half", "float", "string", "bool", "integral_fraction"])
+def test_weights_that_are_not_integers_are_refused(entry, rat_basis):
+    """A weight entry that is not an int is refused, naming its coordinate,
+    bools as the cli refuses them: such weights are no torus action, and
+    the pointwise systems multiply the weights as integers."""
+    with pytest.raises(ModelError, match="weight of coordinate 1 is not a vector of integers"):
+        WeightedModule(rat_basis, 1, ((1,), (entry,)))
 
 
 def test_masked_index_range_boundary(rat_basis):

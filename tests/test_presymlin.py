@@ -91,7 +91,7 @@ def test_annihilator_is_kept_and_paired(rat_basis, sqrt2_basis):
     for basis in (rat_basis, sqrt2_basis):
         for S in annihilator_cases(rng, basis):
             n = S.ambient_dim
-            copy, before = Subspace(basis, n, S.rows, S.pivots), hash(S)
+            copy, before = Subspace.from_vectors(basis, n, S.rows), hash(S)
             ann = S.annihilator()
             assert S.annihilator() is ann
             assert ann.annihilator() is S
@@ -251,7 +251,7 @@ def assert_matches(S, expected):
     """Canonical rows, pivots, == and hash agree with the reference."""
     rows, pivots = expected
     assert S.rows == tuple(rows) and S.pivots == tuple(pivots)
-    born = Subspace(S.scalar_basis, S.ambient_dim, rows, pivots)
+    born = Subspace.from_vectors(S.scalar_basis, S.ambient_dim, rows)
     assert S == born and born == S and hash(S) == hash(born)
 
 
