@@ -9,11 +9,12 @@ scalars._domain picks once, when scalars come in.  Each kept row is a
 positive multiple of its scalar row.  The block routines (_rref, _kernel,
 _pivots, _mat_vecs) take such rows and return such rows; Subspace and
 PresympForm keep theirs between calls, and reductions, kernels and ranks of
-scalar vectors go through them.  Every reduction is scalars._eliminate,
+scalar vectors go through them.  Every reduction is one scalars._eliminate,
 fraction-free in the domain; _pivots freezes every row, with no
-back-substitution.  A reduced basis is kept canonical, each row by its
-representative up to scaling (D.prim), so its scalar row is the row divided
-by its pivot entry.
+back-substitution, and _kernel eliminates the columns reversed, which
+leaves the canonical kernel basis to be read off the reduced rows.  A
+reduced basis is kept canonical, each row by its representative up to
+scaling (D.prim), so its scalar row is the row divided by its pivot entry.
 """
 
 from __future__ import annotations
@@ -138,15 +139,20 @@ def _pivots(D: _Domain, rows: list) -> list[int]:
 
 
 def _kernel(D: _Domain, rows: list, ncols: int) -> tuple[list, list[int], _Domain]:
-    """The canonical basis of {v : A v = 0} for the rows of A in D (consumed),
-    as _rref gives it.  The reduced rows carry the last pivot L in their
-    pivot columns, so sum_i row_i[f] e_(p_i) - L e_f is a kernel vector for
-    each free column f, with no division; those are reduced in turn."""
-    reduced, pivots, last = _eliminate(D, rows)
-    pivot_rows, (minus_last,) = dict(zip(pivots, reduced)), D.neg((last,))
-    null = [[pivot_rows[c][f] if c in pivot_rows else minus_last if c == f else D.zero
-             for c in range(ncols)] for f in range(ncols) if f not in pivot_rows]
-    return _rref(D, null)
+    """The canonical basis of {v : A v = 0} for the rows of A in D, as _rref
+    gives it, from one elimination of the rows with their columns reversed.
+    That pass pivots on the rightmost column basis of A: each reduced row
+    carries the last pivot L at its pivot p_i, is zero at the other pivots
+    and at every column after p_i.  So for each free column f,
+    sum_i row_i[f] e_(p_i) - L e_f is a kernel vector with no division, zero
+    at the other free columns and before f: up to scaling, the reduced
+    basis's row with pivot f, made canonical by D.prim alone."""
+    last_col = ncols - 1
+    reduced, pivots, last = _eliminate(D, [row[::-1] for row in rows])
+    pivot_rows = {last_col - p: row for p, row in zip(pivots, reduced)}
+    (minus_last,), free = D.neg((last,)), [f for f in range(ncols) if f not in pivot_rows]
+    return [D.prim([pivot_rows[c][last_col - f] if c in pivot_rows else minus_last if c == f
+                    else D.zero for c in range(ncols)]) for f in free], free, D
 
 
 def _mat_vecs(D: _Domain, m, vectors) -> list[tuple]:

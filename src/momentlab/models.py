@@ -90,12 +90,7 @@ class WeightedModule:
     def null_ideal(self) -> Subspace:
         """Kernel of the action on the symplectic part: all xi pairing to
         zero with every unmasked weight."""
-        rows = [
-            linalg.as_vector(self.scalar_basis, self.weights[j])
-            for j in range(self.n_coords)
-            if j not in self.masked
-        ]
-        return Subspace.kernel_of(self.scalar_basis, self.torus_rank, rows)
+        return _weight_kernel(self, [j for j in range(self.n_coords) if j not in self.masked])
 
 
 def standard_module(basis: ConstantBasis, d: int) -> WeightedModule:
@@ -259,15 +254,17 @@ def dphi_kernel_image(model, point: ModelPoint) -> tuple[Subspace, Subspace]:
         image = _placed(basis, d, *linalg._kernel(N._D, [[a[j] for j in S] for a in N._rows],
                                                   len(S)), S)
     else:
-        image = Subspace.from_vectors(basis, d, [module.weights[j] for j in point.support
-                                                 if j not in module.masked])
+        image = Subspace(basis, d, *linalg._rref(Z, [module.weights[j] for j in point.support
+                                                     if j not in module.masked]))
     return kernel, image
 
 
 def _weight_kernel(module: WeightedModule, coords) -> Subspace:
-    """All xi pairing to zero with the weights alpha_j, j in coords."""
-    return Subspace.kernel_of(module.scalar_basis, module.torus_rank,
-                              [module.weights[j] for j in coords])
+    """All xi pairing to zero with the weights alpha_j, j in coords, read
+    as rows over Z."""
+    basis, d = module.scalar_basis, module.torus_rank
+    return Subspace(basis, d, *linalg._kernel(_domain(basis, ()),
+                                              [module.weights[j] for j in coords], d))
 
 
 def stabilizer_algebra(model, point: ModelPoint) -> Subspace:

@@ -124,7 +124,7 @@ class Subspace:
         cached = vars(self).get("_annihilator")
         if cached is None:
             n = self.ambient_dim
-            cached = Subspace(self.scalar_basis, n, *linalg._kernel(self._D, list(self._rows), n))
+            cached = Subspace(self.scalar_basis, n, *linalg._kernel(self._D, self._rows, n))
             vars(self)["_annihilator"] = cached
             vars(cached)["_annihilator"] = self
         return cached
@@ -220,7 +220,7 @@ class PresympForm:
 
     def kernel(self) -> Subspace:
         return Subspace(self.scalar_basis, self.dim,
-                        *linalg._kernel(self._D, list(self._rows), self.dim))
+                        *linalg._kernel(self._D, self._rows, self.dim))
 
     def rank(self) -> int:
         return len(linalg._pivots(self._D, list(self._rows)))

@@ -147,6 +147,20 @@ def ray_meets_rational_span(vec, generators) -> bool:
     return sum(1 for c in _eliminate_rational(rows)[1] if c >= n_t) < len(scaled)
 
 
+def kernel_two_pass(D, rows, ncols):
+    """The canonical kernel basis of the rows of D by two eliminations, as a
+    reference for linalg._kernel: eliminate the rows in column order, write
+    sum_i row_i[f] e_(p_i) - L e_f for each free column f (L the last pivot),
+    then eliminate those vectors again and make each canonical (D.prim).
+    Returns the rows and their pivots."""
+    reduced, pivots, last = _eliminate(D, list(rows))
+    pivot_rows, (minus_last,) = dict(zip(pivots, reduced)), D.neg((last,))
+    null = [[pivot_rows[c][f] if c in pivot_rows else minus_last if c == f else D.zero
+             for c in range(ncols)] for f in range(ncols) if f not in pivot_rows]
+    reduced, pivots, _ = _eliminate(D, null)
+    return list(map(D.prim, reduced)), pivots
+
+
 # -- scalar references for the elimination the package does on domain rows -------
 
 

@@ -7,11 +7,14 @@ declared square that is not an integer), and conjugate division are compared
 with sympy's exact linear algebra, and exact signs and products with
 sympy's.  Containment is also compared over three surds.  Kernels,
 sigma-orthogonals and Gram restrictions are compared with plain scalar
-arithmetic, also over a negative declared root and over three surds.
+arithmetic, also over a negative declared root and over three surds.  The
+one-pass kernel of domain blocks is compared with the two-pass reference
+(conftest.kernel_two_pass) over Z and the rings.
 """
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -21,9 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from momentlab import linalg
 from momentlab.presymlin import DimensionMismatchError, PresympForm, Subspace, sigma_orthogonal
-from momentlab.scalars import ConstantBasis
+from momentlab.scalars import ConstantBasis, _domain
 
-from conftest import greedy_extension, reference_kernel, reference_product
+from conftest import (DOMAIN_BASES, greedy_extension, kernel_two_pass, random_fraction,
+                      reference_kernel, reference_product)
 
 SQUARES = (2, Fraction(3, 2))
 small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -531,6 +535,72 @@ def test_kernel_of_empty_and_zero_matrices(basis):
     assert kernel(units, 3) == ([], [])
     assert Subspace.kernel_of(basis, 3, []) == Subspace.full(basis, 3)
     assert Subspace.kernel_of(basis, 3, units) == Subspace.zero(basis, 3)
+
+
+def kernel_blocks(basis, rng):
+    """Scalar blocks of each shape the one-pass kernel must read right: no
+    rows, no columns, zero rows, zero columns, rank-deficient rows and
+    full-rank rows (unit upper triangular, columns shuffled), each with its
+    number of columns."""
+    def scalar():
+        if rng.random() < 0.3:
+            return basis.zero()
+        return basis.scalar([random_fraction(rng)] + [random_fraction(rng) if rng.random() < 0.4
+                                                      else 0 for _ in range(basis.size - 1)])
+
+    zero = basis.zero()
+    yield [], 0
+    yield [(), ()], 0
+    yield [], 3
+    yield [(zero,) * 4] * 2, 4
+    for _ in range(12):
+        ncols, nrows = rng.randint(1, 6), rng.randint(1, 5)
+        rows = [[scalar() for _ in range(ncols)] for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = [zero] * ncols
+        yield rows, ncols
+        column = rng.randrange(ncols)
+        for row in rows:
+            row[column] = row[rng.randrange(ncols)] = zero
+        yield rows, ncols
+        if nrows > 2:
+            t = scalar()
+            rows[-1] = [a + t * b for a, b in zip(rows[0], rows[1])]
+            yield rows, ncols
+        k = min(nrows, ncols)
+        order = rng.sample(range(ncols), ncols)
+        full = [[basis.one() if c == i else scalar() if c > i else zero for c in range(ncols)]
+                for i in range(k)]
+        yield [[row[c] for c in order] for row in full], ncols
+
+
+def block_domain(basis):
+    """Z on the rationals, else the basis's ring even for rational rows."""
+    return _domain(basis, ()) if basis.size == 1 else basis.ring().domain
+
+
+@pytest.mark.parametrize("field", ["q", "sqrt2", "-sqrt2", "three"])
+def test_kernel_matches_the_two_pass_reference(field):
+    # domain blocks over Z, Z[sqrt2], Z[-sqrt2] and Z[sqrt2, sqrt3]
+    basis = DOMAIN_BASES[field]
+    D = block_domain(basis)
+    for rows, ncols in kernel_blocks(basis, random.Random(33)):
+        block = [D.conv(row) for row in rows]
+        null, pivots, E = linalg._kernel(D, block, ncols)
+        assert E is D
+        assert (null, pivots) == kernel_two_pass(D, block, ncols), (rows, ncols)
+        assert len(null) == ncols - len(linalg._pivots(D, list(block)))
+
+
+def test_kernel_eliminates_once(monkeypatch):
+    counted, real = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: counted.append(1) or real(*a))
+    for field in ("q", "sqrt2", "three"):
+        basis = DOMAIN_BASES[field]
+        D = block_domain(basis)
+        for rows, ncols in kernel_blocks(basis, random.Random(5)):
+            counted.clear()
+            linalg._kernel(D, [D.conv(row) for row in rows], ncols)
+            assert len(counted) == 1
 
 
 @given(skew_coefficients())
