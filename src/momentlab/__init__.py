@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 _SAMPLER_NAMES = frozenset({
     "CurveSpec",
     "PointCloud",
-    "contact_cone_sample",
     "convexity_defect",
     "deformation_scan",
     "lift_to_slice",

@@ -129,9 +129,13 @@ def load_scenario(path: Path) -> Scenario:
 
 
 def _load_analysis_inputs(sc: Scenario) -> None:
-    """Parse xi, curve and family when given or needed by an analysis, so
-    that validation rejects them before anything runs."""
+    """Refuse an analysis the model cannot run, and parse xi, curve and
+    family when given or needed by an analysis, so that validation rejects
+    them before anything runs."""
     raw = sc.raw
+    for analysis in ("morse", "contact-cone"):
+        if analysis in sc.analyses and sc.slice_ is None:
+            raise ScenarioError("analyses", f"{analysis} analysis needs an affine slice")
     if "xi" in raw or "morse" in sc.analyses:
         sc.xi = _parse_vector(sc.basis, raw.get("xi"), "xi", sc.torus_rank)
     if "curve" in raw or "sample" in sc.analyses:
@@ -166,16 +170,17 @@ def _parse_vector(basis, entries, field_name, length=None):
 def _load_model(sc: Scenario) -> None:
     raw, basis, d = sc.raw, sc.basis, sc.torus_rank
     weights = raw.get("weights")
+    if weights is not None and not (isinstance(weights, list) and all(
+            isinstance(w, list) and all(_is_int(a) for a in w) for w in weights)):
+        raise ScenarioError("weights", "must be a list of integer vectors")
     masked = raw.get("masked", [])
+    if not isinstance(masked, list) or not all(_is_int(j) for j in masked):
+        raise ScenarioError("masked", "must be a list of coordinate indices")
+    if masked and weights is None:
+        raise ScenarioError("masked", "needs weights: only a module has masked coordinates")
+    if any(j < 0 or j >= len(weights) for j in masked):
+        raise ScenarioError("masked", "masked index out of range")
     if weights is not None:
-        if not isinstance(weights, list) or not all(
-            isinstance(w, list) and all(_is_int(a) for a in w) for w in weights
-        ):
-            raise ScenarioError("weights", "must be a list of integer vectors")
-        if not isinstance(masked, list) or not all(_is_int(j) for j in masked):
-            raise ScenarioError("masked", "must be a list of coordinate indices")
-        if any(j < 0 or j >= len(weights) for j in masked):
-            raise ScenarioError("masked", "masked index out of range")
         try:
             sc.module = WeightedModule(
                 basis, d, tuple(tuple(w) for w in weights), frozenset(masked)
@@ -399,8 +404,6 @@ def _quasifold_section(sc: Scenario, lines: list[str]) -> None:
 
 
 def _morse_section(sc: Scenario, lines: list[str]) -> None:
-    if sc.slice_ is None:
-        raise ScenarioError("analyses", "morse analysis needs an affine slice")
     xi = sc.xi
     report = morse.morse_bott_check(sc.slice_, xi)
     _section(lines, "morse",
@@ -433,8 +436,6 @@ def _morse_section(sc: Scenario, lines: list[str]) -> None:
 
 
 def _contact_section(sc: Scenario, lines: list[str], out: Path) -> None:
-    if sc.slice_ is None:
-        raise ScenarioError("analyses", "contact-cone analysis needs an affine slice")
     P = sc.slice_.moment_polytope()
     cone = polyhedra.homogenize(P)
     back = polyhedra.slice_at_level(cone, P.dim, 1)

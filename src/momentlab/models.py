@@ -33,7 +33,6 @@ from .scalars import (
     _common,
     _Domain,
     _domain,
-    _eliminate,
 )
 
 
@@ -427,7 +426,7 @@ def _plane_cut(slice_: AffineSlice, coords) -> Polyhedron:
 
 
 def _column_rank(D: _Domain, rows, columns: Sequence[int]) -> int:
-    return len(_eliminate(D, [[r[j] for j in columns] for r in rows], len(columns))[1])
+    return len(linalg._pivots(D, [[r[j] for j in columns] for r in rows]))
 
 
 def _with_support_masks(D: _Domain, d: int, pairs) -> tuple[tuple, list[int]]:
@@ -662,9 +661,9 @@ def slices_at(model, point: ModelPoint) -> SliceData:
     unmasked = [j for j in range(module.n_coords) if j not in module.masked]
     free = [j for j in unmasked if j not in point.support]
     moving = len(unmasked) - len(free)
-    d = module.torus_rank
-    rank_moving = d - _weight_kernel(module, set(point.support) - module.masked).dim
-    rank_support = d - _weight_kernel(module, point.support).dim
+    Z = _domain(module.scalar_basis, ())
+    rank_moving, rank_support = (len(linalg._pivots(Z, [module.weights[j] for j in coords]))
+                                 for coords in (set(point.support) - module.masked, point.support))
     return SliceData(
         symplectic_dim=2 * len(free) + 2 * (moving - rank_moving),
         symplectic_weights=(tuple(tuple(module.weights[j]) for j in free)

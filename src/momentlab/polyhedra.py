@@ -374,12 +374,19 @@ def intersect_halfspaces(
     Redundant constraints are removed by converting to generators and back;
     emptiness is detected exactly.
     """
+    D, hs, eqs = _constraint_rows(basis, dim, halfspaces, equalities)
+    return _build(basis, D, dim, eqs, hs)
+
+
+def _constraint_rows(basis: ConstantBasis, dim: int, halfspaces, equalities):
+    """The rows (n, -b) of the (normal, offset) pairs, half-spaces and
+    equalities, in the one domain scalars._domain picks for them all."""
     hs, eqs = ([linalg.as_vector(basis, n) + (-_as_scalar(basis, b),) for n, b in rows]
                for rows in (halfspaces, equalities))
     if any(len(a) != dim + 1 for a in hs + eqs):
         raise PolyhedronError("constraint normal has wrong dimension")
-    D = _domain(basis, eqs + hs)
-    return _build(basis, D, dim, list(map(D.conv, eqs)), list(map(D.conv, hs)))
+    D = _domain(basis, hs + eqs)
+    return D, list(map(D.conv, hs)), list(map(D.conv, eqs))
 
 
 def _build(basis: ConstantBasis, D: _Domain, dim: int, eq_rows: list, hs_rows: list) -> Polyhedron:
@@ -567,13 +574,7 @@ def cut_out_by(
     """
     if P.is_empty:
         raise EmptyPolyhedronError("empty polyhedron has no representation to check")
-    basis, dim = P.scalar_basis, P.dim
-    hss, eqs = ([linalg.as_vector(basis, n) + (-_as_scalar(basis, b),) for n, b in rows]
-                for rows in (halfspaces, equalities))
-    if any(len(a) != dim + 1 for a in hss + eqs):
-        raise PolyhedronError("constraint normal has wrong dimension")
-    E = _domain(basis, hss + eqs)
-    return _cut_out(P, E, list(map(E.conv, hss)), list(map(E.conv, eqs)))
+    return _cut_out(P, *_constraint_rows(P.scalar_basis, P.dim, halfspaces, equalities))
 
 
 def _cut_out(P: Polyhedron, E: _Domain, hss: list, eqs: list) -> bool:

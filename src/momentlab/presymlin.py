@@ -275,7 +275,15 @@ def natural_quotient(
     sigma: PresympForm, F: Subspace, variant: str = "sub"
 ) -> ReducedSpace:
     """Largest symplectic quotient of F ("sub"), of its sigma-orthogonal
-    ("orth"), or of the whole space ("ambient")."""
+    ("orth"), or of the whole space ("ambient").
+
+    The quotient of a domain by its radical R is represented by the
+    domain's canonical rows b_i that a greedy pass adds to R's span.  A
+    combination sum c_j b_j lies in R iff sum c_j G_j = 0, G_j the rows of
+    the Gram matrix G = (sigma(b_j, b_k)), which are its columns negated.
+    So b_i extends the span of R and the earlier rows exactly when column i
+    of G is independent of the earlier columns: the representatives are G's
+    pivot columns, and the induced form is G's principal block on them."""
     if F.ambient_dim != sigma.dim:
         raise DimensionMismatchError("subspace does not live in the form's space")
     basis = sigma.scalar_basis
@@ -287,18 +295,10 @@ def natural_quotient(
         domain = Subspace.full(basis, sigma.dim)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    degenerate = domain.intersect(sigma_orthogonal(sigma, domain))
-    # the rows of domain a greedy pass adds to degenerate's: the pivots at or
-    # after column k of [degenerate | domain] as columns, which positive
-    # column scalings keep
-    D, lift, lift_domain = _common(degenerate._D, domain._D)
-    columns = list(zip(*map(lift, degenerate._rows), *map(lift_domain, domain._rows)))
-    k = degenerate.dim
-    chosen = [p - k for p in linalg._pivots(D, columns) if p >= k]
-    # canonical rows of domain stay canonical rows of their span
-    reps = Subspace(basis, sigma.dim, [domain._rows[i] for i in chosen],
-                    [domain.pivots[i] for i in chosen], domain._D)
-    induced = sigma.restrict(reps)
+    gram = sigma.restrict(domain)
+    chosen = linalg._pivots(gram._D, list(gram._rows))
+    induced = PresympForm(basis, len(chosen), gram._D,
+                          [[gram._rows[i][j] for j in chosen] for i in chosen], gram._mult)
     if induced.rank() != len(chosen):
         raise AssertionError("induced form is degenerate; reduction is inconsistent")
     return ReducedSpace(quotient_dim=len(chosen), induced_form=induced)

@@ -1,5 +1,6 @@
 """Seeded Monte Carlo engine for moment images of curve slices: nonconvexity
-defects, deformation families and contact cones.
+defects and deformation families.  (The contact-cone report samples its
+exact cone in the cli, with no curve.)
 
 Everything here is floating point; the exact engine owns the polyhedral
 geometry.  Sampling is uniform in the curve parameter (not arclength), which
@@ -25,7 +26,6 @@ import numpy as np
 
 from .errors import SamplerError
 
-RADIAL_TOL = 1e-6
 # the largest centroid-aligned Hausdorff distance deformation_scan calls a translate
 TRANSLATE_TOL = 1e-3
 # largest block of parameters sample_image draws and evaluates at once
@@ -167,24 +167,6 @@ def evaluate(spec: CurveSpec, t: np.ndarray) -> np.ndarray:
     x = t
     y = p["offset"] + p["amplitude"] * np.sin(p["frequency"] * x + p["phase"])
     return np.stack([x, y], axis=1)
-
-
-def tangent(spec: CurveSpec, t: np.ndarray) -> np.ndarray:
-    p = spec.params
-    t = np.asarray(t, dtype=float)
-    if spec.kind == "affine":
-        u = np.asarray(p["direction"])
-        return np.broadcast_to(u, (len(t), len(u))).copy()
-    if spec.kind == "circle":
-        r = p["radius"]
-        return np.stack([-r * np.sin(t), r * np.cos(t)], axis=1)
-    if spec.kind == "ellipse":
-        a, b_, ang = p["semi_x"], p["semi_y"], p["angle"]
-        dx, dy = -a * np.sin(t), b_ * np.cos(t)
-        ca, sa = np.cos(ang), np.sin(ang)
-        return np.stack([ca * dx - sa * dy, sa * dx + ca * dy], axis=1)
-    dy = p["amplitude"] * p["frequency"] * np.cos(p["frequency"] * t + p["phase"])
-    return np.stack([np.ones_like(t), dy], axis=1)
 
 
 def _param_domain(spec: CurveSpec) -> tuple[float, float]:
@@ -473,34 +455,3 @@ def deformation_scan(
             h = _hausdorff(A + shift, B)
             pairs.append(PairVerdict(a, b, h <= TRANSLATE_TOL, h))
     return DeformationReport(tuple(pairs))
-
-
-# -- contact cones -----------------------------------------------------------------
-
-
-def _unit_normals(spec: CurveSpec, t: np.ndarray) -> np.ndarray:
-    tan = tangent(spec, t)
-    normals = np.stack([-tan[:, 1], tan[:, 0]], axis=1)
-    return normals / np.linalg.norm(normals, axis=1)[:, None]
-
-
-def contact_cone_sample(
-    spec: CurveSpec, n: int, t_max: float, seed: int
-) -> PointCloud:
-    """Points (t y, t) over the sampled image, after checking that the curve
-    is nowhere radially tangent (contact-type condition)."""
-    if spec.ambient_dim != 2:
-        raise SamplerError("contact sampling is implemented for plane curves")
-    base = sample_image(spec, n, seed)
-    radial = np.sum(base.points * _unit_normals(spec, base.params), axis=1)
-    # a sign change along the parameter is a zero crossing the sample grid
-    # may have stepped over, so it counts as a tangency too
-    crosses = bool(len(radial) > 1 and np.any(radial[:-1] * radial[1:] < 0))
-    if crosses or float(np.abs(radial).min(initial=np.inf)) < RADIAL_TOL:
-        raise SamplerError("not of contact type: radial tangency detected")
-    rng = np.random.default_rng(seed + 1)
-    t = rng.uniform(0.0, t_max, len(base.points)) if t_max > 0 else np.zeros(
-        len(base.points)
-    )
-    pts = np.concatenate([t[:, None] * base.points, t[:, None]], axis=1)
-    return PointCloud(pts, base.params, seed)

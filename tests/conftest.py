@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from momentlab.presymlin import PresympForm, Subspace
+from momentlab import linalg
+from momentlab.presymlin import PresympForm, Subspace, sigma_orthogonal
 from momentlab.scalars import (
     ConstantBasis,
     ScalarError,
     _Z,
     _clear_denominators,
+    _common,
     _conj_norm,
     _eliminate,
 )
@@ -250,6 +252,25 @@ def greedy_extension(basis, m, rows, candidates):
             chosen.append(v)
             span = span.add(Subspace.from_vectors(basis, m, [v]))
     return chosen
+
+
+def natural_quotient_radical_route(sigma, F, variant):
+    """The radical route to presymlin.natural_quotient, as a reference: the
+    domain's radical R is the domain met with its sigma-orthogonal (a
+    Zassenhaus meet), the representatives are the domain's canonical rows a
+    greedy pass adds to R's span (the pivots at or after column dim R of
+    [R | domain], read as columns) and the induced form is sigma restricted
+    to them.  Returns the indices of the chosen rows and the induced form."""
+    domain = (F if variant == "sub" else sigma_orthogonal(sigma, F) if variant == "orth"
+              else Subspace.full(sigma.scalar_basis, sigma.dim))
+    radical = domain.intersect(sigma_orthogonal(sigma, domain))
+    D, lift, lift_domain = _common(radical._D, domain._D)
+    columns = list(zip(*map(lift, radical._rows), *map(lift_domain, domain._rows)))
+    k = radical.dim
+    chosen = [p - k for p in linalg._pivots(D, columns) if p >= k]
+    reps = Subspace(sigma.scalar_basis, sigma.dim, [domain._rows[i] for i in chosen],
+                    [domain.pivots[i] for i in chosen], domain._D)
+    return chosen, sigma.restrict(reps)
 
 
 def standard_form(basis, n_complex, masked=()):

@@ -256,6 +256,31 @@ def test_boolean_integer_field_exits_2(tmp_path, capsys, raw, field):
     assert f"field {field!r}" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("analysis", ["morse", "contact-cone"])
+def test_slice_analysis_on_a_module_fails_validation(tmp_path, capsys, analysis):
+    """A module has no affine slice, so validate refuses the morse and
+    contact-cone analyses on it with the message run gives."""
+    raw = {"torus_rank": 2, "weights": [[1, 0], [0, 1]], "xi": [1, 2],
+           "analyses": ["slice-report", analysis]}
+    path = write(tmp_path, raw)
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    want = f"field 'analyses': {analysis} analysis needs an affine slice"
+    assert capsys.readouterr().err.count(want) == 2
+
+
+@pytest.mark.parametrize("masked", ["nonsense", [0], [True]])
+def test_masked_on_a_slice_exits_2(tmp_path, capsys, masked):
+    """masked is read whenever it is given, and a nonempty one needs
+    weights: a slice has no masked coordinates."""
+    path = write(tmp_path, dict(segment_raw(), masked=masked))
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("field 'masked'") == 2 and "internal error" not in err
+    assert validate_scenario(write(tmp_path, dict(segment_raw(), masked=[]), "empty.json")) == 0
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -18,6 +18,7 @@ from conftest import (
     DOMAIN_BASES,
     form_pairing,
     greedy_extension,
+    natural_quotient_radical_route,
     random_fraction,
     random_scalar,
     reference_kernel,
@@ -190,6 +191,60 @@ def test_ambient_reduction_nondegenerate(sqrt2_basis):
         red = natural_quotient(form, Subspace.full(sqrt2_basis, dim), "ambient")
         assert red.quotient_dim == form.rank()
         assert red.induced_form.rank() == red.quotient_dim
+
+
+def degenerate_skew_form(rng, basis, dim):
+    """sum of u v^T - v u^T over fewer than dim / 2 random pairs (u, v): a
+    skew form with a kernel, its entries irrational in any root.  Returns
+    the form and the drawer of its scalars."""
+    def scalar():
+        return basis.scalar([random_fraction(rng, 3)] + [
+            random_fraction(rng, 2) if rng.random() < 0.4 else 0 for _ in range(basis.size - 1)])
+
+    rows = [[basis.zero()] * dim for _ in range(dim)]
+    for _ in range(rng.randint(0, (dim - 1) // 2)):
+        u, v = [scalar() for _ in range(dim)], [scalar() for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                rows[i][j] = rows[i][j] + u[i] * v[j] - v[i] * u[j]
+    return PresympForm.from_rows(basis, rows), scalar
+
+
+@pytest.mark.parametrize("name", ["q", "sqrt2", "three"])
+def test_natural_quotient_matches_the_radical_route(name):
+    """natural_quotient reads its representatives off the Gram matrix's
+    pivot columns; the radical route (conftest) meets the domain with its
+    sigma-orthogonal and extends that radical greedily.  On forms with a
+    kernel and subspaces that often meet it, every variant chooses the same
+    rows, with the same quotient dimension and induced form."""
+    basis = DOMAIN_BASES[name]
+    rng = random.Random(f"natural-quotient:{name}")
+    pivots, seen = linalg._pivots, []
+
+    def spy(D, rows):
+        seen.append(pivots(D, rows))
+        return seen[-1]
+
+    meets = 0
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        form, scalar = degenerate_skew_form(rng, basis, dim)
+        ker = form.kernel()
+        rows = [[scalar() for _ in range(dim)] for _ in range(rng.randint(0, dim - 1))]
+        if rng.random() < 0.6:
+            rows += rng.sample(ker.rows, rng.randint(1, ker.dim))
+        rng.shuffle(rows)
+        F = Subspace.from_vectors(basis, dim, rows)
+        meets += F.intersect(ker).dim > 0
+        for variant in ("sub", "orth", "ambient"):
+            chosen, induced = natural_quotient_radical_route(form, F, variant)
+            seen.clear()
+            with mock.patch.object(linalg, "_pivots", spy):
+                red = natural_quotient(form, F, variant)
+            assert seen[0] == chosen, (variant, dim)
+            assert red.quotient_dim == len(chosen)
+            assert red.induced_form == induced
+    assert meets >= 20
 
 
 def test_symplectization_is_symplectic_and_preserves_orbit(sqrt2_basis):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from momentlab import polyhedra, sampler
+from momentlab import sampler
 from momentlab.sampler import (
     SamplerError,
     affine_spec,
     circle_spec,
-    contact_cone_sample,
     convexity_defect,
     deformation_scan,
     distance_to_image,
@@ -17,7 +16,6 @@ from momentlab.sampler import (
     sample_image,
     trig_graph_spec,
 )
-from momentlab.scalars import ConstantBasis
 
 
 def segment_curve():
@@ -166,38 +164,6 @@ def test_trig_graph_kind_samples():
     assert np.all(cloud.points >= 0.0)
     d = distance_to_image(spec)(cloud.points)
     assert d.max() < 1e-3
-
-
-def test_contact_cone_affine_matches_exact_homogenization():
-    spec = affine_spec([1.0, 0.0], [-1.0, 1.0])
-    cloud = contact_cone_sample(spec, 10000, t_max=2.0, seed=12)
-    basis = ConstantBasis.rationals()
-    segment = polyhedra.intersect_halfspaces(
-        basis, 2, [([1, 0], 0), ([0, 1], 0)], [([1, 1], 1)]
-    )
-    cone = polyhedra.homogenize(segment)
-    worst = 0.0
-    for h in list(cone.halfspaces):
-        normal = np.array([e.to_float() for e in h.normal])
-        gap = cloud.points @ normal - h.offset.to_float()
-        worst = max(worst, float(np.maximum(0.0, -gap).max()))
-    for h in list(cone.equalities):
-        normal = np.array([e.to_float() for e in h.normal])
-        worst = max(worst, float(np.abs(cloud.points @ normal - h.offset.to_float()).max()))
-    assert worst < 1e-9
-
-
-def test_contact_cone_detects_radial_tangency():
-    # this circle crosses the locus |y|^2 = <y, c>, where the radial field
-    # is tangent to the curve
-    spec = circle_spec([2.0, 2.0], 0.5)
-    with pytest.raises(SamplerError, match="not of contact type"):
-        contact_cone_sample(spec, 10000, t_max=1.0, seed=13)
-
-
-def test_contact_cone_t_max_zero_collapses():
-    cloud = contact_cone_sample(segment_curve(), 100, t_max=0.0, seed=14)
-    assert np.abs(cloud.points).max() == 0.0
 
 
 def test_exact_engine_images_have_no_defect():

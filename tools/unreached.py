@@ -1,6 +1,7 @@
 """Print the public momentlab functions and methods that nothing reaches when
-the five scenarios run through `cli.main` (validate, then run) and the first
-period of the benchmark's polytopes and pointwise inputs at seed 1 (read from
+the five scenarios and the golden scenarios (tests/golden/*.json) run
+through `cli.main` (validate, then run) and the first period of the
+benchmark's polytopes and pointwise inputs at seed 1 (read from
 bench/workloads.py) run under a profile hook.  Stdlib only; gates nothing:
 `python3 tools/unreached.py`."""
 
@@ -40,9 +41,10 @@ def public_code():
 
 def run_everything() -> None:
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        for path in sorted((ROOT / "scenarios").glob("*.json")):
+        for path in [*sorted((ROOT / "scenarios").glob("*.json")),
+                     *sorted((ROOT / "tests" / "golden").glob("*.json"))]:
             cli.main(["validate", str(path)])
-            cli.main(["run", str(path), "--out", f"{out}/{path.stem}"])
+            cli.main(["run", str(path), "--out", f"{out}/{path.parent.name}-{path.stem}"])
     for name, stream, item, pattern in (
             ("polytopes", w.polytope_stream, w.polytope_item, w.POLYTOPE_PATTERN),
             ("pointwise", w.pointwise_stream, w.pointwise_item, w.POINTWISE_PATTERN)):
